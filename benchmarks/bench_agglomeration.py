@@ -1,23 +1,18 @@
-"""Benchmark the compiled agglomeration kernel against the Python twin.
+"""Benchmark the greedy agglomeration kernel through ``greedy_merge_trace``.
 
-Builds planted-partition graphs of growing size, runs both backends on the
-same edge lists, checks the traces are bit-identical, and prints a timing
-table.  Usage:
+Builds planted-partition graphs of growing size and prints the best of
+``--repeats`` timings for each.  Usage:
 
-    python benchmarks/bench_cnm.py             # quick sizes
-    python benchmarks/bench_cnm.py --large     # adds a slow large case
+    python benchmarks/bench_agglomeration.py            # quick sizes
+    python benchmarks/bench_agglomeration.py --large     # adds a slow large case
 """
 import argparse
 import time
 
 import numpy as np
 
-from csfm import _cnm_py
-
-try:
-    from csfm import _cnm_fast
-except ImportError:
-    _cnm_fast = None
+from csfm.community import greedy_merge_trace
+from csfm.graph import EpipolarGraph
 
 
 def planted_graph(rng, n, cluster_size=40, p_in=0.3, bridges=2):
@@ -48,17 +43,16 @@ def planted_graph(rng, n, cluster_size=40, p_in=0.3, bridges=2):
         w = (v + 1) % n
         edges.add((min(v, w), max(v, w)))
     arr = np.array(sorted(edges), dtype=np.int64)
-    return arr[:, 0].tolist(), arr[:, 1].tolist()
+    return EpipolarGraph(node_count=n, edges=arr, weights=np.ones(arr.shape[0], dtype=np.int64))
 
 
-def run(kernel, n, u, v, repeats):
+def best_time(g, repeats):
     best = np.inf
-    out = None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        out = kernel(n, u, v)
+        greedy_merge_trace(g)
         best = min(best, time.perf_counter() - t0)
-    return best, out
+    return best
 
 
 def main():
@@ -71,22 +65,13 @@ def main():
     if args.large:
         sizes.append(3000)
 
-    if _cnm_fast is None:
-        print("compiled kernel not built; benchmarking the Python backend only")
-
     rng = np.random.default_rng(0)
-    header = f"{'nodes':>7} {'edges':>8} {'python':>10} {'cython':>10} {'speedup':>8}"
+    header = f"{'nodes':>7} {'edges':>8} {'time':>10}"
     print(header)
     print("-" * len(header))
     for n in sizes:
-        u, v = planted_graph(rng, n)
-        t_py, out_py = run(_cnm_py.merge_trace, n, u, v, args.repeats)
-        if _cnm_fast is not None:
-            t_cy, out_cy = run(_cnm_fast.merge_trace, n, u, v, args.repeats)
-            assert out_py == out_cy, "backends disagree"
-            print(f"{n:>7} {len(u):>8} {t_py:>9.3f}s {t_cy:>9.3f}s {t_py / t_cy:>7.1f}x")
-        else:
-            print(f"{n:>7} {len(u):>8} {t_py:>9.3f}s {'-':>10} {'-':>8}")
+        g = planted_graph(rng, n)
+        print(f"{n:>7} {g.edge_count:>8} {best_time(g, args.repeats):>9.3f}s")
 
 
 if __name__ == "__main__":

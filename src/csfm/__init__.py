@@ -26,7 +26,6 @@ from .community import (
     absorb_small,
     best_partition,
     build_community_graph,
-    detection_backend,
     greedy_merge_trace,
     modularity,
     recursive_partition,

@@ -80,8 +80,14 @@ def horn_similarity(corr: CorrespondenceSet) -> Sim3:
 
 
 def default_inlier_threshold(corr: CorrespondenceSet) -> float:
-    """Scale-free default: 1% of the median axis extent of the source cloud."""
-    ext = np.ptp(corr.points_a, axis=0)
+    """Scale-free default: 1% of the median axis extent of the source cloud.
+
+    Each axis extent is 4 x the median absolute deviation about the median,
+    which equals the full extent of a uniform cloud but, unlike the range,
+    is not inflated by the gross outliers RANSAC is there to reject.
+    """
+    a = corr.points_a
+    ext = 4.0 * np.median(np.abs(a - np.median(a, axis=0)), axis=0)
     scale = float(np.median(ext))
     return max(RELATIVE_THRESHOLD * scale, 1e-12)
 

@@ -24,7 +24,6 @@ from .averaging import (
 from .community import (
     absorb_small,
     build_community_graph,
-    detection_backend,
     load_partition,
     modularity,
     recursive_partition,
@@ -43,7 +42,7 @@ from .merging import (
 )
 from .pipeline import PipelineConfig, measure_pairs, run_pipeline
 from .reconstruction import load_reconstruction, save_reconstruction
-from .synth import WorldSpec, fracture, generate_world, load_world, save_world
+from .synth import WorldSpec, fracture, generate_world, load_world, read_world, save_world, world_truth
 from .community import Partition
 from .graph import save_graph
 
@@ -125,7 +124,6 @@ def detect(graph_path, q_threshold, min_size, output):
     g = load_graph(graph_path)
     click.echo(f"graph: {g.node_count} nodes, {g.edge_count} edges")
     log.info("degree histogram: %s", degree_histogram(g))
-    log.info("detection kernel: %s", detection_backend())
     part = recursive_partition(g, q_threshold)
     part, flagged = absorb_small(g, part, min_size)
     q_max = modularity(g, part) if g.edge_count and part.community_count > 1 else 0.0
@@ -225,8 +223,8 @@ def refine(recs_dir, transforms_path, huber_delta, output, merged_out):
 def eval_cmd(merged_path, world_path, output):
     """Compare a merged model against the synthetic ground truth."""
     model = load_merged(merged_path)
-    world = load_world(world_path)
-    metrics = evaluate_against_truth(model, world.truth_reconstruction())
+    # the geometry alone: deriving the match graph would cost far more than eval
+    metrics = evaluate_against_truth(model, world_truth(read_world(world_path)))
     with open(output, "w") as fh:
         json.dump(metrics, fh, indent=1, sort_keys=True)
         fh.write("\n")

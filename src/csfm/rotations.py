@@ -148,7 +148,3 @@ def random_quat(rng) -> np.ndarray:
         n = np.linalg.norm(q)
         if n > 1e-6:
             return quat_canonical(q / n)
-
-
-def skew(v) -> np.ndarray:
-    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])

@@ -78,14 +78,20 @@ class GroundTruthWorld:
 
     def truth_reconstruction(self) -> Reconstruction:
         """The world itself as a single global-frame reconstruction."""
-        return Reconstruction(
-            community_id=0,
-            camera_ids=np.arange(self.camera_centers.shape[0]),
-            camera_rotations=self.camera_rotations,
-            camera_centers=self.camera_centers,
-            track_ids=self.track_ids,
-            points=self.points,
-        )
+        return world_truth(vars(self))
+
+
+def world_truth(fields: dict) -> Reconstruction:
+    """A world's geometry as a single global-frame reconstruction, from its
+    fields by name (``vars`` of a world, or :func:`read_world`'s output)."""
+    return Reconstruction(
+        community_id=0,
+        camera_ids=np.arange(fields["camera_centers"].shape[0]),
+        camera_rotations=fields["camera_rotations"],
+        camera_centers=fields["camera_centers"],
+        track_ids=fields["track_ids"],
+        points=fields["points"],
+    )
 
 
 def community_frame(seed: int, community: int) -> Sim3:
@@ -151,16 +157,7 @@ def generate_world(spec: WorldSpec) -> GroundTruthWorld:
             row += cnt
     track_ids = np.arange(spec.point_count, dtype=np.int64)
 
-    # visibility by distance, match edges by co-visible track count
-    d2 = np.sum((cam_centers[:, None, :] - pts[None, :, :]) ** 2, axis=2)
-    visible = d2 <= spec.visibility_radius**2
-    co = visible.astype(np.int64) @ visible.T.astype(np.int64)
-    iu, ju = np.triu_indices(n_cam, k=1)
-    strong = co[iu, ju] >= spec.min_shared_tracks
-    edges = np.column_stack([iu[strong], ju[strong]])
-    weights = co[iu, ju][strong]
-    graph = EpipolarGraph(node_count=n_cam, edges=edges, weights=weights)
-
+    graph = _match_graph(spec, cam_centers, pts)
     _check_planted_structure(graph, labels, k)
 
     transforms = tuple(community_frame(spec.seed, c) for c in range(k))
@@ -173,6 +170,20 @@ def generate_world(spec: WorldSpec) -> GroundTruthWorld:
         labels=labels,
         graph=graph,
         planted_transforms=transforms,
+    )
+
+
+def _match_graph(spec: WorldSpec, cam_centers: np.ndarray, points: np.ndarray) -> EpipolarGraph:
+    """Visibility by distance, match edges by co-visible track count."""
+    d2 = np.sum((cam_centers[:, None, :] - points[None, :, :]) ** 2, axis=2)
+    visible = d2 <= spec.visibility_radius**2
+    co = visible.astype(np.int64) @ visible.T.astype(np.int64)
+    iu, ju = np.triu_indices(cam_centers.shape[0], k=1)
+    strong = co[iu, ju] >= spec.min_shared_tracks
+    return EpipolarGraph(
+        node_count=cam_centers.shape[0],
+        edges=np.column_stack([iu[strong], ju[strong]]),
+        weights=co[iu, ju][strong],
     )
 
 
@@ -335,43 +346,34 @@ def save_world(world: GroundTruthWorld, path) -> None:
         fh.write("\n")
 
 
-def load_world(path) -> GroundTruthWorld:
-    """Rebuild a world from its file; the match graph is re-derived from the
-    stored geometry with the spec's visibility rule."""
+def read_world(path) -> dict:
+    """Parse a world file into every :class:`GroundTruthWorld` field except
+    ``graph``, deriving nothing from the stored geometry."""
     with open(path) as fh:
         obj = json.load(fh)
     try:
         spec = WorldSpec.from_json(obj["spec"])
         cams = obj["cameras"]
         pts = obj["points"]
-        cam_centers = np.array([c["c"] for c in cams], dtype=float).reshape(-1, 3)
-        cam_rotations = np.array([c["q"] for c in cams], dtype=float).reshape(-1, 4)
-        track_ids = np.array([p["track"] for p in pts], dtype=np.int64)
-        points = np.array([p["xyz"] for p in pts], dtype=float).reshape(-1, 3)
-        labels = np.array(obj["labels"], dtype=np.int64)
-        planted = tuple(Sim3.from_json(r) for r in obj["planted"])
+        fields = dict(
+            spec=spec,
+            camera_centers=np.array([c["c"] for c in cams], dtype=float).reshape(-1, 3),
+            camera_rotations=np.array([c["q"] for c in cams], dtype=float).reshape(-1, 4),
+            track_ids=np.array([p["track"] for p in pts], dtype=np.int64),
+            points=np.array([p["xyz"] for p in pts], dtype=float).reshape(-1, 3),
+            labels=np.array(obj["labels"], dtype=np.int64),
+            planted_transforms=tuple(Sim3.from_json(r) for r in obj["planted"]),
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed world file: {exc}") from exc
-    if labels.shape[0] != cam_centers.shape[0]:
+    if fields["labels"].shape[0] != fields["camera_centers"].shape[0]:
         raise ValidationError("world file labels do not cover the cameras")
-    n_cam = cam_centers.shape[0]
-    d2 = np.sum((cam_centers[:, None, :] - points[None, :, :]) ** 2, axis=2)
-    visible = d2 <= spec.visibility_radius**2
-    co = visible.astype(np.int64) @ visible.T.astype(np.int64)
-    iu, ju = np.triu_indices(n_cam, k=1)
-    strong = co[iu, ju] >= spec.min_shared_tracks
-    graph = EpipolarGraph(
-        node_count=n_cam,
-        edges=np.column_stack([iu[strong], ju[strong]]),
-        weights=co[iu, ju][strong],
-    )
-    return GroundTruthWorld(
-        spec=spec,
-        camera_centers=cam_centers,
-        camera_rotations=cam_rotations,
-        track_ids=track_ids,
-        points=points,
-        labels=labels,
-        graph=graph,
-        planted_transforms=planted,
-    )
+    return fields
+
+
+def load_world(path) -> GroundTruthWorld:
+    """Rebuild a world from its file; the match graph is re-derived from the
+    stored geometry with the spec's visibility rule."""
+    f = read_world(path)
+    graph = _match_graph(f["spec"], f["camera_centers"], f["points"])
+    return GroundTruthWorld(**f, graph=graph)

@@ -82,6 +82,53 @@ def random_connected_graph(rng, n, extra_edges=0):
     return make_graph(n, sorted(edges))
 
 
+def scan_merge_trace(g: EpipolarGraph):
+    """Greedy agglomeration by rescanning every linked pair on each merge.
+
+    O(n m) reference for the heap kernel: scans pairs in ascending ``(p, q)``
+    order and replaces the incumbent only for a float gain larger by more
+    than 1e-12, so ties go to the smallest pair; ``(p, q)`` keeps ``p``.
+    Returns ``((kept, retired, q_after), ...)`` like ``DendrogramTrace.merges``.
+    """
+    n = g.node_count
+    inv2m = 1.0 / (2.0 * g.edge_count)
+    dsum = [0] * n
+    nbr = [dict() for _ in range(n)]
+    for u, v in g.edges.tolist():
+        dsum[u] += 1
+        dsum[v] += 1
+        nbr[u][v] = nbr[u].get(v, 0) + 1
+        nbr[v][u] = nbr[v].get(u, 0) + 1
+    q = 0.0
+    for i in range(n):
+        a = dsum[i] * inv2m
+        q -= a * a
+    merges = []
+    for _ in range(n - 1):
+        best = None
+        for p in range(n):
+            for r in sorted(nbr[p]):
+                if r <= p:
+                    continue
+                dq = 2.0 * (nbr[p][r] * inv2m - (dsum[p] * inv2m) * (dsum[r] * inv2m))
+                if best is None or dq > best[2] + 1e-12:
+                    best = (p, r, dq)
+        if best is None:
+            break
+        p, r, dq = best
+        for s in sorted(nbr[r]):
+            if s != p:
+                nbr[p][s] = nbr[p].get(s, 0) + nbr[r][s]
+                nbr[s][p] = nbr[p][s]
+                del nbr[s][r]
+        del nbr[p][r]
+        nbr[r] = {}
+        dsum[p] += dsum[r]
+        q = q + dq
+        merges.append((p, r, q))
+    return tuple(merges)
+
+
 def random_sim3(rng, scale_range=(0.5, 2.0), translation=5.0) -> Sim3:
     return Sim3(
         s=float(np.exp(rng.uniform(np.log(scale_range[0]), np.log(scale_range[1])))),

@@ -94,6 +94,19 @@ class TestRansac:
         assert geodesic_angle(sim.q, planted.q) < 1e-6
         assert np.allclose(sim.t, planted.t, atol=1e-6)
 
+    def test_default_threshold_ignores_gross_outliers(self):
+        # a pair's shared tracks span a small patch of a 100-unit cloud; as in
+        # synth.fracture, 20% of them are displaced by +-0.5 x the cloud extent
+        rng = np.random.default_rng(8)
+        planted = random_sim3(rng, scale_range=(0.45, 0.45))
+        a = rng.uniform(-1.0, 1.0, size=(200, 3))
+        b = planted.apply(a)
+        out_idx = rng.choice(200, size=40, replace=False)
+        a[out_idx] += rng.uniform(-0.5, 0.5, size=(40, 3)) * 100.0
+        sim, inliers = ransac_similarity(corr_from(range(200), a, b), seed=0)
+        assert sim.s == pytest.approx(planted.s, rel=1e-9)
+        assert sorted(map(int, inliers)) == sorted(set(range(200)) - set(map(int, out_idx)))
+
     def test_below_minimal_sample(self):
         with pytest.raises(ValidationError):
             ransac_similarity(corr_from([0, 1], np.zeros((2, 3)), np.zeros((2, 3))), seed=0)
