@@ -10,13 +10,13 @@ on scale/rotation-aligned points, translations.
 """
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DisconnectedGraphError, ValidationError
+from .jsonio import read_json, write_json
 from .l1 import SparseLinearSystem, solve_l1
 from .measurements import MeasurementGraph, recompute_translation
 from .reconstruction import Reconstruction
@@ -313,14 +313,11 @@ def transforms_to_json(transforms) -> list:
 
 
 def save_transforms(transforms, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(transforms_to_json(transforms), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, transforms_to_json(transforms))
 
 
 def load_transforms(path) -> list:
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = read_json(path)
     try:
         return [
             CommunitySimilarity(

@@ -7,7 +7,6 @@ pairwise, pipeline) so every run is reproducible.
 from __future__ import annotations
 
 import functools
-import json
 import logging
 import sys
 from pathlib import Path
@@ -22,15 +21,17 @@ from .averaging import (
     save_transforms,
 )
 from .community import (
-    absorb_small,
+    DEFAULT_MIN_COMMUNITY_SIZE,
+    DEFAULT_Q_THRESHOLD,
+    Partition,
     build_community_graph,
+    detect_communities,
     load_partition,
-    modularity,
-    recursive_partition,
     save_partition,
 )
-from .errors import CsfmError
+from .errors import CsfmError, ValidationError
 from .graph import degree_histogram, load_graph
+from .jsonio import read_json, write_json
 from .measurements import MeasurementGraph, load_measurements, save_measurements
 from .merging import (
     evaluate_against_truth,
@@ -42,9 +43,7 @@ from .merging import (
 )
 from .pipeline import PipelineConfig, measure_pairs, run_pipeline
 from .reconstruction import load_reconstruction, save_reconstruction
-from .synth import WorldSpec, fracture, generate_world, load_world, read_world, save_world, world_truth
-from .community import Partition
-from .graph import save_graph
+from .synth import WorldSpec, fracture, generate_world, load_world, read_world, world_truth, write_world_files
 
 log = logging.getLogger("csfm")
 
@@ -66,6 +65,14 @@ def load_recs_dir(recs_dir: str) -> list:
     if not paths:
         raise click.ClickException(f"no rec_*.json files in {recs_dir}")
     return [load_reconstruction(p) for p in paths]
+
+
+def read_spec(path, seed: int) -> WorldSpec:
+    """A world spec file, with ``seed`` in place of any seed it names."""
+    obj = read_json(path)
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{path}: a world spec must be a JSON object")
+    return WorldSpec.from_json({**obj, "seed": seed})
 
 
 @click.group()
@@ -90,19 +97,11 @@ def main(verbose: int):
 def synth(spec_path, out_dir, seed):
     """Generate a synthetic world: world.json, eg.json, truth-labels.json,
     and one rec_k.json per planted community."""
-    if spec_path:
-        with open(spec_path) as fh:
-            spec = WorldSpec.from_json({**json.load(fh), "seed": seed})
-    else:
-        spec = WorldSpec(seed=seed)
+    spec = read_spec(spec_path, seed) if spec_path else WorldSpec(seed=seed)
     world = generate_world(spec)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    save_world(world, out / "world.json")
-    save_graph(world.graph, out / "eg.json")
-    with open(out / "truth-labels.json", "w") as fh:
-        json.dump({"labels": [int(v) for v in world.labels]}, fh, sort_keys=True)
-        fh.write("\n")
+    write_world_files(world, out)
     planted = Partition(assignment=world.labels, community_count=int(world.labels.max()) + 1)
     fr = fracture(world, planted)
     for rec in fr.reconstructions:
@@ -115,8 +114,8 @@ def synth(spec_path, out_dir, seed):
 
 @main.command()
 @click.option("--graph", "graph_path", required=True, type=click.Path(exists=True))
-@click.option("--q-threshold", default=0.3, show_default=True, type=float)
-@click.option("--min-size", default=20, show_default=True, type=int)
+@click.option("--q-threshold", default=DEFAULT_Q_THRESHOLD, show_default=True, type=float)
+@click.option("--min-size", default=DEFAULT_MIN_COMMUNITY_SIZE, show_default=True, type=int)
 @click.option("-o", "--output", required=True, type=click.Path())
 @handle_errors
 def detect(graph_path, q_threshold, min_size, output):
@@ -124,9 +123,7 @@ def detect(graph_path, q_threshold, min_size, output):
     g = load_graph(graph_path)
     click.echo(f"graph: {g.node_count} nodes, {g.edge_count} edges")
     log.info("degree histogram: %s", degree_histogram(g))
-    part = recursive_partition(g, q_threshold)
-    part, flagged = absorb_small(g, part, min_size)
-    q_max = modularity(g, part) if g.edge_count and part.community_count > 1 else 0.0
+    part, q_max, flagged = detect_communities(g, q_threshold, min_size)
     save_partition(output, part, q_max, flagged)
     click.echo(
         f"{part.community_count} communities, q_max={q_max:.4f}, "
@@ -140,8 +137,8 @@ def detect(graph_path, q_threshold, min_size, output):
 @click.option("--recs", "recs_dir", required=True, type=click.Path(exists=True))
 @click.option("--seed", required=True, type=int)
 @click.option("--threshold", type=float, default=None, help="RANSAC inlier distance (default: 1% of scene extent).")
-@click.option("--iterations", default=1024, show_default=True, type=int)
-@click.option("--workers", default=4, show_default=True, type=int)
+@click.option("--iterations", default=PipelineConfig.ransac_iterations, show_default=True, type=int)
+@click.option("--workers", default=PipelineConfig.workers, show_default=True, type=int)
 @click.option("-o", "--output", required=True, type=click.Path())
 @handle_errors
 def pairwise(graph_path, partition_path, recs_dir, seed, threshold, iterations, workers, output):
@@ -225,9 +222,7 @@ def eval_cmd(merged_path, world_path, output):
     model = load_merged(merged_path)
     # the geometry alone: deriving the match graph would cost far more than eval
     metrics = evaluate_against_truth(model, world_truth(read_world(world_path)))
-    with open(output, "w") as fh:
-        json.dump(metrics, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(output, metrics)
     click.echo(
         f"median center error {metrics['median_center_error']:.6g}, "
         f"rmse {metrics['rmse_center_error']:.6g} over {metrics['n_cameras']} cameras"
@@ -252,11 +247,11 @@ def export_ply_cmd(merged_path, color_by_community, output):
 @click.option("--recs", "recs_dir", type=click.Path(exists=True), help="Existing per-community reconstructions.")
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--seed", required=True, type=int)
-@click.option("--q-threshold", default=0.3, show_default=True, type=float)
-@click.option("--min-size", default=20, show_default=True, type=int)
+@click.option("--q-threshold", default=DEFAULT_Q_THRESHOLD, show_default=True, type=float)
+@click.option("--min-size", default=DEFAULT_MIN_COMMUNITY_SIZE, show_default=True, type=int)
 @click.option("--threshold", type=float, default=None, help="RANSAC inlier distance.")
-@click.option("--iterations", default=1024, show_default=True, type=int)
-@click.option("--workers", default=4, show_default=True, type=int)
+@click.option("--iterations", default=PipelineConfig.ransac_iterations, show_default=True, type=int)
+@click.option("--workers", default=PipelineConfig.workers, show_default=True, type=int)
 @click.option("--refine/--no-refine", "do_refine", default=True, show_default=True)
 @click.option("--eval/--no-eval", "do_eval", default=True, show_default=True)
 @handle_errors
@@ -267,8 +262,7 @@ def pipeline(spec_path, world_path, recs_dir, out_dir, seed, q_threshold, min_si
     world = None
     recs = None
     if spec_path:
-        with open(spec_path) as fh:
-            spec = WorldSpec.from_json({**json.load(fh), "seed": seed})
+        spec = read_spec(spec_path, seed)
     elif world_path:
         world = load_world(world_path)
     elif recs_dir:

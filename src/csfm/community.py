@@ -9,13 +9,13 @@ group keeps enough images for a stable reconstruction.
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DisconnectedGraphError, ValidationError
 from .graph import EpipolarGraph, connected_components, induced_subgraph
+from .jsonio import read_json, write_json
 
 DEFAULT_Q_THRESHOLD = 0.3
 DEFAULT_MIN_COMMUNITY_SIZE = 20
@@ -367,6 +367,22 @@ def absorb_small(
     return out, flagged
 
 
+def detect_communities(
+    g: EpipolarGraph,
+    q_threshold: float = DEFAULT_Q_THRESHOLD,
+    min_size: int = DEFAULT_MIN_COMMUNITY_SIZE,
+):
+    """The detect stage: recursive split, then small-community absorption.
+
+    Returns ``(partition, q_max, flagged)``; ``q_max`` is the final
+    partition's modularity, 0 for a single community or an edgeless graph.
+    """
+    part = recursive_partition(g, q_threshold)
+    part, flagged = absorb_small(g, part, min_size)
+    q_max = modularity(g, part) if g.edge_count and part.community_count > 1 else 0.0
+    return part, q_max, flagged
+
+
 def partition_to_json(p: Partition, q_max: float, flagged) -> dict:
     return {
         "q_max": float(q_max),
@@ -376,15 +392,12 @@ def partition_to_json(p: Partition, q_max: float, flagged) -> dict:
 
 
 def save_partition(path, p: Partition, q_max: float, flagged) -> None:
-    with open(path, "w") as fh:
-        json.dump(partition_to_json(p, q_max, flagged), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, partition_to_json(p, q_max, flagged))
 
 
 def load_partition(path, node_count=None):
     """Returns ``(partition, q_max, flagged)`` from a partition file."""
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = read_json(path)
     try:
         groups = obj["communities"]
         q_max = float(obj["q_max"])

@@ -6,12 +6,12 @@ construction and safe to share across threads.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
+from .jsonio import read_json, write_json
 
 
 @dataclass(frozen=True)
@@ -133,37 +133,33 @@ def load_graph(source) -> EpipolarGraph:
     (self-loop, duplicate unordered pair, endpoint out of range, bad weight)
     raise :class:`ValidationError` rather than being silently repaired.
     """
-    if hasattr(source, "read"):
-        raw = source.read()
-    else:
-        with open(source, "rb") as fh:
-            raw = fh.read()
-    try:
-        obj = json.loads(raw)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"graph file is not valid JSON: {exc}") from exc
+    obj = read_json(source)
     if not isinstance(obj, dict) or "nodes" not in obj or "edges" not in obj:
         raise ValidationError('graph file must be an object with "nodes" and "edges"')
     nodes = obj["nodes"]
     if not isinstance(nodes, list) or not all(isinstance(s, str) for s in nodes):
         raise ValidationError('"nodes" must be a list of strings')
+    if not isinstance(obj["edges"], list):
+        raise ValidationError('"edges" must be a list of edge records')
     edges, weights = [], []
     for rec in obj["edges"]:
-        try:
-            i, j = int(rec["i"]), int(rec["j"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed edge record {rec!r}") from exc
-        w = rec.get("w", 1)
-        if not isinstance(w, int):
-            raise ValidationError(f"edge weight must be an integer, got {w!r}")
+        if not isinstance(rec, dict) or "i" not in rec or "j" not in rec:
+            raise ValidationError(f'edge record needs "i" and "j", got {rec!r}')
+        i, j, w = rec["i"], rec["j"], rec.get("w", 1)
+        # bool is an int subclass; a JSON true is not an index or a count
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (i, j, w)):
+            raise ValidationError(f"edge indices and weight must be integers, got {rec!r}")
         edges.append((i, j))
         weights.append(w)
-    return EpipolarGraph(
-        node_count=len(nodes),
-        edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2),
-        weights=np.asarray(weights, dtype=np.int64),
-        node_labels=tuple(nodes),
-    )
+    try:
+        return EpipolarGraph(
+            node_count=len(nodes),
+            edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2),
+            weights=np.asarray(weights, dtype=np.int64),
+            node_labels=tuple(nodes),
+        )
+    except OverflowError as exc:
+        raise ValidationError(f"edge index or weight out of range: {exc}") from exc
 
 
 def graph_to_json(g: EpipolarGraph) -> dict:
@@ -177,9 +173,7 @@ def graph_to_json(g: EpipolarGraph) -> dict:
 
 
 def save_graph(g: EpipolarGraph, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(graph_to_json(g), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, graph_to_json(g))
 
 
 def degree_histogram(g: EpipolarGraph) -> dict:

@@ -14,13 +14,13 @@ Sim3 inverse and is never stored twice.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .alignment import ransac_similarity
 from .errors import DisconnectedGraphError, ValidationError
+from .jsonio import read_json, write_json
 from .reconstruction import Reconstruction, covisible
 from .rotations import quat_canonical, quat_conjugate
 
@@ -183,16 +183,13 @@ def measurements_to_json(mg: MeasurementGraph) -> list:
 def save_measurements(mg: MeasurementGraph, path) -> None:
     """Write the measurement list (the graph's node count is implied by the
     per-community reconstruction set it belongs to)."""
-    with open(path, "w") as fh:
-        json.dump(measurements_to_json(mg), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, measurements_to_json(mg))
 
 
 def load_measurements(path, community_count=None) -> MeasurementGraph:
     """Read a measurement list; infers the community count from the largest
     endpoint unless given explicitly."""
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = read_json(path)
     if not isinstance(obj, list):
         raise ValidationError("measurement file must be a JSON list")
     try:

@@ -9,7 +9,6 @@ component-wise median of their transformed duplicates.
 """
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
@@ -18,6 +17,7 @@ import numpy as np
 from .alignment import CorrespondenceSet, ransac_similarity
 from .averaging import CommunitySimilarity
 from .errors import NumericError, ValidationError
+from .jsonio import read_json, write_json
 from .reconstruction import Reconstruction, covisible
 from .rotations import (
     exp_rotation,
@@ -291,7 +291,8 @@ def evaluate_against_truth(model: MergedModel, truth: Reconstruction, seed: int 
 
     The gauge is removed with a robust similarity fit on common camera
     centers (consensus then closed-form refit, so a stray camera cannot bend
-    the alignment); errors are reported in the truth's units.
+    the alignment); errors are reported in the truth's units.  ``point_rmse``
+    is None when the model and the truth share no track.
     """
     common, im, it = np.intersect1d(
         model.camera_ids, truth.camera_ids, assume_unique=True, return_indices=True
@@ -329,7 +330,7 @@ def evaluate_against_truth(model: MergedModel, truth: Reconstruction, seed: int 
             np.sqrt(np.mean(np.sum((pts_aligned - truth.points[ipt]) ** 2, axis=1)))
         )
     else:
-        point_rmse = float("nan")
+        point_rmse = None  # no shared track: written as null, never NaN
 
     return {
         "n_cameras": int(common.size),
@@ -364,14 +365,11 @@ def merged_to_json(model: MergedModel) -> dict:
 
 
 def save_merged(model: MergedModel, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(merged_to_json(model), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, merged_to_json(model))
 
 
 def load_merged(path) -> MergedModel:
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = read_json(path)
     try:
         cams = obj["cameras"]
         pts = obj["points"]

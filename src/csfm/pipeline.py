@@ -8,7 +8,6 @@ order, so the worker count never changes a numeric result.
 """
 from __future__ import annotations
 
-import json
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -17,26 +16,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .averaging import (
-    IrlsOptions,
-    average_rotations,
-    average_scales,
-    average_translations,
-    recompute_pairwise_translations,
-    save_transforms,
-    CommunitySimilarity,
-)
+from .averaging import IrlsOptions, average_similarities, save_transforms
 from .community import (
     DEFAULT_MIN_COMMUNITY_SIZE,
     DEFAULT_Q_THRESHOLD,
-    absorb_small,
     build_community_graph,
-    modularity,
-    recursive_partition,
+    detect_communities,
     save_partition,
 )
 from .errors import CsfmError, NumericError, ValidationError
-from .graph import save_graph
+from .jsonio import write_json
 from .measurements import (
     MeasurementGraph,
     pairwise_measurement,
@@ -50,7 +39,7 @@ from .merging import (
 )
 from .reconstruction import covisible, save_reconstruction
 from .rotations import geodesic_angle, quat_conjugate, quat_multiply
-from .synth import GroundTruthWorld, WorldSpec, fracture, generate_world, save_world
+from .synth import GroundTruthWorld, WorldSpec, fracture, generate_world, write_world_files
 
 log = logging.getLogger(__name__)
 
@@ -133,9 +122,31 @@ def measure_pairs(
     return [m for m in results if m is not None]
 
 
+def _averaging_residuals(mg: MeasurementGraph, mg_t: MeasurementGraph, transforms) -> dict:
+    """L1 residuals of the scale, rotation and translation problems at the
+    averaged transforms (``mg_t`` carries the recomputed translations)."""
+    log_s = np.log([tr.s for tr in transforms])
+    scale = [abs(np.log(m.s_ij) - (log_s[m.i] - log_s[m.j])) for m in mg.measurements]
+    rotation = [
+        geodesic_angle(
+            quat_multiply(quat_conjugate(transforms[m.i].r), transforms[m.j].r), m.r_ij
+        )
+        for m in mg.measurements
+    ]
+    translation = [
+        float(np.abs(m.t_ij - (transforms[m.j].t - transforms[m.i].t)).sum())
+        for m in mg_t.measurements
+    ]
+    return {
+        "scale_l1_residual": float(np.sum(scale)),
+        "rotation_l1_residual_rad": float(np.sum(rotation)),
+        "kept_pairs": len(mg_t.measurements),
+        "translation_l1_residual": float(np.sum(translation)),
+    }
+
+
 class _StageRunner:
-    def __init__(self, out_dir: Path):
-        self.out_dir = out_dir
+    def __init__(self):
         self.stages = []
         self.last_artifact = None
 
@@ -168,7 +179,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    runner = _StageRunner(out)
+    runner = _StageRunner()
     res = PipelineResult()
 
     world = config.world
@@ -178,11 +189,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             spec = WorldSpec(**{**spec.to_json(), "seed": config.seed})
         world = runner.run("synth", lambda: generate_world(spec), out / "world.json")
     if world is not None:
-        save_world(world, out / "world.json")
-        save_graph(world.graph, out / "eg.json")
-        with open(out / "truth-labels.json", "w") as fh:
-            json.dump({"labels": [int(v) for v in world.labels]}, fh, sort_keys=True)
-            fh.write("\n")
+        write_world_files(world, out)
         res.artifacts["world"] = str(out / "world.json")
         res.artifacts["graph"] = str(out / "eg.json")
 
@@ -191,12 +198,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         partition = None
     elif world is not None:
         def detect():
-            part = recursive_partition(world.graph, config.q_threshold)
-            part, flagged = absorb_small(world.graph, part, config.min_community_size)
-            q_max = (
-                modularity(world.graph, part)
-                if world.graph.edge_count and part.community_count > 1
-                else 0.0
+            part, q_max, flagged = detect_communities(
+                world.graph, config.q_threshold, config.min_community_size
             )
             save_partition(out / "partition.json", part, q_max, flagged)
             return part, {"q_max": q_max, "communities": part.community_count,
@@ -226,9 +229,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                     for (p, q), c in sorted(cg.cross_edges.items())
                 ],
             }
-            with open(out / "community_graph.json", "w") as fh:
-                json.dump(payload, fh, indent=1, sort_keys=True)
-                fh.write("\n")
+            write_json(out / "community_graph.json", payload)
             return cg
 
         cg = runner.run("community_graph", community_graph, out / "community_graph.json")
@@ -258,58 +259,14 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     mg = runner.run("pairwise", do_pairwise, out / "measurements.json")
     res.measurement_graph = mg
 
-    recs_by_id = {r.community_id: r for r in recs}
-
-    def scale_stage():
-        scales = average_scales(mg, config.irls)
-        with open(out / "scales.json", "w") as fh:
-            json.dump([{"id": c, "s": float(s)} for c, s in enumerate(scales)], fh, sort_keys=True)
-            fh.write("\n")
-        resid = [abs(np.log(m.s_ij) - (np.log(scales[m.i]) - np.log(scales[m.j]))) for m in mg.measurements]
-        return scales, {"l1_residual": float(np.sum(resid))}
-
-    scales = runner.run("scale_avg", scale_stage, out / "scales.json")
-
-    def rotation_stage():
-        rotations = average_rotations(mg, config.irls)
-        with open(out / "rotations.json", "w") as fh:
-            json.dump(
-                [{"id": c, "q": [float(v) for v in q]} for c, q in enumerate(rotations)],
-                fh,
-                sort_keys=True,
-            )
-            fh.write("\n")
-        resid = [
-            geodesic_angle(
-                quat_multiply(quat_conjugate(rotations[m.i]), rotations[m.j]), m.r_ij
-            )
-            for m in mg.measurements
-        ]
-        return rotations, {"l1_residual_rad": float(np.sum(resid))}
-
-    rotations = runner.run("rotation_avg", rotation_stage, out / "rotations.json")
-
-    def recompute_stage():
-        mg_t = recompute_pairwise_translations(recs_by_id, scales, rotations, mg)
+    def average_stage():
+        recs_by_id = {r.community_id: r for r in recs}
+        transforms, mg_t = average_similarities(recs_by_id, mg, config.irls)
         save_measurements(mg_t, out / "measurements_with_t.json")
-        return mg_t, {"kept_pairs": len(mg_t.measurements)}
-
-    mg_t = runner.run("translation_recompute", recompute_stage, out / "measurements_with_t.json")
-
-    def translation_stage():
-        translations = average_translations(mg_t, config.irls)
-        transforms = [
-            CommunitySimilarity(community_id=c, s=float(scales[c]), r=rotations[c], t=translations[c])
-            for c in range(mg.community_count)
-        ]
         save_transforms(transforms, out / "transforms.json")
-        resid = [
-            float(np.abs(m.t_ij - (transforms[m.j].t - transforms[m.i].t)).sum())
-            for m in mg_t.measurements
-        ]
-        return transforms, {"l1_residual": float(np.sum(resid))}
+        return transforms, _averaging_residuals(mg, mg_t, transforms)
 
-    transforms = runner.run("translation_avg", translation_stage, out / "transforms.json")
+    transforms = runner.run("average", average_stage, out / "transforms.json")
     res.transforms = transforms
 
     def merge_stage():
@@ -342,9 +299,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             payload = {"merged": evaluate_against_truth(model, truth)}
             if refined_model is not None:
                 payload["refined"] = evaluate_against_truth(refined_model, truth)
-            with open(out / "eval.json", "w") as fh:
-                json.dump(payload, fh, indent=1, sort_keys=True)
-                fh.write("\n")
+            write_json(out / "eval.json", payload)
             return payload, {
                 "median_center_error": payload["merged"]["median_center_error"]
             }
@@ -355,9 +310,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         "seed": config.seed,
         "stages": runner.stages,
     }
-    with open(out / "report.json", "w") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "report.json", report)
     res.report = report
     for p in sorted(out.iterdir()):
         res.artifacts.setdefault(p.stem, str(p))
@@ -371,8 +324,6 @@ DATA_ARTIFACTS = (
     "partition.json",
     "community_graph.json",
     "measurements.json",
-    "scales.json",
-    "rotations.json",
     "measurements_with_t.json",
     "transforms.json",
     "merged.json",

@@ -6,13 +6,13 @@ frame.  Track ids are global, which is what makes cross-community joins
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .alignment import CorrespondenceSet
 from .errors import ValidationError
+from .jsonio import read_json, write_json
 from .rotations import quat_canonical
 
 
@@ -101,11 +101,8 @@ def reconstruction_from_json(obj: dict) -> Reconstruction:
 
 
 def save_reconstruction(rec: Reconstruction, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(reconstruction_to_json(rec), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, reconstruction_to_json(rec))
 
 
 def load_reconstruction(path) -> Reconstruction:
-    with open(path) as fh:
-        return reconstruction_from_json(json.load(fh))
+    return reconstruction_from_json(read_json(path))

@@ -10,15 +10,16 @@ corrupted shared tracks.  Everything is a pure function of the seed.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .community import Partition
 from .errors import ValidationError
-from .graph import EpipolarGraph
+from .graph import EpipolarGraph, save_graph
+from .jsonio import read_json, write_json
 from .reconstruction import Reconstruction
 from .rotations import quat_canonical, quat_multiply, random_quat
 from .sim3 import Sim3
@@ -173,10 +174,15 @@ def generate_world(spec: WorldSpec) -> GroundTruthWorld:
     )
 
 
+def _visible(cam_centers: np.ndarray, points: np.ndarray, radius: float) -> np.ndarray:
+    """Dense ``(n_cam, n_pts)`` bool: camera sees point within ``radius``."""
+    d2 = np.sum((cam_centers[:, None, :] - points[None, :, :]) ** 2, axis=2)
+    return d2 <= radius**2
+
+
 def _match_graph(spec: WorldSpec, cam_centers: np.ndarray, points: np.ndarray) -> EpipolarGraph:
     """Visibility by distance, match edges by co-visible track count."""
-    d2 = np.sum((cam_centers[:, None, :] - points[None, :, :]) ** 2, axis=2)
-    visible = d2 <= spec.visibility_radius**2
+    visible = _visible(cam_centers, points, spec.visibility_radius)
     co = visible.astype(np.int64) @ visible.T.astype(np.int64)
     iu, ju = np.triu_indices(cam_centers.shape[0], k=1)
     strong = co[iu, ju] >= spec.min_shared_tracks
@@ -261,8 +267,7 @@ def fracture(
     elif len(transforms) != k:
         raise ValidationError("need one transform per community")
 
-    d2 = np.sum((world.camera_centers[:, None, :] - world.points[None, :, :]) ** 2, axis=2)
-    visible = d2 <= spec.visibility_radius**2
+    visible = _visible(world.camera_centers, world.points, spec.visibility_radius)
 
     # a community reconstructs the tracks seen by >= 2 of its cameras
     member_tracks = []
@@ -341,16 +346,21 @@ def world_to_json(world: GroundTruthWorld) -> dict:
 
 
 def save_world(world: GroundTruthWorld, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(world_to_json(world), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, world_to_json(world))
+
+
+def write_world_files(world: GroundTruthWorld, out_dir) -> None:
+    """Write a world's ``world.json``, ``eg.json`` and ``truth-labels.json``."""
+    out = Path(out_dir)
+    save_world(world, out / "world.json")
+    save_graph(world.graph, out / "eg.json")
+    write_json(out / "truth-labels.json", {"labels": [int(v) for v in world.labels]})
 
 
 def read_world(path) -> dict:
     """Parse a world file into every :class:`GroundTruthWorld` field except
     ``graph``, deriving nothing from the stored geometry."""
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = read_json(path)
     try:
         spec = WorldSpec.from_json(obj["spec"])
         cams = obj["cameras"]

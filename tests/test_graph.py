@@ -56,6 +56,33 @@ class TestLoadGraph:
         with pytest.raises(ValidationError):
             load_graph(io.BytesIO(b"{}"))
 
+    def test_edges_not_a_list(self):
+        with pytest.raises(ValidationError, match="edges"):
+            load_graph(io.BytesIO(b'{"nodes": ["a", "b"], "edges": 5}'))
+
+    @pytest.mark.parametrize("edge", [{"i": 0, "j": 1, "w": True}, {"i": True, "j": 1}])
+    def test_bool_is_not_an_integer(self, edge):
+        with pytest.raises(ValidationError, match="integers"):
+            load_graph(graph_bytes(["a", "b"], [edge]))
+
+    @pytest.mark.parametrize("edge", [{"i": 0, "j": 1.7}, {"i": "0", "j": 1}])
+    def test_non_integer_index_rejected(self, edge):
+        with pytest.raises(ValidationError, match="integers"):
+            load_graph(graph_bytes(["a", "b", "c"], [edge]))
+
+    def test_edge_record_not_an_object(self):
+        with pytest.raises(ValidationError, match="edge record"):
+            load_graph(graph_bytes(["a", "b"], [[0, 1]]))
+
+    @pytest.mark.parametrize("edge", [{"i": 0, "j": 2**70}, {"i": 0, "j": 1, "w": 2**63}])
+    def test_integer_beyond_int64_rejected(self, edge):
+        with pytest.raises(ValidationError, match="out of range"):
+            load_graph(graph_bytes(["a", "b"], [edge]))
+
+    def test_nan_weight_rejected(self):
+        with pytest.raises(ValidationError, match="JSON"):
+            load_graph(io.BytesIO(b'{"nodes": ["a", "b"], "edges": [{"i": 0, "j": 1, "w": NaN}]}'))
+
 
 class TestDegree:
     def test_path_center(self):

@@ -3,6 +3,7 @@ import pytest
 
 from csfm.averaging import CommunitySimilarity
 from csfm.errors import ValidationError
+from csfm.jsonio import write_json
 from csfm.merging import (
     evaluate_against_truth,
     export_ply,
@@ -301,6 +302,29 @@ class TestEvaluate:
         assert m1["median_center_error"] > 1e-5  # the comparison is non-trivial
         for key in ("median_center_error", "rmse_center_error", "median_rotation_error_rad", "point_rmse"):
             assert m2[key] == pytest.approx(m1[key], rel=1e-9, abs=1e-9)
+
+    def test_no_shared_track_gives_null_point_rmse(self, tmp_path):
+        # the model's tracks are renumbered away from the truth's: point
+        # error is undefined and must be written as null, not NaN
+        rng = np.random.default_rng(17)
+        truth = self.truth_of(rng)
+        model = self.model_from(truth)
+        from csfm.merging import MergedModel
+
+        disjoint = MergedModel(
+            camera_ids=model.camera_ids,
+            camera_rotations=model.camera_rotations,
+            camera_centers=model.camera_centers,
+            track_ids=model.track_ids + 1000,
+            points=model.points,
+            provenance={int(t) + 1000: c for t, c in model.provenance.items()},
+            fusion_spread={},
+        )
+        metrics = evaluate_against_truth(disjoint, truth)
+        assert metrics["n_shared_tracks"] == 0
+        assert metrics["point_rmse"] is None
+        write_json(tmp_path / "eval.json", metrics)
+        assert '"point_rmse": null' in (tmp_path / "eval.json").read_text()
 
     def test_too_few_common_cameras(self):
         rng = np.random.default_rng(13)

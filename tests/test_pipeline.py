@@ -1,7 +1,10 @@
 import json
+import re
+import shutil
 from pathlib import Path
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 from csfm.cli import main
@@ -48,10 +51,7 @@ class TestRunPipeline:
             "fracture",
             "community_graph",
             "pairwise",
-            "scale_avg",
-            "rotation_avg",
-            "translation_recompute",
-            "translation_avg",
+            "average",
             "merge",
             "refine",
             "eval",
@@ -203,14 +203,104 @@ class TestCli:
         assert "pairwise" in result.output
 
     def test_stage_rerun_from_disk_matches_pipeline(self, tmp_path):
-        # re-running the averaging stage from its on-disk inputs reproduces
-        # the pipeline's transforms byte for byte
+        # re-running the detect, pairwise and averaging stages from their
+        # on-disk inputs reproduces the pipeline's artifacts byte for byte
         world = generate_world(WorldSpec(seed=33, **THREE))
         run = tmp_path / "run"
-        run_pipeline(PipelineConfig(out_dir=str(run), seed=33, world=world))
+        run_pipeline(PipelineConfig(out_dir=str(run), seed=33, world=world, workers=2))
+        part = tmp_path / "partition_redo.json"
+        self.run_ok(["detect", "--graph", str(run / "eg.json"), "-o", str(part)])
+        assert part.read_bytes() == (run / "partition.json").read_bytes()
+        meas = tmp_path / "measurements_redo.json"
+        self.run_ok(
+            ["pairwise", "--graph", str(run / "eg.json"), "--partition", str(part),
+             "--recs", str(run), "--seed", "33", "--workers", "2", "-o", str(meas)]
+        )
+        assert meas.read_bytes() == (run / "measurements.json").read_bytes()
         redo = tmp_path / "transforms_redo.json"
         self.run_ok(
             ["average", "--measurements", str(run / "measurements.json"),
              "--recs", str(run), "-o", str(redo)]
         )
         assert redo.read_bytes() == (run / "transforms.json").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def pipeline_run(tmp_path_factory):
+    """A run_pipeline output directory, plus the spec file of its world."""
+    run = tmp_path_factory.mktemp("run")
+    world = generate_world(WorldSpec(seed=34, **THREE))
+    run_pipeline(PipelineConfig(out_dir=str(run), seed=34, world=world))
+    (run / "spec.json").write_text(json.dumps(THREE))
+    return run
+
+
+# command, the input it is fed broken, and its arguments over a run directory d
+BROKEN_INPUT_CASES = {
+    "detect": ("eg.json", ["detect", "--graph", "{d}/eg.json", "-o", "{d}/p.json"]),
+    "pairwise": ("partition.json", [
+        "pairwise", "--graph", "{d}/eg.json", "--partition", "{d}/partition.json",
+        "--recs", "{d}", "--seed", "1", "-o", "{d}/m.json"]),
+    "average": ("measurements.json", [
+        "average", "--measurements", "{d}/measurements.json", "--recs", "{d}", "-o", "{d}/t.json"]),
+    "merge": ("transforms.json", [
+        "merge", "--recs", "{d}", "--transforms", "{d}/transforms.json", "-o", "{d}/mm.json"]),
+    "refine": ("transforms.json", [
+        "refine", "--recs", "{d}", "--transforms", "{d}/transforms.json", "-o", "{d}/tr.json"]),
+    "eval-merged": ("merged.json", [
+        "eval", "--merged", "{d}/merged.json", "--world", "{d}/world.json", "-o", "{d}/e.json"]),
+    "eval-world": ("world.json", [
+        "eval", "--merged", "{d}/merged.json", "--world", "{d}/world.json", "-o", "{d}/e.json"]),
+    "synth": ("spec.json", ["synth", "--spec", "{d}/spec.json", "--out", "{d}/w", "--seed", "1"]),
+    "pipeline": ("rec_1.json", ["pipeline", "--recs", "{d}", "--out", "{d}/r", "--seed", "1"]),
+}
+
+
+def truncated(text):
+    return text[: len(text) // 2]
+
+
+def with_nan(text):
+    # the first number that is a value (after a space or newline) becomes NaN
+    return re.sub(r"(?<=\s)-?\d[\d.eE+-]*", "NaN", text, count=1)
+
+
+@pytest.mark.parametrize("breakage", [truncated, with_nan], ids=["truncated", "nan"])
+@pytest.mark.parametrize("case", sorted(BROKEN_INPUT_CASES))
+def test_broken_json_input_exits_2(pipeline_run, tmp_path, case, breakage):
+    d = tmp_path / "d"
+    shutil.copytree(pipeline_run, d)
+    name, template = BROKEN_INPUT_CASES[case]
+    text = (d / name).read_text()
+    broken = breakage(text)
+    assert broken != text
+    (d / name).write_text(broken)
+    result = CliRunner().invoke(main, [a.format(d=d) for a in template])
+    assert result.exit_code == 2, result.output
+    assert name in result.output
+    assert "Traceback" not in result.output
+
+
+def test_spec_that_is_not_an_object_exits_2(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text("[1, 2]")
+    for args in (["synth", "--out", str(tmp_path / "w")],
+                 ["pipeline", "--out", str(tmp_path / "r")]):
+        result = CliRunner().invoke(main, [*args, "--spec", str(spec), "--seed", "1"])
+        assert result.exit_code == 2, result.output
+        assert "JSON object" in result.output
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_non_finite_artifact_exits_3_and_leaves_no_file(pipeline_run, tmp_path):
+    # a scale too large for float64 maps the community's points to infinity
+    transforms = json.loads((pipeline_run / "transforms.json").read_text())
+    transforms[1]["s"] = 1e308
+    bad = tmp_path / "transforms.json"
+    bad.write_text(json.dumps(transforms))
+    out = tmp_path / "merged.json"
+    result = CliRunner().invoke(
+        main, ["merge", "--recs", str(pipeline_run), "--transforms", str(bad), "-o", str(out)]
+    )
+    assert result.exit_code == 3, result.output
+    assert not out.exists()
