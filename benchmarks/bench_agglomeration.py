@@ -4,7 +4,10 @@ Builds planted-partition graphs of growing size and prints the best of
 ``--repeats`` timings for each.  Usage:
 
     python benchmarks/bench_agglomeration.py            # quick sizes
-    python benchmarks/bench_agglomeration.py --large     # adds a slow large case
+    python benchmarks/bench_agglomeration.py --large     # adds two large cases
+
+``--large`` adds a 3000-node planted graph and the match graph of a
+2000-camera / 40,000-point / 16-cluster synthetic world.
 """
 import argparse
 import time
@@ -13,6 +16,7 @@ import numpy as np
 
 from csfm.community import greedy_merge_trace
 from csfm.graph import EpipolarGraph
+from csfm.synth import WorldSpec, generate_world
 
 
 def planted_graph(rng, n, cluster_size=40, p_in=0.3, bridges=2):
@@ -57,7 +61,9 @@ def best_time(g, repeats):
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--large", action="store_true", help="include a 3000-node case")
+    ap.add_argument(
+        "--large", action="store_true", help="include a 3000-node case and a 2000-camera world"
+    )
     ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args()
 
@@ -72,6 +78,17 @@ def main():
     for n in sizes:
         g = planted_graph(rng, n)
         print(f"{n:>7} {g.edge_count:>8} {best_time(g, args.repeats):>9.3f}s")
+    if args.large:
+        t0 = time.perf_counter()
+        world = generate_world(
+            WorldSpec(camera_count=2000, point_count=40000, cluster_count=16, seed=11)
+        )
+        made = time.perf_counter() - t0
+        g = world.graph
+        print(
+            f"{g.node_count:>7} {g.edge_count:>8} {best_time(g, args.repeats):>9.3f}s"
+            f"  synth world, generated in {made:.2f}s"
+        )
 
 
 if __name__ == "__main__":

@@ -328,5 +328,5 @@ def load_transforms(path) -> list:
             )
             for r in obj
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed transforms file: {exc}") from exc

@@ -45,6 +45,8 @@ class Partition:
         a = np.full(n, -1, dtype=np.int64)
         for cid, group in enumerate(groups):
             for v in group:
+                if not 0 <= v < n:
+                    raise ValidationError(f"node {v} out of range [0, {n})")
                 if a[v] != -1:
                     raise ValidationError(f"node {v} assigned to two communities")
                 a[v] = cid
@@ -400,9 +402,12 @@ def load_partition(path, node_count=None):
     obj = read_json(path)
     try:
         groups = obj["communities"]
+        # bool is an int subclass; a JSON true is not a node index
+        if not all(isinstance(g, list) and all(type(v) is int for v in g) for g in groups):
+            raise TypeError('"communities" must be a list of node-index lists')
         q_max = float(obj["q_max"])
         flagged = [int(c) for c in obj.get("flagged_isolated", [])]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed partition file: {exc}") from exc
     n = node_count if node_count is not None else sum(len(grp) for grp in groups)
     return Partition.from_communities(groups, node_count=n), q_max, flagged

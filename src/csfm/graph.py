@@ -66,13 +66,6 @@ class EpipolarGraph:
             np.add.at(d, self.edges[:, 1], 1)
         return d
 
-    def degree(self, i: int) -> int:
-        if not 0 <= i < self.node_count:
-            raise ValidationError(f"node index {i} out of range [0, {self.node_count})")
-        if not self.edges.size:
-            return 0
-        return int(np.sum(self.edges[:, 0] == i) + np.sum(self.edges[:, 1] == i))
-
     def adjacency_lists(self) -> list:
         adj = [[] for _ in range(self.node_count)]
         for i, j in self.edges:

@@ -204,7 +204,7 @@ def load_measurements(path, community_count=None) -> MeasurementGraph:
             )
             for r in obj
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed measurement file: {exc}") from exc
     if community_count is None:
         if not meas:

@@ -382,7 +382,7 @@ def load_merged(path) -> MergedModel:
             provenance={int(p["track"]): tuple(p.get("communities", ())) for p in pts},
             fusion_spread={int(r["track"]): float(r["spread"]) for r in obj.get("fusion", [])},
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed merged-model file: {exc}") from exc
     return model
 

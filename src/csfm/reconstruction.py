@@ -96,7 +96,7 @@ def reconstruction_from_json(obj: dict) -> Reconstruction:
             track_ids=np.array([p["track"] for p in pts], dtype=np.int64),
             points=np.array([p["xyz"] for p in pts], dtype=float).reshape(-1, 3),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed reconstruction record: {exc}") from exc
 
 

@@ -14,7 +14,6 @@ from .rotations import (
     IDENTITY_QUAT,
     quat_canonical,
     quat_conjugate,
-    quat_multiply,
     rotate_points,
 )
 
@@ -39,14 +38,6 @@ class Sim3:
         """Transform a 3-vector or an (n, 3) array."""
         return self.s * rotate_points(self.q, pts) + self.t
 
-    def compose(self, other: "Sim3") -> "Sim3":
-        """Transform equal to applying ``other`` first, then ``self``."""
-        return Sim3(
-            s=self.s * other.s,
-            q=quat_multiply(self.q, other.q),
-            t=self.s * rotate_points(self.q, other.t) + self.t,
-        )
-
     def inverse(self) -> "Sim3":
         q_inv = quat_conjugate(self.q)
         return Sim3(s=1.0 / self.s, q=q_inv, t=-rotate_points(q_inv, self.t) / self.s)
@@ -60,6 +51,3 @@ class Sim3:
             return cls(s=float(obj["s"]), q=np.asarray(obj["q"], dtype=float), t=np.asarray(obj["t"], dtype=float))
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed similarity transform record: {exc}") from exc
-
-
-IDENTITY_SIM3 = Sim3()

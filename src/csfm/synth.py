@@ -15,6 +15,9 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from .community import Partition
 from .errors import ValidationError
@@ -54,6 +57,9 @@ class WorldSpec:
             raise ValidationError("min shared tracks must be at least 1")
         if self.noise_sigma < 0:
             raise ValidationError("noise sigma must be non-negative")
+        if self.point_count >= 2**24:
+            # float32 co-visibility counts (see _match_graph) are exact below 2**24
+            raise ValidationError("point count must be below 2**24")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -76,6 +82,7 @@ class GroundTruthWorld:
     labels: np.ndarray  # planted cluster per camera
     graph: EpipolarGraph
     planted_transforms: tuple  # Sim3 per planted cluster, local -> global
+    visible: sp.csr_array  # (n_cam, n_pts) 0/1 incidence from visibility()
 
     def truth_reconstruction(self) -> Reconstruction:
         """The world itself as a single global-frame reconstruction."""
@@ -158,7 +165,8 @@ def generate_world(spec: WorldSpec) -> GroundTruthWorld:
             row += cnt
     track_ids = np.arange(spec.point_count, dtype=np.int64)
 
-    graph = _match_graph(spec, cam_centers, pts)
+    visible = visibility(cam_centers, pts, spec.visibility_radius)
+    graph = _match_graph(spec, visible)
     _check_planted_structure(graph, labels, k)
 
     transforms = tuple(community_frame(spec.seed, c) for c in range(k))
@@ -171,25 +179,50 @@ def generate_world(spec: WorldSpec) -> GroundTruthWorld:
         labels=labels,
         graph=graph,
         planted_transforms=transforms,
+        visible=visible,
     )
 
 
-def _visible(cam_centers: np.ndarray, points: np.ndarray, radius: float) -> np.ndarray:
-    """Dense ``(n_cam, n_pts)`` bool: camera sees point within ``radius``."""
-    d2 = np.sum((cam_centers[:, None, :] - points[None, :, :]) ** 2, axis=2)
-    return d2 <= radius**2
+def visibility(centers: np.ndarray, points: np.ndarray, radius: float) -> sp.csr_array:
+    """Sparse ``(n_cam, n_pts)`` 0/1 incidence: camera ``i`` sees point ``j``
+    when ``d2 <= radius**2``, with ``d2`` the squared distance summed over
+    x, y, z in that order.  Column indices are sorted.
+
+    A k-d tree proposes the pairs within a radius widened by a relative 1e-9,
+    far beyond the rounding of either distance, and the exact rule decides
+    each of them, so the tree's own arithmetic never moves the boundary.
+    """
+    pairs = cKDTree(centers).sparse_distance_matrix(
+        cKDTree(points), radius * (1.0 + 1e-9), output_type="ndarray"
+    )
+    rows, cols = pairs["i"], pairs["j"]
+    keep = np.sum((centers[rows] - points[cols]) ** 2, axis=1) <= radius**2
+    n_cam, n_pts = centers.shape[0], points.shape[0]
+    key = np.sort(rows[keep] * n_pts + cols[keep])  # row-major; the pairs are distinct
+    indptr = np.searchsorted(key, np.arange(n_cam + 1) * n_pts)
+    return sp.csr_array(
+        (np.ones(key.size, dtype=bool), key % n_pts, indptr), shape=(n_cam, n_pts)
+    )
 
 
-def _match_graph(spec: WorldSpec, cam_centers: np.ndarray, points: np.ndarray) -> EpipolarGraph:
-    """Visibility by distance, match edges by co-visible track count."""
-    visible = _visible(cam_centers, points, spec.visibility_radius)
-    co = visible.astype(np.int64) @ visible.T.astype(np.int64)
-    iu, ju = np.triu_indices(cam_centers.shape[0], k=1)
-    strong = co[iu, ju] >= spec.min_shared_tracks
+def _match_graph(spec: WorldSpec, visible: sp.csr_array) -> EpipolarGraph:
+    """Match edges by co-visible track count.
+
+    The counts come from a float32 BLAS product of the 0/1 incidence.  Every
+    partial sum is an integer no larger than the point count, which
+    ``WorldSpec`` keeps below 2**24, so float32 holds each one exactly.
+    """
+    dense = visible.astype(np.float32).toarray()
+    co = dense @ dense.T
+    del dense
+    n_cam = visible.shape[0]
+    iu, ju = np.triu_indices(n_cam, k=1)
+    counts = co[iu, ju]
+    strong = counts >= spec.min_shared_tracks
     return EpipolarGraph(
-        node_count=cam_centers.shape[0],
+        node_count=n_cam,
         edges=np.column_stack([iu[strong], ju[strong]]),
-        weights=co[iu, ju][strong],
+        weights=counts[strong].astype(np.int64),
     )
 
 
@@ -197,43 +230,28 @@ def _check_planted_structure(graph: EpipolarGraph, labels: np.ndarray, k: int):
     li = labels[graph.edges[:, 0]]
     lj = labels[graph.edges[:, 1]]
     # each planted cluster must be internally connected
+    component = _component_labels(graph.node_count, graph.edges[li == lj])
     for c in range(k):
-        nodes = np.flatnonzero(labels == c)
-        intra = graph.edges[(li == c) & (lj == c)]
-        if not _connected_on(nodes, intra):
+        if np.unique(component[labels == c]).size > 1:
             raise ValidationError(
                 f"planted cluster {c} is internally disconnected; widen the visibility radius"
             )
     if k > 1:
         # the community-level graph over planted clusters must be connected
-        cross = {(int(min(a, b)), int(max(a, b))) for a, b in zip(li, lj) if a != b}
-        if not _connected_on(np.arange(k), np.array(sorted(cross), dtype=np.int64).reshape(-1, 2)):
+        cross = li != lj
+        if _component_labels(k, np.column_stack([li[cross], lj[cross]])).max() > 0:
             raise ValidationError(
                 "planted community graph is disconnected; widen the visibility radius "
                 "or reduce the cluster separation"
             )
 
 
-def _connected_on(nodes: np.ndarray, edges: np.ndarray) -> bool:
-    if nodes.size == 0:
-        return True
-    index = {int(v): i for i, v in enumerate(nodes)}
-    adj = [[] for _ in nodes]
-    for a, b in edges:
-        adj[index[int(a)]].append(index[int(b)])
-        adj[index[int(b)]].append(index[int(a)])
-    seen = [False] * len(nodes)
-    stack = [0]
-    seen[0] = True
-    cnt = 1
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                cnt += 1
-                stack.append(w)
-    return cnt == len(nodes)
+def _component_labels(node_count: int, edges: np.ndarray) -> np.ndarray:
+    """Connected-component label per node of an undirected edge list."""
+    adjacency = sp.coo_array(
+        (np.ones(edges.shape[0]), (edges[:, 0], edges[:, 1])), shape=(node_count, node_count)
+    )
+    return connected_components(adjacency, directed=False)[1]
 
 
 @dataclass(frozen=True)
@@ -267,17 +285,15 @@ def fracture(
     elif len(transforms) != k:
         raise ValidationError("need one transform per community")
 
-    visible = _visible(world.camera_centers, world.points, spec.visibility_radius)
-
     # a community reconstructs the tracks seen by >= 2 of its cameras
-    member_tracks = []
-    for c in range(k):
-        cams = np.flatnonzero(partition.assignment == c)
-        seen_count = visible[cams].sum(axis=0)
-        member_tracks.append(np.flatnonzero(seen_count >= 2))
-    multiplicity = np.zeros(world.points.shape[0], dtype=np.int64)
-    for tracks in member_tracks:
-        multiplicity[tracks] += 1
+    n_pts = world.points.shape[0]
+    view_community = np.repeat(partition.assignment, np.diff(world.visible.indptr))
+    views = np.bincount(
+        view_community * n_pts + world.visible.indices, minlength=k * n_pts
+    ).reshape(k, n_pts)
+    member = views >= 2
+    member_tracks = [np.flatnonzero(row) for row in member]
+    multiplicity = member.sum(axis=0)  # communities that reconstruct each track
 
     world_extent = float(np.max(np.ptp(world.points, axis=0)))
     recs = []
@@ -359,7 +375,7 @@ def write_world_files(world: GroundTruthWorld, out_dir) -> None:
 
 def read_world(path) -> dict:
     """Parse a world file into every :class:`GroundTruthWorld` field except
-    ``graph``, deriving nothing from the stored geometry."""
+    ``graph`` and ``visible``, deriving nothing from the stored geometry."""
     obj = read_json(path)
     try:
         spec = WorldSpec.from_json(obj["spec"])
@@ -374,16 +390,21 @@ def read_world(path) -> dict:
             labels=np.array(obj["labels"], dtype=np.int64),
             planted_transforms=tuple(Sim3.from_json(r) for r in obj["planted"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed world file: {exc}") from exc
     if fields["labels"].shape[0] != fields["camera_centers"].shape[0]:
         raise ValidationError("world file labels do not cover the cameras")
+    if (fields["camera_centers"].shape[0], fields["points"].shape[0]) != (
+        spec.camera_count,
+        spec.point_count,
+    ):
+        raise ValidationError("world file camera and point counts differ from its spec")
     return fields
 
 
 def load_world(path) -> GroundTruthWorld:
-    """Rebuild a world from its file; the match graph is re-derived from the
-    stored geometry with the spec's visibility rule."""
+    """Rebuild a world from its file; the visibility incidence and the match
+    graph are re-derived from the stored geometry with the spec's rule."""
     f = read_world(path)
-    graph = _match_graph(f["spec"], f["camera_centers"], f["points"])
-    return GroundTruthWorld(**f, graph=graph)
+    visible = visibility(f["camera_centers"], f["points"], f["spec"].visibility_radius)
+    return GroundTruthWorld(**f, graph=_match_graph(f["spec"], visible), visible=visible)

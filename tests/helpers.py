@@ -129,6 +129,16 @@ def scan_merge_trace(g: EpipolarGraph):
     return tuple(merges)
 
 
+def dense_visibility(centers, points, radius):
+    """Dense ``(n_cam, n_pts)`` bool: camera sees point within ``radius``.
+
+    The distance rule as a full camera-by-point array; reference for the
+    sparse incidence that ``csfm.synth.visibility`` builds with a k-d tree.
+    """
+    d2 = np.sum((centers[:, None, :] - points[None, :, :]) ** 2, axis=2)
+    return d2 <= radius**2
+
+
 def random_sim3(rng, scale_range=(0.5, 2.0), translation=5.0) -> Sim3:
     return Sim3(
         s=float(np.exp(rng.uniform(np.log(scale_range[0]), np.log(scale_range[1])))),

@@ -87,21 +87,15 @@ class TestLoadGraph:
 class TestDegree:
     def test_path_center(self):
         g = make_graph(3, [(0, 1), (1, 2)])
-        assert g.degree(1) == 2
-        assert g.degree(0) == 1
+        assert g.degrees().tolist() == [1, 2, 1]
 
     def test_isolated(self):
         g = make_graph(3, [(0, 1)])
-        assert g.degree(2) == 0
+        assert g.degrees()[2] == 0
 
     def test_complete_graph(self):
         g = make_graph(5, clique_edges(range(5)))
-        assert all(g.degree(i) == 4 for i in range(5))
-
-    def test_out_of_range(self):
-        g = make_graph(2, [(0, 1)])
-        with pytest.raises(ValidationError):
-            g.degree(2)
+        assert g.degrees().tolist() == [4] * 5
 
     def test_histogram(self):
         g = make_graph(3, [(0, 1), (1, 2)])

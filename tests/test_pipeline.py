@@ -7,11 +7,16 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from csfm.averaging import load_transforms
 from csfm.cli import main
+from csfm.community import load_partition
+from csfm.errors import ValidationError
+from csfm.measurements import load_measurements
+from csfm.merging import load_merged
 from csfm.pipeline import DATA_ARTIFACTS, PipelineConfig, run_pipeline
-from csfm.reconstruction import Reconstruction, save_reconstruction
+from csfm.reconstruction import Reconstruction, load_reconstruction, save_reconstruction
 from csfm.rotations import IDENTITY_QUAT
-from csfm.synth import WorldSpec, generate_world
+from csfm.synth import WorldSpec, generate_world, read_world
 
 THREE = dict(
     camera_count=120,
@@ -278,6 +283,63 @@ def test_broken_json_input_exits_2(pipeline_run, tmp_path, case, breakage):
     result = CliRunner().invoke(main, [a.format(d=d) for a in template])
     assert result.exit_code == 2, result.output
     assert name in result.output
+    assert "Traceback" not in result.output
+
+
+# loader, the file it reads, and the path to a number that becomes an integer
+# too large for int64 (a track id) or for float64 (a scale or a score)
+OVERFLOW_CASES = {
+    "load_partition": (load_partition, "partition.json", ("q_max",), 10**400),
+    "load_measurements": (load_measurements, "measurements.json", (0, "s_ij"), 10**400),
+    "load_transforms": (load_transforms, "transforms.json", (0, "s"), 10**400),
+    "load_merged": (load_merged, "merged.json", ("points", 0, "track"), 2**70),
+    "load_reconstruction": (load_reconstruction, "rec_1.json", ("points", 0, "track"), 2**70),
+    "read_world": (read_world, "world.json", ("points", 0, "track"), 2**70),
+}
+
+
+def with_huge_integer(run, name, path, value, out):
+    obj = json.loads((run / name).read_text())
+    leaf = obj
+    for key in path[:-1]:
+        leaf = leaf[key]
+    leaf[path[-1]] = value
+    out.write_text(json.dumps(obj))
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOW_CASES))
+def test_huge_integer_is_a_validation_error(pipeline_run, tmp_path, case):
+    loader, name, path, value = OVERFLOW_CASES[case]
+    bad = with_huge_integer(pipeline_run, name, path, value, tmp_path / name)
+    with pytest.raises(ValidationError):
+        loader(bad)
+
+
+def test_huge_track_id_in_recs_exits_2(pipeline_run, tmp_path):
+    d = tmp_path / "d"
+    shutil.copytree(pipeline_run, d)
+    with_huge_integer(pipeline_run, "rec_1.json", ("points", 0, "track"), 2**70, d / "rec_1.json")
+    result = CliRunner().invoke(
+        main, ["pipeline", "--recs", str(d), "--out", str(d / "r"), "--seed", "1"]
+    )
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "communities",
+    [5, [[0, True]], [["0"]], [[0, 10**6]], [[-1]]],
+    ids=["not-a-list", "bool", "string", "out-of-range", "negative"],
+)
+def test_malformed_partition_exits_2(pipeline_run, tmp_path, communities):
+    part = tmp_path / "partition.json"
+    part.write_text(json.dumps({"communities": communities, "q_max": 0.1}))
+    result = CliRunner().invoke(main, [
+        "pairwise", "--graph", str(pipeline_run / "eg.json"), "--partition", str(part),
+        "--recs", str(pipeline_run), "--seed", "1", "-o", str(tmp_path / "m.json"),
+    ])
+    assert result.exit_code == 2, result.output
     assert "Traceback" not in result.output
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,17 @@ from csfm.merging import evaluate_against_truth, merge_reconstructions
 from csfm.pipeline import measure_pairs
 from csfm.reconstruction import covisible
 from csfm.sim3 import Sim3
-from csfm.synth import WorldSpec, fracture, generate_world, load_world, save_world
+from csfm.synth import (
+    WorldSpec,
+    fracture,
+    generate_world,
+    load_world,
+    save_world,
+    visibility,
+    world_to_json,
+)
+
+from helpers import dense_visibility
 
 STRONG = dict(
     camera_count=120,
@@ -75,6 +87,61 @@ class TestGenerateWorld:
             WorldSpec(camera_count=0)
         with pytest.raises(ValidationError):
             WorldSpec(noise_sigma=-1.0)
+        # float32 co-visibility counts are exact only below 2**24
+        with pytest.raises(ValidationError, match="2\\*\\*24"):
+            WorldSpec(point_count=2**24)
+        assert WorldSpec(point_count=2**24 - 1).point_count == 2**24 - 1
+
+
+class TestVisibility:
+    def test_boundary_kept_and_one_ulp_beyond_dropped(self):
+        # squared distances of exactly r**2 (3-4-0 and axis offsets), then the
+        # same offsets pushed out by one ulp of their largest coordinate
+        center = np.array([[1.5, -2.25, 0.5]])
+        offsets = np.array([[3.0, 4.0, 0.0], [0.0, 0.0, -5.0], [-5.0, 0.0, 0.0], [0.0, -4.0, 3.0]])
+        beyond = offsets.copy()
+        big = np.argmax(np.abs(beyond), axis=1)
+        rows = np.arange(4)
+        beyond[rows, big] = np.nextafter(beyond[rows, big], np.sign(beyond[rows, big]) * np.inf)
+        points = center + np.vstack([offsets, beyond])
+        assert np.all(np.sum((center - points[:4]) ** 2, axis=1) == 25.0)
+        assert np.all(np.sum((center - points[4:]) ** 2, axis=1) > 25.0)
+        got = visibility(center, points, 5.0).toarray()
+        assert got.tolist() == [[True] * 4 + [False] * 4]
+
+    def test_matches_dense_rule_on_random_worlds(self):
+        rng = np.random.default_rng(20)
+        for _ in range(40):
+            n_cam, n_pts = int(rng.integers(1, 30)), int(rng.integers(1, 400))
+            radius = float(rng.uniform(0.5, 6.0))
+            centers = rng.uniform(-5.0, 5.0, size=(n_cam, 3))
+            points = rng.uniform(-8.0, 8.0, size=(n_pts, 3))
+            # half the points on the sphere around a random camera, give or
+            # take a few ulps, where rounding decides the rule
+            near = rng.random(n_pts) < 0.5
+            u = rng.normal(size=(n_pts, 3))
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            owner = rng.integers(0, n_cam, size=n_pts)
+            shell = radius * (1.0 + rng.integers(-4, 5, size=(n_pts, 1)) * np.finfo(float).eps)
+            points[near] = (centers[owner] + shell * u)[near]
+            got = visibility(centers, points, radius)
+            assert got.shape == (n_cam, n_pts)
+            assert got.has_canonical_format
+            assert np.array_equal(got.toarray(), dense_visibility(centers, points, radius))
+
+    def test_world_incidence_and_match_counts_match_dense_rule(self):
+        # the stored incidence and the float32 co-visibility counts against
+        # the dense rule and an exact int64 product
+        for seed in range(3):
+            spec = WorldSpec(seed=seed, **STRONG)
+            world = generate_world(spec)
+            dense = dense_visibility(world.camera_centers, world.points, spec.visibility_radius)
+            assert np.array_equal(world.visible.toarray(), dense)
+            co = dense.astype(np.int64) @ dense.T.astype(np.int64)
+            iu, ju = np.triu_indices(spec.camera_count, k=1)
+            strong = co[iu, ju] >= spec.min_shared_tracks
+            assert np.array_equal(world.graph.edges, np.column_stack([iu[strong], ju[strong]]))
+            assert np.array_equal(world.graph.weights, co[iu, ju][strong])
 
 
 class TestFracture:
@@ -142,10 +209,7 @@ class TestCovisibleCounts:
         world = generate_world(spec)
         part = planted_partition(world)
         fr = fracture(world, part)
-        d2 = np.sum(
-            (world.camera_centers[:, None, :] - world.points[None, :, :]) ** 2, axis=2
-        )
-        visible = d2 <= spec.visibility_radius**2
+        visible = dense_visibility(world.camera_centers, world.points, spec.visibility_radius)
         for a in range(3):
             for b in range(a + 1, 3):
                 seen_a = visible[np.flatnonzero(part.assignment == a)].sum(axis=0) >= 2
@@ -185,4 +249,15 @@ def test_world_json_round_trip(tmp_path):
     assert np.array_equal(back.points, world.points)
     assert np.array_equal(back.labels, world.labels)
     assert np.array_equal(back.graph.edges, world.graph.edges)
+    assert np.array_equal(back.graph.weights, world.graph.weights)
+    assert np.array_equal(back.visible.toarray(), world.visible.toarray())
     assert back.spec == world.spec
+
+
+def test_world_file_counts_must_match_its_spec(tmp_path):
+    world = generate_world(WorldSpec(seed=10, **STRONG))
+    obj = world_to_json(world)
+    obj["points"] = obj["points"][:-1]
+    (tmp_path / "world.json").write_text(json.dumps(obj))
+    with pytest.raises(ValidationError, match="point counts differ"):
+        load_world(tmp_path / "world.json")
