@@ -18,8 +18,7 @@ import numpy as np
 from .errors import DisconnectedGraphError, ValidationError
 from .jsonio import read_json, write_json
 from .l1 import SparseLinearSystem, solve_l1
-from .measurements import MeasurementGraph, recompute_translation
-from .reconstruction import Reconstruction
+from .measurements import MeasurementGraph, median_offset
 from .rotations import (
     IDENTITY_QUAT,
     exp_rotation,
@@ -206,19 +205,6 @@ def average_rotations(
     return quats
 
 
-def transform_points_stage1(rec: Reconstruction, s: float, r_quat) -> Reconstruction:
-    """Apply the scale-rotation part ``X' = s R X`` (no translation yet)."""
-    Rm = quat_to_matrix(r_quat)
-    return Reconstruction(
-        community_id=rec.community_id,
-        camera_ids=rec.camera_ids,
-        camera_rotations=rec.camera_rotations,
-        camera_centers=s * (rec.camera_centers @ Rm.T),
-        track_ids=rec.track_ids,
-        points=s * (rec.points @ Rm.T),
-    )
-
-
 def recompute_pairwise_translations(
     recs: dict,
     scales: np.ndarray,
@@ -227,19 +213,20 @@ def recompute_pairwise_translations(
 ) -> MeasurementGraph:
     """Fill each measurement's translation from aligned co-visible points.
 
-    Every community's points are first mapped by its averaged ``s_k R_k``;
-    the per-pair offset is then a robust (median) estimate of ``T_j - T_i``.
-    Pairs whose co-visible set vanished are dropped with a warning; if the
-    drops disconnect the measurement graph that is an error.
+    Every community's points are first mapped by its averaged ``s_k R_k``
+    (no translation yet); the per-pair offset is then a robust (median)
+    estimate of ``T_j - T_i``.  Pairs whose co-visible set vanished are
+    dropped with a warning; if the drops disconnect the measurement graph
+    that is an error.
     """
-    transformed = {
-        c: transform_points_stage1(rec, float(scales[c]), rotations[c])
+    mapped = {
+        c: (rec.track_ids, float(scales[c]) * (rec.points @ quat_to_matrix(rotations[c]).T))
         for c, rec in recs.items()
     }
     kept = []
     for m in mg.measurements:
         try:
-            t = recompute_translation(transformed[m.i], transformed[m.j])
+            t = median_offset(*mapped[m.i], *mapped[m.j])
         except ValidationError:
             log.warning(
                 "dropping measurement (%d, %d): no surviving co-visible tracks", m.i, m.j

@@ -159,8 +159,7 @@ def graph_to_json(g: EpipolarGraph) -> dict:
     return {
         "nodes": list(g.node_labels),
         "edges": [
-            {"i": int(i), "j": int(j), "w": int(w)}
-            for (i, j), w in zip(g.edges, g.weights)
+            {"i": i, "j": j, "w": w} for (i, j), w in zip(g.edges.tolist(), g.weights.tolist())
         ],
     }
 

@@ -1,6 +1,7 @@
-"""The one artifact format: JSON with one-space indent, sorted keys and a
-trailing newline.  Non-finite numbers are refused both ways, so a ``NaN`` can
-neither be written into an artifact nor read back out of one.
+"""The one artifact format: compact JSON (no whitespace between tokens) with
+sorted keys and a trailing newline.  Compact separators let ``json.dumps``
+take CPython's C encoder.  Non-finite numbers are refused both ways, so a
+``NaN`` can neither be written into an artifact nor read back out of one.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ def write_json(path, obj) -> None:
     """Write ``obj`` to ``path``; a value that cannot be written (a non-finite
     number) raises :class:`NumericError` before the file is created."""
     try:
-        text = json.dumps(obj, indent=1, sort_keys=True, allow_nan=False)
+        text = json.dumps(obj, separators=(",", ":"), sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise NumericError(f"{os.fspath(path)} not written: {exc}") from exc
     with open(path, "w") as fh:

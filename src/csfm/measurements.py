@@ -158,10 +158,19 @@ def recompute_translation(rec_i_transformed: Reconstruction, rec_j_transformed: 
     Component-wise median of ``X'_i - X'_j`` over co-visible tracks, which
     estimates ``T_j - T_i`` and shrugs off a minority of corrupted tracks.
     """
-    corr = covisible(rec_i_transformed, rec_j_transformed)
-    if len(corr) == 0:
+    return median_offset(
+        rec_i_transformed.track_ids, rec_i_transformed.points,
+        rec_j_transformed.track_ids, rec_j_transformed.points,
+    )
+
+
+def median_offset(tracks_i, points_i, tracks_j, points_j) -> np.ndarray:
+    """:func:`recompute_translation` on bare track ids (unique, sorted) and
+    their aligned points."""
+    _, ia, ib = np.intersect1d(tracks_i, tracks_j, assume_unique=True, return_indices=True)
+    if ia.size == 0:
         raise ValidationError("no co-visible tracks; translation unobservable")
-    return np.median(corr.points_a - corr.points_b, axis=0)
+    return np.median(points_i[ia] - points_j[ib], axis=0)
 
 
 def measurements_to_json(mg: MeasurementGraph) -> list:

@@ -54,7 +54,9 @@ def merge_reconstructions(recs, transforms) -> MergedModel:
     """Map every community into the global frame and fuse duplicate tracks."""
     tr_by_id = {t.community_id: t for t in transforms}
     cam_ids, cam_q, cam_c = [], [], []
-    track_positions = {}
+    track_blocks = [np.empty(0, dtype=np.int64)]
+    community_blocks = [np.empty(0, dtype=np.int64)]
+    point_blocks = [np.empty((0, 3))]
     for rec in sorted(recs, key=lambda r: r.community_id):
         if rec.community_id not in tr_by_id:
             raise ValidationError(f"no transform for community {rec.community_id}")
@@ -68,29 +70,18 @@ def merge_reconstructions(recs, transforms) -> MergedModel:
             cam_ids.append(int(cid))
             cam_q.append(quat_canonical(quat_multiply(q, r_conj)))
             cam_c.append(c)
-        for t, p in zip(rec.track_ids, pts_global):
-            track_positions.setdefault(int(t), []).append((rec.community_id, p))
+        track_blocks.append(rec.track_ids)
+        community_blocks.append(np.full(rec.track_ids.size, rec.community_id, dtype=np.int64))
+        point_blocks.append(pts_global)
 
     cam_ids = np.asarray(cam_ids, dtype=np.int64)
     if np.unique(cam_ids).size != cam_ids.size:
         raise ValidationError("a camera id appears in more than one community")
     order = np.argsort(cam_ids, kind="stable")
 
-    tracks = np.array(sorted(track_positions), dtype=np.int64)
-    fused = np.empty((tracks.size, 3))
-    provenance = {}
-    fusion_spread = {}
-    for row, t in enumerate(tracks):
-        entries = track_positions[int(t)]
-        provenance[int(t)] = tuple(c for c, _ in entries)
-        if len(entries) == 1:
-            fused[row] = entries[0][1]
-        else:
-            stack = np.stack([p for _, p in entries])
-            fused[row] = np.median(stack, axis=0)
-            fusion_spread[int(t)] = float(
-                np.max(np.linalg.norm(stack - fused[row], axis=1))
-            )
+    tracks, fused, provenance, fusion_spread = _fuse_tracks(
+        np.concatenate(track_blocks), np.concatenate(community_blocks), np.concatenate(point_blocks)
+    )
     return MergedModel(
         camera_ids=cam_ids[order],
         camera_rotations=np.stack(cam_q)[order] if cam_ids.size else np.zeros((0, 4)),
@@ -100,6 +91,48 @@ def merge_reconstructions(recs, transforms) -> MergedModel:
         provenance=provenance,
         fusion_spread=fusion_spread,
     )
+
+
+def _fuse_tracks(track_ids, communities, points):
+    """Fuse the copies of each track to their component-wise median.
+
+    The copies are sorted on ``(track, community)``, so each track is one
+    segment of that order.  Segments of equal size ``k`` are fused together
+    as one ``(n_k, k, 3)`` stack.  The median is taken the way ``np.median``
+    takes it, a partition at the same positions and then the mean of the
+    middle one or two, so it is bit-identical to ``np.median`` per track.
+    Returns the sorted unique tracks, their fused points, and the
+    ``provenance`` and ``fusion_spread`` maps of :class:`MergedModel`.
+    """
+    order = np.lexsort((communities, track_ids))
+    track_ids, communities, points = track_ids[order], communities[order], points[order]
+    first = np.ones(track_ids.size, dtype=bool)
+    first[1:] = track_ids[1:] != track_ids[:-1]
+    starts = np.flatnonzero(first)
+    bounds = np.append(starts, track_ids.size)
+    sizes = np.diff(bounds)
+    tracks = track_ids[starts]
+    fused = points[starts]
+    spread = np.zeros(tracks.size)
+    for k in np.unique(sizes[sizes > 1]).tolist():
+        rows = np.flatnonzero(sizes == k)
+        stack = points[starts[rows, None] + np.arange(k)]
+        half = k // 2
+        if k % 2:
+            median = np.partition(stack, [half, -1], axis=1)[:, half]
+        else:
+            part = np.partition(stack, [half - 1, half, -1], axis=1)
+            median = (part[:, half - 1] + part[:, half]) / 2
+        fused[rows] = median
+        spread[rows] = np.max(np.linalg.norm(stack - median[:, None, :], axis=2), axis=1)
+
+    comm, bounds = communities.tolist(), bounds.tolist()
+    provenance = dict(
+        zip(tracks.tolist(), (tuple(comm[a:b]) for a, b in zip(bounds[:-1], bounds[1:])))
+    )
+    multi = sizes > 1
+    fusion_spread = dict(zip(tracks[multi].tolist(), spread[multi].tolist()))
+    return tracks, fused, provenance, fusion_spread
 
 
 def _covisible_pairs(recs):
@@ -346,20 +379,19 @@ def evaluate_against_truth(model: MergedModel, truth: Reconstruction, seed: int 
 def merged_to_json(model: MergedModel) -> dict:
     return {
         "cameras": [
-            {"id": int(cid), "q": [float(v) for v in q], "c": [float(v) for v in c]}
-            for cid, q, c in zip(model.camera_ids, model.camera_rotations, model.camera_centers)
+            {"id": cid, "q": q, "c": c}
+            for cid, q, c in zip(
+                model.camera_ids.tolist(),
+                model.camera_rotations.tolist(),
+                model.camera_centers.tolist(),
+            )
         ],
         "points": [
-            {
-                "track": int(t),
-                "xyz": [float(v) for v in p],
-                "communities": list(model.provenance[int(t)]),
-            }
-            for t, p in zip(model.track_ids, model.points)
+            {"track": t, "xyz": p, "communities": list(model.provenance[t])}
+            for t, p in zip(model.track_ids.tolist(), model.points.tolist())
         ],
         "fusion": [
-            {"track": int(t), "spread": model.fusion_spread[t]}
-            for t in sorted(model.fusion_spread)
+            {"track": t, "spread": spread} for t, spread in sorted(model.fusion_spread.items())
         ],
     }
 
@@ -384,6 +416,15 @@ def load_merged(path) -> MergedModel:
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed merged-model file: {exc}") from exc
+    spread = np.fromiter(model.fusion_spread.values(), dtype=float, count=len(model.fusion_spread))
+    for name, values in (
+        ("camera rotations", model.camera_rotations),
+        ("camera centers", model.camera_centers),
+        ("points", model.points),
+        ("fusion spreads", spread),
+    ):
+        if not np.all(np.isfinite(values)):
+            raise ValidationError(f"merged-model {name} contain a non-finite number")
     return model
 
 

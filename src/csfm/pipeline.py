@@ -189,7 +189,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             spec = WorldSpec(**{**spec.to_json(), "seed": config.seed})
         world = runner.run("synth", lambda: generate_world(spec), out / "world.json")
     if world is not None:
-        write_world_files(world, out)
+        runner.run("world", lambda: write_world_files(world, out), out / "world.json")
         res.artifacts["world"] = str(out / "world.json")
         res.artifacts["graph"] = str(out / "eg.json")
 

@@ -35,6 +35,9 @@ class Reconstruction:
             raise ValidationError("camera arrays must have matching lengths")
         if tracks.shape[0] != pts.shape[0]:
             raise ValidationError("track and point arrays must have matching lengths")
+        for name, values in (("camera rotations", rots), ("camera centers", centers), ("points", pts)):
+            if not np.all(np.isfinite(values)):
+                raise ValidationError(f"reconstruction {name} contain a non-finite number")
         if np.unique(cam_ids).size != cam_ids.size:
             raise ValidationError("duplicate camera id in reconstruction")
         if np.unique(tracks).size != tracks.size:
@@ -74,12 +77,13 @@ def reconstruction_to_json(rec: Reconstruction) -> dict:
     return {
         "community": rec.community_id,
         "cameras": [
-            {"id": int(cid), "q": [float(v) for v in q], "c": [float(v) for v in c]}
-            for cid, q, c in zip(rec.camera_ids, rec.camera_rotations, rec.camera_centers)
+            {"id": cid, "q": q, "c": c}
+            for cid, q, c in zip(
+                rec.camera_ids.tolist(), rec.camera_rotations.tolist(), rec.camera_centers.tolist()
+            )
         ],
         "points": [
-            {"track": int(t), "xyz": [float(v) for v in p]}
-            for t, p in zip(rec.track_ids, rec.points)
+            {"track": t, "xyz": p} for t, p in zip(rec.track_ids.tolist(), rec.points.tolist())
         ],
     }
 

@@ -47,6 +47,22 @@ class WorldSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("camera_count", "point_count", "cluster_count", "min_shared_tracks", "seed"):
+            value = getattr(self, name)
+            # bool is an int subclass; a JSON true is not a count
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        for name in (
+            "cluster_spread", "cluster_separation", "visibility_radius", "noise_sigma",
+            "outlier_fraction",
+        ):
+            value = getattr(self, name)
+            if (
+                not isinstance(value, (int, float))
+                or isinstance(value, bool)
+                or not math.isfinite(value)
+            ):
+                raise ValidationError(f"{name} must be a finite number, got {value!r}")
         if min(self.camera_count, self.point_count, self.cluster_count) <= 0:
             raise ValidationError("camera, point, and cluster counts must be positive")
         if not 0.0 <= self.outlier_fraction < 0.5:
@@ -349,14 +365,15 @@ def world_to_json(world: GroundTruthWorld) -> dict:
     return {
         "spec": world.spec.to_json(),
         "cameras": [
-            {"id": int(i), "q": [float(v) for v in q], "c": [float(v) for v in c]}
-            for i, (q, c) in enumerate(zip(world.camera_rotations, world.camera_centers))
+            {"id": i, "q": q, "c": c}
+            for i, (q, c) in enumerate(
+                zip(world.camera_rotations.tolist(), world.camera_centers.tolist())
+            )
         ],
         "points": [
-            {"track": int(t), "xyz": [float(v) for v in p]}
-            for t, p in zip(world.track_ids, world.points)
+            {"track": t, "xyz": p} for t, p in zip(world.track_ids.tolist(), world.points.tolist())
         ],
-        "labels": [int(v) for v in world.labels],
+        "labels": world.labels.tolist(),
         "planted": [tr.to_json() for tr in world.planted_transforms],
     }
 
@@ -370,7 +387,7 @@ def write_world_files(world: GroundTruthWorld, out_dir) -> None:
     out = Path(out_dir)
     save_world(world, out / "world.json")
     save_graph(world.graph, out / "eg.json")
-    write_json(out / "truth-labels.json", {"labels": [int(v) for v in world.labels]})
+    write_json(out / "truth-labels.json", {"labels": world.labels.tolist()})
 
 
 def read_world(path) -> dict:
@@ -392,6 +409,9 @@ def read_world(path) -> dict:
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed world file: {exc}") from exc
+    for name in ("camera_centers", "camera_rotations", "points"):
+        if not np.all(np.isfinite(fields[name])):
+            raise ValidationError(f"world file {name.replace('_', ' ')} contain a non-finite number")
     if fields["labels"].shape[0] != fields["camera_centers"].shape[0]:
         raise ValidationError("world file labels do not cover the cameras")
     if (fields["camera_centers"].shape[0], fields["points"].shape[0]) != (

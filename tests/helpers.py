@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from csfm.graph import EpipolarGraph
-from csfm.rotations import random_quat
+from csfm.rotations import quat_to_matrix, random_quat
 from csfm.sim3 import Sim3
 
 
@@ -137,6 +137,37 @@ def dense_visibility(centers, points, radius):
     """
     d2 = np.sum((centers[:, None, :] - points[None, :, :]) ** 2, axis=2)
     return d2 <= radius**2
+
+
+def loop_merge(recs, transforms):
+    """Per-track fusion of duplicate tracks with one ``np.median`` call each.
+
+    Reference for the segmented fusion in ``csfm.merging.merge_reconstructions``.
+    Returns ``(track_ids, points, provenance, fusion_spread)``.
+    """
+    tr_by_id = {t.community_id: t for t in transforms}
+    track_positions = {}
+    for rec in sorted(recs, key=lambda r: r.community_id):
+        tr = tr_by_id[rec.community_id]
+        pts_global = tr.s * (rec.points @ quat_to_matrix(tr.r).T) + tr.t
+        for t, p in zip(rec.track_ids, pts_global):
+            track_positions.setdefault(int(t), []).append((rec.community_id, p))
+    tracks = np.array(sorted(track_positions), dtype=np.int64)
+    fused = np.empty((tracks.size, 3))
+    provenance = {}
+    fusion_spread = {}
+    for row, t in enumerate(tracks):
+        entries = track_positions[int(t)]
+        provenance[int(t)] = tuple(c for c, _ in entries)
+        if len(entries) == 1:
+            fused[row] = entries[0][1]
+        else:
+            stack = np.stack([p for _, p in entries])
+            fused[row] = np.median(stack, axis=0)
+            fusion_spread[int(t)] = float(
+                np.max(np.linalg.norm(stack - fused[row], axis=1))
+            )
+    return tracks, fused, provenance, fusion_spread
 
 
 def random_sim3(rng, scale_range=(0.5, 2.0), translation=5.0) -> Sim3:

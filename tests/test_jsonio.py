@@ -1,5 +1,4 @@
 import io
-import json
 
 import pytest
 
@@ -7,10 +6,10 @@ from csfm.errors import NumericError, ValidationError
 from csfm.jsonio import read_json, write_json
 
 
-def test_format_is_indent_one_sorted_with_trailing_newline(tmp_path):
-    obj = {"b": [1, 2.5], "a": {"z": None, "y": "s"}}
+def test_format_is_compact_sorted_with_trailing_newline(tmp_path):
+    obj = {"b": [1, 2.5, -0.1], "a": {"z": None, "y": "s"}}
     write_json(tmp_path / "x.json", obj)
-    expected = json.dumps(obj, indent=1, sort_keys=True) + "\n"
+    expected = '{"a":{"y":"s","z":null},"b":[1,2.5,-0.1]}\n'
     assert (tmp_path / "x.json").read_text() == expected
     assert read_json(tmp_path / "x.json") == obj
 

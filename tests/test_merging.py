@@ -22,7 +22,7 @@ from csfm.rotations import (
 )
 from csfm.sim3 import Sim3
 
-from helpers import random_sim3
+from helpers import loop_merge, random_sim3
 
 
 def rz(angle):
@@ -88,6 +88,51 @@ class TestMerge:
         assert np.allclose(model.points[0], p[0], atol=1e-12)  # median of the three
         assert model.provenance[7] == (0, 1, 2)
         assert model.fusion_spread[7] == pytest.approx(np.sqrt(3 * 0.25), abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_fusion_matches_per_track_median(self, seed):
+        # each track is reconstructed by 1-5 of 6 communities, so every
+        # segment size, odd and even, is fused; on odd seeds the transforms
+        # are identities and the points lie on a coarse grid, so copies tie
+        rng = np.random.default_rng(seed)
+        k, n_tracks = 6, int(rng.integers(1, 300))
+        copies = rng.integers(1, 6, size=n_tracks)
+        owners = [rng.choice(k, size=c, replace=False) for c in copies]
+        recs, transforms = [], []
+        for c in rng.permutation(k):
+            tracks = np.array([t for t in range(n_tracks) if c in owners[t]], dtype=np.int64)
+            pts = rng.normal(scale=10.0, size=(tracks.size, 3))
+            if seed % 2:
+                pts, tr = np.round(pts / 5.0), identity_transform(int(c))
+            else:
+                tr = CommunitySimilarity(
+                    community_id=int(c), s=float(rng.uniform(0.5, 2.0)), r=random_quat(rng),
+                    t=rng.normal(size=3),
+                )
+            recs.append(simple_rec(int(c), [int(c)], tracks, pts, rng))
+            transforms.append(tr)
+        self.assert_fusion_matches_loop(recs, transforms)
+
+    def test_fusion_without_shared_tracks_matches_per_track_median(self):
+        rng = np.random.default_rng(41)
+        recs = [simple_rec(c, [c], range(10 * c, 10 * c + 7), rng.normal(size=(7, 3)), rng)
+                for c in range(3)]
+        model = self.assert_fusion_matches_loop(recs, [identity_transform(c) for c in range(3)])
+        assert model.fusion_spread == {}
+
+    @staticmethod
+    def assert_fusion_matches_loop(recs, transforms):
+        model = merge_reconstructions(recs, transforms)
+        tracks, points, provenance, fusion_spread = loop_merge(recs, transforms)
+        assert model.track_ids.dtype == np.int64
+        assert np.array_equal(model.track_ids, tracks)
+        # bit for bit, signed zeros included
+        assert model.points.tobytes() == points.tobytes()
+        assert model.provenance == provenance
+        assert model.fusion_spread == fusion_spread
+        assert all(type(t) is int and type(c) is tuple for t, c in model.provenance.items())
+        assert all(type(t) is int and type(v) is float for t, v in model.fusion_spread.items())
+        return model
 
     def test_duplicate_camera_ids_rejected(self):
         rng = np.random.default_rng(4)
@@ -324,7 +369,7 @@ class TestEvaluate:
         assert metrics["n_shared_tracks"] == 0
         assert metrics["point_rmse"] is None
         write_json(tmp_path / "eval.json", metrics)
-        assert '"point_rmse": null' in (tmp_path / "eval.json").read_text()
+        assert '"point_rmse":null' in (tmp_path / "eval.json").read_text()
 
     def test_too_few_common_cameras(self):
         rng = np.random.default_rng(13)

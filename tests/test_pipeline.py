@@ -52,6 +52,7 @@ class TestRunPipeline:
         report = json.loads((tmp_path / "report.json").read_text())
         names = [s["name"] for s in report["stages"]]
         assert names == [
+            "world",
             "detect",
             "fracture",
             "community_graph",
@@ -266,8 +267,9 @@ def truncated(text):
 
 
 def with_nan(text):
-    # the first number that is a value (after a space or newline) becomes NaN
-    return re.sub(r"(?<=\s)-?\d[\d.eE+-]*", "NaN", text, count=1)
+    # the first number that is a value (after a space, a newline, ":", "," or
+    # "[") becomes NaN
+    return re.sub(r"(?<=[\s:,\[])-?\d[\d.eE+-]*", "NaN", text, count=1)
 
 
 @pytest.mark.parametrize("breakage", [truncated, with_nan], ids=["truncated", "nan"])
@@ -341,6 +343,65 @@ def test_malformed_partition_exits_2(pipeline_run, tmp_path, communities):
     ])
     assert result.exit_code == 2, result.output
     assert "Traceback" not in result.output
+
+
+# loader, the file it reads, and the path to a number that becomes 1e999,
+# which Python's JSON parser reads as infinity
+NON_FINITE_CASES = {
+    "merged-point": (load_merged, "merged.json", ("points", 0, "xyz", 0)),
+    "merged-rotation": (load_merged, "merged.json", ("cameras", 0, "q", 1)),
+    "merged-spread": (load_merged, "merged.json", ("fusion", 0, "spread")),
+    "rec-point": (load_reconstruction, "rec_1.json", ("points", 0, "xyz", 1)),
+    "rec-center": (load_reconstruction, "rec_1.json", ("cameras", 0, "c", 2)),
+    "world-point": (read_world, "world.json", ("points", 0, "xyz", 2)),
+    "world-rotation": (read_world, "world.json", ("cameras", 0, "q", 0)),
+}
+
+
+def with_overflowing_float(run, name, path, out):
+    obj = json.loads((run / name).read_text())
+    leaf = obj
+    for key in path[:-1]:
+        leaf = leaf[key]
+    leaf[path[-1]] = "OVERFLOW"
+    out.write_text(json.dumps(obj).replace('"OVERFLOW"', "1e999"))
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_CASES))
+def test_overflowing_float_is_a_validation_error(pipeline_run, tmp_path, case):
+    loader, name, path = NON_FINITE_CASES[case]
+    bad = with_overflowing_float(pipeline_run, name, path, tmp_path / name)
+    with pytest.raises(ValidationError, match="non-finite"):
+        loader(bad)
+
+
+def test_overflowing_coordinate_in_recs_exits_2(pipeline_run, tmp_path):
+    d = tmp_path / "d"
+    shutil.copytree(pipeline_run, d)
+    with_overflowing_float(pipeline_run, "rec_1.json", ("points", 0, "xyz", 0), d / "rec_1.json")
+    result = CliRunner().invoke(
+        main, ["pipeline", "--recs", str(d), "--out", str(d / "r"), "--seed", "1"]
+    )
+    assert result.exit_code == 2, result.output
+    assert "non-finite" in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"camera_count": 100.5}', '{"point_count": 3000.0}', '{"camera_count": true}',
+     '{"visibility_radius": 1e999}'],
+    ids=["float-count", "integral-float-count", "bool-count", "overflowing-radius"],
+)
+def test_spec_with_a_mistyped_field_exits_2(tmp_path, text):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    for args in (["synth", "--out", str(tmp_path / "w")],
+                 ["pipeline", "--out", str(tmp_path / "r")]):
+        result = CliRunner().invoke(main, [*args, "--spec", str(spec), "--seed", "1"])
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
 
 
 def test_spec_that_is_not_an_object_exits_2(tmp_path):

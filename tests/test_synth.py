@@ -92,6 +92,29 @@ class TestGenerateWorld:
             WorldSpec(point_count=2**24)
         assert WorldSpec(point_count=2**24 - 1).point_count == 2**24 - 1
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("camera_count", 100.5),
+            ("point_count", 3000.0),
+            ("camera_count", True),
+            ("cluster_count", "4"),
+            ("min_shared_tracks", None),
+            ("seed", 1.0),
+            ("visibility_radius", float("nan")),
+            ("noise_sigma", float("inf")),
+            ("cluster_separation", "20"),
+            ("outlier_fraction", False),
+        ],
+    )
+    def test_spec_field_types_and_finiteness_checked(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            WorldSpec(**{field: value})
+
+    def test_integer_valued_spec_lengths_accepted(self):
+        spec = WorldSpec(visibility_radius=9, noise_sigma=0, cluster_spread=2)
+        assert (spec.visibility_radius, spec.noise_sigma, spec.cluster_spread) == (9, 0, 2)
+
 
 class TestVisibility:
     def test_boundary_kept_and_one_ulp_beyond_dropped(self):
