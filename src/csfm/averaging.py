@@ -306,7 +306,7 @@ def save_transforms(transforms, path) -> None:
 def load_transforms(path) -> list:
     obj = read_json(path)
     try:
-        return [
+        transforms = [
             CommunitySimilarity(
                 community_id=int(r["id"]),
                 s=float(r["s"]),
@@ -317,3 +317,11 @@ def load_transforms(path) -> list:
         ]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed transforms file: {exc}") from exc
+    # checked here, not in CommunitySimilarity: a diverged solve that yields a
+    # non-finite translation stays a numeric failure (exit 3)
+    for tr in transforms:
+        if not np.all(np.isfinite(tr.t)):
+            raise ValidationError(
+                f"transforms file: community {tr.community_id} has a non-finite translation"
+            )
+    return transforms

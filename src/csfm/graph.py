@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from .errors import ValidationError
 from .jsonio import read_json, write_json
@@ -66,13 +68,6 @@ class EpipolarGraph:
             np.add.at(d, self.edges[:, 1], 1)
         return d
 
-    def adjacency_lists(self) -> list:
-        adj = [[] for _ in range(self.node_count)]
-        for i, j in self.edges:
-            adj[int(i)].append(int(j))
-            adj[int(j)].append(int(i))
-        return [sorted(a) for a in adj]
-
 
 def induced_subgraph(g: EpipolarGraph, nodes) -> tuple[EpipolarGraph, dict]:
     """Subgraph on ``nodes`` plus the old-index -> new-index map."""
@@ -97,26 +92,24 @@ def induced_subgraph(g: EpipolarGraph, nodes) -> tuple[EpipolarGraph, dict]:
     return sub, index_map
 
 
+def component_labels(node_count: int, edges: np.ndarray) -> np.ndarray:
+    """Connected-component label per node of an undirected ``(m, 2)`` edge list."""
+    adjacency = sp.coo_array(
+        (np.ones(edges.shape[0]), (edges[:, 0], edges[:, 1])), shape=(node_count, node_count)
+    ).tocsr()
+    return csgraph.connected_components(adjacency, directed=False)[1]
+
+
 def connected_components(g: EpipolarGraph) -> list:
-    """Node-index sets of the connected components, ordered by smallest member."""
-    adj = g.adjacency_lists()
-    seen = np.zeros(g.node_count, dtype=bool)
-    comps = []
-    for start in range(g.node_count):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
+    """Node-index lists of the connected components, ordered by smallest
+    member, each sorted."""
+    labels = component_labels(g.node_count, g.edges)
+    # a stable sort keeps each component's nodes ascending
+    nodes = np.argsort(labels, kind="stable")
+    comps = np.split(nodes, np.cumsum(np.bincount(labels))[:-1])
+    # csgraph does not document the order of its labels; fix it here
+    comps.sort(key=lambda comp: comp[0])
+    return [comp.tolist() for comp in comps]
 
 
 def load_graph(source) -> EpipolarGraph:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -18,7 +19,15 @@ from .alignment import CorrespondenceSet, ransac_similarity
 from .averaging import CommunitySimilarity
 from .errors import NumericError, ValidationError
 from .jsonio import read_json, write_json
-from .reconstruction import Reconstruction, covisible
+from .reconstruction import (
+    Reconstruction,
+    cameras_from_json,
+    cameras_to_json,
+    column,
+    covisible,
+    points_from_json,
+    points_to_json,
+)
 from .rotations import (
     exp_rotation,
     geodesic_angle,
@@ -377,22 +386,12 @@ def evaluate_against_truth(model: MergedModel, truth: Reconstruction, seed: int 
 
 
 def merged_to_json(model: MergedModel) -> dict:
+    fused = sorted(model.fusion_spread.items())
     return {
-        "cameras": [
-            {"id": cid, "q": q, "c": c}
-            for cid, q, c in zip(
-                model.camera_ids.tolist(),
-                model.camera_rotations.tolist(),
-                model.camera_centers.tolist(),
-            )
-        ],
-        "points": [
-            {"track": t, "xyz": p, "communities": list(model.provenance[t])}
-            for t, p in zip(model.track_ids.tolist(), model.points.tolist())
-        ],
-        "fusion": [
-            {"track": t, "spread": spread} for t, spread in sorted(model.fusion_spread.items())
-        ],
+        "cameras": cameras_to_json(model.camera_ids, model.camera_rotations, model.camera_centers),
+        **points_to_json(model.track_ids, model.points),
+        "communities": [list(model.provenance[t]) for t in model.track_ids.tolist()],
+        "fusion": {"tracks": [t for t, _ in fused], "spread": [v for _, v in fused]},
     }
 
 
@@ -403,29 +402,31 @@ def save_merged(model: MergedModel, path) -> None:
 def load_merged(path) -> MergedModel:
     obj = read_json(path)
     try:
-        cams = obj["cameras"]
-        pts = obj["points"]
-        model = MergedModel(
-            camera_ids=np.array([c["id"] for c in cams], dtype=np.int64),
-            camera_rotations=np.array([c["q"] for c in cams], dtype=float).reshape(-1, 4),
-            camera_centers=np.array([c["c"] for c in cams], dtype=float).reshape(-1, 3),
-            track_ids=np.array([p["track"] for p in pts], dtype=np.int64),
-            points=np.array([p["xyz"] for p in pts], dtype=float).reshape(-1, 3),
-            provenance={int(p["track"]): tuple(p.get("communities", ())) for p in pts},
-            fusion_spread={int(r["track"]): float(r["spread"]) for r in obj.get("fusion", [])},
-        )
+        ids, rotations, centers = cameras_from_json(obj["cameras"], "merged model")
+        tracks, points = points_from_json(obj, "merged model")
+        communities = obj["communities"]
+        if not isinstance(communities, list) or len(communities) != tracks.size:
+            raise ValidationError("merged-model communities do not align with its tracks")
+        provenance = dict(zip(tracks.tolist(), map(tuple, communities)))
+        if not all(provenance.values()):
+            raise ValidationError("merged-model track with no contributing community")
+        column(list(chain.from_iterable(provenance.values())), "merged-model communities", np.int64)
+        fusion = obj["fusion"]
+        fusion_tracks = column(fusion["tracks"], "merged-model fusion tracks", np.int64)
+        spread = column(fusion["spread"], "merged-model fusion spreads")
+        if fusion_tracks.size != spread.size:
+            raise ValidationError("merged-model fusion tracks and spreads differ in length")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed merged-model file: {exc}") from exc
-    spread = np.fromiter(model.fusion_spread.values(), dtype=float, count=len(model.fusion_spread))
-    for name, values in (
-        ("camera rotations", model.camera_rotations),
-        ("camera centers", model.camera_centers),
-        ("points", model.points),
-        ("fusion spreads", spread),
-    ):
-        if not np.all(np.isfinite(values)):
-            raise ValidationError(f"merged-model {name} contain a non-finite number")
-    return model
+    return MergedModel(
+        camera_ids=ids,
+        camera_rotations=rotations,
+        camera_centers=centers,
+        track_ids=tracks,
+        points=points,
+        provenance=provenance,
+        fusion_spread=dict(zip(fusion_tracks.tolist(), spread.tolist())),
+    )
 
 
 _PALETTE = np.array(

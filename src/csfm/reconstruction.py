@@ -3,6 +3,10 @@
 Camera rotations are world-to-camera; centers live in the community's local
 frame.  Track ids are global, which is what makes cross-community joins
 (:func:`covisible`) possible.
+
+The point-cloud layout every artifact shares is defined here: cameras as
+``{"id", "q", "c"}`` records and points as aligned ``"tracks"`` and
+``"points"`` columns.
 """
 from __future__ import annotations
 
@@ -73,32 +77,85 @@ def covisible(rec_a: Reconstruction, rec_b: Reconstruction) -> CorrespondenceSet
     )
 
 
+def column(values, what: str, dtype=float, width: int | None = None) -> np.ndarray:
+    """A JSON list as a ``dtype`` array of shape exactly ``(n,)``, or
+    ``(n, width)`` for a list of rows.  An integer column takes only int64
+    integers and a float column only finite numbers; anything else raises
+    :class:`ValidationError`."""
+    try:
+        arr = np.array(values)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{what}: {exc}") from exc
+    shape = (0,) if width is None else (0, width)
+    if arr.shape == (0,):
+        return np.zeros(shape, dtype=dtype)
+    kinds = "if" if dtype is float else "i"
+    if arr.ndim != len(shape) or arr.shape[1:] != shape[1:] or arr.dtype.kind not in kinds:
+        entries = "numbers" if dtype is float else "integers"
+        if width is not None:
+            entries = f"rows of {width} {entries}"
+        raise ValidationError(f"{what} must be a list of {entries}")
+    arr = arr.astype(dtype)
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{what} contain a non-finite number")
+    return arr
+
+
+def cameras_to_json(ids, rotations, centers) -> list:
+    return [
+        {"id": cid, "q": q, "c": c}
+        for cid, q, c in zip(ids.tolist(), rotations.tolist(), centers.tolist())
+    ]
+
+
+def cameras_from_json(cams, what: str) -> tuple:
+    """``(ids, rotations, centers)`` of a list of ``{"id", "q", "c"}`` records;
+    a missing key or a non-record raises ``KeyError`` or ``TypeError``."""
+    return (
+        column([c["id"] for c in cams], f"{what} camera ids", np.int64),
+        column([c["q"] for c in cams], f"{what} camera rotations", width=4),
+        column([c["c"] for c in cams], f"{what} camera centers", width=3),
+    )
+
+
+def points_to_json(track_ids, points) -> dict:
+    """The columnar point block shared by every point-cloud artifact."""
+    return {"tracks": track_ids.tolist(), "points": points.tolist()}
+
+
+def points_from_json(obj, what: str) -> tuple:
+    """``(track ids, points)`` of a point block, with equal lengths."""
+    if "tracks" not in obj:
+        # the per-record layout ({"track", "xyz"} per point) has no "tracks" column
+        raise ValidationError(f'{what} has no "tracks" column')
+    tracks = column(obj["tracks"], f"{what} tracks", np.int64)
+    points = column(obj["points"], f"{what} points", width=3)
+    if tracks.shape[0] != points.shape[0]:
+        raise ValidationError(
+            f"{what} has {tracks.shape[0]} tracks but {points.shape[0]} points"
+        )
+    return tracks, points
+
+
 def reconstruction_to_json(rec: Reconstruction) -> dict:
     return {
         "community": rec.community_id,
-        "cameras": [
-            {"id": cid, "q": q, "c": c}
-            for cid, q, c in zip(
-                rec.camera_ids.tolist(), rec.camera_rotations.tolist(), rec.camera_centers.tolist()
-            )
-        ],
-        "points": [
-            {"track": t, "xyz": p} for t, p in zip(rec.track_ids.tolist(), rec.points.tolist())
-        ],
+        "cameras": cameras_to_json(rec.camera_ids, rec.camera_rotations, rec.camera_centers),
+        **points_to_json(rec.track_ids, rec.points),
     }
 
 
 def reconstruction_from_json(obj: dict) -> Reconstruction:
     try:
-        cams = obj["cameras"]
-        pts = obj["points"]
+        ids, rotations, centers = cameras_from_json(obj["cameras"], "reconstruction")
+        tracks, points = points_from_json(obj, "reconstruction")
         return Reconstruction(
             community_id=int(obj["community"]),
-            camera_ids=np.array([c["id"] for c in cams], dtype=np.int64),
-            camera_rotations=np.array([c["q"] for c in cams], dtype=float).reshape(-1, 4),
-            camera_centers=np.array([c["c"] for c in cams], dtype=float).reshape(-1, 3),
-            track_ids=np.array([p["track"] for p in pts], dtype=np.int64),
-            points=np.array([p["xyz"] for p in pts], dtype=float).reshape(-1, 3),
+            camera_ids=ids,
+            camera_rotations=rotations,
+            camera_centers=centers,
+            track_ids=tracks,
+            points=points,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed reconstruction record: {exc}") from exc

@@ -16,14 +16,20 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .community import Partition
 from .errors import ValidationError
-from .graph import EpipolarGraph, save_graph
+from .graph import EpipolarGraph, component_labels, save_graph
 from .jsonio import read_json, write_json
-from .reconstruction import Reconstruction
+from .reconstruction import (
+    Reconstruction,
+    cameras_from_json,
+    cameras_to_json,
+    column,
+    points_from_json,
+    points_to_json,
+)
 from .rotations import quat_canonical, quat_multiply, random_quat
 from .sim3 import Sim3
 
@@ -246,7 +252,7 @@ def _check_planted_structure(graph: EpipolarGraph, labels: np.ndarray, k: int):
     li = labels[graph.edges[:, 0]]
     lj = labels[graph.edges[:, 1]]
     # each planted cluster must be internally connected
-    component = _component_labels(graph.node_count, graph.edges[li == lj])
+    component = component_labels(graph.node_count, graph.edges[li == lj])
     for c in range(k):
         if np.unique(component[labels == c]).size > 1:
             raise ValidationError(
@@ -255,19 +261,11 @@ def _check_planted_structure(graph: EpipolarGraph, labels: np.ndarray, k: int):
     if k > 1:
         # the community-level graph over planted clusters must be connected
         cross = li != lj
-        if _component_labels(k, np.column_stack([li[cross], lj[cross]])).max() > 0:
+        if component_labels(k, np.column_stack([li[cross], lj[cross]])).max() > 0:
             raise ValidationError(
                 "planted community graph is disconnected; widen the visibility radius "
                 "or reduce the cluster separation"
             )
-
-
-def _component_labels(node_count: int, edges: np.ndarray) -> np.ndarray:
-    """Connected-component label per node of an undirected edge list."""
-    adjacency = sp.coo_array(
-        (np.ones(edges.shape[0]), (edges[:, 0], edges[:, 1])), shape=(node_count, node_count)
-    )
-    return connected_components(adjacency, directed=False)[1]
 
 
 @dataclass(frozen=True)
@@ -364,15 +362,10 @@ def fracture(
 def world_to_json(world: GroundTruthWorld) -> dict:
     return {
         "spec": world.spec.to_json(),
-        "cameras": [
-            {"id": i, "q": q, "c": c}
-            for i, (q, c) in enumerate(
-                zip(world.camera_rotations.tolist(), world.camera_centers.tolist())
-            )
-        ],
-        "points": [
-            {"track": t, "xyz": p} for t, p in zip(world.track_ids.tolist(), world.points.tolist())
-        ],
+        "cameras": cameras_to_json(
+            np.arange(world.camera_centers.shape[0]), world.camera_rotations, world.camera_centers
+        ),
+        **points_to_json(world.track_ids, world.points),
         "labels": world.labels.tolist(),
         "planted": [tr.to_json() for tr in world.planted_transforms],
     }
@@ -396,22 +389,19 @@ def read_world(path) -> dict:
     obj = read_json(path)
     try:
         spec = WorldSpec.from_json(obj["spec"])
-        cams = obj["cameras"]
-        pts = obj["points"]
+        _, rotations, centers = cameras_from_json(obj["cameras"], "world file")
+        tracks, points = points_from_json(obj, "world file")
         fields = dict(
             spec=spec,
-            camera_centers=np.array([c["c"] for c in cams], dtype=float).reshape(-1, 3),
-            camera_rotations=np.array([c["q"] for c in cams], dtype=float).reshape(-1, 4),
-            track_ids=np.array([p["track"] for p in pts], dtype=np.int64),
-            points=np.array([p["xyz"] for p in pts], dtype=float).reshape(-1, 3),
-            labels=np.array(obj["labels"], dtype=np.int64),
+            camera_centers=centers,
+            camera_rotations=rotations,
+            track_ids=tracks,
+            points=points,
+            labels=column(obj["labels"], "world file labels", np.int64),
             planted_transforms=tuple(Sim3.from_json(r) for r in obj["planted"]),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed world file: {exc}") from exc
-    for name in ("camera_centers", "camera_rotations", "points"):
-        if not np.all(np.isfinite(fields[name])):
-            raise ValidationError(f"world file {name.replace('_', ' ')} contain a non-finite number")
     if fields["labels"].shape[0] != fields["camera_centers"].shape[0]:
         raise ValidationError("world file labels do not cover the cameras")
     if (fields["camera_centers"].shape[0], fields["points"].shape[0]) != (

@@ -1,6 +1,7 @@
 import io
 import json
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,6 +142,25 @@ class TestConnectedComponents:
     def test_isolated_nodes(self):
         g = EpipolarGraph(node_count=5, edges=np.zeros((0, 2), dtype=np.int64), weights=np.zeros(0, dtype=np.int64))
         assert connected_components(g) == [[0], [1], [2], [3], [4]]
+
+    @pytest.mark.parametrize("seed", range(120))
+    def test_matches_networkx(self, seed):
+        # sparse random graphs on shuffled labels: many components, isolated
+        # nodes, and components whose smallest member is not their first edge's
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        p = float(rng.uniform(0.0, 3.0 / n))
+        perm = rng.permutation(n)
+        pairs = [
+            (int(perm[i]), int(perm[j]))
+            for i in range(n) for j in range(i + 1, n) if rng.random() < p
+        ]
+        g = make_graph(n, pairs)
+        oracle = nx.Graph()
+        oracle.add_nodes_from(range(n))
+        oracle.add_edges_from(pairs)
+        expected = sorted(sorted(c) for c in nx.connected_components(oracle))
+        assert connected_components(g) == expected
 
 
 @settings(max_examples=30, deadline=None)

@@ -2,6 +2,7 @@ import json
 import re
 import shutil
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,11 +13,11 @@ from csfm.cli import main
 from csfm.community import load_partition
 from csfm.errors import ValidationError
 from csfm.measurements import load_measurements
-from csfm.merging import load_merged
+from csfm.merging import load_merged, save_merged
 from csfm.pipeline import DATA_ARTIFACTS, PipelineConfig, run_pipeline
 from csfm.reconstruction import Reconstruction, load_reconstruction, save_reconstruction
 from csfm.rotations import IDENTITY_QUAT
-from csfm.synth import WorldSpec, generate_world, read_world
+from csfm.synth import WorldSpec, generate_world, read_world, save_world
 
 THREE = dict(
     camera_count=120,
@@ -294,9 +295,9 @@ OVERFLOW_CASES = {
     "load_partition": (load_partition, "partition.json", ("q_max",), 10**400),
     "load_measurements": (load_measurements, "measurements.json", (0, "s_ij"), 10**400),
     "load_transforms": (load_transforms, "transforms.json", (0, "s"), 10**400),
-    "load_merged": (load_merged, "merged.json", ("points", 0, "track"), 2**70),
-    "load_reconstruction": (load_reconstruction, "rec_1.json", ("points", 0, "track"), 2**70),
-    "read_world": (read_world, "world.json", ("points", 0, "track"), 2**70),
+    "load_merged": (load_merged, "merged.json", ("tracks", 0), 2**70),
+    "load_reconstruction": (load_reconstruction, "rec_1.json", ("tracks", 0), 2**70),
+    "read_world": (read_world, "world.json", ("tracks", 0), 2**70),
 }
 
 
@@ -321,7 +322,7 @@ def test_huge_integer_is_a_validation_error(pipeline_run, tmp_path, case):
 def test_huge_track_id_in_recs_exits_2(pipeline_run, tmp_path):
     d = tmp_path / "d"
     shutil.copytree(pipeline_run, d)
-    with_huge_integer(pipeline_run, "rec_1.json", ("points", 0, "track"), 2**70, d / "rec_1.json")
+    with_huge_integer(pipeline_run, "rec_1.json", ("tracks", 0), 2**70, d / "rec_1.json")
     result = CliRunner().invoke(
         main, ["pipeline", "--recs", str(d), "--out", str(d / "r"), "--seed", "1"]
     )
@@ -348,12 +349,12 @@ def test_malformed_partition_exits_2(pipeline_run, tmp_path, communities):
 # loader, the file it reads, and the path to a number that becomes 1e999,
 # which Python's JSON parser reads as infinity
 NON_FINITE_CASES = {
-    "merged-point": (load_merged, "merged.json", ("points", 0, "xyz", 0)),
+    "merged-point": (load_merged, "merged.json", ("points", 0, 0)),
     "merged-rotation": (load_merged, "merged.json", ("cameras", 0, "q", 1)),
-    "merged-spread": (load_merged, "merged.json", ("fusion", 0, "spread")),
-    "rec-point": (load_reconstruction, "rec_1.json", ("points", 0, "xyz", 1)),
+    "merged-spread": (load_merged, "merged.json", ("fusion", "spread", 0)),
+    "rec-point": (load_reconstruction, "rec_1.json", ("points", 0, 1)),
     "rec-center": (load_reconstruction, "rec_1.json", ("cameras", 0, "c", 2)),
-    "world-point": (read_world, "world.json", ("points", 0, "xyz", 2)),
+    "world-point": (read_world, "world.json", ("points", 0, 2)),
     "world-rotation": (read_world, "world.json", ("cameras", 0, "q", 0)),
 }
 
@@ -379,7 +380,7 @@ def test_overflowing_float_is_a_validation_error(pipeline_run, tmp_path, case):
 def test_overflowing_coordinate_in_recs_exits_2(pipeline_run, tmp_path):
     d = tmp_path / "d"
     shutil.copytree(pipeline_run, d)
-    with_overflowing_float(pipeline_run, "rec_1.json", ("points", 0, "xyz", 0), d / "rec_1.json")
+    with_overflowing_float(pipeline_run, "rec_1.json", ("points", 0, 0), d / "rec_1.json")
     result = CliRunner().invoke(
         main, ["pipeline", "--recs", str(d), "--out", str(d / "r"), "--seed", "1"]
     )
@@ -426,4 +427,137 @@ def test_non_finite_artifact_exits_3_and_leaves_no_file(pipeline_run, tmp_path):
         main, ["merge", "--recs", str(pipeline_run), "--transforms", str(bad), "-o", str(out)]
     )
     assert result.exit_code == 3, result.output
+    assert not out.exists()
+
+
+ARRAY_FIELDS = ["camera_ids", "camera_rotations", "camera_centers", "track_ids", "points"]
+
+
+def assert_same_arrays(first, back, fields):
+    for field in fields:
+        a, b = getattr(first, field), getattr(back, field)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field
+
+
+def as_pairs(obj):
+    """The point coordinates re-chunked into rows of two: with an even point
+    count a reshape to (-1, 3) would read them back as the same count."""
+    if len(obj["tracks"]) % 2:
+        obj["tracks"], obj["points"] = obj["tracks"][:-1], obj["points"][:-1]
+    flat = [v for row in obj["points"] for v in row]
+    obj["points"] = [flat[i : i + 2] for i in range(0, len(flat), 2)]
+
+
+def short_tracks(obj):
+    obj["tracks"] = obj["tracks"][:-1]
+
+
+def fractional_track(obj):
+    obj["tracks"][0] += 0.5
+
+
+def as_records(obj):
+    """The per-record point layout of earlier files."""
+    obj["points"] = [{"track": t, "xyz": p} for t, p in zip(obj.pop("tracks"), obj["points"])]
+
+
+def short_communities(obj):
+    obj["communities"] = obj["communities"][:-1]
+
+
+def empty_community(obj):
+    obj["communities"][0] = []
+
+
+def short_spread(obj):
+    obj["fusion"]["spread"] = obj["fusion"]["spread"][:-1]
+
+
+# loader, the file it reads, an edit that breaks its columns, and the message
+COLUMN_CASES = {
+    f"{loader.__name__}-{edit.__name__}": (loader, name, edit, match)
+    for loader, name in (
+        (load_reconstruction, "rec_1.json"), (read_world, "world.json"), (load_merged, "merged.json")
+    )
+    for edit, match in (
+        (as_pairs, "rows of 3 numbers"), (short_tracks, "tracks but"),
+        (fractional_track, "list of integers"), (as_records, '"tracks" column'),
+    )
+}
+COLUMN_CASES.update({
+    f"load_merged-{edit.__name__}": (load_merged, "merged.json", edit, match)
+    for edit, match in (
+        (short_communities, "do not align"), (empty_community, "no contributing"),
+        (short_spread, "differ in length"),
+    )
+})
+
+
+@pytest.mark.parametrize("case", sorted(COLUMN_CASES))
+def test_malformed_point_columns_are_validation_errors(pipeline_run, tmp_path, case):
+    loader, name, edit, match = COLUMN_CASES[case]
+    obj = json.loads((pipeline_run / name).read_text())
+    edit(obj)
+    (tmp_path / name).write_text(json.dumps(obj))
+    with pytest.raises(ValidationError, match=match):
+        loader(tmp_path / name)
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [("rec_1.json", ["pipeline", "--recs", "{d}", "--out", "{d}/r", "--seed", "1"]),
+     ("merged.json", ["export-ply", "--merged", "{d}/merged.json", "-o", "{d}/c.ply"])],
+    ids=["pipeline-recs", "export-ply"],
+)
+def test_per_record_point_layout_exits_2(pipeline_run, tmp_path, name, args):
+    d = tmp_path / "d"
+    shutil.copytree(pipeline_run, d)
+    obj = json.loads((d / name).read_text())
+    as_records(obj)
+    (d / name).write_text(json.dumps(obj))
+    result = CliRunner().invoke(main, [a.format(d=d) for a in args])
+    assert result.exit_code == 2, result.output
+    assert '"tracks" column' in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("name", ["merged.json", "merged_refined.json"])
+def test_merged_round_trip_is_bit_exact(pipeline_run, tmp_path, name):
+    first = load_merged(pipeline_run / name)
+    save_merged(first, tmp_path / name)
+    assert (tmp_path / name).read_bytes() == (pipeline_run / name).read_bytes()
+    back = load_merged(tmp_path / name)
+    assert_same_arrays(first, back, ARRAY_FIELDS)
+    assert back.provenance == first.provenance
+    assert back.fusion_spread == first.fusion_spread
+
+
+def test_reconstruction_round_trip_is_bit_exact(pipeline_run, tmp_path):
+    first = load_reconstruction(pipeline_run / "rec_1.json")
+    save_reconstruction(first, tmp_path / "rec_1.json")
+    back = load_reconstruction(tmp_path / "rec_1.json")
+    # Reconstruction re-normalises its quaternions on construction, which may
+    # move their last bits; every column the file layout carries is exact
+    assert_same_arrays(first, back, [f for f in ARRAY_FIELDS if f != "camera_rotations"])
+
+
+def test_world_round_trip_is_bit_exact(tmp_path):
+    world = generate_world(WorldSpec(seed=34, **THREE))
+    save_world(world, tmp_path / "world.json")
+    back = SimpleNamespace(**read_world(tmp_path / "world.json"))
+    assert_same_arrays(world, back, ["camera_centers", "camera_rotations", "track_ids", "points"])
+
+
+def test_non_finite_translation_in_transforms_exits_2(pipeline_run, tmp_path):
+    transforms = json.loads((pipeline_run / "transforms.json").read_text())
+    transforms[1]["t"][0] = "OVERFLOW"
+    bad = tmp_path / "transforms.json"
+    bad.write_text(json.dumps(transforms).replace('"OVERFLOW"', "1e999"))
+    out = tmp_path / "merged.json"
+    result = CliRunner().invoke(
+        main, ["merge", "--recs", str(pipeline_run), "--transforms", str(bad), "-o", str(out)]
+    )
+    assert result.exit_code == 2, result.output
+    assert "non-finite translation" in result.output
+    assert "Traceback" not in result.output
     assert not out.exists()

@@ -280,7 +280,7 @@ def test_world_json_round_trip(tmp_path):
 def test_world_file_counts_must_match_its_spec(tmp_path):
     world = generate_world(WorldSpec(seed=10, **STRONG))
     obj = world_to_json(world)
-    obj["points"] = obj["points"][:-1]
+    obj["tracks"], obj["points"] = obj["tracks"][:-1], obj["points"][:-1]
     (tmp_path / "world.json").write_text(json.dumps(obj))
     with pytest.raises(ValidationError, match="point counts differ"):
         load_world(tmp_path / "world.json")
