@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DisconnectedGraphError, ValidationError
-from .jsonio import read_json, write_json
+from .jsonio import column, parsing, records, write_json
 from .l1 import SparseLinearSystem, solve_l1
 from .measurements import MeasurementGraph, median_offset
 from .rotations import (
@@ -41,13 +41,6 @@ DEFAULT_STAGE_TOLERANCE = 1e-12
 
 ROTATION_MAX_ITERATIONS = 32
 ROTATION_UPDATE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class IrlsOptions:
-    epsilon: float = DEFAULT_STAGE_EPSILON
-    max_iterations: int = DEFAULT_STAGE_MAX_ITERATIONS
-    tolerance: float = DEFAULT_STAGE_TOLERANCE
 
 
 @dataclass(frozen=True)
@@ -99,7 +92,16 @@ def _edge_system(mg: MeasurementGraph, rhs: np.ndarray, plus_on_j: bool) -> Spar
     )
 
 
-def average_scales(mg: MeasurementGraph, opts: IrlsOptions = IrlsOptions()) -> np.ndarray:
+def _solve(sys: SparseLinearSystem) -> np.ndarray:
+    return solve_l1(
+        sys,
+        epsilon=DEFAULT_STAGE_EPSILON,
+        max_iterations=DEFAULT_STAGE_MAX_ITERATIONS,
+        tolerance=DEFAULT_STAGE_TOLERANCE,
+    )
+
+
+def average_scales(mg: MeasurementGraph) -> np.ndarray:
     """Per-community scales from ``log s_i - log s_j = log s_ij`` rows.
 
     The gauge community's log-scale is eliminated (s = 1 exactly);
@@ -112,21 +114,25 @@ def average_scales(mg: MeasurementGraph, opts: IrlsOptions = IrlsOptions()) -> n
         return scales
     rhs = np.array([np.log(m.s_ij) for m in mg.measurements])
     sys = _edge_system(mg, rhs, plus_on_j=False)
-    x = solve_l1(sys, epsilon=opts.epsilon, max_iterations=opts.max_iterations, tolerance=opts.tolerance)
-    scales[1:] = np.exp(x)
+    scales[1:] = np.exp(_solve(sys))
     return scales
 
 
 def spanning_tree_edges(mg: MeasurementGraph) -> list:
-    """BFS spanning tree from the gauge community; returns measurement indices."""
-    adj = mg.adjacency()
+    """BFS spanning tree from the gauge community, neighbours visited in
+    ascending order; returns measurement indices in discovery order, the
+    first of duplicate measurements standing for its pair."""
+    adj = [[] for _ in range(mg.community_count)]
+    for idx, m in enumerate(mg.measurements):
+        adj[m.i].append((m.j, idx))
+        adj[m.j].append((m.i, idx))
     seen = [False] * mg.community_count
     seen[GAUGE_COMMUNITY] = True
     queue = [GAUGE_COMMUNITY]
     tree = []
     while queue:
         v = queue.pop(0)
-        for w, idx in adj[v]:
+        for w, idx in sorted(adj[v]):
             if not seen[w]:
                 seen[w] = True
                 tree.append(idx)
@@ -151,7 +157,6 @@ def _chain_initial_rotations(mg: MeasurementGraph) -> list:
 
 def average_rotations(
     mg: MeasurementGraph,
-    opts: IrlsOptions = IrlsOptions(),
     max_iterations: int = ROTATION_MAX_ITERATIONS,
     update_tolerance: float = ROTATION_UPDATE_TOL,
 ) -> np.ndarray:
@@ -179,13 +184,7 @@ def average_rotations(
             resid[idx] = log_matrix(R[m.i] @ meas_rot[idx] @ R[m.j].T)
         delta = np.zeros((k, 3))
         for axis in range(3):
-            x = solve_l1(
-                sys_pattern.with_rhs(resid[:, axis]),
-                epsilon=opts.epsilon,
-                max_iterations=opts.max_iterations,
-                tolerance=opts.tolerance,
-            )
-            delta[1:, axis] = x
+            delta[1:, axis] = _solve(sys_pattern.with_rhs(resid[:, axis]))
         max_step = float(np.max(np.linalg.norm(delta, axis=1)))
         if max_step < update_tolerance:
             converged = True
@@ -245,7 +244,7 @@ def recompute_pairwise_translations(
     return out
 
 
-def average_translations(mg: MeasurementGraph, opts: IrlsOptions = IrlsOptions()) -> np.ndarray:
+def average_translations(mg: MeasurementGraph) -> np.ndarray:
     """Per-community translations from ``T_j - T_i = t_ij`` rows.
 
     Solved as three independent per-axis L1 problems (the rows decouple);
@@ -264,22 +263,16 @@ def average_translations(mg: MeasurementGraph, opts: IrlsOptions = IrlsOptions()
     for axis in range(3):
         rhs = np.array([m.t_ij[axis] for m in mg.measurements])
         sys = _edge_system(mg, rhs, plus_on_j=True)
-        out[1:, axis] = solve_l1(
-            sys, epsilon=opts.epsilon, max_iterations=opts.max_iterations, tolerance=opts.tolerance
-        )
+        out[1:, axis] = _solve(sys)
     return out
 
 
-def average_similarities(
-    recs: dict,
-    mg: MeasurementGraph,
-    opts: IrlsOptions = IrlsOptions(),
-):
+def average_similarities(recs: dict, mg: MeasurementGraph):
     """Run all four averaging stages; returns ``(transforms, mg_with_t)``."""
-    scales = average_scales(mg, opts)
-    rotations = average_rotations(mg, opts)
+    scales = average_scales(mg)
+    rotations = average_rotations(mg)
     mg_t = recompute_pairwise_translations(recs, scales, rotations, mg)
-    translations = average_translations(mg_t, opts)
+    translations = average_translations(mg_t)
     transforms = [
         CommunitySimilarity(community_id=c, s=float(scales[c]), r=rotations[c], t=translations[c])
         for c in range(mg.community_count)
@@ -304,24 +297,17 @@ def save_transforms(transforms, path) -> None:
 
 
 def load_transforms(path) -> list:
-    obj = read_json(path)
-    try:
-        transforms = [
-            CommunitySimilarity(
-                community_id=int(r["id"]),
-                s=float(r["s"]),
-                r=np.asarray(r["q"], dtype=float),
-                t=np.asarray(r["t"], dtype=float),
-            )
-            for r in obj
-        ]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"malformed transforms file: {exc}") from exc
-    # checked here, not in CommunitySimilarity: a diverged solve that yields a
-    # non-finite translation stays a numeric failure (exit 3)
-    for tr in transforms:
-        if not np.all(np.isfinite(tr.t)):
-            raise ValidationError(
-                f"transforms file: community {tr.community_id} has a non-finite translation"
-            )
-    return transforms
+    """Read a transforms file: one record per community, ids unique."""
+    with parsing(path, "transforms file") as obj:
+        recs = records(obj, "transforms file", "transform")
+        ids = column([r["id"] for r in recs], "community id", np.int64)
+        scales = column([r["s"] for r in recs], "community scale")
+        rotations = column([r["q"] for r in recs], "community rotation", width=4)
+        translations = column([r["t"] for r in recs], "translation", width=3)
+        values, counts = np.unique(ids, return_counts=True)
+        if np.any(counts > 1):
+            raise ValidationError(f"duplicate community id {values[counts > 1][0]}")
+    return [
+        CommunitySimilarity(community_id=c, s=s, r=q, t=t)
+        for c, s, q, t in zip(ids.tolist(), scales.tolist(), rotations, translations)
+    ]

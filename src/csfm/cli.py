@@ -14,12 +14,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .averaging import (
-    IrlsOptions,
-    average_similarities,
-    load_transforms,
-    save_transforms,
-)
+from .averaging import average_similarities, load_transforms, save_transforms
 from .community import (
     DEFAULT_MIN_COMMUNITY_SIZE,
     DEFAULT_Q_THRESHOLD,
@@ -31,7 +26,7 @@ from .community import (
 )
 from .errors import CsfmError, ValidationError
 from .graph import degree_histogram, load_graph
-from .jsonio import read_json, write_json
+from .jsonio import parsing, write_json
 from .measurements import MeasurementGraph, load_measurements, save_measurements
 from .merging import (
     evaluate_against_truth,
@@ -42,7 +37,7 @@ from .merging import (
     save_merged,
 )
 from .pipeline import PipelineConfig, measure_pairs, run_pipeline
-from .reconstruction import load_reconstruction, save_reconstruction
+from .reconstruction import check_community_ids, load_reconstruction, save_reconstruction
 from .synth import WorldSpec, fracture, generate_world, load_world, read_world, world_truth, write_world_files
 
 log = logging.getLogger("csfm")
@@ -64,15 +59,17 @@ def load_recs_dir(recs_dir: str) -> list:
     paths = sorted(Path(recs_dir).glob("rec_*.json"))
     if not paths:
         raise click.ClickException(f"no rec_*.json files in {recs_dir}")
-    return [load_reconstruction(p) for p in paths]
+    recs = [load_reconstruction(p) for p in paths]
+    check_community_ids(recs)
+    return recs
 
 
 def read_spec(path, seed: int) -> WorldSpec:
     """A world spec file, with ``seed`` in place of any seed it names."""
-    obj = read_json(path)
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{path}: a world spec must be a JSON object")
-    return WorldSpec.from_json({**obj, "seed": seed})
+    with parsing(path, "world spec") as obj:
+        if not isinstance(obj, dict):
+            raise ValidationError("a world spec must be a JSON object")
+        return WorldSpec(**{**obj, "seed": seed})
 
 
 @click.group()
@@ -146,6 +143,11 @@ def pairwise(graph_path, partition_path, recs_dir, seed, threshold, iterations, 
     g = load_graph(graph_path)
     part, _, _ = load_partition(partition_path, node_count=g.node_count)
     recs = load_recs_dir(recs_dir)
+    if len(recs) != part.community_count:
+        raise ValidationError(
+            f"{partition_path} has {part.community_count} communities but {recs_dir} "
+            f"holds {len(recs)} reconstructions"
+        )
     cg = build_community_graph(g, part)
     meas = measure_pairs(
         recs, sorted(cg.cross_edges), seed=seed,
@@ -160,16 +162,13 @@ def pairwise(graph_path, partition_path, recs_dir, seed, threshold, iterations, 
 @main.command()
 @click.option("--measurements", "meas_path", required=True, type=click.Path(exists=True))
 @click.option("--recs", "recs_dir", required=True, type=click.Path(exists=True))
-@click.option("--epsilon", default=IrlsOptions.epsilon, show_default=True, type=float)
-@click.option("--max-iterations", default=IrlsOptions.max_iterations, show_default=True, type=int)
 @click.option("-o", "--output", required=True, type=click.Path())
 @handle_errors
-def average(meas_path, recs_dir, epsilon, max_iterations, output):
+def average(meas_path, recs_dir, output):
     """Solve the three global L1 averaging problems."""
     recs = {r.community_id: r for r in load_recs_dir(recs_dir)}
     mg = load_measurements(meas_path, community_count=len(recs))
-    opts = IrlsOptions(epsilon=epsilon, max_iterations=max_iterations)
-    transforms, _ = average_similarities(recs, mg, opts)
+    transforms, _ = average_similarities(recs, mg)
     save_transforms(transforms, output)
     click.echo(f"averaged {len(transforms)} community transforms")
 

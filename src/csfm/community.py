@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DisconnectedGraphError, ValidationError
 from .graph import EpipolarGraph, connected_components, induced_subgraph
-from .jsonio import read_json, write_json
+from .jsonio import column, parsing, scalar, write_json
 
 DEFAULT_Q_THRESHOLD = 0.3
 DEFAULT_MIN_COMMUNITY_SIZE = 20
@@ -113,13 +113,6 @@ def modularity(g: EpipolarGraph, p: Partition) -> float:
     return float(q.sum())
 
 
-def _require_connected(g: EpipolarGraph):
-    if g.edge_count == 0:
-        raise ValidationError("graph has no edges")
-    if len(connected_components(g)) != 1:
-        raise DisconnectedGraphError("graph is disconnected; split by components first")
-
-
 def greedy_merge_trace(g: EpipolarGraph) -> DendrogramTrace:
     """Agglomerate singletons to one community, recording Q after each merge.
 
@@ -130,10 +123,13 @@ def greedy_merge_trace(g: EpipolarGraph) -> DendrogramTrace:
     about 707k edges, where gains that differ at all differ by more than
     1e-12, this is the same choice as comparing float gains within 1e-12.
     """
-    _require_connected(g)
+    if g.edge_count == 0:
+        raise ValidationError("graph has no edges")
     a, b, q = _merge_trace(g.node_count, g.edges)
-    if not q:
-        raise DisconnectedGraphError("agglomeration stalled; graph is disconnected")
+    # each merge joins two linked communities, so only a connected graph
+    # reaches a single community, after n - 1 merges
+    if len(q) != g.node_count - 1:
+        raise DisconnectedGraphError("graph is disconnected; split by components first")
     peak = int(np.argmax(q))
     return DendrogramTrace(
         merges=tuple(zip(a, b, q)), q_peak=float(q[peak]), peak_index=peak
@@ -399,15 +395,9 @@ def save_partition(path, p: Partition, q_max: float, flagged) -> None:
 
 def load_partition(path, node_count=None):
     """Returns ``(partition, q_max, flagged)`` from a partition file."""
-    obj = read_json(path)
-    try:
-        groups = obj["communities"]
-        # bool is an int subclass; a JSON true is not a node index
-        if not all(isinstance(g, list) and all(type(v) is int for v in g) for g in groups):
-            raise TypeError('"communities" must be a list of node-index lists')
-        q_max = float(obj["q_max"])
-        flagged = [int(c) for c in obj.get("flagged_isolated", [])]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"malformed partition file: {exc}") from exc
+    with parsing(path, "partition file") as obj:
+        groups = [column(g, "partition community", np.int64) for g in obj["communities"]]
+        q_max = scalar(obj["q_max"], "partition q_max")
+        flagged = column(obj["flagged_isolated"], "partition flagged_isolated", np.int64)
     n = node_count if node_count is not None else sum(len(grp) for grp in groups)
-    return Partition.from_communities(groups, node_count=n), q_max, flagged
+    return Partition.from_communities(groups, node_count=n), q_max, flagged.tolist()

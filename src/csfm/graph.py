@@ -13,7 +13,7 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from .errors import ValidationError
-from .jsonio import read_json, write_json
+from .jsonio import column, parsing, records, write_json
 
 
 @dataclass(frozen=True)
@@ -119,33 +119,19 @@ def load_graph(source) -> EpipolarGraph:
     (self-loop, duplicate unordered pair, endpoint out of range, bad weight)
     raise :class:`ValidationError` rather than being silently repaired.
     """
-    obj = read_json(source)
-    if not isinstance(obj, dict) or "nodes" not in obj or "edges" not in obj:
-        raise ValidationError('graph file must be an object with "nodes" and "edges"')
-    nodes = obj["nodes"]
-    if not isinstance(nodes, list) or not all(isinstance(s, str) for s in nodes):
-        raise ValidationError('"nodes" must be a list of strings')
-    if not isinstance(obj["edges"], list):
-        raise ValidationError('"edges" must be a list of edge records')
-    edges, weights = [], []
-    for rec in obj["edges"]:
-        if not isinstance(rec, dict) or "i" not in rec or "j" not in rec:
-            raise ValidationError(f'edge record needs "i" and "j", got {rec!r}')
-        i, j, w = rec["i"], rec["j"], rec.get("w", 1)
-        # bool is an int subclass; a JSON true is not an index or a count
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (i, j, w)):
-            raise ValidationError(f"edge indices and weight must be integers, got {rec!r}")
-        edges.append((i, j))
-        weights.append(w)
-    try:
-        return EpipolarGraph(
-            node_count=len(nodes),
-            edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2),
-            weights=np.asarray(weights, dtype=np.int64),
-            node_labels=tuple(nodes),
-        )
-    except OverflowError as exc:
-        raise ValidationError(f"edge index or weight out of range: {exc}") from exc
+    with parsing(source, "graph file") as obj:
+        nodes = obj["nodes"]
+        if not isinstance(nodes, list) or not all(isinstance(s, str) for s in nodes):
+            raise ValidationError('"nodes" must be a list of strings')
+        edges = records(obj["edges"], '"edges"', "edge")
+        ends = [column([r[e] for r in edges], f"edge {e}", np.int64) for e in "ij"]
+        weights = column([r.get("w", 1) for r in edges], "edge w", np.int64)
+    return EpipolarGraph(
+        node_count=len(nodes),
+        edges=np.column_stack(ends),
+        weights=weights,
+        node_labels=tuple(nodes),
+    )
 
 
 def graph_to_json(g: EpipolarGraph) -> dict:

@@ -1,12 +1,25 @@
-"""The one artifact format: compact JSON (no whitespace between tokens) with
-sorted keys and a trailing newline.  Compact separators let ``json.dumps``
-take CPython's C encoder.  Non-finite numbers are refused both ways, so a
-``NaN`` can neither be written into an artifact nor read back out of one.
+"""The one artifact format and the one input contract.
+
+Artifacts are compact JSON (no whitespace between tokens) with sorted keys
+and a trailing newline.  Compact separators let ``json.dumps`` take CPython's
+C encoder.  Non-finite numbers are refused both ways, so a ``NaN`` can
+neither be written into an artifact nor read back out of one.
+
+Every loader reads its file inside :func:`parsing` and its numbers with
+:func:`column` or :func:`scalar`, so malformed input of any kind becomes a
+:class:`ValidationError` that names the file.  Loaders build their domain
+objects after the ``with`` block, so an error in that code is not reported as
+bad input.  Only ``WorldSpec`` and ``Sim3.from_json``, whose fields are the
+keys of a JSON object, are built inside it.
 """
 from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
+from itertools import chain
+
+import numpy as np
 
 from .errors import NumericError, ValidationError
 
@@ -26,11 +39,16 @@ def _refuse_constant(token):
     raise ValueError(f"non-finite number {token}")
 
 
-def read_json(source):
-    """Parse a JSON file given as a path or a binary/text file object.
+@contextmanager
+def parsing(source, what: str):
+    """Parse a JSON file given as a path or a binary/text file object and
+    hand its value to the ``with`` block that reads it.
 
     Malformed text, bad encoding and ``NaN``/``Infinity`` tokens raise
-    :class:`ValidationError` naming the file.
+    :class:`ValidationError` naming the file.  So does anything the block
+    refuses: a :class:`ValidationError`, or the ``KeyError``, ``TypeError``,
+    ``ValueError`` or ``OverflowError`` of a missing key or a value of the
+    wrong kind, reported as a malformed ``what``.
     """
     if hasattr(source, "read"):
         name = getattr(source, "name", "<stream>")
@@ -40,6 +58,73 @@ def read_json(source):
         with open(source, "rb") as fh:
             raw = fh.read()
     try:
-        return json.loads(raw, parse_constant=_refuse_constant)
+        obj = json.loads(raw, parse_constant=_refuse_constant)
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError included
         raise ValidationError(f"{name} is not valid JSON: {exc}") from exc
+    try:
+        yield obj
+    except ValidationError as exc:
+        raise ValidationError(f"{name}: {exc}") from exc
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValidationError(f"{name}: malformed {what}: {detail}") from exc
+
+
+def _numbers(values, what: str, dtype, width, expected: str) -> np.ndarray:
+    """``values`` as a ``dtype`` array of shape ``(n,)`` or ``(n, width)``."""
+    try:
+        arr = np.array(values)
+    except ValueError as exc:  # ragged nesting
+        raise ValidationError(f"{what} must be {expected}") from exc
+    shape = (0,) if width is None else (0, width)
+    if arr.shape == (0,):
+        return np.zeros(shape, dtype=dtype)
+    # integers beyond int64 come back as uint64 or as Python ints in an object array
+    if arr.dtype.kind == "u" or (
+        arr.dtype.kind == "O" and all(type(v) in (int, float) for v in arr.flat)
+    ):
+        if dtype is not float:
+            raise ValidationError(f"{what}: number out of range")
+        try:
+            arr = arr.astype(float)
+        except OverflowError as exc:  # beyond float64 too
+            raise ValidationError(f"{what}: number out of range") from exc
+    if (
+        arr.ndim != len(shape)
+        or arr.shape[1:] != shape[1:]
+        or arr.dtype.kind not in ("if" if dtype is float else "i")
+        # numpy reads a JSON true/false among numbers as 1/0
+        or bool in set(map(type, values if width is None else chain.from_iterable(values)))
+    ):
+        raise ValidationError(f"{what} must be {expected}")
+    arr = arr.astype(dtype)
+    if not np.all(np.isfinite(arr)):
+        row = np.flatnonzero(~np.isfinite(arr.reshape(arr.shape[0], -1)).all(axis=1))[0]
+        raise ValidationError(f"non-finite {what} at entry {row}")
+    return arr
+
+
+def column(values, what: str, dtype=float, width: int | None = None) -> np.ndarray:
+    """A JSON list as a ``dtype`` array of shape exactly ``(n,)``, or
+    ``(n, width)`` for a list of rows.  An integer column takes only JSON
+    integers in int64 range and a float column only finite JSON numbers;
+    anything else (``true``, ``1.0`` for an integer, a string, ``null``, a
+    list of the wrong depth) raises :class:`ValidationError`."""
+    entries = "numbers" if dtype is float else "integers"
+    if width is not None:
+        entries = f"rows of {width} {entries}"
+    return _numbers(values, what, dtype, width, f"a list of {entries}")
+
+
+def scalar(value, what: str, dtype=float):
+    """One JSON number (integer for an integer ``dtype``) as a Python value,
+    under the rules of :func:`column`."""
+    expected = "a number" if dtype is float else "an integer"
+    return _numbers([value], what, dtype, None, expected)[0].item()
+
+
+def records(obj, what: str, item: str) -> list:
+    """``obj`` as a list of JSON objects, one ``item`` record each."""
+    if not isinstance(obj, list) or not all(isinstance(r, dict) for r in obj):
+        raise ValidationError(f"{what} must be a list of {item} records")
+    return obj

@@ -20,7 +20,8 @@ import numpy as np
 
 from .alignment import ransac_similarity
 from .errors import DisconnectedGraphError, ValidationError
-from .jsonio import read_json, write_json
+from .graph import component_labels
+from .jsonio import column, parsing, records, write_json
 from .reconstruction import Reconstruction, covisible
 from .rotations import quat_canonical, quat_conjugate
 
@@ -83,29 +84,9 @@ class MeasurementGraph:
         object.__setattr__(self, "community_count", k)
         object.__setattr__(self, "measurements", meas)
 
-    def adjacency(self) -> list:
-        adj = [[] for _ in range(self.community_count)]
-        for idx, m in enumerate(self.measurements):
-            adj[m.i].append((m.j, idx))
-            adj[m.j].append((m.i, idx))
-        return [sorted(a) for a in adj]
-
     def is_connected(self) -> bool:
-        if self.community_count == 1:
-            return True
-        adj = self.adjacency()
-        seen = [False] * self.community_count
-        stack = [0]
-        seen[0] = True
-        count = 1
-        while stack:
-            v = stack.pop()
-            for w, _ in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    stack.append(w)
-        return count == self.community_count
+        edges = np.array([(m.i, m.j) for m in self.measurements], dtype=np.int64).reshape(-1, 2)
+        return bool(component_labels(self.community_count, edges).max() == 0)
 
     def require_connected(self, context: str = "averaging"):
         if not self.is_connected():
@@ -197,28 +178,25 @@ def save_measurements(mg: MeasurementGraph, path) -> None:
 
 def load_measurements(path, community_count=None) -> MeasurementGraph:
     """Read a measurement list; infers the community count from the largest
-    endpoint unless given explicitly."""
-    obj = read_json(path)
-    if not isinstance(obj, list):
-        raise ValidationError("measurement file must be a JSON list")
-    try:
-        meas = tuple(
-            PairwiseSimilarityMeasurement(
-                i=int(r["i"]),
-                j=int(r["j"]),
-                s_ij=float(r["s_ij"]),
-                r_ij=np.asarray(r["q_ij"], dtype=float),
-                t_ij=None if r.get("t_ij") is None else np.asarray(r["t_ij"], dtype=float),
-                inlier_count=int(r.get("inliers", 0)),
-            )
-            for r in obj
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"malformed measurement file: {exc}") from exc
+    endpoint unless given explicitly.  Translations are all set or all
+    ``null``."""
+    with parsing(path, "measurement file") as obj:
+        recs = records(obj, "measurement file", "measurement")
+        t = [r["t_ij"] for r in recs]
+        if any(v is not None for v in t):
+            t = column(t, "measured translation", width=3)
+        i, j, inliers = [
+            column([r[key] for r in recs], f"measurement {key}", np.int64).tolist()
+            for key in ("i", "j", "inliers")
+        ]
+        scales = column([r["s_ij"] for r in recs], "measured scale").tolist()
+        rotations = column([r["q_ij"] for r in recs], "measured rotation", width=4)
+    meas = tuple(
+        PairwiseSimilarityMeasurement(i=a, j=b, s_ij=s, r_ij=q, t_ij=tab, inlier_count=n)
+        for a, b, s, q, tab, n in zip(i, j, scales, rotations, t, inliers)
+    )
     if community_count is None:
         if not meas:
-            raise ValidationError(
-                "cannot infer the community count from an empty measurement list"
-            )
+            raise ValidationError("cannot infer the community count from an empty measurement list")
         community_count = max(max(m.i, m.j) for m in meas) + 1
     return MeasurementGraph(community_count=community_count, measurements=meas)

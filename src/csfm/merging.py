@@ -18,12 +18,11 @@ import numpy as np
 from .alignment import CorrespondenceSet, ransac_similarity
 from .averaging import CommunitySimilarity
 from .errors import NumericError, ValidationError
-from .jsonio import read_json, write_json
+from .jsonio import column, parsing, write_json
 from .reconstruction import (
     Reconstruction,
     cameras_from_json,
     cameras_to_json,
-    column,
     covisible,
     points_from_json,
     points_to_json,
@@ -59,16 +58,22 @@ class MergedModel:
         return int(self.camera_ids.shape[0])
 
 
+def _transforms_by_id(recs, transforms) -> dict:
+    tr_by_id = {t.community_id: t for t in transforms}
+    for rec in recs:
+        if rec.community_id not in tr_by_id:
+            raise ValidationError(f"no transform for community {rec.community_id}")
+    return tr_by_id
+
+
 def merge_reconstructions(recs, transforms) -> MergedModel:
     """Map every community into the global frame and fuse duplicate tracks."""
-    tr_by_id = {t.community_id: t for t in transforms}
+    tr_by_id = _transforms_by_id(recs, transforms)
     cam_ids, cam_q, cam_c = [], [], []
     track_blocks = [np.empty(0, dtype=np.int64)]
     community_blocks = [np.empty(0, dtype=np.int64)]
     point_blocks = [np.empty((0, 3))]
     for rec in sorted(recs, key=lambda r: r.community_id):
-        if rec.community_id not in tr_by_id:
-            raise ValidationError(f"no transform for community {rec.community_id}")
         tr = tr_by_id[rec.community_id]
         Rm = quat_to_matrix(tr.r)
         staged = tr.s * (rec.points @ Rm.T)
@@ -174,7 +179,8 @@ def joint_refine(
     when there is nothing to refine the inputs pass through unchanged.
     """
     recs = sorted(recs, key=lambda r: r.community_id)
-    transforms = sorted(transforms, key=lambda t: t.community_id)
+    tr_by_id = _transforms_by_id(recs, transforms)
+    transforms = [tr_by_id[r.community_id] for r in recs]
     pairs = _covisible_pairs(recs)
     if not pairs or len(transforms) < 2:
         log.info("joint refinement skipped: no co-visible tracks between communities")
@@ -400,8 +406,7 @@ def save_merged(model: MergedModel, path) -> None:
 
 
 def load_merged(path) -> MergedModel:
-    obj = read_json(path)
-    try:
+    with parsing(path, "merged-model file") as obj:
         ids, rotations, centers = cameras_from_json(obj["cameras"], "merged model")
         tracks, points = points_from_json(obj, "merged model")
         communities = obj["communities"]
@@ -416,8 +421,6 @@ def load_merged(path) -> MergedModel:
         spread = column(fusion["spread"], "merged-model fusion spreads")
         if fusion_tracks.size != spread.size:
             raise ValidationError("merged-model fusion tracks and spreads differ in length")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"malformed merged-model file: {exc}") from exc
     return MergedModel(
         camera_ids=ids,
         camera_rotations=rotations,

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .averaging import IrlsOptions, average_similarities, save_transforms
+from .averaging import average_similarities, save_transforms
 from .community import (
     DEFAULT_MIN_COMMUNITY_SIZE,
     DEFAULT_Q_THRESHOLD,
@@ -37,7 +37,7 @@ from .merging import (
     merge_reconstructions,
     save_merged,
 )
-from .reconstruction import covisible, save_reconstruction
+from .reconstruction import check_community_ids, covisible, save_reconstruction
 from .rotations import geodesic_angle, quat_conjugate, quat_multiply
 from .synth import GroundTruthWorld, WorldSpec, fracture, generate_world, write_world_files
 
@@ -57,7 +57,6 @@ class PipelineConfig:
     min_community_size: int = DEFAULT_MIN_COMMUNITY_SIZE
     ransac_threshold: float | None = None
     ransac_iterations: int = 1024
-    irls: IrlsOptions = field(default_factory=IrlsOptions)
     refine: bool = True
     evaluate: bool = True
     workers: int = 4
@@ -195,6 +194,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
 
     if config.reconstructions is not None:
         recs = list(config.reconstructions)
+        check_community_ids(recs)
         partition = None
     elif world is not None:
         def detect():
@@ -261,7 +261,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
 
     def average_stage():
         recs_by_id = {r.community_id: r for r in recs}
-        transforms, mg_t = average_similarities(recs_by_id, mg, config.irls)
+        transforms, mg_t = average_similarities(recs_by_id, mg)
         save_measurements(mg_t, out / "measurements_with_t.json")
         save_transforms(transforms, out / "transforms.json")
         return transforms, _averaging_residuals(mg, mg_t, transforms)

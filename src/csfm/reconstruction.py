@@ -16,7 +16,7 @@ import numpy as np
 
 from .alignment import CorrespondenceSet
 from .errors import ValidationError
-from .jsonio import read_json, write_json
+from .jsonio import column, parsing, records, scalar, write_json
 from .rotations import quat_canonical
 
 
@@ -77,28 +77,13 @@ def covisible(rec_a: Reconstruction, rec_b: Reconstruction) -> CorrespondenceSet
     )
 
 
-def column(values, what: str, dtype=float, width: int | None = None) -> np.ndarray:
-    """A JSON list as a ``dtype`` array of shape exactly ``(n,)``, or
-    ``(n, width)`` for a list of rows.  An integer column takes only int64
-    integers and a float column only finite numbers; anything else raises
-    :class:`ValidationError`."""
-    try:
-        arr = np.array(values)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{what}: {exc}") from exc
-    shape = (0,) if width is None else (0, width)
-    if arr.shape == (0,):
-        return np.zeros(shape, dtype=dtype)
-    kinds = "if" if dtype is float else "i"
-    if arr.ndim != len(shape) or arr.shape[1:] != shape[1:] or arr.dtype.kind not in kinds:
-        entries = "numbers" if dtype is float else "integers"
-        if width is not None:
-            entries = f"rows of {width} {entries}"
-        raise ValidationError(f"{what} must be a list of {entries}")
-    arr = arr.astype(dtype)
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{what} contain a non-finite number")
-    return arr
+def check_community_ids(recs) -> None:
+    """Refuse a reconstruction set unless it holds communities 0..K-1 once each."""
+    ids = sorted(rec.community_id for rec in recs)
+    if ids != list(range(len(ids))):
+        raise ValidationError(
+            f"reconstruction community ids must be 0..{len(ids) - 1} once each, got {ids}"
+        )
 
 
 def cameras_to_json(ids, rotations, centers) -> list:
@@ -109,8 +94,8 @@ def cameras_to_json(ids, rotations, centers) -> list:
 
 
 def cameras_from_json(cams, what: str) -> tuple:
-    """``(ids, rotations, centers)`` of a list of ``{"id", "q", "c"}`` records;
-    a missing key or a non-record raises ``KeyError`` or ``TypeError``."""
+    """``(ids, rotations, centers)`` of a list of ``{"id", "q", "c"}`` records."""
+    cams = records(cams, f"{what} cameras", "camera")
     return (
         column([c["id"] for c in cams], f"{what} camera ids", np.int64),
         column([c["q"] for c in cams], f"{what} camera rotations", width=4),
@@ -145,25 +130,20 @@ def reconstruction_to_json(rec: Reconstruction) -> dict:
     }
 
 
-def reconstruction_from_json(obj: dict) -> Reconstruction:
-    try:
-        ids, rotations, centers = cameras_from_json(obj["cameras"], "reconstruction")
-        tracks, points = points_from_json(obj, "reconstruction")
-        return Reconstruction(
-            community_id=int(obj["community"]),
-            camera_ids=ids,
-            camera_rotations=rotations,
-            camera_centers=centers,
-            track_ids=tracks,
-            points=points,
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"malformed reconstruction record: {exc}") from exc
-
-
 def save_reconstruction(rec: Reconstruction, path) -> None:
     write_json(path, reconstruction_to_json(rec))
 
 
 def load_reconstruction(path) -> Reconstruction:
-    return reconstruction_from_json(read_json(path))
+    with parsing(path, "reconstruction") as obj:
+        ids, rotations, centers = cameras_from_json(obj["cameras"], "reconstruction")
+        tracks, points = points_from_json(obj, "reconstruction")
+        community = scalar(obj["community"], "reconstruction community", np.int64)
+    return Reconstruction(
+        community_id=community,
+        camera_ids=ids,
+        camera_rotations=rotations,
+        camera_centers=centers,
+        track_ids=tracks,
+        points=points,
+    )

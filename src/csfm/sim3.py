@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
+from .jsonio import column, scalar
 from .rotations import (
     IDENTITY_QUAT,
     quat_canonical,
@@ -47,7 +48,8 @@ class Sim3:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Sim3":
-        try:
-            return cls(s=float(obj["s"]), q=np.asarray(obj["q"], dtype=float), t=np.asarray(obj["t"], dtype=float))
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"malformed similarity transform record: {exc}") from exc
+        return cls(
+            s=scalar(obj["s"], "similarity scale"),
+            q=column([obj["q"]], "similarity rotation", width=4)[0],
+            t=column([obj["t"]], "similarity translation", width=3)[0],
+        )

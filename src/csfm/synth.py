@@ -21,12 +21,11 @@ from scipy.spatial import cKDTree
 from .community import Partition
 from .errors import ValidationError
 from .graph import EpipolarGraph, component_labels, save_graph
-from .jsonio import read_json, write_json
+from .jsonio import column, parsing, scalar, write_json
 from .reconstruction import (
     Reconstruction,
     cameras_from_json,
     cameras_to_json,
-    column,
     points_from_json,
     points_to_json,
 )
@@ -54,21 +53,12 @@ class WorldSpec:
 
     def __post_init__(self):
         for name in ("camera_count", "point_count", "cluster_count", "min_shared_tracks", "seed"):
-            value = getattr(self, name)
-            # bool is an int subclass; a JSON true is not a count
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            scalar(getattr(self, name), name, np.int64)
         for name in (
             "cluster_spread", "cluster_separation", "visibility_radius", "noise_sigma",
             "outlier_fraction",
         ):
-            value = getattr(self, name)
-            if (
-                not isinstance(value, (int, float))
-                or isinstance(value, bool)
-                or not math.isfinite(value)
-            ):
-                raise ValidationError(f"{name} must be a finite number, got {value!r}")
+            scalar(getattr(self, name), name)
         if min(self.camera_count, self.point_count, self.cluster_count) <= 0:
             raise ValidationError("camera, point, and cluster counts must be positive")
         if not 0.0 <= self.outlier_fraction < 0.5:
@@ -85,13 +75,6 @@ class WorldSpec:
 
     def to_json(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "WorldSpec":
-        try:
-            return cls(**obj)
-        except TypeError as exc:
-            raise ValidationError(f"malformed world spec: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -386,30 +369,24 @@ def write_world_files(world: GroundTruthWorld, out_dir) -> None:
 def read_world(path) -> dict:
     """Parse a world file into every :class:`GroundTruthWorld` field except
     ``graph`` and ``visible``, deriving nothing from the stored geometry."""
-    obj = read_json(path)
-    try:
-        spec = WorldSpec.from_json(obj["spec"])
+    with parsing(path, "world file") as obj:
+        spec = WorldSpec(**obj["spec"])
         _, rotations, centers = cameras_from_json(obj["cameras"], "world file")
         tracks, points = points_from_json(obj, "world file")
-        fields = dict(
+        labels = column(obj["labels"], "world file labels", np.int64)
+        if labels.shape[0] != centers.shape[0]:
+            raise ValidationError("world file labels do not cover the cameras")
+        if (centers.shape[0], points.shape[0]) != (spec.camera_count, spec.point_count):
+            raise ValidationError("world file camera and point counts differ from its spec")
+        return dict(
             spec=spec,
             camera_centers=centers,
             camera_rotations=rotations,
             track_ids=tracks,
             points=points,
-            labels=column(obj["labels"], "world file labels", np.int64),
+            labels=labels,
             planted_transforms=tuple(Sim3.from_json(r) for r in obj["planted"]),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"malformed world file: {exc}") from exc
-    if fields["labels"].shape[0] != fields["camera_centers"].shape[0]:
-        raise ValidationError("world file labels do not cover the cameras")
-    if (fields["camera_centers"].shape[0], fields["points"].shape[0]) != (
-        spec.camera_count,
-        spec.point_count,
-    ):
-        raise ValidationError("world file camera and point counts differ from its spec")
-    return fields
 
 
 def load_world(path) -> GroundTruthWorld:

@@ -1,9 +1,10 @@
 import io
 
+import numpy as np
 import pytest
 
 from csfm.errors import NumericError, ValidationError
-from csfm.jsonio import read_json, write_json
+from csfm.jsonio import column, parsing, records, scalar, write_json
 
 
 def test_format_is_compact_sorted_with_trailing_newline(tmp_path):
@@ -11,7 +12,8 @@ def test_format_is_compact_sorted_with_trailing_newline(tmp_path):
     write_json(tmp_path / "x.json", obj)
     expected = '{"a":{"y":"s","z":null},"b":[1,2.5,-0.1]}\n'
     assert (tmp_path / "x.json").read_text() == expected
-    assert read_json(tmp_path / "x.json") == obj
+    with parsing(tmp_path / "x.json", "file") as read:
+        assert read == obj
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
@@ -27,28 +29,107 @@ def test_refused_write_keeps_an_existing_file(tmp_path):
     write_json(path, [1])
     with pytest.raises(NumericError):
         write_json(path, [float("nan")])
-    assert read_json(path) == [1]
+    with parsing(path, "file") as read:
+        assert read == [1]
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
 def test_non_finite_token_refused_on_read(tmp_path, token):
     path = tmp_path / "x.json"
     path.write_text(f'{{"a": [1.0, {token}]}}\n')
-    with pytest.raises(ValidationError, match="x.json"):
-        read_json(path)
+    with pytest.raises(ValidationError, match="x.json"), parsing(path, "file"):
+        pass
 
 
 @pytest.mark.parametrize("raw", [b'{"a": ', b"\xff\xfe\x00garbage", b""])
 def test_malformed_bytes_refused(raw):
-    with pytest.raises(ValidationError, match="not valid JSON"):
-        read_json(io.BytesIO(raw))
+    with pytest.raises(ValidationError, match="not valid JSON"), parsing(io.BytesIO(raw), "file"):
+        pass
 
 
 def test_reads_file_objects_and_names_them(tmp_path):
     path = tmp_path / "named.json"
     path.write_text("[1, 2]")
-    with open(path, "rb") as fh:
-        assert read_json(fh) == [1, 2]
+    with open(path, "rb") as fh, parsing(fh, "file") as read:
+        assert read == [1, 2]
     path.write_text("[1, NaN]")
-    with open(path) as fh, pytest.raises(ValidationError, match="named.json"):
-        read_json(fh)
+    with open(path) as fh, pytest.raises(ValidationError, match="named.json"), parsing(fh, "file"):
+        pass
+
+
+# values, dtype, width and the message each is refused with
+REFUSED_COLUMNS = {
+    "bool-among-integers": ([0, True, 2], np.int64, None, "list of integers"),
+    "bool-among-numbers": ([0.5, False], float, None, "list of numbers"),
+    "bool-in-a-row": ([[0.5, 1.0, 2.0], [1.0, True, 0.0]], float, 3, "rows of 3 numbers"),
+    "only-bools": ([True, False], np.int64, None, "list of integers"),
+    "integral-float": ([1, 2.0], np.int64, None, "list of integers"),
+    "string": (["1"], float, None, "list of numbers"),
+    "null": ([None], float, None, "list of numbers"),
+    "nested": ([[1], [2], [3]], float, None, "list of numbers"),
+    "ragged-rows": ([[1, 2, 3], [1, 2]], float, 3, "rows of 3 numbers"),
+    "short-rows": ([[1, 2]], float, 3, "rows of 3 numbers"),
+    "not-a-list": (5, np.int64, None, "list of integers"),
+    "beyond-int64": ([2**70], np.int64, None, "out of range"),
+    "beyond-int64-unsigned": ([2**63], np.int64, None, "out of range"),
+    "beyond-float64": ([1.5, 10**400], float, None, "out of range"),
+    "infinite": ([[0.0, float("inf"), 0.0]], float, 3, "non-finite .* at entry 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_COLUMNS))
+def test_column_refuses(case):
+    values, dtype, width, match = REFUSED_COLUMNS[case]
+    with pytest.raises(ValidationError, match=match):
+        column(values, "what", dtype, width)
+
+
+def test_column_accepts_numbers_of_the_right_shape():
+    assert column([], "w", np.int64).shape == (0,)
+    assert column([], "w", width=4).shape == (0, 4)
+    ints = column([-(2**63), 2**63 - 1], "w", np.int64)
+    assert ints.dtype == np.int64 and ints.tolist() == [-(2**63), 2**63 - 1]
+    rows = column([[1, 2.5, -3]], "w", width=3)
+    assert rows.dtype == float and rows.tolist() == [[1.0, 2.5, -3.0]]
+    # an integer beyond int64 is still a number that float64 holds
+    assert column([2**70, 0.5], "w").tolist() == [2.0**70, 0.5]
+    assert column([2**63], "w").tolist() == [2.0**63]
+
+
+@pytest.mark.parametrize("value", [True, "0.5", [0.5], None, 10**400])
+def test_scalar_refuses_what_is_not_one_number(value):
+    with pytest.raises(ValidationError, match="q_max"):
+        scalar(value, "q_max")
+
+
+def test_scalar_gives_python_numbers():
+    assert type(scalar(3, "n", np.int64)) is int
+    assert type(scalar(3, "x")) is float
+    with pytest.raises(ValidationError, match="an integer"):
+        scalar(3.0, "n", np.int64)
+
+
+@pytest.mark.parametrize("obj", [{}, [1], [{}, []], "records"])
+def test_records_must_be_a_list_of_objects(obj):
+    with pytest.raises(ValidationError, match="list of edge records"):
+        records(obj, "edges", "edge")
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [('{"a": 1}', "x.json: malformed thing: missing key 'b'"),
+     ("[1, 2]", "x.json: malformed thing: list indices"),
+     ('{"b": true}', "x.json: b must be a number")],
+)
+def test_parse_failures_name_the_file(tmp_path, text, match):
+    path = tmp_path / "x.json"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=match), parsing(path, "thing") as obj:
+        scalar(obj["b"], "b")
+
+
+def test_errors_other_than_malformed_input_pass_through(tmp_path):
+    path = tmp_path / "x.json"
+    path.write_text("{}")
+    with pytest.raises(NumericError, match="^solver$"), parsing(path, "thing"):
+        raise NumericError("solver")

@@ -331,18 +331,27 @@ def test_huge_track_id_in_recs_exits_2(pipeline_run, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "communities",
-    [5, [[0, True]], [["0"]], [[0, 10**6]], [[-1]]],
+    ("communities", "match"),
+    [
+        (5, "malformed partition file"),
+        ([[0, True]], "must be a list of integers"),
+        ([["0"]], "must be a list of integers"),
+        ([[0, 10**6]], "out of range"),
+        ([[-1]], "out of range"),
+    ],
     ids=["not-a-list", "bool", "string", "out-of-range", "negative"],
 )
-def test_malformed_partition_exits_2(pipeline_run, tmp_path, communities):
+def test_malformed_partition_exits_2(pipeline_run, tmp_path, communities, match):
     part = tmp_path / "partition.json"
-    part.write_text(json.dumps({"communities": communities, "q_max": 0.1}))
+    part.write_text(
+        json.dumps({"communities": communities, "q_max": 0.1, "flagged_isolated": []})
+    )
     result = CliRunner().invoke(main, [
         "pairwise", "--graph", str(pipeline_run / "eg.json"), "--partition", str(part),
         "--recs", str(pipeline_run), "--seed", "1", "-o", str(tmp_path / "m.json"),
     ])
     assert result.exit_code == 2, result.output
+    assert match in result.output
     assert "Traceback" not in result.output
 
 
@@ -561,3 +570,118 @@ def test_non_finite_translation_in_transforms_exits_2(pipeline_run, tmp_path):
     assert "non-finite translation" in result.output
     assert "Traceback" not in result.output
     assert not out.exists()
+
+
+def assign(*changes):
+    """An edit that sets each ``(path, value)`` of ``changes`` in a parsed file."""
+
+    def edit(obj):
+        for path, value in changes:
+            leaf = obj
+            for key in path[:-1]:
+                leaf = leaf[key]
+            leaf[path[-1]] = value
+
+    return edit
+
+
+def every_translation_nested(measurements):
+    for record in measurements:
+        record["t_ij"] = [[1.0], [2.0], [3.0]]
+
+
+def community_1_twice(transforms):
+    transforms.append({**transforms[1], "s": 2.0 * transforms[1]["s"]})
+
+
+# file, loader, the command that reads the file (a BROKEN_INPUT_CASES key)
+CONTRACT_READERS = {
+    "measurements.json": (load_measurements, "average"),
+    "transforms.json": (load_transforms, "merge"),
+    "partition.json": (load_partition, "pairwise"),
+    "rec_1.json": (load_reconstruction, "pipeline"),
+}
+# file and an edit that breaks the input contract but that an unchecked
+# int(), float() or np.asarray would read as a plausible value
+CONTRACT_CASES = {
+    "measurements-bool-endpoints": (
+        "measurements.json", assign(((0, "i"), False), ((0, "j"), True))),
+    "measurements-fractional-i": ("measurements.json", assign(((0, "i"), 0.9))),
+    "measurements-string-scale": ("measurements.json", assign(((0, "s_ij"), "2.5"))),
+    "measurements-string-rotation": (
+        "measurements.json", assign(((0, "q_ij"), ["1", "0", "0", "0"]))),
+    "measurements-nested-translation": ("measurements.json", every_translation_nested),
+    "measurements-fractional-inliers": ("measurements.json", assign(((0, "inliers"), 3.7))),
+    "transforms-duplicate-id": ("transforms.json", community_1_twice),
+    "transforms-fractional-id": ("transforms.json", assign(((0, "id"), 0.5))),
+    "transforms-string-scale": ("transforms.json", assign(((1, "s"), "1.5"))),
+    "partition-string-q-max": ("partition.json", assign((("q_max",), "0.5"))),
+    "partition-fractional-flagged": ("partition.json", assign((("flagged_isolated",), [0.7]))),
+    "rec-bool-track": ("rec_1.json", assign((("tracks", 0), False))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
+def test_input_contract_violation_exits_2(pipeline_run, tmp_path, case):
+    name, edit = CONTRACT_CASES[case]
+    loader, command = CONTRACT_READERS[name]
+    d = tmp_path / "d"
+    shutil.copytree(pipeline_run, d)
+    obj = json.loads((d / name).read_text())
+    edit(obj)
+    (d / name).write_text(json.dumps(obj))
+    with pytest.raises(ValidationError, match=name):
+        loader(d / name)
+    _, template = BROKEN_INPUT_CASES[command]
+    result = CliRunner().invoke(main, [a.format(d=d) for a in template])
+    assert result.exit_code == 2, result.output
+    assert name in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "name, path, command",
+    [("rec_1.json", ("community",), "pipeline"), ("rec_1.json", ("community",), "pairwise"),
+     ("rec_1.json", ("community",), "average"), ("rec_1.json", ("community",), "refine"),
+     ("transforms.json", (0, "id"), "refine")],
+    ids=["rec-pipeline", "rec-pairwise", "rec-average", "rec-refine", "transforms-refine"],
+)
+def test_community_ids_outside_the_reconstruction_set_exit_2(
+    pipeline_run, tmp_path, name, path, command
+):
+    # each file is well formed on its own; only the set of ids is broken
+    d = tmp_path / "d"
+    shutil.copytree(pipeline_run, d)
+    obj = json.loads((d / name).read_text())
+    assign((path, -1))(obj)
+    (d / name).write_text(json.dumps(obj))
+    _, template = BROKEN_INPUT_CASES[command]
+    result = CliRunner().invoke(main, [a.format(d=d) for a in template])
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+
+
+def test_partition_with_a_community_missing_from_recs_exits_2(pipeline_run, tmp_path):
+    d = tmp_path / "d"
+    shutil.copytree(pipeline_run, d)
+    (d / "rec_2.json").unlink()
+    _, template = BROKEN_INPUT_CASES["pairwise"]
+    result = CliRunner().invoke(main, [a.format(d=d) for a in template])
+    assert result.exit_code == 2, result.output
+    assert "3 communities" in result.output
+    assert "Traceback" not in result.output
+
+
+def test_refine_ignores_a_transform_of_no_reconstruction(pipeline_run, tmp_path):
+    d = tmp_path / "d"
+    shutil.copytree(pipeline_run, d)
+    _, template = BROKEN_INPUT_CASES["refine"]
+    args = [a.format(d=d) for a in template]
+    assert CliRunner().invoke(main, args).exit_code == 0
+    expected = (d / "tr.json").read_bytes()
+    transforms = json.loads((d / "transforms.json").read_text())
+    # an id below every real one would be taken as the gauge if it were kept
+    (d / "transforms.json").write_text(json.dumps([{**transforms[1], "id": -1}, *transforms]))
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert (d / "tr.json").read_bytes() == expected
