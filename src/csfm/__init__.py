@@ -44,7 +44,6 @@ from .measurements import (
     MeasurementGraph,
     PairwiseSimilarityMeasurement,
     pairwise_measurement,
-    recompute_translation,
 )
 from .merging import (
     MergedModel,

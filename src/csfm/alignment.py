@@ -97,14 +97,13 @@ def ransac_similarity(
     inlier_threshold: float | None = None,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     seed: int = 0,
-    confidence: float = DEFAULT_CONFIDENCE,
 ):
     """Robust similarity estimate; returns ``(sim3, inlier_track_ids)``.
 
     Hypotheses come from 3-point minimal samples (degenerate samples are
     skipped); the best consensus set is refit with the closed form.  Fully
     deterministic for a fixed seed, with the standard adaptive iteration
-    cutoff at the requested confidence.
+    cutoff at :data:`DEFAULT_CONFIDENCE`.
     """
     n = len(corr)
     if n < MIN_SAMPLE:
@@ -140,7 +139,7 @@ def ransac_similarity(
             denom = np.log1p(-(ratio**MIN_SAMPLE))
             if denom < 0:
                 needed = min(
-                    max_iterations, int(np.ceil(np.log1p(-confidence) / denom))
+                    max_iterations, int(np.ceil(np.log1p(-DEFAULT_CONFIDENCE) / denom))
                 )
     if best_mask is None or best_count < MIN_SAMPLE:
         raise RansacFailureError(

@@ -155,11 +155,7 @@ def _chain_initial_rotations(mg: MeasurementGraph) -> list:
     return R
 
 
-def average_rotations(
-    mg: MeasurementGraph,
-    max_iterations: int = ROTATION_MAX_ITERATIONS,
-    update_tolerance: float = ROTATION_UPDATE_TOL,
-) -> np.ndarray:
+def average_rotations(mg: MeasurementGraph) -> np.ndarray:
     """Per-community rotations consistent with ``R_i^T R_j = r_ij``.
 
     Spanning-tree chaining seeds the estimate; each sweep linearizes the
@@ -178,7 +174,7 @@ def average_rotations(
 
     converged = False
     max_step = np.inf
-    for sweep in range(max_iterations):
+    for _ in range(ROTATION_MAX_ITERATIONS):
         resid = np.empty((len(mg.measurements), 3))
         for idx, m in enumerate(mg.measurements):
             resid[idx] = log_matrix(R[m.i] @ meas_rot[idx] @ R[m.j].T)
@@ -186,7 +182,7 @@ def average_rotations(
         for axis in range(3):
             delta[1:, axis] = _solve(sys_pattern.with_rhs(resid[:, axis]))
         max_step = float(np.max(np.linalg.norm(delta, axis=1)))
-        if max_step < update_tolerance:
+        if max_step < ROTATION_UPDATE_TOL:
             converged = True
             break
         for c in range(1, k):
@@ -196,7 +192,7 @@ def average_rotations(
         log.warning(
             "rotation averaging stopped after %d sweeps without convergence: "
             "last update %.3e rad, residual L1 %.3e rad over %d measurements",
-            max_iterations, max_step, l1_resid, len(mg.measurements),
+            ROTATION_MAX_ITERATIONS, max_step, l1_resid, len(mg.measurements),
         )
     quats = np.tile(IDENTITY_QUAT, (k, 1))
     for c in range(1, k):

@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 ok, 2 validation error, 3 numeric failure, 4 disconnected
-graph.  ``--seed`` is mandatory wherever randomized estimation runs (synth,
-pairwise, pipeline) so every run is reproducible.
+Exit codes: 0 ok, 2 validation error or a path that cannot be opened, 3
+numeric failure, 4 disconnected graph.  ``--seed`` is mandatory wherever
+randomized estimation runs (synth, pairwise, pipeline) so every run is
+reproducible.
 """
 from __future__ import annotations
 
@@ -51,6 +52,9 @@ def handle_errors(fn):
         except CsfmError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(exc.exit_code)
+        except OSError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(ValidationError.exit_code)
 
     return wrapper
 
@@ -58,7 +62,7 @@ def handle_errors(fn):
 def load_recs_dir(recs_dir: str) -> list:
     paths = sorted(Path(recs_dir).glob("rec_*.json"))
     if not paths:
-        raise click.ClickException(f"no rec_*.json files in {recs_dir}")
+        raise ValidationError(f"no rec_*.json files in {recs_dir}")
     recs = [load_reconstruction(p) for p in paths]
     check_community_ids(recs)
     return recs
@@ -133,12 +137,10 @@ def detect(graph_path, q_threshold, min_size, output):
 @click.option("--partition", "partition_path", required=True, type=click.Path(exists=True))
 @click.option("--recs", "recs_dir", required=True, type=click.Path(exists=True))
 @click.option("--seed", required=True, type=int)
-@click.option("--threshold", type=float, default=None, help="RANSAC inlier distance (default: 1% of scene extent).")
-@click.option("--iterations", default=PipelineConfig.ransac_iterations, show_default=True, type=int)
 @click.option("--workers", default=PipelineConfig.workers, show_default=True, type=int)
 @click.option("-o", "--output", required=True, type=click.Path())
 @handle_errors
-def pairwise(graph_path, partition_path, recs_dir, seed, threshold, iterations, workers, output):
+def pairwise(graph_path, partition_path, recs_dir, seed, workers, output):
     """Estimate a similarity measurement for every linked community pair."""
     g = load_graph(graph_path)
     part, _, _ = load_partition(partition_path, node_count=g.node_count)
@@ -149,10 +151,7 @@ def pairwise(graph_path, partition_path, recs_dir, seed, threshold, iterations, 
             f"holds {len(recs)} reconstructions"
         )
     cg = build_community_graph(g, part)
-    meas = measure_pairs(
-        recs, sorted(cg.cross_edges), seed=seed,
-        inlier_threshold=threshold, max_iterations=iterations, workers=workers,
-    )
+    meas = measure_pairs(recs, sorted(cg.cross_edges), seed=seed, workers=workers)
     mg = MeasurementGraph(community_count=len(recs), measurements=tuple(meas))
     mg.require_connected("pairwise measurement")
     save_measurements(mg, output)
@@ -190,15 +189,14 @@ def merge(recs_dir, transforms_path, output):
 @main.command()
 @click.option("--recs", "recs_dir", required=True, type=click.Path(exists=True))
 @click.option("--transforms", "transforms_path", required=True, type=click.Path(exists=True))
-@click.option("--huber-delta", type=float, default=None)
 @click.option("-o", "--output", required=True, type=click.Path(), help="Refined transforms JSON.")
 @click.option("--merged-out", type=click.Path(), default=None, help="Also write the re-merged model.")
 @handle_errors
-def refine(recs_dir, transforms_path, huber_delta, output, merged_out):
+def refine(recs_dir, transforms_path, output, merged_out):
     """Jointly polish the community transforms over co-visible tracks."""
     recs = load_recs_dir(recs_dir)
     transforms = load_transforms(transforms_path)
-    refined, model, info = joint_refine(recs, transforms, huber_delta=huber_delta)
+    refined, model, info = joint_refine(recs, transforms)
     save_transforms(refined, output)
     if merged_out:
         save_merged(model, merged_out)
@@ -248,26 +246,15 @@ def export_ply_cmd(merged_path, color_by_community, output):
 @click.option("--seed", required=True, type=int)
 @click.option("--q-threshold", default=DEFAULT_Q_THRESHOLD, show_default=True, type=float)
 @click.option("--min-size", default=DEFAULT_MIN_COMMUNITY_SIZE, show_default=True, type=int)
-@click.option("--threshold", type=float, default=None, help="RANSAC inlier distance.")
-@click.option("--iterations", default=PipelineConfig.ransac_iterations, show_default=True, type=int)
 @click.option("--workers", default=PipelineConfig.workers, show_default=True, type=int)
-@click.option("--refine/--no-refine", "do_refine", default=True, show_default=True)
-@click.option("--eval/--no-eval", "do_eval", default=True, show_default=True)
 @handle_errors
-def pipeline(spec_path, world_path, recs_dir, out_dir, seed, q_threshold, min_size,
-             threshold, iterations, workers, do_refine, do_eval):
-    """Run every stage: detect, fracture, pairwise, average, merge, eval."""
-    spec = None
-    world = None
-    recs = None
-    if spec_path:
-        spec = read_spec(spec_path, seed)
-    elif world_path:
-        world = load_world(world_path)
-    elif recs_dir:
-        recs = tuple(load_recs_dir(recs_dir))
-    else:
-        raise click.UsageError("provide one of --spec, --world, or --recs")
+def pipeline(spec_path, world_path, recs_dir, out_dir, seed, q_threshold, min_size, workers):
+    """Run every stage: detect, fracture, pairwise, average, merge, refine, eval."""
+    if sum(bool(p) for p in (spec_path, world_path, recs_dir)) != 1:
+        raise click.UsageError("provide exactly one of --spec, --world, or --recs")
+    spec = read_spec(spec_path, seed) if spec_path else None
+    world = load_world(world_path) if world_path else None
+    recs = tuple(load_recs_dir(recs_dir)) if recs_dir else None
     config = PipelineConfig(
         out_dir=out_dir,
         seed=seed,
@@ -276,10 +263,6 @@ def pipeline(spec_path, world_path, recs_dir, out_dir, seed, q_threshold, min_si
         reconstructions=recs,
         q_threshold=q_threshold,
         min_community_size=min_size,
-        ransac_threshold=threshold,
-        ransac_iterations=iterations,
-        refine=do_refine,
-        evaluate=do_eval,
         workers=workers,
     )
     result = run_pipeline(config)

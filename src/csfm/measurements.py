@@ -98,8 +98,6 @@ class MeasurementGraph:
 def pairwise_measurement(
     rec_i: Reconstruction,
     rec_j: Reconstruction,
-    inlier_threshold: float | None = None,
-    max_iterations: int = 1024,
     seed: int = 0,
 ) -> PairwiseSimilarityMeasurement:
     """Estimate the similarity between two communities from co-visible points.
@@ -120,9 +118,7 @@ def pairwise_measurement(
             f"communities {rec_i.community_id} and {rec_j.community_id} share only "
             f"{len(corr)} tracks; need at least {MIN_COVISIBLE}"
         )
-    sim, inlier_ids = ransac_similarity(
-        corr, inlier_threshold=inlier_threshold, max_iterations=max_iterations, seed=seed
-    )
+    sim, inlier_ids = ransac_similarity(corr, seed=seed)
     return PairwiseSimilarityMeasurement(
         i=rec_i.community_id,
         j=rec_j.community_id,
@@ -133,21 +129,13 @@ def pairwise_measurement(
     )
 
 
-def recompute_translation(rec_i_transformed: Reconstruction, rec_j_transformed: Reconstruction) -> np.ndarray:
-    """Translation offset between two scale/rotation-aligned reconstructions.
+def median_offset(tracks_i, points_i, tracks_j, points_j) -> np.ndarray:
+    """Translation offset between two scale/rotation-aligned point sets,
+    given as track ids (unique, sorted) and their aligned points.
 
     Component-wise median of ``X'_i - X'_j`` over co-visible tracks, which
     estimates ``T_j - T_i`` and shrugs off a minority of corrupted tracks.
     """
-    return median_offset(
-        rec_i_transformed.track_ids, rec_i_transformed.points,
-        rec_j_transformed.track_ids, rec_j_transformed.points,
-    )
-
-
-def median_offset(tracks_i, points_i, tracks_j, points_j) -> np.ndarray:
-    """:func:`recompute_translation` on bare track ids (unique, sorted) and
-    their aligned points."""
     _, ia, ib = np.intersect1d(tracks_i, tracks_j, assume_unique=True, return_indices=True)
     if ia.size == 0:
         raise ValidationError("no co-visible tracks; translation unobservable")

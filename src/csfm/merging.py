@@ -23,7 +23,7 @@ from .reconstruction import (
     Reconstruction,
     cameras_from_json,
     cameras_to_json,
-    covisible,
+    covisible_pairs,
     points_from_json,
     points_to_json,
 )
@@ -149,27 +149,7 @@ def _fuse_tracks(track_ids, communities, points):
     return tracks, fused, provenance, fusion_spread
 
 
-def _covisible_pairs(recs):
-    """All community pairs with shared tracks, with their joined indices."""
-    recs = sorted(recs, key=lambda r: r.community_id)
-    pairs = []
-    for a in range(len(recs)):
-        for b in range(a + 1, len(recs)):
-            common, ia, ib = np.intersect1d(
-                recs[a].track_ids, recs[b].track_ids, assume_unique=True, return_indices=True
-            )
-            if common.size:
-                pairs.append((recs[a], recs[b], ia, ib))
-    return pairs
-
-
-def joint_refine(
-    recs,
-    transforms,
-    huber_delta: float | None = None,
-    max_iterations: int = REFINE_MAX_ITERATIONS,
-    rel_tol: float = REFINE_REL_TOL,
-):
+def joint_refine(recs, transforms):
     """Jointly polish all non-gauge community transforms.
 
     Minimizes a Huber loss over the disagreement of co-visible tracks,
@@ -181,7 +161,7 @@ def joint_refine(
     recs = sorted(recs, key=lambda r: r.community_id)
     tr_by_id = _transforms_by_id(recs, transforms)
     transforms = [tr_by_id[r.community_id] for r in recs]
-    pairs = _covisible_pairs(recs)
+    pairs = covisible_pairs(recs)
     if not pairs or len(transforms) < 2:
         log.info("joint refinement skipped: no co-visible tracks between communities")
         return transforms, merge_reconstructions(recs, transforms), {
@@ -201,22 +181,18 @@ def joint_refine(
         return s[k] * (x @ R[k].T) + T[k]
 
     # Huber scale per pair, same rule as the consensus threshold: 1% of that
-    # pair's co-visible cloud extent in the merged frame (an explicit
-    # huber_delta overrides it for every pair).  Tracks far outside the
-    # pair's own residual distribution are consensus outliers; keeping them
-    # would bias the quadratic steps through the loss's linear tail, so they
-    # are gated out against a median-based scale that tracks the actual
+    # pair's co-visible cloud extent in the merged frame.  Tracks far outside
+    # the pair's own residual distribution are consensus outliers; keeping
+    # them would bias the quadratic steps through the loss's linear tail, so
+    # they are gated out against a median-based scale that tracks the actual
     # residual level (a coherently perturbed start keeps all its rows).
     gated_pairs = []
     deltas = []
     for rec_a, rec_b, ia, ib in pairs:
         ka, kb = col[rec_a.community_id], col[rec_b.community_id]
-        if huber_delta is None:
-            cloud = mapped(ka, rec_a.points[ia])
-            delta = max(0.01 * float(np.median(np.ptp(cloud, axis=0))), 1e-12)
-        else:
-            delta = huber_delta
-        r0 = np.linalg.norm(mapped(ka, rec_a.points[ia]) - mapped(kb, rec_b.points[ib]), axis=1)
+        cloud = mapped(ka, rec_a.points[ia])
+        delta = max(0.01 * float(np.median(np.ptp(cloud, axis=0))), 1e-12)
+        r0 = np.linalg.norm(cloud - mapped(kb, rec_b.points[ib]), axis=1)
         gate = max(10.0 * float(np.median(r0)), delta)
         keep = r0 <= gate
         if np.any(keep):
@@ -270,7 +246,7 @@ def joint_refine(
     initial_cost = cost
     lam = 1e-8
     iterations = 0
-    for _ in range(max_iterations):
+    for _ in range(REFINE_MAX_ITERATIONS):
         H = np.zeros((n_var, n_var))
         g = np.zeros(n_var)
         for ka, kb, xa, xb, r, delta in blocks:
@@ -318,7 +294,7 @@ def joint_refine(
         blocks = new_blocks
         improvement = cost - new_cost
         cost = new_cost
-        if improvement < rel_tol * max(cost, 1e-300):
+        if improvement < REFINE_REL_TOL * max(cost, 1e-300):
             break
 
     refined = [
@@ -334,7 +310,7 @@ def joint_refine(
     }
 
 
-def evaluate_against_truth(model: MergedModel, truth: Reconstruction, seed: int = 0) -> dict:
+def evaluate_against_truth(model: MergedModel, truth: Reconstruction) -> dict:
     """Error metrics after aligning the merged model onto the ground truth.
 
     The gauge is removed with a robust similarity fit on common camera
@@ -357,7 +333,7 @@ def evaluate_against_truth(model: MergedModel, truth: Reconstruction, seed: int 
     # residuals live in truth units, so the consensus threshold must too;
     # this keeps the metrics invariant to the model's arbitrary gauge
     threshold = max(0.01 * float(np.median(np.ptp(corr.points_b, axis=0))), 1e-12)
-    align, _ = ransac_similarity(corr, inlier_threshold=threshold, seed=seed)
+    align, _ = ransac_similarity(corr, inlier_threshold=threshold)
     centers_aligned = align.apply(model.camera_centers[im])
     center_err = np.linalg.norm(centers_aligned - truth.camera_centers[it], axis=1)
 

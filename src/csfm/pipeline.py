@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,7 @@ from .community import (
 from .errors import CsfmError, NumericError, ValidationError
 from .jsonio import write_json
 from .measurements import (
+    MIN_COVISIBLE,
     MeasurementGraph,
     pairwise_measurement,
     save_measurements,
@@ -37,7 +38,7 @@ from .merging import (
     merge_reconstructions,
     save_merged,
 )
-from .reconstruction import check_community_ids, covisible, save_reconstruction
+from .reconstruction import check_community_ids, covisible_pairs, save_reconstruction
 from .rotations import geodesic_angle, quat_conjugate, quat_multiply
 from .synth import GroundTruthWorld, WorldSpec, fracture, generate_world, write_world_files
 
@@ -55,10 +56,6 @@ class PipelineConfig:
     reconstructions: tuple | None = None
     q_threshold: float = DEFAULT_Q_THRESHOLD
     min_community_size: int = DEFAULT_MIN_COMMUNITY_SIZE
-    ransac_threshold: float | None = None
-    ransac_iterations: int = 1024
-    refine: bool = True
-    evaluate: bool = True
     workers: int = 4
 
 
@@ -72,7 +69,6 @@ class PipelineResult:
     refined_model: object = None
     evaluation: dict | None = None
     report: dict | None = None
-    artifacts: dict = field(default_factory=dict)
 
 
 def pairwise_seed(base_seed: int, i: int, j: int) -> int:
@@ -82,14 +78,7 @@ def pairwise_seed(base_seed: int, i: int, j: int) -> int:
     )
 
 
-def measure_pairs(
-    recs,
-    pairs,
-    seed: int,
-    inlier_threshold: float | None = None,
-    max_iterations: int = 1024,
-    workers: int = 4,
-) -> list:
+def measure_pairs(recs, pairs, seed: int, workers: int = 4) -> list:
     """RANSAC-measure each community pair; parallel, deterministic order.
 
     Pairs without enough co-visible tracks are skipped with a warning.
@@ -100,13 +89,7 @@ def measure_pairs(
     def one(pq):
         p, q = pq
         try:
-            return pairwise_measurement(
-                by_id[p],
-                by_id[q],
-                inlier_threshold=inlier_threshold,
-                max_iterations=max_iterations,
-                seed=pairwise_seed(seed, p, q),
-            )
+            return pairwise_measurement(by_id[p], by_id[q], seed=pairwise_seed(seed, p, q))
         except (ValidationError, NumericError) as exc:
             # a single failed pair is survivable as long as the measurement
             # graph stays connected; the connectivity check decides that
@@ -150,9 +133,10 @@ class _StageRunner:
         self.last_artifact = None
 
     def run(self, name, fn, artifact=None):
+        """Time ``fn``, which returns ``(result, stats)``; returns ``result``."""
         start = time.perf_counter()
         try:
-            result = fn()
+            result, stats = fn()
         except CsfmError as exc:
             exc.args = (
                 f"stage '{name}' failed: {exc} "
@@ -160,9 +144,6 @@ class _StageRunner:
             )
             raise
         elapsed = time.perf_counter() - start
-        stats = {}
-        if isinstance(result, tuple) and len(result) == 2 and isinstance(result[1], dict):
-            result, stats = result
         self.stages.append({"name": name, "seconds": elapsed, "stats": stats})
         if artifact is not None:
             self.last_artifact = str(artifact)
@@ -174,7 +155,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
 
     Input modes: a world spec (synthesizes the world first), a prebuilt
     world (detect + fracture + merge chain), or a set of per-community
-    reconstructions (measurement and averaging stages only).
+    reconstructions (pairwise measurement onward, no evaluation).
     """
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -186,11 +167,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         spec = config.spec
         if spec.seed != config.seed:
             spec = WorldSpec(**{**spec.to_json(), "seed": config.seed})
-        world = runner.run("synth", lambda: generate_world(spec), out / "world.json")
+        world = runner.run("synth", lambda: (generate_world(spec), {}), out / "world.json")
     if world is not None:
-        runner.run("world", lambda: write_world_files(world, out), out / "world.json")
-        res.artifacts["world"] = str(out / "world.json")
-        res.artifacts["graph"] = str(out / "eg.json")
+        runner.run("world", lambda: (write_world_files(world, out), {}), out / "world.json")
 
     if config.reconstructions is not None:
         recs = list(config.reconstructions)
@@ -212,7 +191,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             fr = fracture(world, partition)
             for rec in fr.reconstructions:
                 save_reconstruction(rec, out / f"rec_{rec.community_id}.json")
-            return fr
+            return fr, {}
 
         fr = runner.run("fracture", do_fracture, out / "rec_*.json")
         recs = list(fr.reconstructions)
@@ -230,27 +209,20 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                 ],
             }
             write_json(out / "community_graph.json", payload)
-            return cg
+            return cg, {}
 
         cg = runner.run("community_graph", community_graph, out / "community_graph.json")
         pairs = sorted(cg.cross_edges)
     else:
-        # derive candidate pairs from shared tracks between the reconstructions
-        pairs = []
-        for a in range(len(recs)):
-            for b in range(a + 1, len(recs)):
-                if len(covisible(recs[a], recs[b])) >= 3:
-                    pairs.append((recs[a].community_id, recs[b].community_id))
+        # candidate pairs: reconstructions sharing enough tracks to measure
+        pairs = [
+            (rec_a.community_id, rec_b.community_id)
+            for rec_a, rec_b, ia, _ in covisible_pairs(recs)
+            if ia.size >= MIN_COVISIBLE
+        ]
 
     def do_pairwise():
-        meas = measure_pairs(
-            recs,
-            pairs,
-            seed=config.seed,
-            inlier_threshold=config.ransac_threshold,
-            max_iterations=config.ransac_iterations,
-            workers=config.workers,
-        )
+        meas = measure_pairs(recs, pairs, seed=config.seed, workers=config.workers)
         mg = MeasurementGraph(community_count=len(recs), measurements=tuple(meas))
         mg.require_connected("pairwise measurement")
         save_measurements(mg, out / "measurements.json")
@@ -277,28 +249,23 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     model = runner.run("merge", merge_stage, out / "merged.json")
     res.model = model
 
-    refined_model = None
-    if config.refine:
-        def refine_stage():
-            refined, rmodel, info = joint_refine(
-                recs, transforms, huber_delta=config.ransac_threshold
-            )
-            save_transforms(refined, out / "transforms_refined.json")
-            save_merged(rmodel, out / "merged_refined.json")
-            return (refined, rmodel), info
+    def refine_stage():
+        refined, rmodel, info = joint_refine(recs, transforms)
+        save_transforms(refined, out / "transforms_refined.json")
+        save_merged(rmodel, out / "merged_refined.json")
+        return (refined, rmodel), info
 
-        refined, refined_model = runner.run(
-            "refine", refine_stage, out / "merged_refined.json"
-        )
-        res.refined_transforms = refined
-        res.refined_model = refined_model
+    refined, refined_model = runner.run("refine", refine_stage, out / "merged_refined.json")
+    res.refined_transforms = refined
+    res.refined_model = refined_model
 
-    if config.evaluate and world is not None:
+    if world is not None:
         def eval_stage():
             truth = world.truth_reconstruction()
-            payload = {"merged": evaluate_against_truth(model, truth)}
-            if refined_model is not None:
-                payload["refined"] = evaluate_against_truth(refined_model, truth)
+            payload = {
+                "merged": evaluate_against_truth(model, truth),
+                "refined": evaluate_against_truth(refined_model, truth),
+            }
             write_json(out / "eval.json", payload)
             return payload, {
                 "median_center_error": payload["merged"]["median_center_error"]
@@ -312,8 +279,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     }
     write_json(out / "report.json", report)
     res.report = report
-    for p in sorted(out.iterdir()):
-        res.artifacts.setdefault(p.stem, str(p))
     return res
 
 

@@ -77,6 +77,21 @@ def covisible(rec_a: Reconstruction, rec_b: Reconstruction) -> CorrespondenceSet
     )
 
 
+def covisible_pairs(recs) -> list:
+    """Every community pair with shared tracks, ordered by community id, as
+    ``(rec_a, rec_b, ia, ib)`` with ``ia``/``ib`` indexing the shared tracks."""
+    recs = sorted(recs, key=lambda r: r.community_id)
+    pairs = []
+    for a in range(len(recs)):
+        for b in range(a + 1, len(recs)):
+            common, ia, ib = np.intersect1d(
+                recs[a].track_ids, recs[b].track_ids, assume_unique=True, return_indices=True
+            )
+            if common.size:
+                pairs.append((recs[a], recs[b], ia, ib))
+    return pairs
+
+
 def check_community_ids(recs) -> None:
     """Refuse a reconstruction set unless it holds communities 0..K-1 once each."""
     ids = sorted(rec.community_id for rec in recs)

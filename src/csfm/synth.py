@@ -61,6 +61,8 @@ class WorldSpec:
             scalar(getattr(self, name), name)
         if min(self.camera_count, self.point_count, self.cluster_count) <= 0:
             raise ValidationError("camera, point, and cluster counts must be positive")
+        if self.cluster_count > self.camera_count:
+            raise ValidationError("cluster count must not exceed camera count")
         if not 0.0 <= self.outlier_fraction < 0.5:
             raise ValidationError("outlier fraction must lie in [0, 0.5)")
         if min(self.cluster_spread, self.cluster_separation, self.visibility_radius) <= 0:

@@ -5,8 +5,8 @@ from csfm.errors import ValidationError
 from csfm.measurements import (
     MeasurementGraph,
     PairwiseSimilarityMeasurement,
+    median_offset,
     pairwise_measurement,
-    recompute_translation,
 )
 from csfm.reconstruction import Reconstruction, covisible
 from csfm.rotations import IDENTITY_QUAT, geodesic_angle, quat_conjugate, quat_multiply, random_quat
@@ -90,16 +90,14 @@ class TestRecomputeTranslation:
     def test_identical_points_zero(self):
         rng = np.random.default_rng(5)
         pts = rng.normal(size=(8, 3))
-        t = recompute_translation(make_rec(0, range(8), pts), make_rec(1, range(8), pts))
+        t = median_offset(np.arange(8), pts, np.arange(8), pts)
         assert np.allclose(t, 0.0, atol=1e-15)
 
     def test_constant_offset(self):
-        # rec 1 = rec 0 shifted by -(1,2,3): offset estimate is +(1,2,3)
+        # the second set is the first shifted by -(1,2,3): offset estimate is +(1,2,3)
         rng = np.random.default_rng(6)
         pts = rng.normal(size=(9, 3))
-        t = recompute_translation(
-            make_rec(0, range(9), pts), make_rec(1, range(9), pts - np.array([1.0, 2.0, 3.0]))
-        )
+        t = median_offset(np.arange(9), pts, np.arange(9), pts - np.array([1.0, 2.0, 3.0]))
         assert np.allclose(t, [1.0, 2.0, 3.0], atol=1e-12)
 
     def test_median_ignores_single_corruption(self):
@@ -107,14 +105,14 @@ class TestRecomputeTranslation:
         pts = rng.normal(size=(11, 3))
         shifted = pts - np.array([1.0, 2.0, 3.0])
         shifted[4] += 500.0
-        t = recompute_translation(make_rec(0, range(11), pts), make_rec(1, range(11), shifted))
+        t = median_offset(np.arange(11), pts, np.arange(11), shifted)
         assert np.allclose(t, [1.0, 2.0, 3.0], atol=1e-12)
 
     def test_no_shared_tracks(self):
         rng = np.random.default_rng(8)
         with pytest.raises(ValidationError):
-            recompute_translation(
-                make_rec(0, [0], rng.normal(size=(1, 3))), make_rec(1, [1], rng.normal(size=(1, 3)))
+            median_offset(
+                np.array([0]), rng.normal(size=(1, 3)), np.array([1]), rng.normal(size=(1, 3))
             )
 
 

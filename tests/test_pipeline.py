@@ -401,8 +401,9 @@ def test_overflowing_coordinate_in_recs_exits_2(pipeline_run, tmp_path):
 @pytest.mark.parametrize(
     "text",
     ['{"camera_count": 100.5}', '{"point_count": 3000.0}', '{"camera_count": true}',
-     '{"visibility_radius": 1e999}'],
-    ids=["float-count", "integral-float-count", "bool-count", "overflowing-radius"],
+     '{"visibility_radius": 1e999}', '{"camera_count": 600, "cluster_count": 4611686018427387904}'],
+    ids=["float-count", "integral-float-count", "bool-count", "overflowing-radius",
+         "more-clusters-than-cameras"],
 )
 def test_spec_with_a_mistyped_field_exits_2(tmp_path, text):
     spec = tmp_path / "spec.json"
@@ -685,3 +686,81 @@ def test_refine_ignores_a_transform_of_no_reconstruction(pipeline_run, tmp_path)
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 0, result.output
     assert (d / "tr.json").read_bytes() == expected
+
+
+def test_synth_and_run_pipeline_write_the_same_world_files(tmp_path):
+    # detect recovers the planted partition here, so the pipeline's
+    # reconstructions are the ones synth cuts along the planted clusters
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(THREE))
+    result = CliRunner().invoke(
+        main, ["synth", "--spec", str(spec), "--out", str(tmp_path / "s"), "--seed", "21"]
+    )
+    assert result.exit_code == 0, result.output
+    run_pipeline(PipelineConfig(out_dir=str(tmp_path / "p"), seed=21, spec=WorldSpec(**THREE)))
+    names = ["world.json", "eg.json", "truth-labels.json", "rec_0.json", "rec_1.json", "rec_2.json"]
+    assert sorted(p.name for p in (tmp_path / "s").iterdir()) == sorted(names)
+    for name in names:
+        assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "p" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", ["pairwise", "average", "merge", "refine", "pipeline"])
+def test_recs_dir_without_reconstructions_exits_2(pipeline_run, tmp_path, command):
+    d = tmp_path / "d"
+    shutil.copytree(pipeline_run, d)
+    for rec in d.glob("rec_*.json"):
+        rec.unlink()
+    _, template = BROKEN_INPUT_CASES[command]
+    result = CliRunner().invoke(main, [a.format(d=d) for a in template])
+    assert result.exit_code == 2, result.output
+    assert "no rec_*.json files" in result.output
+    assert "Traceback" not in result.output
+
+
+# arguments over a run directory d that make the command open a path it cannot
+OS_ERROR_CASES = {
+    "output-in-missing-dir": ["detect", "--graph", "{d}/eg.json", "-o", "{d}/missing/p.json"],
+    "graph-is-a-dir": ["detect", "--graph", "{d}", "-o", "{d}/p.json"],
+    "out-is-a-file": ["pipeline", "--spec", "{d}/spec.json", "--out", "{d}/eg.json", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(OS_ERROR_CASES))
+def test_unusable_path_exits_2(pipeline_run, tmp_path, case):
+    d = tmp_path / "d"
+    shutil.copytree(pipeline_run, d)
+    result = CliRunner().invoke(main, [a.format(d=d) for a in OS_ERROR_CASES[case]])
+    assert result.exit_code == 2, result.output
+    assert "error: " in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "inputs",
+    [["--spec", "{d}/spec.json", "--recs", "{d}"], ["--world", "{d}/world.json", "--recs", "{d}"],
+     ["--spec", "{d}/spec.json", "--world", "{d}/world.json"]],
+    ids=["spec-recs", "world-recs", "spec-world"],
+)
+def test_pipeline_with_two_inputs_exits_2(pipeline_run, tmp_path, inputs):
+    args = ["pipeline", *inputs, "--out", str(tmp_path / "r"), "--seed", "1"]
+    result = CliRunner().invoke(main, [a.format(d=pipeline_run) for a in args])
+    assert result.exit_code == 2, result.output
+    assert "exactly one of" in result.output
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["pairwise", "--threshold", "0.1"], ["pairwise", "--iterations", "10"],
+     ["refine", "--huber-delta", "0.1"], ["pipeline", "--threshold", "0.1"],
+     ["pipeline", "--iterations", "10"], ["pipeline", "--refine"], ["pipeline", "--no-refine"],
+     ["pipeline", "--eval"], ["pipeline", "--no-eval"]],
+    ids=lambda args: args[0] + args[1],
+)
+def test_removed_option_exits_2(args):
+    # RANSAC and Huber thresholds are derived from each pair's data, and
+    # the pipeline always refines and, given a world, evaluates
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "No such option" in result.output
+    assert "Traceback" not in result.output

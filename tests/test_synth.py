@@ -87,6 +87,10 @@ class TestGenerateWorld:
             WorldSpec(camera_count=0)
         with pytest.raises(ValidationError):
             WorldSpec(noise_sigma=-1.0)
+        # every planted cluster needs a camera
+        with pytest.raises(ValidationError, match="cluster count"):
+            WorldSpec(camera_count=3, cluster_count=4)
+        assert WorldSpec(camera_count=4, cluster_count=4).cluster_count == 4
         # float32 co-visibility counts are exact only below 2**24
         with pytest.raises(ValidationError, match="2\\*\\*24"):
             WorldSpec(point_count=2**24)
