@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .alignment import CorrespondenceSet, horn_similarity, ransac_similarity
 from .averaging import (
-    CommunitySimilarity,
     average_rotations,
     average_scales,
     average_similarities,

@@ -11,7 +11,6 @@ on scale/rotation-aligned points, translations.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .rotations import (
     exp_rotation,
     log_matrix,
     matrix_to_quat,
-    quat_canonical,
     quat_to_matrix,
 )
 from .sim3 import Sim3
@@ -41,26 +39,6 @@ DEFAULT_STAGE_TOLERANCE = 1e-12
 
 ROTATION_MAX_ITERATIONS = 32
 ROTATION_UPDATE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class CommunitySimilarity:
-    community_id: int
-    s: float
-    r: np.ndarray  # quaternion
-    t: np.ndarray
-
-    def __post_init__(self):
-        if not (np.isfinite(self.s) and self.s > 0):
-            raise ValidationError("community scale must be positive and finite")
-        object.__setattr__(self, "community_id", int(self.community_id))
-        object.__setattr__(self, "s", float(self.s))
-        object.__setattr__(self, "r", quat_canonical(self.r))
-        t = np.asarray(self.t, dtype=float).reshape(3)
-        object.__setattr__(self, "t", t)
-
-    def sim3(self) -> Sim3:
-        return Sim3(s=self.s, q=self.r, t=self.t)
 
 
 def _edge_system(mg: MeasurementGraph, rhs: np.ndarray, plus_on_j: bool) -> SparseLinearSystem:
@@ -264,36 +242,29 @@ def average_translations(mg: MeasurementGraph) -> np.ndarray:
 
 
 def average_similarities(recs: dict, mg: MeasurementGraph):
-    """Run all four averaging stages; returns ``(transforms, mg_with_t)``."""
+    """Run all four averaging stages; returns ``(transforms, mg_with_t)``,
+    ``transforms`` a ``{community id: Sim3}`` dict in id order."""
     scales = average_scales(mg)
     rotations = average_rotations(mg)
     mg_t = recompute_pairwise_translations(recs, scales, rotations, mg)
     translations = average_translations(mg_t)
-    transforms = [
-        CommunitySimilarity(community_id=c, s=float(scales[c]), r=rotations[c], t=translations[c])
+    transforms = {
+        c: Sim3(s=scales[c], q=rotations[c], t=translations[c])
         for c in range(mg.community_count)
-    ]
+    }
     return transforms, mg_t
 
 
-def transforms_to_json(transforms) -> list:
-    return [
-        {
-            "id": tr.community_id,
-            "s": tr.s,
-            "q": [float(v) for v in tr.r],
-            "t": [float(v) for v in tr.t],
-        }
-        for tr in transforms
-    ]
+def transforms_to_json(transforms: dict) -> list:
+    return [{"id": c, **tr.to_json()} for c, tr in transforms.items()]
 
 
-def save_transforms(transforms, path) -> None:
+def save_transforms(transforms: dict, path) -> None:
     write_json(path, transforms_to_json(transforms))
 
 
-def load_transforms(path) -> list:
-    """Read a transforms file: one record per community, ids unique."""
+def load_transforms(path) -> dict:
+    """Read a transforms file into ``{community id: Sim3}``; ids unique."""
     with parsing(path, "transforms file") as obj:
         recs = records(obj, "transforms file", "transform")
         ids = column([r["id"] for r in recs], "community id", np.int64)
@@ -303,7 +274,7 @@ def load_transforms(path) -> list:
         values, counts = np.unique(ids, return_counts=True)
         if np.any(counts > 1):
             raise ValidationError(f"duplicate community id {values[counts > 1][0]}")
-    return [
-        CommunitySimilarity(community_id=c, s=s, r=q, t=t)
+    return {
+        c: Sim3(s=s, q=q, t=t)
         for c, s, q, t in zip(ids.tolist(), scales.tolist(), rotations, translations)
-    ]
+    }

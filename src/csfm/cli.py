@@ -28,7 +28,7 @@ from .community import (
 from .errors import CsfmError, ValidationError
 from .graph import degree_histogram, load_graph
 from .jsonio import parsing, write_json
-from .measurements import MeasurementGraph, load_measurements, save_measurements
+from .measurements import load_measurements
 from .merging import (
     evaluate_against_truth,
     export_ply,
@@ -37,8 +37,8 @@ from .merging import (
     merge_reconstructions,
     save_merged,
 )
-from .pipeline import PipelineConfig, measure_pairs, run_pipeline
-from .reconstruction import check_community_ids, load_reconstruction, save_reconstruction
+from .pipeline import PipelineConfig, measure_graph, run_pipeline
+from .reconstruction import check_community_ids, load_reconstruction, save_reconstructions
 from .synth import WorldSpec, fracture, generate_world, load_world, read_world, world_truth, write_world_files
 
 log = logging.getLogger("csfm")
@@ -104,9 +104,7 @@ def synth(spec_path, out_dir, seed):
     out.mkdir(parents=True, exist_ok=True)
     write_world_files(world, out)
     planted = Partition(assignment=world.labels, community_count=int(world.labels.max()) + 1)
-    fr = fracture(world, planted)
-    for rec in fr.reconstructions:
-        save_reconstruction(rec, out / f"rec_{rec.community_id}.json")
+    save_reconstructions(fracture(world, planted).reconstructions, out)
     click.echo(
         f"world: {world.camera_centers.shape[0]} cameras, {world.points.shape[0]} points, "
         f"{world.graph.edge_count} match edges, {spec.cluster_count} planted communities"
@@ -151,11 +149,8 @@ def pairwise(graph_path, partition_path, recs_dir, seed, workers, output):
             f"holds {len(recs)} reconstructions"
         )
     cg = build_community_graph(g, part)
-    meas = measure_pairs(recs, sorted(cg.cross_edges), seed=seed, workers=workers)
-    mg = MeasurementGraph(community_count=len(recs), measurements=tuple(meas))
-    mg.require_connected("pairwise measurement")
-    save_measurements(mg, output)
-    click.echo(f"{len(meas)} measurements over {part.community_count} communities")
+    _, stats = measure_graph(recs, sorted(cg.cross_edges), seed, workers, output)
+    click.echo(f"{stats['measured_pairs']} measurements over {part.community_count} communities")
 
 
 @main.command()

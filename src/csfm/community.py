@@ -40,6 +40,15 @@ class Partition:
         object.__setattr__(self, "community_count", k)
 
     @classmethod
+    def from_labels(cls, labels) -> "Partition":
+        """Renumber arbitrary per-node labels to ``0..K-1`` in order of each
+        label's first appearance."""
+        _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+        rank = np.empty(first.size, dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(first.size)
+        return cls(assignment=rank[inverse], community_count=first.size)
+
+    @classmethod
     def from_communities(cls, groups, node_count=None) -> "Partition":
         n = node_count if node_count is not None else sum(len(g) for g in groups)
         a = np.full(n, -1, dtype=np.int64)
@@ -211,14 +220,7 @@ def _cut_trace(n: int, trace: DendrogramTrace, upto: int) -> Partition:
 
     for a, b, _ in trace.merges[: upto + 1]:
         parent[find(b)] = find(a)
-    roots = [find(v) for v in range(n)]
-    relabel = {}
-    labels = np.empty(n, dtype=np.int64)
-    for v, r in enumerate(roots):
-        if r not in relabel:
-            relabel[r] = len(relabel)
-        labels[v] = relabel[r]
-    return Partition(assignment=labels, community_count=len(relabel))
+    return Partition.from_labels([find(v) for v in range(n)])
 
 
 def best_partition(g: EpipolarGraph, q_threshold: float = DEFAULT_Q_THRESHOLD):
@@ -266,18 +268,10 @@ def recursive_partition(g: EpipolarGraph, q_threshold: float = DEFAULT_Q_THRESHO
     for comp in connected_components(g):
         split(comp)
 
-    order = np.full(g.node_count, -1, dtype=np.int64)
     labels = np.empty(g.node_count, dtype=np.int64)
     for leaf_id, leaf in enumerate(leaves):
-        for v in leaf:
-            order[v] = leaf_id
-    relabel = {}
-    for v in range(g.node_count):
-        lid = int(order[v])
-        if lid not in relabel:
-            relabel[lid] = len(relabel)
-        labels[v] = relabel[lid]
-    return Partition(assignment=labels, community_count=len(relabel))
+        labels[leaf] = leaf_id
+    return Partition.from_labels(labels)
 
 
 def build_community_graph(g: EpipolarGraph, p: Partition) -> CommunityGraph:
@@ -350,18 +344,10 @@ def absorb_small(
             c = merged_into[c]
         return c
 
-    survivors = sorted(sizes)
-    labels = np.empty(g.node_count, dtype=np.int64)
-    relabel = {}
-    for v in range(g.node_count):
-        root = resolve(int(p.assignment[v]))
-        if root not in relabel:
-            relabel[root] = len(relabel)
-        labels[v] = relabel[root]
-    out = Partition(assignment=labels, community_count=len(relabel))
-    flagged = sorted(
-        relabel[c] for c in survivors if sizes[c] < min_size
-    )
+    roots = np.array([resolve(c) for c in range(p.community_count)], dtype=np.int64)
+    out = Partition.from_labels(roots[p.assignment])
+    # every survivor still under min_size is isolated, or the loop would have folded it
+    flagged = np.flatnonzero(out.sizes() < min_size).tolist()
     return out, flagged
 
 

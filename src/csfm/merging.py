@@ -1,11 +1,13 @@
 """Merging partial reconstructions into one global frame, plus refinement
 and ground-truth evaluation.
 
-Point pipeline per community: ``X' = s_k R_k X`` then ``X_g = X' + T_k``.
-Cameras: ``R_g = R_o R_k^T`` (world-to-camera) and ``C_g = s_k R_k C_o + T_k``,
-which together preserve each camera's viewing geometry up to the community
-scale.  Tracks reconstructed by several communities fuse to the
-component-wise median of their transformed duplicates.
+Community ``k`` enters the global frame through its ``Sim3`` in a
+``{community id: Sim3}`` dict: points map as ``X_g = s_k R_k X + T_k`` and
+camera centers as ``C_g = s_k R_k C_o + T_k`` (both ``Sim3.apply``), camera
+rotations as ``R_g = R_o R_k^T`` (world-to-camera), which together preserve
+each camera's viewing geometry up to the community scale.  Tracks
+reconstructed by several communities fuse to the component-wise median of
+their transformed duplicates.
 """
 from __future__ import annotations
 
@@ -16,7 +18,6 @@ from itertools import chain
 import numpy as np
 
 from .alignment import CorrespondenceSet, ransac_similarity
-from .averaging import CommunitySimilarity
 from .errors import NumericError, ValidationError
 from .jsonio import column, parsing, write_json
 from .reconstruction import (
@@ -36,6 +37,7 @@ from .rotations import (
     quat_multiply,
     quat_to_matrix,
 )
+from .sim3 import Sim3
 
 log = logging.getLogger(__name__)
 
@@ -58,35 +60,30 @@ class MergedModel:
         return int(self.camera_ids.shape[0])
 
 
-def _transforms_by_id(recs, transforms) -> dict:
-    tr_by_id = {t.community_id: t for t in transforms}
+def _require_transforms(recs, transforms: dict) -> None:
     for rec in recs:
-        if rec.community_id not in tr_by_id:
+        if rec.community_id not in transforms:
             raise ValidationError(f"no transform for community {rec.community_id}")
-    return tr_by_id
 
 
-def merge_reconstructions(recs, transforms) -> MergedModel:
-    """Map every community into the global frame and fuse duplicate tracks."""
-    tr_by_id = _transforms_by_id(recs, transforms)
+def merge_reconstructions(recs, transforms: dict) -> MergedModel:
+    """Map every community into the global frame through its ``Sim3`` in
+    ``transforms`` (keyed by community id) and fuse duplicate tracks."""
+    _require_transforms(recs, transforms)
     cam_ids, cam_q, cam_c = [], [], []
     track_blocks = [np.empty(0, dtype=np.int64)]
     community_blocks = [np.empty(0, dtype=np.int64)]
     point_blocks = [np.empty((0, 3))]
     for rec in sorted(recs, key=lambda r: r.community_id):
-        tr = tr_by_id[rec.community_id]
-        Rm = quat_to_matrix(tr.r)
-        staged = tr.s * (rec.points @ Rm.T)
-        pts_global = staged + tr.t
-        centers_global = tr.s * (rec.camera_centers @ Rm.T) + tr.t
-        r_conj = quat_conjugate(tr.r)
-        for cid, q, c in zip(rec.camera_ids, rec.camera_rotations, centers_global):
+        tr = transforms[rec.community_id]
+        r_conj = quat_conjugate(tr.q)
+        for cid, q, c in zip(rec.camera_ids, rec.camera_rotations, tr.apply(rec.camera_centers)):
             cam_ids.append(int(cid))
             cam_q.append(quat_canonical(quat_multiply(q, r_conj)))
             cam_c.append(c)
         track_blocks.append(rec.track_ids)
         community_blocks.append(np.full(rec.track_ids.size, rec.community_id, dtype=np.int64))
-        point_blocks.append(pts_global)
+        point_blocks.append(tr.apply(rec.points))
 
     cam_ids = np.asarray(cam_ids, dtype=np.int64)
     if np.unique(cam_ids).size != cam_ids.size:
@@ -149,36 +146,19 @@ def _fuse_tracks(track_ids, communities, points):
     return tracks, fused, provenance, fusion_spread
 
 
-def joint_refine(recs, transforms):
+def joint_refine(recs, transforms: dict):
     """Jointly polish all non-gauge community transforms.
 
     Minimizes a Huber loss over the disagreement of co-visible tracks,
     ``s_i R_i X_ik + T_i - (s_j R_j X_jk + T_j)``, by damped Gauss-Newton in
     ``(log s, rotation update, T)`` per community (7 parameters each, gauge
-    community fixed).  Returns ``(refined transforms, merged model, info)``;
-    when there is nothing to refine the inputs pass through unchanged.
+    community fixed).  Returns ``(refined transforms, merged model, info)``,
+    the transforms keyed by the id of each reconstruction; when there is
+    nothing to refine the inputs pass through unchanged.
     """
     recs = sorted(recs, key=lambda r: r.community_id)
-    tr_by_id = _transforms_by_id(recs, transforms)
-    transforms = [tr_by_id[r.community_id] for r in recs]
-    pairs = covisible_pairs(recs)
-    if not pairs or len(transforms) < 2:
-        log.info("joint refinement skipped: no co-visible tracks between communities")
-        return transforms, merge_reconstructions(recs, transforms), {
-            "skipped": True, "iterations": 0, "initial_cost": 0.0, "final_cost": 0.0,
-        }
-
-    ids = [t.community_id for t in transforms]
-    col = {cid: k for k, cid in enumerate(ids)}
-    free = {cid: k - 1 for k, cid in enumerate(ids) if k > 0}  # gauge = first id
-    n_var = 7 * len(free)
-
-    s = np.array([t.s for t in transforms])
-    R = [quat_to_matrix(t.r) for t in transforms]
-    T = np.stack([t.t for t in transforms])
-
-    def mapped(k, x):
-        return s[k] * (x @ R[k].T) + T[k]
+    _require_transforms(recs, transforms)
+    transforms = {r.community_id: transforms[r.community_id] for r in recs}
 
     # Huber scale per pair, same rule as the consensus threshold: 1% of that
     # pair's co-visible cloud extent in the merged frame.  Tracks far outside
@@ -186,24 +166,34 @@ def joint_refine(recs, transforms):
     # them would bias the quadratic steps through the loss's linear tail, so
     # they are gated out against a median-based scale that tracks the actual
     # residual level (a coherently perturbed start keeps all its rows).
-    gated_pairs = []
+    pairs = []
     deltas = []
-    for rec_a, rec_b, ia, ib in pairs:
-        ka, kb = col[rec_a.community_id], col[rec_b.community_id]
-        cloud = mapped(ka, rec_a.points[ia])
+    for rec_a, rec_b, ia, ib in covisible_pairs(recs):
+        cloud = transforms[rec_a.community_id].apply(rec_a.points[ia])
         delta = max(0.01 * float(np.median(np.ptp(cloud, axis=0))), 1e-12)
-        r0 = np.linalg.norm(cloud - mapped(kb, rec_b.points[ib]), axis=1)
+        r0 = np.linalg.norm(cloud - transforms[rec_b.community_id].apply(rec_b.points[ib]), axis=1)
         gate = max(10.0 * float(np.median(r0)), delta)
         keep = r0 <= gate
         if np.any(keep):
-            gated_pairs.append((rec_a, rec_b, ia[keep], ib[keep]))
+            pairs.append((rec_a, rec_b, ia[keep], ib[keep]))
             deltas.append(delta)
-    if not gated_pairs:
-        log.info("joint refinement skipped: no co-visible tracks within the gate")
+    if not pairs:
+        log.info("joint refinement skipped: no co-visible tracks between communities")
         return transforms, merge_reconstructions(recs, transforms), {
             "skipped": True, "iterations": 0, "initial_cost": 0.0, "final_cost": 0.0,
         }
-    pairs = gated_pairs
+
+    ids = list(transforms)
+    col = {cid: k for k, cid in enumerate(ids)}
+    free = {cid: k - 1 for k, cid in enumerate(ids) if k > 0}  # gauge = first id
+    n_var = 7 * len(free)
+
+    s = np.array([t.s for t in transforms.values()])
+    R = [quat_to_matrix(t.q) for t in transforms.values()]
+    T = np.stack([t.t for t in transforms.values()])
+
+    def mapped(k, x):
+        return s[k] * (x @ R[k].T) + T[k]
 
     def residuals():
         blocks = []
@@ -297,10 +287,7 @@ def joint_refine(recs, transforms):
         if improvement < REFINE_REL_TOL * max(cost, 1e-300):
             break
 
-    refined = [
-        CommunitySimilarity(community_id=ids[k], s=float(s[k]), r=matrix_to_quat(R[k]), t=T[k])
-        for k in range(len(ids))
-    ]
+    refined = {c: Sim3(s=s[k], q=matrix_to_quat(R[k]), t=T[k]) for c, k in col.items()}
     model = merge_reconstructions(recs, refined)
     return refined, model, {
         "skipped": False,

@@ -38,7 +38,7 @@ from .merging import (
     merge_reconstructions,
     save_merged,
 )
-from .reconstruction import check_community_ids, covisible_pairs, save_reconstruction
+from .reconstruction import check_community_ids, covisible_pairs, save_reconstructions
 from .rotations import geodesic_angle, quat_conjugate, quat_multiply
 from .synth import GroundTruthWorld, WorldSpec, fracture, generate_world, write_world_files
 
@@ -61,14 +61,9 @@ class PipelineConfig:
 
 @dataclass
 class PipelineResult:
-    partition: object = None
-    measurement_graph: MeasurementGraph | None = None
-    transforms: list | None = None
-    model: object = None
-    refined_transforms: list | None = None
-    refined_model: object = None
-    evaluation: dict | None = None
-    report: dict | None = None
+    partition: object  # None when the run starts from reconstructions
+    evaluation: dict | None  # None without a world to evaluate against
+    report: dict
 
 
 def pairwise_seed(base_seed: int, i: int, j: int) -> int:
@@ -104,14 +99,24 @@ def measure_pairs(recs, pairs, seed: int, workers: int = 4) -> list:
     return [m for m in results if m is not None]
 
 
-def _averaging_residuals(mg: MeasurementGraph, mg_t: MeasurementGraph, transforms) -> dict:
+def measure_graph(recs, pairs, seed: int, workers: int, path):
+    """The pairwise stage: measure ``pairs``, require the measurement graph
+    to be connected and write it to ``path``; returns ``(mg, stats)``."""
+    meas = measure_pairs(recs, pairs, seed=seed, workers=workers)
+    mg = MeasurementGraph(community_count=len(recs), measurements=tuple(meas))
+    mg.require_connected("pairwise measurement")
+    save_measurements(mg, path)
+    return mg, {"measured_pairs": len(meas), "candidate_pairs": len(pairs)}
+
+
+def _averaging_residuals(mg: MeasurementGraph, mg_t: MeasurementGraph, transforms: dict) -> dict:
     """L1 residuals of the scale, rotation and translation problems at the
     averaged transforms (``mg_t`` carries the recomputed translations)."""
-    log_s = np.log([tr.s for tr in transforms])
+    log_s = np.log([tr.s for tr in transforms.values()])
     scale = [abs(np.log(m.s_ij) - (log_s[m.i] - log_s[m.j])) for m in mg.measurements]
     rotation = [
         geodesic_angle(
-            quat_multiply(quat_conjugate(transforms[m.i].r), transforms[m.j].r), m.r_ij
+            quat_multiply(quat_conjugate(transforms[m.i].q), transforms[m.j].q), m.r_ij
         )
         for m in mg.measurements
     ]
@@ -160,7 +165,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     runner = _StageRunner()
-    res = PipelineResult()
 
     world = config.world
     if world is None and config.spec is not None:
@@ -185,12 +189,10 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                           "flagged": len(flagged)}
 
         partition = runner.run("detect", detect, out / "partition.json")
-        res.partition = partition
 
         def do_fracture():
             fr = fracture(world, partition)
-            for rec in fr.reconstructions:
-                save_reconstruction(rec, out / f"rec_{rec.community_id}.json")
+            save_reconstructions(fr.reconstructions, out)
             return fr, {}
 
         fr = runner.run("fracture", do_fracture, out / "rec_*.json")
@@ -221,15 +223,11 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             if ia.size >= MIN_COVISIBLE
         ]
 
-    def do_pairwise():
-        meas = measure_pairs(recs, pairs, seed=config.seed, workers=config.workers)
-        mg = MeasurementGraph(community_count=len(recs), measurements=tuple(meas))
-        mg.require_connected("pairwise measurement")
-        save_measurements(mg, out / "measurements.json")
-        return mg, {"measured_pairs": len(meas), "candidate_pairs": len(pairs)}
-
-    mg = runner.run("pairwise", do_pairwise, out / "measurements.json")
-    res.measurement_graph = mg
+    mg = runner.run(
+        "pairwise",
+        lambda: measure_graph(recs, pairs, config.seed, config.workers, out / "measurements.json"),
+        out / "measurements.json",
+    )
 
     def average_stage():
         recs_by_id = {r.community_id: r for r in recs}
@@ -239,7 +237,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         return transforms, _averaging_residuals(mg, mg_t, transforms)
 
     transforms = runner.run("average", average_stage, out / "transforms.json")
-    res.transforms = transforms
 
     def merge_stage():
         model = merge_reconstructions(recs, transforms)
@@ -247,18 +244,16 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         return model, {"cameras": model.camera_count, "tracks": int(model.track_ids.size)}
 
     model = runner.run("merge", merge_stage, out / "merged.json")
-    res.model = model
 
     def refine_stage():
         refined, rmodel, info = joint_refine(recs, transforms)
         save_transforms(refined, out / "transforms_refined.json")
         save_merged(rmodel, out / "merged_refined.json")
-        return (refined, rmodel), info
+        return rmodel, info
 
-    refined, refined_model = runner.run("refine", refine_stage, out / "merged_refined.json")
-    res.refined_transforms = refined
-    res.refined_model = refined_model
+    refined_model = runner.run("refine", refine_stage, out / "merged_refined.json")
 
+    evaluation = None
     if world is not None:
         def eval_stage():
             truth = world.truth_reconstruction()
@@ -271,15 +266,14 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                 "median_center_error": payload["merged"]["median_center_error"]
             }
 
-        res.evaluation = runner.run("eval", eval_stage, out / "eval.json")
+        evaluation = runner.run("eval", eval_stage, out / "eval.json")
 
     report = {
         "seed": config.seed,
         "stages": runner.stages,
     }
     write_json(out / "report.json", report)
-    res.report = report
-    return res
+    return PipelineResult(partition=partition, evaluation=evaluation, report=report)
 
 
 DATA_ARTIFACTS = (

@@ -11,6 +11,7 @@ The point-cloud layout every artifact shares is defined here: cameras as
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -147,6 +148,12 @@ def reconstruction_to_json(rec: Reconstruction) -> dict:
 
 def save_reconstruction(rec: Reconstruction, path) -> None:
     write_json(path, reconstruction_to_json(rec))
+
+
+def save_reconstructions(recs, out_dir) -> None:
+    """Write one ``rec_<community id>.json`` per reconstruction into ``out_dir``."""
+    for rec in recs:
+        save_reconstruction(rec, Path(out_dir) / f"rec_{rec.community_id}.json")
 
 
 def load_reconstruction(path) -> Reconstruction:

@@ -1,7 +1,9 @@
 """Similarity transforms: scale, rotation, translation (7 DoF).
 
-``apply(p) = s * R @ p + t``.  Used both for pairwise frame-to-frame
-estimates and for the per-community alignment transforms.
+``apply(p) = s * R @ p + t``.  The one similarity type: RANSAC/Horn pairwise
+estimates, the planted frames of a synthetic world, and the per-community
+transforms into the merged frame, which travel as ``{community id: Sim3}``
+dicts through averaging, merging, refinement and ``transforms.json``.
 """
 from __future__ import annotations
 

@@ -256,7 +256,6 @@ def _check_planted_structure(graph: EpipolarGraph, labels: np.ndarray, k: int):
 @dataclass(frozen=True)
 class FractureResult:
     reconstructions: tuple  # Reconstruction per community
-    transforms: tuple  # the local->global Sim3 actually used per community
     outlier_tracks: dict  # community id -> sorted corrupted shared-track ids
 
 
@@ -339,9 +338,7 @@ def fracture(
                 points=pts_local,
             )
         )
-    return FractureResult(
-        reconstructions=tuple(recs), transforms=tuple(transforms), outlier_tracks=outlier_tracks
-    )
+    return FractureResult(reconstructions=tuple(recs), outlier_tracks=outlier_tracks)
 
 
 def world_to_json(world: GroundTruthWorld) -> dict:

@@ -145,11 +145,10 @@ def loop_merge(recs, transforms):
     Reference for the segmented fusion in ``csfm.merging.merge_reconstructions``.
     Returns ``(track_ids, points, provenance, fusion_spread)``.
     """
-    tr_by_id = {t.community_id: t for t in transforms}
     track_positions = {}
     for rec in sorted(recs, key=lambda r: r.community_id):
-        tr = tr_by_id[rec.community_id]
-        pts_global = tr.s * (rec.points @ quat_to_matrix(tr.r).T) + tr.t
+        tr = transforms[rec.community_id]
+        pts_global = tr.s * (rec.points @ quat_to_matrix(tr.q).T) + tr.t
         for t, p in zip(rec.track_ids, pts_global):
             track_positions.setdefault(int(t), []).append((rec.community_id, p))
     tracks = np.array(sorted(track_positions), dtype=np.int64)

@@ -29,6 +29,27 @@ def two_cliques_with_bridge(k):
     return make_graph(2 * k, edges)
 
 
+class TestPartitionFromLabels:
+    def test_renumbered_in_order_of_first_appearance(self):
+        p = Partition.from_labels([7, 3, 7, -2, 3, 9])
+        assert p.assignment.tolist() == [0, 1, 0, 2, 1, 3]
+        assert p.assignment.dtype == np.int64
+        assert p.community_count == 4
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_a_first_appearance_loop(self, seed):
+        labels = np.random.default_rng(seed).integers(-50, 50, size=200)
+        relabel = {}
+        expected = [relabel.setdefault(int(v), len(relabel)) for v in labels]
+        p = Partition.from_labels(labels)
+        assert p.assignment.tolist() == expected
+        assert p.community_count == len(relabel)
+
+    def test_empty_labels_rejected(self):
+        with pytest.raises(ValidationError):
+            Partition.from_labels(np.empty(0, dtype=np.int64))
+
+
 class TestModularity:
     def test_all_in_one_is_zero(self):
         rng = np.random.default_rng(0)

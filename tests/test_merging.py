@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from csfm.averaging import CommunitySimilarity
 from csfm.errors import ValidationError
 from csfm.jsonio import write_json
 from csfm.merging import (
@@ -29,10 +28,6 @@ def rz(angle):
     return np.array([np.cos(angle / 2), 0.0, 0.0, np.sin(angle / 2)])
 
 
-def identity_transform(cid):
-    return CommunitySimilarity(community_id=cid, s=1.0, r=IDENTITY_QUAT, t=np.zeros(3))
-
-
 def simple_rec(cid, cam_ids, tracks, points, rng, centers=None, rotations=None):
     n = len(cam_ids)
     return Reconstruction(
@@ -49,7 +44,7 @@ class TestMerge:
     def test_identity_transform_is_identity(self):
         rng = np.random.default_rng(0)
         rec = simple_rec(0, [0, 1, 2], [10, 11], rng.normal(size=(2, 3)), rng)
-        model = merge_reconstructions([rec], [identity_transform(0)])
+        model = merge_reconstructions([rec], {0: Sim3()})
         assert np.array_equal(model.camera_ids, rec.camera_ids)
         assert np.allclose(model.camera_centers, rec.camera_centers, atol=0)
         assert np.allclose(model.camera_rotations, rec.camera_rotations, atol=0)
@@ -61,8 +56,8 @@ class TestMerge:
         rec = simple_rec(
             0, [5], [1], [[0.0, 0.0, 0.0]], rng, centers=np.array([[1.0, 0.0, 0.0]])
         )
-        tr = CommunitySimilarity(community_id=0, s=2.0, r=rz(np.pi / 2), t=np.array([0.0, 0.0, 1.0]))
-        model = merge_reconstructions([rec], [tr])
+        tr = Sim3(s=2.0, q=rz(np.pi / 2), t=np.array([0.0, 0.0, 1.0]))
+        model = merge_reconstructions([rec], {0: tr})
         assert np.allclose(model.camera_centers[0], [0.0, 2.0, 1.0], atol=1e-12)
 
     def test_camera_rotation_formula(self):
@@ -72,8 +67,8 @@ class TestMerge:
         rec = simple_rec(
             0, [5], [1], [[0.0, 0.0, 0.0]], rng, rotations=np.array([IDENTITY_QUAT])
         )
-        tr = CommunitySimilarity(community_id=0, s=1.0, r=rz(np.pi / 2), t=np.zeros(3))
-        model = merge_reconstructions([rec], [tr])
+        tr = Sim3(s=1.0, q=rz(np.pi / 2), t=np.zeros(3))
+        model = merge_reconstructions([rec], {0: tr})
         assert geodesic_angle(model.camera_rotations[0], rz(-np.pi / 2)) < 1e-12
 
     def test_multi_community_track_fused_to_median(self):
@@ -84,7 +79,7 @@ class TestMerge:
             simple_rec(1, [1], [7], p + 0.02, rng),
             simple_rec(2, [2], [7], p - 0.5, rng),
         ]
-        model = merge_reconstructions(recs, [identity_transform(c) for c in range(3)])
+        model = merge_reconstructions(recs, {c: Sim3() for c in range(3)})
         assert np.allclose(model.points[0], p[0], atol=1e-12)  # median of the three
         assert model.provenance[7] == (0, 1, 2)
         assert model.fusion_spread[7] == pytest.approx(np.sqrt(3 * 0.25), abs=1e-12)
@@ -98,26 +93,23 @@ class TestMerge:
         k, n_tracks = 6, int(rng.integers(1, 300))
         copies = rng.integers(1, 6, size=n_tracks)
         owners = [rng.choice(k, size=c, replace=False) for c in copies]
-        recs, transforms = [], []
+        recs, transforms = [], {}
         for c in rng.permutation(k):
             tracks = np.array([t for t in range(n_tracks) if c in owners[t]], dtype=np.int64)
             pts = rng.normal(scale=10.0, size=(tracks.size, 3))
             if seed % 2:
-                pts, tr = np.round(pts / 5.0), identity_transform(int(c))
+                pts, tr = np.round(pts / 5.0), Sim3()
             else:
-                tr = CommunitySimilarity(
-                    community_id=int(c), s=float(rng.uniform(0.5, 2.0)), r=random_quat(rng),
-                    t=rng.normal(size=3),
-                )
+                tr = Sim3(s=float(rng.uniform(0.5, 2.0)), q=random_quat(rng), t=rng.normal(size=3))
             recs.append(simple_rec(int(c), [int(c)], tracks, pts, rng))
-            transforms.append(tr)
+            transforms[int(c)] = tr
         self.assert_fusion_matches_loop(recs, transforms)
 
     def test_fusion_without_shared_tracks_matches_per_track_median(self):
         rng = np.random.default_rng(41)
         recs = [simple_rec(c, [c], range(10 * c, 10 * c + 7), rng.normal(size=(7, 3)), rng)
                 for c in range(3)]
-        model = self.assert_fusion_matches_loop(recs, [identity_transform(c) for c in range(3)])
+        model = self.assert_fusion_matches_loop(recs, {c: Sim3() for c in range(3)})
         assert model.fusion_spread == {}
 
     @staticmethod
@@ -141,22 +133,20 @@ class TestMerge:
             simple_rec(1, [0], [2], [[0.0, 0, 0]], rng),
         ]
         with pytest.raises(ValidationError, match="camera id"):
-            merge_reconstructions(recs, [identity_transform(0), identity_transform(1)])
+            merge_reconstructions(recs, {0: Sim3(), 1: Sim3()})
 
     def test_missing_transform_rejected(self):
         rng = np.random.default_rng(5)
         rec = simple_rec(0, [0], [1], [[0.0, 0, 0]], rng)
         with pytest.raises(ValidationError, match="no transform"):
-            merge_reconstructions([rec], [identity_transform(1)])
+            merge_reconstructions([rec], {1: Sim3()})
 
     def test_viewing_geometry_preserved(self):
         # R_g (X_g - C_g) = s R_o (X_o - C_o) for every camera/point pair
         rng = np.random.default_rng(6)
         rec = simple_rec(0, [0, 1, 2], range(5), rng.normal(size=(5, 3)), rng)
-        tr = CommunitySimilarity(
-            community_id=0, s=1.7, r=random_quat(rng), t=rng.normal(size=3)
-        )
-        model = merge_reconstructions([rec], [tr])
+        tr = Sim3(s=1.7, q=random_quat(rng), t=rng.normal(size=3))
+        model = merge_reconstructions([rec], {0: tr})
         for ci in range(3):
             Rg = quat_to_matrix(model.camera_rotations[ci])
             Ro = quat_to_matrix(rec.camera_rotations[ci])
@@ -185,11 +175,7 @@ def fracture_world(rng, k=3, n_world=60, transforms=None, cams_per=3):
                 points=inv.apply(world_pts),
             )
         )
-    applied = [
-        CommunitySimilarity(community_id=c, s=tr.s, r=tr.q, t=tr.t)
-        for c, tr in enumerate(transforms)
-    ]
-    return recs, applied, world_pts, world_centers
+    return recs, dict(enumerate(transforms)), world_pts, world_centers
 
 
 class TestJointRefine:
@@ -199,9 +185,10 @@ class TestJointRefine:
         refined, model, info = joint_refine(recs, applied)
         assert not info["skipped"]
         assert info["final_cost"] <= info["initial_cost"] + 1e-12
-        for tr, ref in zip(applied, refined):
+        for c, tr in applied.items():
+            ref = refined[c]
             assert ref.s == pytest.approx(tr.s, rel=1e-9)
-            assert geodesic_angle(ref.r, tr.r) < 1e-9
+            assert geodesic_angle(ref.q, tr.q) < 1e-9
             assert np.allclose(ref.t, tr.t, atol=1e-8)
 
     def test_perturbed_transforms_recovered(self):
@@ -211,21 +198,19 @@ class TestJointRefine:
         recs, applied, world_pts, _ = fracture_world(rng, k=3)
         from csfm.rotations import exp_rotation
 
-        perturbed = [applied[0]]
-        for tr in applied[1:]:
-            perturbed.append(
-                CommunitySimilarity(
-                    community_id=tr.community_id,
-                    s=tr.s * (1 + 1e-3),
-                    r=quat_multiply(exp_rotation(rng.normal(size=3) * 1e-3), tr.r),
-                    t=tr.t + rng.normal(size=3) * 1e-3,
-                )
+        perturbed = {0: applied[0]}
+        for c, tr in list(applied.items())[1:]:
+            perturbed[c] = Sim3(
+                s=tr.s * (1 + 1e-3),
+                q=quat_multiply(exp_rotation(rng.normal(size=3) * 1e-3), tr.q),
+                t=tr.t + rng.normal(size=3) * 1e-3,
             )
         refined, model, info = joint_refine(recs, perturbed)
         # the gauge community is fixed, so planted values are recovered as-is
-        for tr, ref in zip(applied, refined):
+        for c, tr in applied.items():
+            ref = refined[c]
             assert ref.s == pytest.approx(tr.s, rel=1e-8)
-            assert geodesic_angle(ref.r, tr.r) < 1e-8
+            assert geodesic_angle(ref.q, tr.q) < 1e-8
             assert np.allclose(ref.t, tr.t, atol=1e-8)
         # and the merged points coincide with the world
         common = np.arange(world_pts.shape[0])

@@ -232,6 +232,43 @@ class TestCli:
         assert redo.read_bytes() == (run / "transforms.json").read_bytes()
 
 
+RERUN_CHAIN = [
+    ["average", "--measurements", "{run}/measurements.json", "--recs", "{run}",
+     "-o", "{redo}/transforms.json"],
+    ["merge", "--recs", "{run}", "--transforms", "{run}/transforms.json",
+     "-o", "{redo}/merged.json"],
+    ["refine", "--recs", "{run}", "--transforms", "{run}/transforms.json",
+     "-o", "{redo}/transforms_refined.json", "--merged-out", "{redo}/merged_refined.json"],
+]
+
+
+def quaternion_round_trip(what):
+    return pytest.mark.xfail(
+        strict=True,
+        reason="FOUND (CHANGES.md): loaders re-normalise every quaternion they read, "
+        f"so a command re-run from disk starts from rotations a few ulps off; {what}",
+    )
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [pytest.param(21, marks=quaternion_round_trip("transforms.json differs (q_ij re-normalised)")),
+     33,
+     pytest.param(34, marks=quaternion_round_trip("4 of 120 camera q differ in merged.json "
+                                                  "and merged_refined.json"))],
+)
+def test_average_merge_refine_rerun_from_disk_matches_pipeline(tmp_path, seed):
+    world = generate_world(WorldSpec(seed=seed, **THREE))
+    run, redo = tmp_path / "run", tmp_path / "redo"
+    run_pipeline(PipelineConfig(out_dir=str(run), seed=seed, world=world))
+    redo.mkdir()
+    for template in RERUN_CHAIN:
+        result = CliRunner().invoke(main, [a.format(run=run, redo=redo) for a in template])
+        assert result.exit_code == 0, result.output
+    for name in ("transforms.json", "merged.json", "transforms_refined.json", "merged_refined.json"):
+        assert (redo / name).read_bytes() == (run / name).read_bytes(), name
+
+
 @pytest.fixture(scope="module")
 def pipeline_run(tmp_path_factory):
     """A run_pipeline output directory, plus the spec file of its world."""
