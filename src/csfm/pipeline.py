@@ -1,14 +1,16 @@
 """End-to-end orchestration: detect, fracture, measure, average, merge.
 
 Every stage writes its artifact to the output directory so any stage can be
-re-run from disk, and a run report records per-stage wall time and residual
-statistics.  Stages that fan out over independent items (pairwise
-measurements) use a thread pool with per-item seeds and a fixed reduction
-order, so the worker count never changes a numeric result.
+re-run from disk, and a run report records per stage its wall time, the
+process's peak resident memory so far, and residual statistics.  Stages
+that fan out over independent items (pairwise measurements) use a thread
+pool with per-item seeds and a fixed reduction order, so the worker count
+never changes a numeric result.
 """
 from __future__ import annotations
 
 import logging
+import resource
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -149,7 +151,11 @@ class _StageRunner:
             )
             raise
         elapsed = time.perf_counter() - start
-        self.stages.append({"name": name, "seconds": elapsed, "stats": stats})
+        # the process's peak resident set so far (ru_maxrss is in KiB on Linux)
+        peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        self.stages.append(
+            {"name": name, "seconds": elapsed, "peak_rss_mb": peak_rss_mb, "stats": stats}
+        )
         if artifact is not None:
             self.last_artifact = str(artifact)
         return result

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import ssyrk
 from scipy.spatial import cKDTree
 
 from .community import Partition
@@ -36,6 +37,10 @@ from .sim3 import Sim3
 _STREAM_WORLD = 11
 _STREAM_TRANSFORM = 101
 _STREAM_NOISE = 202
+
+_WORLD_DRAWS = 4  # geometry draws generate_world tries before giving up
+_CAMERA_CHUNK = 16  # cameras per k-d tree query in visibility()
+_POINT_BLOCK = 2048  # incidence columns per dense float32 block in _match_graph()
 
 
 @dataclass(frozen=True)
@@ -74,6 +79,9 @@ class WorldSpec:
         if self.point_count >= 2**24:
             # float32 co-visibility counts (see _match_graph) are exact below 2**24
             raise ValidationError("point count must be below 2**24")
+        if self.camera_count >= 2**24:
+            # the n_cam x n_cam count matrix of _match_graph could never be allocated
+            raise ValidationError("camera count must be below 2**24")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -130,11 +138,44 @@ def _cluster_centers(spec: WorldSpec) -> np.ndarray:
 def generate_world(spec: WorldSpec) -> GroundTruthWorld:
     """Build the world, its visibility-derived match graph, and planted frames.
 
-    Raises :class:`ValidationError` when the spec yields a disconnected
-    planted community graph or an internally disconnected cluster (retry with
-    a larger visibility radius or smaller separation).
+    The geometry is drawn from the seed's world stream.  When it yields a
+    disconnected planted community graph or an internally disconnected
+    cluster, it is drawn again from the sub-stream ``[seed, _STREAM_WORLD,
+    attempt]``, up to ``_WORLD_DRAWS`` draws in all; the first draw is the
+    plain ``[seed, _STREAM_WORLD]`` stream.  :class:`ValidationError` is
+    raised when every draw fails (retry with a larger visibility radius or
+    smaller separation).
     """
-    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, _STREAM_WORLD]))
+    for attempt in range(_WORLD_DRAWS):
+        stream = [spec.seed, _STREAM_WORLD] + ([attempt] if attempt else [])
+        labels, cam_centers, cam_rotations, pts = _draw_geometry(
+            spec, np.random.default_rng(np.random.SeedSequence(stream))
+        )
+        visible = visibility(cam_centers, pts, spec.visibility_radius)
+        graph = _match_graph(spec, visible)
+        try:
+            _check_planted_structure(graph, labels, spec.cluster_count)
+            break
+        except ValidationError:
+            if attempt == _WORLD_DRAWS - 1:
+                raise
+
+    transforms = tuple(community_frame(spec.seed, c) for c in range(spec.cluster_count))
+    return GroundTruthWorld(
+        spec=spec,
+        camera_centers=cam_centers,
+        camera_rotations=cam_rotations,
+        track_ids=np.arange(spec.point_count, dtype=np.int64),
+        points=pts,
+        labels=labels,
+        graph=graph,
+        planted_transforms=transforms,
+        visible=visible,
+    )
+
+
+def _draw_geometry(spec: WorldSpec, rng: np.random.Generator):
+    """Planted labels, camera centers and rotations, and points, in draw order."""
     k = spec.cluster_count
     centers = _cluster_centers(spec)
 
@@ -170,66 +211,66 @@ def generate_world(spec: WorldSpec) -> GroundTruthWorld:
                 -1.0, 1.0, size=(cnt, 3)
             )
             row += cnt
-    track_ids = np.arange(spec.point_count, dtype=np.int64)
-
-    visible = visibility(cam_centers, pts, spec.visibility_radius)
-    graph = _match_graph(spec, visible)
-    _check_planted_structure(graph, labels, k)
-
-    transforms = tuple(community_frame(spec.seed, c) for c in range(k))
-    return GroundTruthWorld(
-        spec=spec,
-        camera_centers=cam_centers,
-        camera_rotations=cam_rotations,
-        track_ids=track_ids,
-        points=pts,
-        labels=labels,
-        graph=graph,
-        planted_transforms=transforms,
-        visible=visible,
-    )
+    return labels, cam_centers, cam_rotations, pts
 
 
 def visibility(centers: np.ndarray, points: np.ndarray, radius: float) -> sp.csr_array:
     """Sparse ``(n_cam, n_pts)`` 0/1 incidence: camera ``i`` sees point ``j``
     when ``d2 <= radius**2``, with ``d2`` the squared distance summed over
-    x, y, z in that order.  Column indices are sorted.
+    x, y, z in that order.  Column indices are sorted; ``indices`` and
+    ``indptr`` are int32 unless the entry or point count reaches 2**31.
 
-    A k-d tree proposes the pairs within a radius widened by a relative 1e-9,
-    far beyond the rounding of either distance, and the exact rule decides
-    each of them, so the tree's own arithmetic never moves the boundary.
+    A k-d tree over the points is built once, and each chunk of
+    ``_CAMERA_CHUNK`` cameras takes from it the pairs within a radius widened
+    by a relative 1e-9, far beyond the rounding of either distance.  The
+    exact rule decides each of them, so the tree's own arithmetic never moves
+    the boundary, and the chunking bounds the candidate pairs held at once.
     """
-    pairs = cKDTree(centers).sparse_distance_matrix(
-        cKDTree(points), radius * (1.0 + 1e-9), output_type="ndarray"
-    )
-    rows, cols = pairs["i"], pairs["j"]
-    keep = np.sum((centers[rows] - points[cols]) ** 2, axis=1) <= radius**2
+    tree = cKDTree(points)
     n_cam, n_pts = centers.shape[0], points.shape[0]
-    key = np.sort(rows[keep] * n_pts + cols[keep])  # row-major; the pairs are distinct
-    indptr = np.searchsorted(key, np.arange(n_cam + 1) * n_pts)
-    return sp.csr_array(
-        (np.ones(key.size, dtype=bool), key % n_pts, indptr), shape=(n_cam, n_pts)
-    )
+    column_dtype = np.int32 if n_pts < 2**31 else np.int64
+    chunks, counts = [], np.zeros(n_cam, dtype=np.int64)
+    for start in range(0, n_cam, _CAMERA_CHUNK):
+        chunk = centers[start : start + _CAMERA_CHUNK]
+        pairs = cKDTree(chunk).sparse_distance_matrix(
+            tree, radius * (1.0 + 1e-9), output_type="ndarray"
+        )
+        rows, cols = pairs["i"], pairs["j"]
+        keep = np.sum((chunk[rows] - points[cols]) ** 2, axis=1) <= radius**2
+        rows, cols = rows[keep], cols[keep]
+        key = np.sort(rows * n_pts + cols)  # row-major; the pairs are distinct
+        chunks.append((key % n_pts).astype(column_dtype))
+        counts[start : start + chunk.shape[0]] = np.bincount(rows, minlength=chunk.shape[0])
+    nnz = int(counts.sum())
+    index_dtype = np.int32 if max(nnz, n_pts) < 2**31 else np.int64
+    indices = np.concatenate(chunks, dtype=index_dtype) if chunks else np.zeros(0, index_dtype)
+    indptr = np.zeros(n_cam + 1, dtype=index_dtype)
+    np.cumsum(counts, out=indptr[1:])
+    return sp.csr_array((np.ones(nnz, dtype=bool), indices, indptr), shape=(n_cam, n_pts))
 
 
 def _match_graph(spec: WorldSpec, visible: sp.csr_array) -> EpipolarGraph:
-    """Match edges by co-visible track count.
+    """Match edges by co-visible track count, in row-major ``(i < j)`` order.
 
-    The counts come from a float32 BLAS product of the 0/1 incidence.  Every
-    partial sum is an integer no larger than the point count, which
+    The counts come from float32 BLAS rank-k updates (``syrk``) of the 0/1
+    incidence, one dense block of ``_POINT_BLOCK`` point columns at a time,
+    accumulated into the upper triangle of one ``n_cam x n_cam`` matrix.
+    Every partial sum is an integer no larger than the point count, which
     ``WorldSpec`` keeps below 2**24, so float32 holds each one exactly.
     """
-    dense = visible.astype(np.float32).toarray()
-    co = dense @ dense.T
-    del dense
-    n_cam = visible.shape[0]
-    iu, ju = np.triu_indices(n_cam, k=1)
-    counts = co[iu, ju]
-    strong = counts >= spec.min_shared_tracks
+    n_cam, n_pts = visible.shape
+    by_point = visible.tocsc()
+    co = np.zeros((n_cam, n_cam), dtype=np.float32, order="F")
+    for start in range(0, n_pts, _POINT_BLOCK):
+        block = by_point[:, start : start + _POINT_BLOCK].astype(np.float32).toarray(order="F")
+        co = ssyrk(1.0, block, beta=1.0, c=co, lower=0, overwrite_c=1)  # in place
+    del by_point
+    np.fill_diagonal(co, 0.0)  # the strict upper triangle holds every pair; the rest is 0
+    iu, ju = np.nonzero(co >= spec.min_shared_tracks)
     return EpipolarGraph(
         node_count=n_cam,
-        edges=np.column_stack([iu[strong], ju[strong]]),
-        weights=counts[strong].astype(np.int64),
+        edges=np.column_stack([iu, ju]),
+        weights=co[iu, ju].astype(np.int64),
     )
 
 

@@ -64,6 +64,10 @@ class TestRunPipeline:
             "eval",
         ]
         assert all(s["seconds"] >= 0 for s in report["stages"])
+        # the process's peak resident set after each stage, which never falls
+        peaks = [s["peak_rss_mb"] for s in report["stages"]]
+        assert all(isinstance(v, float) and v > 0 for v in peaks)
+        assert peaks == sorted(peaks)
 
     def test_single_community_pass_through(self, tmp_path):
         spec = WorldSpec(
@@ -449,6 +453,18 @@ def test_spec_with_a_mistyped_field_exits_2(tmp_path, text):
                  ["pipeline", "--out", str(tmp_path / "r")]):
         result = CliRunner().invoke(main, [*args, "--spec", str(spec), "--seed", "1"])
         assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+
+
+def test_spec_with_too_many_cameras_exits_2(tmp_path):
+    # beyond 2**24 cameras the co-visibility count matrix could never be allocated
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"camera_count": 4611686018427387904, "point_count": 600, "cluster_count": 3}')
+    for args in (["synth", "--out", str(tmp_path / "w")],
+                 ["pipeline", "--out", str(tmp_path / "r")]):
+        result = CliRunner().invoke(main, [*args, "--spec", str(spec), "--seed", "1"])
+        assert result.exit_code == 2, result.output
+        assert "camera count must be below 2**24" in result.output
         assert "Traceback" not in result.output
 
 

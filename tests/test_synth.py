@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +16,13 @@ from csfm.pipeline import measure_pairs
 from csfm.reconstruction import covisible
 from csfm.sim3 import Sim3
 from csfm.synth import (
+    _CAMERA_CHUNK,
+    _POINT_BLOCK,
+    _STREAM_WORLD,
     WorldSpec,
+    _check_planted_structure,
+    _draw_geometry,
+    _match_graph,
     fracture,
     generate_world,
     load_world,
@@ -80,6 +90,38 @@ class TestGenerateWorld:
         with pytest.raises(ValidationError, match="disconnected"):
             generate_world(spec)
 
+    def test_disconnected_draw_is_redrawn_from_a_sub_stream(self):
+        # the perfbench dense-points spec at world seed 1021: the plain world
+        # stream gives a disconnected community graph, the first redraw not
+        spec = WorldSpec(camera_count=180, point_count=27000, cluster_count=4,
+                         cluster_spread=1.5, noise_sigma=1e-3, seed=1021)
+
+        def draw(*stream):
+            labels, centers, _, points = _draw_geometry(
+                spec, np.random.default_rng(np.random.SeedSequence(stream))
+            )
+            return labels, centers, points
+
+        labels, centers, points = draw(spec.seed, _STREAM_WORLD)
+        graph = _match_graph(spec, visibility(centers, points, spec.visibility_radius))
+        with pytest.raises(ValidationError, match="community graph is disconnected"):
+            _check_planted_structure(graph, labels, spec.cluster_count)
+        world = generate_world(spec)
+        _, centers, points = draw(spec.seed, _STREAM_WORLD, 1)
+        assert np.array_equal(world.camera_centers, centers)
+        assert np.array_equal(world.points, points)
+
+    def test_first_draw_uses_the_plain_world_stream(self):
+        spec = WorldSpec(seed=7, **STRONG)
+        world = generate_world(spec)
+        labels, centers, rotations, points = _draw_geometry(
+            spec, np.random.default_rng(np.random.SeedSequence([spec.seed, _STREAM_WORLD]))
+        )
+        assert np.array_equal(world.labels, labels)
+        assert np.array_equal(world.camera_centers, centers)
+        assert np.array_equal(world.camera_rotations, rotations)
+        assert np.array_equal(world.points, points)
+
     def test_bad_specs_rejected(self):
         with pytest.raises(ValidationError):
             WorldSpec(outlier_fraction=0.6)
@@ -95,6 +137,12 @@ class TestGenerateWorld:
         with pytest.raises(ValidationError, match="2\\*\\*24"):
             WorldSpec(point_count=2**24)
         assert WorldSpec(point_count=2**24 - 1).point_count == 2**24 - 1
+        # the n_cam x n_cam count matrix bounds the camera count the same way
+        with pytest.raises(ValidationError, match="camera count must be below 2\\*\\*24"):
+            WorldSpec(camera_count=2**24)
+        with pytest.raises(ValidationError, match="camera count must be below 2\\*\\*24"):
+            WorldSpec(camera_count=2**62, point_count=600, cluster_count=3)
+        assert WorldSpec(camera_count=2**24 - 1).camera_count == 2**24 - 1
 
     @pytest.mark.parametrize(
         "field, value",
@@ -137,9 +185,10 @@ class TestVisibility:
         assert got.tolist() == [[True] * 4 + [False] * 4]
 
     def test_matches_dense_rule_on_random_worlds(self):
+        # up to four camera chunks of the k-d tree query
         rng = np.random.default_rng(20)
         for _ in range(40):
-            n_cam, n_pts = int(rng.integers(1, 30)), int(rng.integers(1, 400))
+            n_cam, n_pts = int(rng.integers(1, 4 * _CAMERA_CHUNK)), int(rng.integers(1, 400))
             radius = float(rng.uniform(0.5, 6.0))
             centers = rng.uniform(-5.0, 5.0, size=(n_cam, 3))
             points = rng.uniform(-8.0, 8.0, size=(n_pts, 3))
@@ -153,15 +202,36 @@ class TestVisibility:
             points[near] = (centers[owner] + shell * u)[near]
             got = visibility(centers, points, radius)
             assert got.shape == (n_cam, n_pts)
+            assert got.indices.dtype == np.int32 and got.indptr.dtype == np.int32
             assert got.has_canonical_format
             assert np.array_equal(got.toarray(), dense_visibility(centers, points, radius))
 
+    def test_match_counts_match_int64_product_across_point_blocks(self):
+        # several point blocks of the float32 product, the last one partial,
+        # and several camera chunks of the visibility query
+        rng = np.random.default_rng(21)
+        for n_cam, n_pts, min_shared in [(1, 2 * _POINT_BLOCK, 1), (37, 3 * _POINT_BLOCK + 5, 1),
+                                         (3 * _CAMERA_CHUNK + 2, 5 * _POINT_BLOCK // 2, 40)]:
+            centers = rng.uniform(-4.0, 4.0, size=(n_cam, 3))
+            points = rng.uniform(-6.0, 6.0, size=(n_pts, 3))
+            visible = visibility(centers, points, 3.0)
+            graph = _match_graph(WorldSpec(min_shared_tracks=min_shared), visible)
+            dense = dense_visibility(centers, points, 3.0).astype(np.int64)
+            co = dense @ dense.T
+            iu, ju = np.triu_indices(n_cam, k=1)
+            strong = co[iu, ju] >= min_shared
+            assert 0 < strong.sum() < iu.size or n_cam == 1
+            assert np.array_equal(graph.edges, np.column_stack([iu[strong], ju[strong]]))
+            assert np.array_equal(graph.weights, co[iu, ju][strong])
+
     def test_world_incidence_and_match_counts_match_dense_rule(self):
         # the stored incidence and the float32 co-visibility counts against
-        # the dense rule and an exact int64 product
+        # the dense rule and an exact int64 product, over more than one block
+        assert STRONG["point_count"] > _POINT_BLOCK
         for seed in range(3):
             spec = WorldSpec(seed=seed, **STRONG)
             world = generate_world(spec)
+            assert world.visible.indices.dtype == np.int32
             dense = dense_visibility(world.camera_centers, world.points, spec.visibility_radius)
             assert np.array_equal(world.visible.toarray(), dense)
             co = dense.astype(np.int64) @ dense.T.astype(np.int64)
@@ -288,3 +358,26 @@ def test_world_file_counts_must_match_its_spec(tmp_path):
     (tmp_path / "world.json").write_text(json.dumps(obj))
     with pytest.raises(ValidationError, match="point counts differ"):
         load_world(tmp_path / "world.json")
+
+
+def test_dense_points_world_memory_rise_is_bounded():
+    # generate_world on the perfbench dense-points spec, in a fresh process:
+    # the rise of its peak resident set over the import.  Measured at 21-23
+    # MiB on a 2-core Intel Xeon with numpy 2.4 and scipy 1.17 (86 MiB when
+    # every candidate pair was held at once with int64 incidence indices),
+    # so the bound leaves a margin of about half the measured rise.
+    script = (
+        "import resource\n"
+        "from csfm.synth import WorldSpec, generate_world\n"
+        "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "generate_world(WorldSpec(camera_count=180, point_count=27000, cluster_count=4,\n"
+        "                         cluster_spread=1.5, noise_sigma=1e-3, seed=1))\n"
+        "print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base) / 1024)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    rise_mb = float(done.stdout.split()[-1])
+    assert rise_mb < 35.0, rise_mb
