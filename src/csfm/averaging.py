@@ -31,12 +31,6 @@ log = logging.getLogger(__name__)
 
 GAUGE_COMMUNITY = 0
 
-# Stage-level IRLS defaults: tighter smoothing than the solver's generic
-# default so gross outliers leave sub-1e-6 bias in the recovered transforms.
-DEFAULT_STAGE_EPSILON = 1e-9
-DEFAULT_STAGE_MAX_ITERATIONS = 100
-DEFAULT_STAGE_TOLERANCE = 1e-12
-
 ROTATION_MAX_ITERATIONS = 32
 ROTATION_UPDATE_TOL = 1e-9
 
@@ -70,15 +64,6 @@ def _edge_system(mg: MeasurementGraph, rhs: np.ndarray, plus_on_j: bool) -> Spar
     )
 
 
-def _solve(sys: SparseLinearSystem) -> np.ndarray:
-    return solve_l1(
-        sys,
-        epsilon=DEFAULT_STAGE_EPSILON,
-        max_iterations=DEFAULT_STAGE_MAX_ITERATIONS,
-        tolerance=DEFAULT_STAGE_TOLERANCE,
-    )
-
-
 def average_scales(mg: MeasurementGraph) -> np.ndarray:
     """Per-community scales from ``log s_i - log s_j = log s_ij`` rows.
 
@@ -92,7 +77,7 @@ def average_scales(mg: MeasurementGraph) -> np.ndarray:
         return scales
     rhs = np.array([np.log(m.s_ij) for m in mg.measurements])
     sys = _edge_system(mg, rhs, plus_on_j=False)
-    scales[1:] = np.exp(_solve(sys))
+    scales[1:] = np.exp(solve_l1(sys))
     return scales
 
 
@@ -158,7 +143,7 @@ def average_rotations(mg: MeasurementGraph) -> np.ndarray:
             resid[idx] = log_matrix(R[m.i] @ meas_rot[idx] @ R[m.j].T)
         delta = np.zeros((k, 3))
         for axis in range(3):
-            delta[1:, axis] = _solve(sys_pattern.with_rhs(resid[:, axis]))
+            delta[1:, axis] = solve_l1(sys_pattern.with_rhs(resid[:, axis]))
         max_step = float(np.max(np.linalg.norm(delta, axis=1)))
         if max_step < ROTATION_UPDATE_TOL:
             converged = True
@@ -237,7 +222,7 @@ def average_translations(mg: MeasurementGraph) -> np.ndarray:
     for axis in range(3):
         rhs = np.array([m.t_ij[axis] for m in mg.measurements])
         sys = _edge_system(mg, rhs, plus_on_j=True)
-        out[1:, axis] = _solve(sys)
+        out[1:, axis] = solve_l1(sys)
     return out
 
 

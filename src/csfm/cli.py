@@ -20,7 +20,6 @@ from .community import (
     DEFAULT_MIN_COMMUNITY_SIZE,
     DEFAULT_Q_THRESHOLD,
     Partition,
-    build_community_graph,
     detect_communities,
     load_partition,
     save_partition,
@@ -131,15 +130,22 @@ def detect(graph_path, q_threshold, min_size, output):
 
 
 @main.command()
-@click.option("--graph", "graph_path", required=True, type=click.Path(exists=True))
-@click.option("--partition", "partition_path", required=True, type=click.Path(exists=True))
+@click.option("--graph", "graph_path", required=True, type=click.Path(exists=True),
+              help="Match graph; a consistency check only.")
+@click.option("--partition", "partition_path", required=True, type=click.Path(exists=True),
+              help="Partition of the match graph; a consistency check only.")
 @click.option("--recs", "recs_dir", required=True, type=click.Path(exists=True))
 @click.option("--seed", required=True, type=int)
 @click.option("--workers", default=PipelineConfig.workers, show_default=True, type=int)
 @click.option("-o", "--output", required=True, type=click.Path())
 @handle_errors
 def pairwise(graph_path, partition_path, recs_dir, seed, workers, output):
-    """Estimate a similarity measurement for every linked community pair."""
+    """Estimate a similarity measurement for every community pair sharing at
+    least 3 tracks.
+
+    The partition must cover the graph and hold one community per
+    reconstruction; neither chooses the pairs.
+    """
     g = load_graph(graph_path)
     part, _, _ = load_partition(partition_path, node_count=g.node_count)
     recs = load_recs_dir(recs_dir)
@@ -148,8 +154,7 @@ def pairwise(graph_path, partition_path, recs_dir, seed, workers, output):
             f"{partition_path} has {part.community_count} communities but {recs_dir} "
             f"holds {len(recs)} reconstructions"
         )
-    cg = build_community_graph(g, part)
-    _, stats = measure_graph(recs, sorted(cg.cross_edges), seed, workers, output)
+    _, stats = measure_graph(recs, seed, workers, output)
     click.echo(f"{stats['measured_pairs']} measurements over {part.community_count} communities")
 
 
@@ -264,10 +269,10 @@ def pipeline(spec_path, world_path, recs_dir, out_dir, seed, q_threshold, min_si
     for stage in result.report["stages"]:
         click.echo(f"  {stage['name']:<22s} {stage['seconds']*1e3:9.1f} ms  {stage['stats']}")
     if result.evaluation is not None:
-        merged = result.evaluation["merged"]
+        merged, refined = result.evaluation["merged"], result.evaluation["refined"]
         click.echo(
-            f"median center error: {merged['median_center_error']:.6g} "
-            f"({merged['n_cameras']} cameras)"
+            f"median center error: {merged['median_center_error']:.6g} merged, "
+            f"{refined['median_center_error']:.6g} refined ({merged['n_cameras']} cameras)"
         )
     click.echo(f"artifacts in {out_dir}")
 

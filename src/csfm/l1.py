@@ -18,9 +18,10 @@ from .errors import RankDeficientSystemError, ValidationError
 
 log = logging.getLogger(__name__)
 
-DEFAULT_EPSILON = 1e-5
+# Tight smoothing so gross outliers leave sub-1e-6 bias in the solution.
+DEFAULT_EPSILON = 1e-9
 DEFAULT_MAX_ITERATIONS = 100
-DEFAULT_TOLERANCE = 1e-10
+DEFAULT_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)

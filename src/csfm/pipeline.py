@@ -22,7 +22,6 @@ from .averaging import average_similarities, save_transforms
 from .community import (
     DEFAULT_MIN_COMMUNITY_SIZE,
     DEFAULT_Q_THRESHOLD,
-    build_community_graph,
     detect_communities,
     save_partition,
 )
@@ -101,9 +100,15 @@ def measure_pairs(recs, pairs, seed: int, workers: int = 4) -> list:
     return [m for m in results if m is not None]
 
 
-def measure_graph(recs, pairs, seed: int, workers: int, path):
-    """The pairwise stage: measure ``pairs``, require the measurement graph
-    to be connected and write it to ``path``; returns ``(mg, stats)``."""
+def measure_graph(recs, seed: int, workers: int, path):
+    """The pairwise stage: measure every community pair sharing at least
+    ``MIN_COVISIBLE`` tracks, require the measurement graph to be connected
+    and write it to ``path``; returns ``(mg, stats)``."""
+    pairs = [
+        (rec_a.community_id, rec_b.community_id)
+        for rec_a, rec_b, ia, _ in covisible_pairs(recs)
+        if ia.size >= MIN_COVISIBLE
+    ]
     meas = measure_pairs(recs, pairs, seed=seed, workers=workers)
     mg = MeasurementGraph(community_count=len(recs), measurements=tuple(meas))
     mg.require_connected("pairwise measurement")
@@ -206,32 +211,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     else:
         raise ValidationError("pipeline needs a world spec, a world, or reconstructions")
 
-    if world is not None and partition is not None:
-        def community_graph():
-            cg = build_community_graph(world.graph, partition)
-            payload = {
-                "sizes": [int(v) for v in cg.sizes],
-                "cross_edges": [
-                    {"p": p, "q": q, "count": int(c)}
-                    for (p, q), c in sorted(cg.cross_edges.items())
-                ],
-            }
-            write_json(out / "community_graph.json", payload)
-            return cg, {}
-
-        cg = runner.run("community_graph", community_graph, out / "community_graph.json")
-        pairs = sorted(cg.cross_edges)
-    else:
-        # candidate pairs: reconstructions sharing enough tracks to measure
-        pairs = [
-            (rec_a.community_id, rec_b.community_id)
-            for rec_a, rec_b, ia, _ in covisible_pairs(recs)
-            if ia.size >= MIN_COVISIBLE
-        ]
-
     mg = runner.run(
         "pairwise",
-        lambda: measure_graph(recs, pairs, config.seed, config.workers, out / "measurements.json"),
+        lambda: measure_graph(recs, config.seed, config.workers, out / "measurements.json"),
         out / "measurements.json",
     )
 
@@ -269,7 +251,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             }
             write_json(out / "eval.json", payload)
             return payload, {
-                "median_center_error": payload["merged"]["median_center_error"]
+                "median_center_error": payload["merged"]["median_center_error"],
+                "refined_median_center_error": payload["refined"]["median_center_error"],
             }
 
         evaluation = runner.run("eval", eval_stage, out / "eval.json")
@@ -287,7 +270,6 @@ DATA_ARTIFACTS = (
     "eg.json",
     "truth-labels.json",
     "partition.json",
-    "community_graph.json",
     "measurements.json",
     "measurements_with_t.json",
     "transforms.json",

@@ -14,21 +14,26 @@ from .errors import ValidationError
 IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
 
 _TINY = 1e-300
+_UNIT_NORM_TOL = 4 * np.finfo(float).eps
 
 
 def quat_canonical(q) -> np.ndarray:
     """Normalize to unit norm and the w >= 0 hemisphere.
 
-    At w == 0 the sign is fixed by making the largest-magnitude vector
-    component positive, so half-turn rotations canonicalize deterministically.
+    A quaternion whose norm is within a few ulps of 1 is kept as it is:
+    dividing by such a norm again would move its last bits, so a quaternion
+    read back from an artifact would differ from the one written.  At w == 0
+    the sign is fixed by making the largest-magnitude vector component
+    positive, so half-turn rotations canonicalize deterministically.
     """
-    q = np.asarray(q, dtype=float)
+    q = np.array(q, dtype=float)  # a copy: a unit input is returned unscaled
     if q.shape != (4,):
         raise ValidationError(f"quaternion must have shape (4,), got {q.shape}")
     n = np.linalg.norm(q)
     if not np.isfinite(n) or n < 1e-12:
         raise ValidationError("quaternion has near-zero or non-finite norm")
-    q = q / n
+    if abs(n - 1.0) > _UNIT_NORM_TOL:
+        q = q / n
     if q[0] < 0.0:
         q = -q
     elif q[0] == 0.0:

@@ -94,14 +94,14 @@ class TestSolveL1:
         assert np.allclose(x1, x2, atol=1e-8)
 
     def test_gross_outliers_with_tight_epsilon(self):
-        # redundant consistent rows + 30% gross corruption: a small epsilon
-        # drives the smoothing bias below 1e-6
+        # redundant consistent rows + 30% gross corruption: the default
+        # epsilon is small enough to drive the smoothing bias below 1e-6
         rng = np.random.default_rng(3)
         x_true = np.array([1.5, -2.0, 0.25])
         A = rng.normal(size=(30, 3))
         b = A @ x_true
         b[rng.choice(30, size=9, replace=False)] += rng.uniform(50, 100, size=9)
-        x = solve_l1(dense_system(A, b), epsilon=1e-9)
+        x = solve_l1(dense_system(A, b))
         assert np.allclose(x, x_true, atol=1e-6)
 
 

@@ -10,14 +10,14 @@ from click.testing import CliRunner
 
 from csfm.averaging import load_transforms
 from csfm.cli import main
-from csfm.community import load_partition
+from csfm.community import build_community_graph, load_partition
 from csfm.errors import ValidationError
 from csfm.measurements import load_measurements
 from csfm.merging import load_merged, save_merged
 from csfm.pipeline import DATA_ARTIFACTS, PipelineConfig, run_pipeline
 from csfm.reconstruction import Reconstruction, load_reconstruction, save_reconstruction
 from csfm.rotations import IDENTITY_QUAT
-from csfm.synth import WorldSpec, generate_world, read_world, save_world
+from csfm.synth import WorldSpec, fracture, generate_world, read_world, save_world
 
 THREE = dict(
     camera_count=120,
@@ -56,7 +56,6 @@ class TestRunPipeline:
             "world",
             "detect",
             "fracture",
-            "community_graph",
             "pairwise",
             "average",
             "merge",
@@ -159,7 +158,9 @@ class TestCli:
         result = self.run_ok(
             ["pipeline", "--spec", str(spec_path), "--out", str(tmp_path / "run"), "--seed", "32"]
         )
-        assert "median center error" in result.output
+        evaluation = json.loads((tmp_path / "run" / "eval.json").read_text())
+        merged, refined = (evaluation[k]["median_center_error"] for k in ("merged", "refined"))
+        assert f"median center error: {merged:.6g} merged, {refined:.6g} refined" in result.output
         assert (tmp_path / "run" / "merged.json").exists()
 
     def test_validation_error_exits_2(self, tmp_path):
@@ -246,21 +247,7 @@ RERUN_CHAIN = [
 ]
 
 
-def quaternion_round_trip(what):
-    return pytest.mark.xfail(
-        strict=True,
-        reason="FOUND (CHANGES.md): loaders re-normalise every quaternion they read, "
-        f"so a command re-run from disk starts from rotations a few ulps off; {what}",
-    )
-
-
-@pytest.mark.parametrize(
-    "seed",
-    [pytest.param(21, marks=quaternion_round_trip("transforms.json differs (q_ij re-normalised)")),
-     33,
-     pytest.param(34, marks=quaternion_round_trip("4 of 120 camera q differ in merged.json "
-                                                  "and merged_refined.json"))],
-)
+@pytest.mark.parametrize("seed", [21, 33, 34])
 def test_average_merge_refine_rerun_from_disk_matches_pipeline(tmp_path, seed):
     world = generate_world(WorldSpec(seed=seed, **THREE))
     run, redo = tmp_path / "run", tmp_path / "redo"
@@ -271,6 +258,52 @@ def test_average_merge_refine_rerun_from_disk_matches_pipeline(tmp_path, seed):
         assert result.exit_code == 0, result.output
     for name in ("transforms.json", "merged.json", "transforms_refined.json", "merged_refined.json"):
         assert (redo / name).read_bytes() == (run / name).read_bytes(), name
+
+
+# a dense-points world where detected communities 0 and 1 share 7 tracks but
+# no match edge: synth joins two cameras only when they share
+# min_shared_tracks (15) tracks
+EDGELESS_PAIR_SPEC = WorldSpec(
+    camera_count=180, point_count=27000, cluster_count=4, cluster_spread=1.5,
+    noise_sigma=1e-3, outlier_fraction=0.0, seed=25,
+)
+
+
+def measured_pairs(path):
+    return [(m["i"], m["j"]) for m in json.loads(Path(path).read_text())]
+
+
+def test_every_entry_point_measures_the_pairs_that_share_tracks(tmp_path):
+    world = generate_world(EDGELESS_PAIR_SPEC)
+    run = tmp_path / "run"
+    res = run_pipeline(PipelineConfig(out_dir=str(run), seed=25, world=world, workers=2))
+    assert (0, 1) not in build_community_graph(world.graph, res.partition).cross_edges
+    pairs = measured_pairs(run / "measurements.json")
+    assert pairs == [(0, 1), (0, 3), (1, 2), (2, 3)]
+    stats = {s["name"]: s["stats"] for s in res.report["stages"]}
+    assert stats["pairwise"] == {"measured_pairs": 4, "candidate_pairs": 4}
+
+    recs = tuple(fracture(world, res.partition).reconstructions)
+    from_recs = tmp_path / "from_recs"
+    run_pipeline(PipelineConfig(out_dir=str(from_recs), seed=25, reconstructions=recs))
+    assert (from_recs / "measurements.json").read_bytes() == (run / "measurements.json").read_bytes()
+
+    meas = tmp_path / "measurements_cli.json"
+    result = CliRunner().invoke(main, [
+        "pairwise", "--graph", str(run / "eg.json"), "--partition", str(run / "partition.json"),
+        "--recs", str(run), "--seed", "25", "-o", str(meas)])
+    assert result.exit_code == 0, result.output
+    assert measured_pairs(meas) == pairs
+
+
+def test_eval_stage_reports_merged_and_refined_errors(pipeline_run):
+    evaluation = json.loads((pipeline_run / "eval.json").read_text())
+    report = json.loads((pipeline_run / "report.json").read_text())
+    stats = {s["name"]: s["stats"] for s in report["stages"]}["eval"]
+    assert stats == {
+        "median_center_error": evaluation["merged"]["median_center_error"],
+        "refined_median_center_error": evaluation["refined"]["median_center_error"],
+    }
 
 
 @pytest.fixture(scope="module")
@@ -596,12 +629,13 @@ def test_merged_round_trip_is_bit_exact(pipeline_run, tmp_path, name):
 
 
 def test_reconstruction_round_trip_is_bit_exact(pipeline_run, tmp_path):
-    first = load_reconstruction(pipeline_run / "rec_1.json")
-    save_reconstruction(first, tmp_path / "rec_1.json")
-    back = load_reconstruction(tmp_path / "rec_1.json")
-    # Reconstruction re-normalises its quaternions on construction, which may
-    # move their last bits; every column the file layout carries is exact
-    assert_same_arrays(first, back, [f for f in ARRAY_FIELDS if f != "camera_rotations"])
+    for path in sorted(pipeline_run.glob("rec_*.json")):
+        first = load_reconstruction(path)
+        save_reconstruction(first, tmp_path / path.name)
+        back = load_reconstruction(tmp_path / path.name)
+        # unit quaternions are not re-normalised, so rotations come back exact
+        assert_same_arrays(first, back, ARRAY_FIELDS)
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def test_world_round_trip_is_bit_exact(tmp_path):
