@@ -18,7 +18,6 @@ from .averaging import (
     recompute_pairwise_translations,
 )
 from .community import (
-    CommunityGraph,
     DendrogramTrace,
     Partition,
     absorb_small,

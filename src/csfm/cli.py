@@ -141,7 +141,7 @@ def detect(graph_path, q_threshold, min_size, output):
 @handle_errors
 def pairwise(graph_path, partition_path, recs_dir, seed, workers, output):
     """Estimate a similarity measurement for every community pair sharing at
-    least 3 tracks.
+    least 4 tracks, one more than RANSAC's minimal sample.
 
     The partition must cover the graph and hold one community per
     reconstruction; neither chooses the pairs.

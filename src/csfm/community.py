@@ -87,15 +87,6 @@ class DendrogramTrace:
                 raise ValidationError(f"modularity value {qv} outside [-1, 1]")
 
 
-@dataclass(frozen=True)
-class CommunityGraph:
-    """Meta-graph over communities; edges weighted by cross-edge counts."""
-
-    community_count: int
-    cross_edges: dict  # (p, q) with p < q -> count >= 1
-    sizes: np.ndarray
-
-
 def modularity(g: EpipolarGraph, p: Partition) -> float:
     """Modularity of a partition: intra-edge fraction minus its random-graph
     expectation under the degree-preserving null model.
@@ -274,8 +265,9 @@ def recursive_partition(g: EpipolarGraph, q_threshold: float = DEFAULT_Q_THRESHO
     return Partition.from_labels(labels)
 
 
-def build_community_graph(g: EpipolarGraph, p: Partition) -> CommunityGraph:
-    """Count cross edges between every linked community pair."""
+def build_community_graph(g: EpipolarGraph, p: Partition) -> dict:
+    """Cross-edge count of every linked community pair, as ``{(a, b): count}``
+    with ``a < b``."""
     if p.assignment.shape[0] != g.node_count:
         raise ValidationError("partition does not cover the graph")
     cross = {}
@@ -286,11 +278,7 @@ def build_community_graph(g: EpipolarGraph, p: Partition) -> CommunityGraph:
             continue
         key = (int(min(a, b)), int(max(a, b)))
         cross[key] = cross.get(key, 0) + 1
-    return CommunityGraph(
-        community_count=p.community_count,
-        cross_edges=cross,
-        sizes=p.sizes(),
-    )
+    return cross
 
 
 def absorb_small(
@@ -308,10 +296,9 @@ def absorb_small(
     """
     if p.assignment.shape[0] != g.node_count:
         raise ValidationError("partition does not cover the graph")
-    cg = build_community_graph(g, p)
-    sizes = {c: int(s) for c, s in enumerate(cg.sizes)}
+    sizes = {c: int(s) for c, s in enumerate(p.sizes())}
     nbr = {c: {} for c in sizes}
-    for (a, b), cnt in cg.cross_edges.items():
+    for (a, b), cnt in build_community_graph(g, p).items():
         nbr[a][b] = cnt
         nbr[b][a] = cnt
 

@@ -19,9 +19,9 @@ from .errors import RankDeficientSystemError, ValidationError
 log = logging.getLogger(__name__)
 
 # Tight smoothing so gross outliers leave sub-1e-6 bias in the solution.
-DEFAULT_EPSILON = 1e-9
-DEFAULT_MAX_ITERATIONS = 100
-DEFAULT_TOLERANCE = 1e-12
+EPSILON = 1e-9
+MAX_ITERATIONS = 100
+TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -104,17 +104,12 @@ def solve_weighted_ls(sys: SparseLinearSystem, weights) -> np.ndarray:
     return x
 
 
-def solve_l1(
-    sys: SparseLinearSystem,
-    epsilon: float = DEFAULT_EPSILON,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    tolerance: float = DEFAULT_TOLERANCE,
-    iteration_callback=None,
-) -> np.ndarray:
+def solve_l1(sys: SparseLinearSystem, iteration_callback=None) -> np.ndarray:
     """IRLS minimization of ``||A x - b||_1``.
 
     Starts from the unweighted least-squares solution and reweights each row
-    by ``1 / max(|residual|, epsilon)`` until the iterate stops moving.  On
+    by ``1 / max(|residual|, EPSILON)`` until the iterate stops moving
+    (by ``TOLERANCE``, relative) or ``MAX_ITERATIONS`` pass.  On
     consistent systems the first solve is already exact.  ``iteration_callback``
     (if given) receives ``(iteration, x, l1_objective)`` after every solve.
     """
@@ -123,9 +118,9 @@ def solve_l1(
     x = solve_weighted_ls(sys, np.ones(sys.rows))
     if iteration_callback is not None:
         iteration_callback(0, x, float(np.abs(A @ x - sys.rhs).sum()))
-    for it in range(1, max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         r = A @ x - sys.rhs
-        w = 1.0 / np.maximum(np.abs(r), epsilon)
+        w = 1.0 / np.maximum(np.abs(r), EPSILON)
         x_new = solve_weighted_ls(sys, w)
         if iteration_callback is not None or debug:
             obj = float(np.abs(A @ x_new - sys.rhs).sum())
@@ -135,6 +130,6 @@ def solve_l1(
                 iteration_callback(it, x_new, obj)
         delta = np.max(np.abs(x_new - x))
         x = x_new
-        if delta < tolerance * max(1.0, float(np.max(np.abs(x)))):
+        if delta < TOLERANCE * max(1.0, float(np.max(np.abs(x)))):
             break
     return x

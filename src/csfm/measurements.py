@@ -18,14 +18,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alignment import ransac_similarity
+from .alignment import MIN_SAMPLE, ransac_similarity
 from .errors import DisconnectedGraphError, ValidationError
 from .graph import component_labels
 from .jsonio import column, parsing, records, write_json
 from .reconstruction import Reconstruction, covisible
 from .rotations import quat_canonical, quat_conjugate
 
-MIN_COVISIBLE = 3
+# One track beyond RANSAC's minimal sample, so some track can vote against
+# the fit: a pair sharing exactly a minimal sample always fits all of it.
+MIN_COVISIBLE = MIN_SAMPLE + 1
 
 
 @dataclass(frozen=True)

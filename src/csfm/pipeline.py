@@ -106,8 +106,7 @@ def measure_graph(recs, seed: int, workers: int, path):
     and write it to ``path``; returns ``(mg, stats)``."""
     pairs = [
         (rec_a.community_id, rec_b.community_id)
-        for rec_a, rec_b, ia, _ in covisible_pairs(recs)
-        if ia.size >= MIN_COVISIBLE
+        for rec_a, rec_b, _, _ in covisible_pairs(recs, MIN_COVISIBLE)
     ]
     meas = measure_pairs(recs, pairs, seed=seed, workers=workers)
     mg = MeasurementGraph(community_count=len(recs), measurements=tuple(meas))

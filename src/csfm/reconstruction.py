@@ -78,9 +78,10 @@ def covisible(rec_a: Reconstruction, rec_b: Reconstruction) -> CorrespondenceSet
     )
 
 
-def covisible_pairs(recs) -> list:
-    """Every community pair with shared tracks, ordered by community id, as
-    ``(rec_a, rec_b, ia, ib)`` with ``ia``/``ib`` indexing the shared tracks."""
+def covisible_pairs(recs, min_shared: int = 1) -> list:
+    """Every community pair sharing at least ``min_shared`` tracks, ordered by
+    community id, as ``(rec_a, rec_b, ia, ib)`` with ``ia``/``ib`` indexing
+    the shared tracks."""
     recs = sorted(recs, key=lambda r: r.community_id)
     pairs = []
     for a in range(len(recs)):
@@ -88,7 +89,7 @@ def covisible_pairs(recs) -> list:
             common, ia, ib = np.intersect1d(
                 recs[a].track_ids, recs[b].track_ids, assume_unique=True, return_indices=True
             )
-            if common.size:
+            if common.size >= min_shared:
                 pairs.append((recs[a], recs[b], ia, ib))
     return pairs
 

@@ -282,14 +282,14 @@ class TestAbsorbSmall:
 class TestCommunityGraph:
     def test_single_community_no_cross(self):
         g = make_graph(4, clique_edges(range(4)))
-        cg = build_community_graph(g, Partition(np.zeros(4, dtype=np.int64), 1))
-        assert cg.cross_edges == {}
-        assert list(cg.sizes) == [4]
+        p = Partition(np.zeros(4, dtype=np.int64), 1)
+        assert build_community_graph(g, p) == {}
+        assert list(p.sizes()) == [4]
 
     def test_two_triangles_one_bridge(self):
         g = make_graph(6, TWO_TRIANGLES + [(2, 3)])
-        cg = build_community_graph(g, Partition.from_communities([[0, 1, 2], [3, 4, 5]]))
-        assert cg.cross_edges == {(0, 1): 1}
+        cross = build_community_graph(g, Partition.from_communities([[0, 1, 2], [3, 4, 5]]))
+        assert cross == {(0, 1): 1}
 
     def test_planted_three_block_counts(self):
         # oracle: the generator's own inter-block edge lists
@@ -305,8 +305,7 @@ class TestCommunityGraph:
                         edges.append(e)
                         break
         g = make_graph(18, edges)
-        cg = build_community_graph(g, Partition.from_communities(blocks))
-        assert cg.cross_edges == planted
+        assert build_community_graph(g, Partition.from_communities(blocks)) == planted
 
 
 class TestHeapKernelAgainstScan:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from csfm import l1
 from csfm.errors import RankDeficientSystemError, ValidationError
 from csfm.l1 import SparseLinearSystem, solve_l1, solve_weighted_ls
 
@@ -65,13 +66,14 @@ class TestSolveL1:
     def test_single_column_single_row(self):
         assert solve_l1(dense_system([[1.0]], [7.0]))[0] == pytest.approx(7.0, abs=1e-12)
 
-    def test_consistent_system_exact_for_any_epsilon(self):
+    def test_consistent_system_exact_for_any_epsilon(self, monkeypatch):
         rng = np.random.default_rng(0)
         for epsilon in (1e-3, 1e-5, 1e-8):
+            monkeypatch.setattr(l1, "EPSILON", epsilon)
             A = rng.normal(size=(12, 4))
             x_true = rng.normal(size=4)
             sys = dense_system(A, A @ x_true)
-            x = solve_l1(sys, epsilon=epsilon)
+            x = solve_l1(sys)
             assert np.allclose(x, x_true, atol=1e-8)
 
     def test_objective_non_increasing(self):
@@ -94,8 +96,8 @@ class TestSolveL1:
         assert np.allclose(x1, x2, atol=1e-8)
 
     def test_gross_outliers_with_tight_epsilon(self):
-        # redundant consistent rows + 30% gross corruption: the default
-        # epsilon is small enough to drive the smoothing bias below 1e-6
+        # redundant consistent rows + 30% gross corruption: EPSILON is
+        # small enough to drive the smoothing bias below 1e-6
         rng = np.random.default_rng(3)
         x_true = np.array([1.5, -2.0, 0.25])
         A = rng.normal(size=(30, 3))

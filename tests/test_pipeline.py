@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from csfm.alignment import MIN_SAMPLE
 from csfm.averaging import load_transforms
 from csfm.cli import main
 from csfm.community import build_community_graph, load_partition
@@ -15,7 +16,12 @@ from csfm.errors import ValidationError
 from csfm.measurements import load_measurements
 from csfm.merging import load_merged, save_merged
 from csfm.pipeline import DATA_ARTIFACTS, PipelineConfig, run_pipeline
-from csfm.reconstruction import Reconstruction, load_reconstruction, save_reconstruction
+from csfm.reconstruction import (
+    Reconstruction,
+    covisible_pairs,
+    load_reconstruction,
+    save_reconstruction,
+)
 from csfm.rotations import IDENTITY_QUAT
 from csfm.synth import WorldSpec, fracture, generate_world, read_world, save_world
 
@@ -277,7 +283,7 @@ def test_every_entry_point_measures_the_pairs_that_share_tracks(tmp_path):
     world = generate_world(EDGELESS_PAIR_SPEC)
     run = tmp_path / "run"
     res = run_pipeline(PipelineConfig(out_dir=str(run), seed=25, world=world, workers=2))
-    assert (0, 1) not in build_community_graph(world.graph, res.partition).cross_edges
+    assert (0, 1) not in build_community_graph(world.graph, res.partition)
     pairs = measured_pairs(run / "measurements.json")
     assert pairs == [(0, 1), (0, 3), (1, 2), (2, 3)]
     stats = {s["name"]: s["stats"] for s in res.report["stages"]}
@@ -294,6 +300,20 @@ def test_every_entry_point_measures_the_pairs_that_share_tracks(tmp_path):
         "--recs", str(run), "--seed", "25", "-o", str(meas)])
     assert result.exit_code == 0, result.output
     assert measured_pairs(meas) == pairs
+
+
+def test_a_pair_sharing_only_a_minimal_sample_is_not_measured(tmp_path):
+    # communities 0 and 3 of this dense-points world share exactly RANSAC's
+    # 3-point minimal sample; a fit no track can vote against, averaged with
+    # the same weight as the well-supported pairs, raised the merged median
+    # center error from 0.00204 to 0.00545
+    world = generate_world(WorldSpec(**{**EDGELESS_PAIR_SPEC.to_json(), "seed": 54}))
+    res = run_pipeline(PipelineConfig(out_dir=str(tmp_path), seed=54, world=world, workers=2))
+    recs = fracture(world, res.partition).reconstructions
+    shared = {(a.community_id, b.community_id): ia.size for a, b, ia, _ in covisible_pairs(recs)}
+    assert shared[(0, 3)] == MIN_SAMPLE
+    assert measured_pairs(tmp_path / "measurements.json") == [(0, 1), (1, 2), (2, 3)]
+    assert res.evaluation["merged"]["median_center_error"] < 0.0025
 
 
 def test_eval_stage_reports_merged_and_refined_errors(pipeline_run):
