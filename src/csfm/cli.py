@@ -42,6 +42,10 @@ from .synth import WorldSpec, fracture, generate_world, load_world, read_world, 
 
 log = logging.getLogger("csfm")
 
+# seeds feed numpy's SeedSequence, which takes no negative number, and are
+# written as JSON integers, which the artifact encoder holds to 64 bits
+SEED = click.IntRange(0, 2**63 - 1)
+
 
 def handle_errors(fn):
     @functools.wraps(fn)
@@ -92,7 +96,7 @@ def main(verbose: int):
 @main.command()
 @click.option("--spec", "spec_path", type=click.Path(exists=True), help="World spec JSON.")
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--seed", required=True, type=int)
+@click.option("--seed", required=True, type=SEED)
 @handle_errors
 def synth(spec_path, out_dir, seed):
     """Generate a synthetic world: world.json, eg.json, truth-labels.json,
@@ -135,7 +139,7 @@ def detect(graph_path, q_threshold, min_size, output):
 @click.option("--partition", "partition_path", required=True, type=click.Path(exists=True),
               help="Partition of the match graph; a consistency check only.")
 @click.option("--recs", "recs_dir", required=True, type=click.Path(exists=True))
-@click.option("--seed", required=True, type=int)
+@click.option("--seed", required=True, type=SEED)
 @click.option("--workers", default=PipelineConfig.workers, show_default=True, type=int)
 @click.option("-o", "--output", required=True, type=click.Path())
 @handle_errors
@@ -243,7 +247,7 @@ def export_ply_cmd(merged_path, color_by_community, output):
 @click.option("--world", "world_path", type=click.Path(exists=True), help="Existing world.json.")
 @click.option("--recs", "recs_dir", type=click.Path(exists=True), help="Existing per-community reconstructions.")
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--seed", required=True, type=int)
+@click.option("--seed", required=True, type=SEED)
 @click.option("--q-threshold", default=DEFAULT_Q_THRESHOLD, show_default=True, type=float)
 @click.option("--min-size", default=DEFAULT_MIN_COMMUNITY_SIZE, show_default=True, type=int)
 @click.option("--workers", default=PipelineConfig.workers, show_default=True, type=int)

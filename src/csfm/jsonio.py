@@ -1,9 +1,15 @@
 """The one artifact format and the one input contract.
 
 Artifacts are compact JSON (no whitespace between tokens) with sorted keys
-and a trailing newline.  Compact separators let ``json.dumps`` take CPython's
-C encoder.  Non-finite numbers are refused both ways, so a ``NaN`` can
-neither be written into an artifact nor read back out of one.
+and a trailing newline, encoded by ``orjson``.  Its floats are the shortest
+text that parses back to the same double, the digits ``repr`` gives, in
+two other notations: a magnitude in [1e-5, 1e-4) is written positionally
+(``0.00001`` for ``1e-05``), and an exponent has no ``+`` or leading zero
+(``1e16``, ``1e-7``).  Every float reads back bit for bit.  Non-finite
+numbers are refused both ways, so a ``NaN`` can neither be written into an
+artifact nor read back out of one.  Parsing stays on the standard library's
+``json``: it reads ``1e999`` as ``inf`` and an integer of any size exactly,
+so :func:`column` refuses either with its own message.
 
 Every loader reads its file inside :func:`parsing` and its numbers with
 :func:`column` or :func:`scalar`, so malformed input of any kind becomes a
@@ -15,24 +21,42 @@ keys of a JSON object, are built inside it.
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
 from itertools import chain
 
 import numpy as np
+import orjson
 
 from .errors import NumericError, ValidationError
+
+
+_OPTIONS = orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE | orjson.OPT_SERIALIZE_NUMPY
+
+
+def _non_finite(obj) -> bool:
+    """Whether a non-finite float sits anywhere in ``obj``."""
+    if isinstance(obj, float):  # np.float64 included
+        return not math.isfinite(obj)
+    if isinstance(obj, dict):
+        return any(map(_non_finite, obj.values()))
+    if isinstance(obj, (list, tuple)):
+        return any(map(_non_finite, obj))
+    if isinstance(obj, (np.ndarray, np.floating)):
+        return not np.all(np.isfinite(obj))
+    return False
 
 
 def write_json(path, obj) -> None:
     """Write ``obj`` to ``path``; a value that cannot be written (a non-finite
     number) raises :class:`NumericError` before the file is created."""
-    try:
-        text = json.dumps(obj, separators=(",", ":"), sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise NumericError(f"{os.fspath(path)} not written: {exc}") from exc
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    data = orjson.dumps(obj, option=_OPTIONS)
+    # orjson writes NaN and +-inf as null, so only a file holding a null can hide one
+    if b"null" in data and _non_finite(obj):
+        raise NumericError(f"{os.fspath(path)} not written: non-finite number")
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def _refuse_constant(token):

@@ -359,7 +359,7 @@ def merged_to_json(model: MergedModel) -> dict:
     return {
         "cameras": cameras_to_json(model.camera_ids, model.camera_rotations, model.camera_centers),
         **points_to_json(model.track_ids, model.points),
-        "communities": [list(model.provenance[t]) for t in model.track_ids.tolist()],
+        "communities": [model.provenance[t] for t in model.track_ids.tolist()],
         "fusion": {"tracks": [t for t, _ in fused], "spread": [v for _, v in fused]},
     }
 
@@ -395,12 +395,9 @@ def load_merged(path) -> MergedModel:
     )
 
 
-_PALETTE = np.array(
-    [
-        [228, 26, 28], [55, 126, 184], [77, 175, 74], [152, 78, 163],
-        [255, 127, 0], [255, 255, 51], [166, 86, 40], [247, 129, 191],
-    ],
-    dtype=np.int64,
+_PALETTE = (
+    (228, 26, 28), (55, 126, 184), (77, 175, 74), (152, 78, 163),
+    (255, 127, 0), (255, 255, 51), (166, 86, 40), (247, 129, 191),
 )
 
 
@@ -412,12 +409,13 @@ def export_ply(model: MergedModel, path, color_by_community: bool = False) -> No
     if color_by_community:
         lines += ["property uchar red", "property uchar green", "property uchar blue"]
     lines.append("end_header")
-    for t, p in zip(model.track_ids, model.points):
-        row = f"{p[0]:.8g} {p[1]:.8g} {p[2]:.8g}"
-        if color_by_community:
-            c = min(model.provenance[int(t)])
-            rgb = _PALETTE[c % len(_PALETTE)]
-            row += f" {rgb[0]} {rgb[1]} {rgb[2]}"
-        lines.append(row)
+    rows = [f"{x:.8g} {y:.8g} {z:.8g}" for x, y, z in model.points.tolist()]
+    if color_by_community:
+        suffix = [f" {r} {g} {b}" for r, g, b in _PALETTE]
+        rows = [
+            row + suffix[min(model.provenance[t]) % len(suffix)]
+            for row, t in zip(rows, model.track_ids.tolist())
+        ]
+    lines += rows
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

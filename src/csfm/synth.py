@@ -324,15 +324,16 @@ def fracture(
     elif len(transforms) != k:
         raise ValidationError("need one transform per community")
 
-    # a community reconstructs the tracks seen by >= 2 of its cameras
+    # a community reconstructs the tracks seen by >= 2 of its cameras, counted
+    # over its cameras' incidence rows one community at a time
     n_pts = world.points.shape[0]
-    view_community = np.repeat(partition.assignment, np.diff(world.visible.indptr))
-    views = np.bincount(
-        view_community * n_pts + world.visible.indices, minlength=k * n_pts
-    ).reshape(k, n_pts)
-    member = views >= 2
-    member_tracks = [np.flatnonzero(row) for row in member]
-    multiplicity = member.sum(axis=0)  # communities that reconstruct each track
+    community_cams = [np.flatnonzero(partition.assignment == c) for c in range(k)]
+    member_tracks = []
+    multiplicity = np.zeros(n_pts, dtype=np.int64)  # communities that reconstruct each track
+    for cams in community_cams:
+        member = np.bincount(world.visible[cams].indices, minlength=n_pts) >= 2
+        member_tracks.append(np.flatnonzero(member))
+        multiplicity += member
 
     world_extent = float(np.max(np.ptp(world.points, axis=0)))
     recs = []
@@ -341,7 +342,7 @@ def fracture(
         rng = np.random.default_rng(np.random.SeedSequence([spec.seed, _STREAM_NOISE, c]))
         tr = transforms[c]
         inv = tr.inverse()
-        cams = np.flatnonzero(partition.assignment == c)
+        cams = community_cams[c]
         tracks = member_tracks[c]
         pts_local = inv.apply(world.points[tracks])
         centers_local = inv.apply(world.camera_centers[cams])

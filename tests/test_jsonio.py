@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from csfm.errors import NumericError, ValidationError
 from csfm.jsonio import column, parsing, records, scalar, write_json
@@ -31,6 +33,49 @@ def test_refused_write_keeps_an_existing_file(tmp_path):
         write_json(path, [float("nan")])
     with parsing(path, "file") as read:
         assert read == [1]
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20))
+@example([5e-324, -5e-324, 2.2250738585072014e-308, 0.0, -0.0, 1e-5, 1e16, 1e308])
+@example([7.528138781554006e-05, 1e-7, 1.2345678901234567e-4, -1.7976931348623157e308])
+def test_finite_floats_read_back_bit_for_bit(tmp_path, values):
+    write_json(tmp_path / "x.json", {"v": values})
+    with parsing(tmp_path / "x.json", "file") as read:
+        assert np.array(read["v"], dtype=float).view(np.uint64).tolist() == (
+            np.array(values, dtype=float).view(np.uint64).tolist()
+        )
+
+
+def test_numpy_scalars_written_as_python_numbers(tmp_path):
+    obj = {"f": np.float64(0.1), "i": np.int64(-3), "l": [np.float64(2.5)]}
+    write_json(tmp_path / "x.json", obj)
+    assert (tmp_path / "x.json").read_text() == '{"f":0.1,"i":-3,"l":[2.5]}\n'
+
+
+def test_small_floats_written_positionally(tmp_path):
+    write_json(tmp_path / "x.json", [1e-5, 7.528138781554006e-05, 1e-7, 1e16])
+    assert (tmp_path / "x.json").read_text() == "[0.00001,0.00007528138781554006,1e-7,1e16]\n"
+
+
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), -float("inf"), np.float64("nan"), np.float32("inf")]
+)
+@pytest.mark.parametrize(
+    "nest",
+    [
+        lambda v: {"a": {"b": [1.0, {"c": v}]}},
+        lambda v: [None, ({"t": None}, (0.5, v))],
+        lambda v: {"t_ij": None, "s": [[1.0, 2.0], [3.0, v]]},
+        lambda v: {"n": None, "a": np.array([[1.0, 2.0], [v, 0.0]])},
+    ],
+    ids=["dict-list-dict", "beside-null-in-tuple", "beside-null-in-rows", "in-an-array"],
+)
+def test_nested_non_finite_value_refused_and_no_file_left(tmp_path, nest, value):
+    path = tmp_path / "x.json"
+    with pytest.raises(NumericError, match="x.json"):
+        write_json(path, nest(value))
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])

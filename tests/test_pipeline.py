@@ -424,6 +424,19 @@ def test_huge_track_id_in_recs_exits_2(pipeline_run, tmp_path):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("seed", [-1, 2**63, 2**70])
+def test_seed_out_of_range_exits_2(pipeline_run, tmp_path, seed):
+    for args in (["synth", "--out", str(tmp_path / "w")],
+                 ["pipeline", "--recs", str(pipeline_run), "--out", str(tmp_path / "r")],
+                 ["pairwise", "--graph", f"{pipeline_run}/eg.json", "--partition",
+                  f"{pipeline_run}/partition.json", "--recs", str(pipeline_run),
+                  "-o", str(tmp_path / "m.json")]):
+        result = CliRunner().invoke(main, [*args, "--seed", str(seed)])
+        assert result.exit_code == 2, result.output
+        assert "--seed" in result.output and "Traceback" not in result.output
+    assert not (tmp_path / "r").exists() and not (tmp_path / "m.json").exists()
+
+
 @pytest.mark.parametrize(
     ("communities", "match"),
     [
