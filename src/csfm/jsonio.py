@@ -7,9 +7,15 @@ two other notations: a magnitude in [1e-5, 1e-4) is written positionally
 (``0.00001`` for ``1e-05``), and an exponent has no ``+`` or leading zero
 (``1e16``, ``1e-7``).  Every float reads back bit for bit.  Non-finite
 numbers are refused both ways, so a ``NaN`` can neither be written into an
-artifact nor read back out of one.  Parsing stays on the standard library's
-``json``: it reads ``1e999`` as ``inf`` and an integer of any size exactly,
-so :func:`column` refuses either with its own message.
+artifact nor read back out of one.
+
+Parsing is ``orjson`` too.  A text it refuses is parsed again by the
+standard library's ``json``, which decides: it reads ``1e999`` as ``inf``
+(refused by :func:`column`), UTF-16 and lone surrogate escapes, and refuses
+the rest with the message it always gave.  orjson reads an integer beyond
+64 bits as a float, so :func:`column` refuses any number of magnitude
+``2**63`` or more in an integer column as out of range, whatever its
+notation.
 
 Every loader reads its file inside :func:`parsing` and its numbers with
 :func:`column` or :func:`scalar`, so malformed input of any kind becomes a
@@ -82,9 +88,14 @@ def parsing(source, what: str):
         with open(source, "rb") as fh:
             raw = fh.read()
     try:
-        obj = json.loads(raw, parse_constant=_refuse_constant)
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError included
-        raise ValidationError(f"{name} is not valid JSON: {exc}") from exc
+        obj = orjson.loads(raw)
+    except orjson.JSONDecodeError:
+        # orjson also refuses text the standard library reads (UTF-16,
+        # a lone surrogate, 1e999, deep nesting); it decides, with its message
+        try:
+            obj = json.loads(raw, parse_constant=_refuse_constant)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError included
+            raise ValidationError(f"{name} is not valid JSON: {exc}") from exc
     try:
         yield obj
     except ValidationError as exc:
@@ -103,6 +114,10 @@ def _numbers(values, what: str, dtype, width, expected: str) -> np.ndarray:
     shape = (0,) if width is None else (0, width)
     if arr.shape == (0,):
         return np.zeros(shape, dtype=dtype)
+    # orjson reads an integer beyond 64 bits as a float: any number that
+    # large is out of an integer column's range, whatever its notation
+    if dtype is not float and arr.dtype.kind == "f" and np.any(np.abs(arr) >= 2.0**63):
+        raise ValidationError(f"{what}: number out of range")
     # integers beyond int64 come back as uint64 or as Python ints in an object array
     if arr.dtype.kind == "u" or (
         arr.dtype.kind == "O" and all(type(v) in (int, float) for v in arr.flat)

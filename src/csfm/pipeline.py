@@ -41,7 +41,14 @@ from .merging import (
 )
 from .reconstruction import check_community_ids, covisible_pairs, save_reconstructions
 from .rotations import geodesic_angle, quat_conjugate, quat_multiply
-from .synth import GroundTruthWorld, WorldSpec, fracture, generate_world, write_world_files
+from .synth import (
+    GroundTruthWorld,
+    WorldSpec,
+    check_seed,
+    fracture,
+    generate_world,
+    write_world_files,
+)
 
 log = logging.getLogger(__name__)
 
@@ -172,6 +179,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     world (detect + fracture + merge chain), or a set of per-community
     reconstructions (pairwise measurement onward, no evaluation).
     """
+    check_seed(config.seed)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     runner = _StageRunner()

@@ -14,7 +14,7 @@ from .errors import ValidationError
 IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
 
 _TINY = 1e-300
-_UNIT_NORM_TOL = 4 * np.finfo(float).eps
+UNIT_NORM_TOL = 4 * np.finfo(float).eps
 
 
 def quat_canonical(q) -> np.ndarray:
@@ -32,7 +32,7 @@ def quat_canonical(q) -> np.ndarray:
     n = np.linalg.norm(q)
     if not np.isfinite(n) or n < 1e-12:
         raise ValidationError("quaternion has near-zero or non-finite norm")
-    if abs(n - 1.0) > _UNIT_NORM_TOL:
+    if abs(n - 1.0) > UNIT_NORM_TOL:
         q = q / n
     if q[0] < 0.0:
         q = -q

@@ -43,6 +43,13 @@ _CAMERA_CHUNK = 16  # cameras per k-d tree query in visibility()
 _POINT_BLOCK = 2048  # incidence columns per dense float32 block in _match_graph()
 
 
+def check_seed(seed) -> None:
+    """Refuse a seed outside ``0..2**63-1``: numpy's SeedSequence takes no
+    negative number, and artifacts hold integers to 64 bits."""
+    if scalar(seed, "seed", np.int64) < 0:
+        raise ValidationError("seed must be non-negative")
+
+
 @dataclass(frozen=True)
 class WorldSpec:
     camera_count: int = 200
@@ -57,8 +64,9 @@ class WorldSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("camera_count", "point_count", "cluster_count", "min_shared_tracks", "seed"):
+        for name in ("camera_count", "point_count", "cluster_count", "min_shared_tracks"):
             scalar(getattr(self, name), name, np.int64)
+        check_seed(self.seed)
         for name in (
             "cluster_spread", "cluster_separation", "visibility_radius", "noise_sigma",
             "outlier_fraction",

@@ -7,6 +7,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from csfm.alignment import (
+    DEFAULT_CONFIDENCE,
+    MIN_SAMPLE,
+    CorrespondenceSet,
+    default_inlier_threshold,
+    horn_similarity,
+)
+from csfm.errors import DegenerateGeometryError, RansacFailureError
 from csfm.graph import EpipolarGraph
 from csfm.rotations import quat_to_matrix, random_quat
 from csfm.sim3 import Sim3
@@ -127,6 +135,53 @@ def scan_merge_trace(g: EpipolarGraph):
         q = q + dq
         merges.append((p, r, q))
     return tuple(merges)
+
+
+def loop_ransac(corr: CorrespondenceSet, inlier_threshold=None, max_iterations=1024, seed=0):
+    """RANSAC fitting and scoring one hypothesis at a time with
+    ``horn_similarity`` and ``Sim3.apply``.
+
+    Reference for the batched scoring in ``csfm.alignment.ransac_similarity``:
+    the same samples, stopping rule and refit, so it returns the same
+    ``(sim3, inlier_track_ids)`` or raises the same error.
+    """
+    n = len(corr)
+    threshold = inlier_threshold if inlier_threshold is not None else default_inlier_threshold(corr)
+    rng = np.random.default_rng(seed)
+    a = corr.points_a
+    b = corr.points_b
+    best_mask = None
+    best_count = 0
+    needed = max_iterations
+    it = 0
+    while it < needed:
+        it += 1
+        sample = rng.choice(n, size=MIN_SAMPLE, replace=False)
+        try:
+            model = horn_similarity(
+                CorrespondenceSet(corr.track_ids[sample], a[sample], b[sample])
+            )
+        except DegenerateGeometryError:
+            continue
+        mask = np.linalg.norm(b - model.apply(a), axis=1) < threshold
+        count = int(mask.sum())
+        if count > best_count:
+            best_count = count
+            best_mask = mask
+            ratio = count / n
+            if ratio >= 1.0:
+                break
+            denom = np.log1p(-(ratio**MIN_SAMPLE))
+            if denom < 0:
+                needed = min(
+                    max_iterations, int(np.ceil(np.log1p(-DEFAULT_CONFIDENCE) / denom))
+                )
+    if best_mask is None or best_count < MIN_SAMPLE:
+        raise RansacFailureError(
+            f"no hypothesis reached {MIN_SAMPLE} inliers in {it} iterations"
+        )
+    inlier_ids = corr.track_ids[best_mask]
+    return horn_similarity(CorrespondenceSet(inlier_ids, a[best_mask], b[best_mask])), inlier_ids
 
 
 def dense_visibility(centers, points, radius):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from csfm.alignment import CorrespondenceSet, horn_similarity, ransac_similarity
 from csfm.errors import DegenerateGeometryError, RansacFailureError, ValidationError
 from csfm.rotations import IDENTITY_QUAT, geodesic_angle
 
-from helpers import random_sim3
+from helpers import loop_ransac, random_sim3
 
 
 def corr_from(ids, a, b):
@@ -149,3 +151,67 @@ class TestRansac:
         assert r1.s == pytest.approx(r2.s, rel=1e-9)
         assert geodesic_angle(r1.q, r2.q) < 1e-9
         assert np.allclose(r1.t, r2.t, atol=1e-8)
+
+
+def ransac_outcome(fn, corr, **kwargs):
+    """The bits of what a RANSAC routine returns, or the error it raises."""
+    try:
+        sim, ids = fn(corr, **kwargs)
+    except (RansacFailureError, DegenerateGeometryError) as exc:
+        return type(exc).__name__, str(exc)
+    return sim.s, sim.q.tobytes(), sim.t.tobytes(), ids.tobytes()
+
+
+@settings(max_examples=150)
+@given(
+    n=st.integers(4, 300),
+    data_seed=st.integers(0, 2**32 - 1),
+    outliers=st.floats(0.0, 0.45),
+    planted=st.sampled_from(["none", "coincident", "collinear"]),
+    planted_share=st.floats(0.0, 0.95),
+    noise=st.sampled_from([0.0, 1e-3]),
+    max_iterations=st.one_of(st.integers(1, 40), st.just(1024)),
+    threshold=st.sampled_from([None, 1e-12, 0.05]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# degenerate samples use up a 3-iteration cap; all-inlier early exit
+@example(n=40, data_seed=0, outliers=0.1, planted="coincident", planted_share=0.9, noise=1e-3,
+         max_iterations=3, threshold=0.05, seed=1)
+@example(n=30, data_seed=1, outliers=0.0, planted="collinear", planted_share=0.8, noise=0.0,
+         max_iterations=1024, threshold=None, seed=2)
+@example(n=12, data_seed=2, outliers=0.3, planted="none", planted_share=0.0, noise=1e-3,
+         max_iterations=30, threshold=1e-12, seed=3)
+def test_batched_ransac_matches_one_hypothesis_at_a_time(
+    n, data_seed, outliers, planted, planted_share, noise, max_iterations, threshold, seed
+):
+    rng = np.random.default_rng(data_seed)
+    a = rng.uniform(-5, 5, size=(n, 3))
+    # samples drawn among these points are coincident or collinear
+    k = int(planted_share * (n - 3))
+    if planted == "coincident":
+        a[:k] = a[0]
+    elif planted == "collinear":
+        a[:k] = a[0] + rng.uniform(-1, 1, size=(k, 1)) * rng.normal(size=3)
+    b = random_sim3(rng).apply(a) + rng.normal(scale=noise, size=(n, 3))
+    out = rng.random(n) < outliers
+    b[out] += rng.uniform(3.0, 8.0, size=(out.sum(), 3)) * rng.choice([-1, 1], size=(out.sum(), 3))
+    corr = corr_from(rng.permutation(10 * n)[:n], a, b)
+    kwargs = dict(inlier_threshold=threshold, max_iterations=max_iterations, seed=seed)
+    assert ransac_outcome(ransac_similarity, corr, **kwargs) == ransac_outcome(
+        loop_ransac, corr, **kwargs
+    )
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # the oracle's residuals
+def test_overflowing_sample_drawn_past_the_stop_changes_nothing():
+    # a sample holding point 7 overflows H = a0.T @ b0, which LAPACK must
+    # never see; with seed 1 the first such sample is the 12th drawn, and
+    # one-at-a-time RANSAC stops after 3
+    rng = np.random.default_rng(0)
+    a = rng.uniform(-5, 5, size=(30, 3))
+    b = random_sim3(rng).apply(a)
+    a[7], b[7] = 1e200, -1e200
+    corr = corr_from(range(30), a, b)
+    outcome = ransac_outcome(ransac_similarity, corr, seed=1)
+    assert outcome == ransac_outcome(loop_ransac, corr, seed=1)
+    assert np.frombuffer(outcome[3], dtype=np.int64).tolist() == [i for i in range(30) if i != 7]

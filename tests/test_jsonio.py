@@ -1,11 +1,15 @@
 import io
+import json
+import struct
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from csfm.errors import NumericError, ValidationError
+from csfm import jsonio
 from csfm.jsonio import column, parsing, records, scalar, write_json
 
 
@@ -178,3 +182,111 @@ def test_errors_other_than_malformed_input_pass_through(tmp_path):
     path.write_text("{}")
     with pytest.raises(NumericError, match="^solver$"), parsing(path, "thing"):
         raise NumericError("solver")
+
+
+def float_bits(value) -> bytes:
+    return struct.pack("<d", value)
+
+
+@st.composite
+def decimal_texts(draw):
+    """A JSON number with up to 60 digits (or 800, rarely) and any exponent."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=draw(st.sampled_from([60, 800]))))
+    digits = digits.lstrip("0") or "0"
+    point = draw(st.integers(0, len(digits)))
+    text = digits if point in (0, len(digits)) else f"{digits[:point]}.{digits[point:]}"
+    if "." not in text or draw(st.booleans()):
+        text += f"e{draw(st.integers(-400, 330))}"
+    return draw(st.sampled_from(["", "-"])) + text
+
+
+@settings(max_examples=400)
+@given(
+    st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.floats(allow_nan=False, allow_infinity=False).map(lambda f: orjson.dumps(f).decode()),
+        st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True,
+                  min_value=-2.3e-308, max_value=2.3e-308).map(repr),
+        decimal_texts(),
+    )
+)
+@example("0.0")
+@example("-0.0")
+@example("5e-324")
+@example("2.4703282292062328e-324")  # just above half the smallest subnormal: rounds up
+@example("2.2250738585072011e-308")  # the largest subnormal's neighbourhood
+@example("1.7976931348623157e308")
+@example("0.1000000000000000055511151231257827021181583404541015625")
+def test_orjson_reads_finite_float_texts_as_the_standard_library(text):
+    try:
+        fast = orjson.loads(text)
+    except orjson.JSONDecodeError:  # beyond float64: the standard library decides
+        assert not np.isfinite(json.loads(text))
+        return
+    assert float_bits(fast) == float_bits(float(json.loads(text)))
+
+
+def stdlib_refusal(raw) -> str | None:
+    """The message parsing gave for ``raw`` when it read JSON with the
+    standard library alone; None if that read it."""
+    def refuse(token):
+        raise ValueError(f"non-finite number {token}")
+
+    try:
+        json.loads(raw, parse_constant=refuse)
+    except ValueError as exc:
+        return f"<stream> is not valid JSON: {exc}"
+    return None
+
+
+@settings(max_examples=200)
+@given(
+    st.one_of(
+        st.sampled_from([b"NaN", b"[1.0, -Infinity]", b'{"a": Infinity}', b"[NaN]", b"",
+                         b'{"a": ', b"[1,]", b"[01]", b"[.5]", b"\xff\xfe\x00garbage",
+                         b'{"a": 1} x', b"\xef\xbb\xbf[1,", b'["\\x"]', b"[1e5.0]"]),
+        st.binary(max_size=12),
+        st.text(max_size=12).map(str.encode),
+    ).filter(lambda raw: stdlib_refusal(raw) is not None)
+)
+def test_refused_text_keeps_the_standard_library_message(raw):
+    with pytest.raises(ValidationError) as info, parsing(io.BytesIO(raw), "file"):
+        pass
+    assert str(info.value) == stdlib_refusal(raw)
+
+
+@pytest.mark.parametrize(
+    "raw, expected",
+    [('[1e999]', [float("inf")]),  # reaches the loader, which names it non-finite
+     ('"\\ud800"', "\ud800"),
+     ("[1]".encode("utf-16"), [1]),
+     (b"\xef\xbb\xbf[1]", [1])],
+)
+def test_text_only_the_standard_library_reads_still_parses(raw, expected):
+    with parsing(io.BytesIO(raw if isinstance(raw, bytes) else raw.encode()), "file") as obj:
+        assert obj == expected
+
+
+def test_a_good_file_is_parsed_once(tmp_path, monkeypatch):
+    path = tmp_path / "x.json"
+    write_json(path, {"a": [1, 2.5]})
+
+    def second_parse(*args, **kwargs):
+        raise AssertionError("parsed twice")
+
+    monkeypatch.setattr(jsonio.json, "loads", second_parse)
+    with parsing(path, "file") as obj:
+        assert obj == {"a": [1, 2.5]}
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1180591620717411303424", "-9223372036854775809", "9223372036854775808",
+     "18446744073709551616", "1e19", "-9.3e18", "1.8446744073709552e19"],
+)
+def test_integer_column_refuses_a_number_beyond_int64_whatever_its_notation(text):
+    with parsing(io.BytesIO(f'{{"i": [0, {text}], "n": {text}}}'.encode()), "file") as obj:
+        with pytest.raises(ValidationError, match="i: number out of range"):
+            column(obj["i"], "i", np.int64)
+        with pytest.raises(ValidationError, match="n: number out of range"):
+            scalar(obj["n"], "n", np.int64)

@@ -2,11 +2,12 @@
 import numpy as np
 import pytest
 
-from csfm.errors import DisconnectedGraphError
+from csfm.errors import DisconnectedGraphError, ValidationError
 from csfm.measurements import MeasurementGraph
 from csfm.pipeline import PipelineConfig, measure_pairs, pairwise_seed, run_pipeline
 from csfm.reconstruction import Reconstruction
 from csfm.rotations import IDENTITY_QUAT, random_quat
+from csfm.synth import WorldSpec
 
 from helpers import random_sim3
 
@@ -69,3 +70,12 @@ def test_disconnected_recs_name_the_pairwise_stage(tmp_path):
         run_pipeline(
             PipelineConfig(out_dir=str(tmp_path), seed=1, reconstructions=recs)
         )
+
+
+@pytest.mark.parametrize("seed", [-1, 2**63, 1.0])
+def test_seed_outside_seed_sequence_range_rejected_before_any_file(tmp_path, seed):
+    # the spec's own seed is valid; run_pipeline replaces it with config.seed
+    out = tmp_path / "run"
+    with pytest.raises(ValidationError, match="seed"):
+        run_pipeline(PipelineConfig(out_dir=str(out), seed=seed, spec=WorldSpec(seed=0)))
+    assert not out.exists()

@@ -144,6 +144,13 @@ class TestGenerateWorld:
             WorldSpec(camera_count=2**62, point_count=600, cluster_count=3)
         assert WorldSpec(camera_count=2**24 - 1).camera_count == 2**24 - 1
 
+    @pytest.mark.parametrize("seed, match", [(-1, "non-negative"), (-(2**63), "non-negative"),
+                                             (2**63, "out of range")])
+    def test_seed_outside_seed_sequence_range_rejected(self, seed, match):
+        with pytest.raises(ValidationError, match=match):
+            WorldSpec(seed=seed)
+        assert WorldSpec(seed=2**63 - 1).seed == 2**63 - 1
+
     @pytest.mark.parametrize(
         "field, value",
         [
