@@ -1,10 +1,12 @@
 """Closed-form similarity alignment of 3D point sets, plus RANSAC.
 
-The closed form recovers the ``(s, R, t)`` minimizing
-``sum_k |B_k - (s R A_k + t)|^2``: rotation from the SVD of the centered
-cross-covariance, scale from the RMS-deviation ratio, translation from the
-centroids.  RANSAC wraps it with 3-point minimal samples for outlier-laden
-correspondence sets.
+The closed form (Horn 1987; Umeyama 1991) recovers the ``(s, R, t)``
+minimizing ``sum_k |B_k - (s R A_k + t)|^2``: rotation from the SVD of the
+centered cross-covariance, scale from the RMS-deviation ratio, translation
+from the centroids.  It has one implementation, :func:`_fit_samples`, on
+stacks of point sets: :func:`horn_similarity` is its one-sample case, and
+RANSAC fits whole batches of 3-point minimal samples with it before
+refitting the best consensus set with :func:`horn_similarity`.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometryError, RansacFailureError, ValidationError
-from .rotations import UNIT_NORM_TOL, matrix_to_quat
+from .rotations import matrix_to_quat, quat_canonical, quat_to_matrix
 from .sim3 import Sim3
 
 MIN_SAMPLE = 3
@@ -24,7 +26,14 @@ RELATIVE_THRESHOLD = 0.01  # of the median axis extent, when no threshold given
 # stops after one, then twice as many each time up to MAX_BATCH
 FIRST_BATCH = 16
 MAX_BATCH = 256
-_FITTED, _DEGENERATE, _IRREGULAR = 0, 1, 2
+# the outcome of fitting one sample: fitted, or the first check refusing it
+_FITTED, _COINCIDENT, _OVERFLOW, _COLLINEAR, _UNSCALED = range(5)
+_REFUSALS = {
+    _COINCIDENT: (DegenerateGeometryError, "source points are coincident"),
+    _COLLINEAR: (DegenerateGeometryError, "source points are collinear"),
+    _UNSCALED: (DegenerateGeometryError, "target points are coincident; scale unobservable"),
+    _OVERFLOW: (ValidationError, "similarity fit overflows: coordinates are too large"),
+}
 
 
 @dataclass(frozen=True)
@@ -55,33 +64,17 @@ def horn_similarity(corr: CorrespondenceSet) -> Sim3:
     """Least-squares similarity mapping frame-A points onto frame-B points.
 
     Raises :class:`DegenerateGeometryError` when the source points are
-    coincident or collinear (the rotation about the line is unobservable).
+    coincident or collinear (the rotation about the line is unobservable) or
+    the target points are coincident, and :class:`ValidationError` when the
+    fit's arithmetic overflows.
     """
     if len(corr) < MIN_SAMPLE:
         raise ValidationError(f"need at least {MIN_SAMPLE} correspondences, got {len(corr)}")
-    a = corr.points_a
-    b = corr.points_b
-    ca = a.mean(axis=0)
-    cb = b.mean(axis=0)
-    a0 = a - ca
-    b0 = b - cb
-    sa = float(np.sum(a0 * a0))
-    sb = float(np.sum(b0 * b0))
-    if sa <= 0.0:
-        raise DegenerateGeometryError("source points are coincident")
-    svals = np.linalg.svd(a0, compute_uv=False)
-    if svals[1] <= 1e-9 * svals[0]:
-        raise DegenerateGeometryError("source points are collinear")
-    H = a0.T @ b0
-    U, _, Vt = np.linalg.svd(H)
-    V = Vt.T
-    d = np.sign(np.linalg.det(V @ U.T))
-    R = V @ np.diag([1.0, 1.0, d]) @ U.T
-    s = float(np.sqrt(sb / sa))
-    if not (np.isfinite(s) and s > 0.0):
-        raise DegenerateGeometryError("target points are coincident; scale unobservable")
-    t = cb - s * (R @ ca)
-    return Sim3(s=s, q=matrix_to_quat(R), t=t)
+    s, q, t, status = _fit_samples(corr.points_a[None], corr.points_b[None])
+    if status[0] != _FITTED:
+        error, message = _REFUSALS[status[0]]
+        raise error(message)
+    return Sim3(s=s[0], q=q[0], t=t[0])
 
 
 def default_inlier_threshold(corr: CorrespondenceSet) -> float:
@@ -110,8 +103,8 @@ def ransac_similarity(
     the closed form.  Fully deterministic for a fixed seed, with the standard
     adaptive iteration cutoff at :data:`DEFAULT_CONFIDENCE`.  Hypotheses are
     fitted and scored in batches (see :func:`_hypothesis_masks`) but scanned
-    one at a time, so the result is that of fitting each sample with
-    :func:`horn_similarity` in turn.
+    one at a time, so the result, or the error an overflowing sample raises,
+    is that of fitting each sample with :func:`horn_similarity` in turn.
     """
     n = len(corr)
     if n < MIN_SAMPLE:
@@ -159,13 +152,13 @@ def _hypothesis_masks(corr: CorrespondenceSet, threshold: float, rng, remaining)
 
     Samples are drawn one ``rng.choice`` call each, in batches of
     :data:`FIRST_BATCH`, then twice as many up to :data:`MAX_BATCH`, never
-    more than ``remaining()`` hypotheses the caller may still scan.  Every
-    mask is the one :func:`horn_similarity` and ``Sim3.apply`` give for the
-    sample: :func:`_fit_samples` repeats their arithmetic on stacked arrays.
-    A sample whose arithmetic leaves the finite range is fitted by
-    :func:`horn_similarity` itself, so it fails the way it always did.
+    more than ``remaining()`` hypotheses the caller may still scan.  Each
+    batch is fitted by :func:`_fit_samples`, and each mask is the one
+    ``Sim3.apply`` of the sample's :func:`horn_similarity` gives.  A sample
+    :func:`horn_similarity` refuses with a :class:`ValidationError` raises
+    it when the scan reaches it, and not before.
     """
-    ids, a, b = corr.track_ids, corr.points_a, corr.points_b
+    a, b = corr.points_a, corr.points_b
     size = FIRST_BATCH
     while True:
         samples = np.array(
@@ -173,34 +166,30 @@ def _hypothesis_masks(corr: CorrespondenceSet, threshold: float, rng, remaining)
              for _ in range(min(size, remaining()))]
         )
         size = min(2 * size, MAX_BATCH)
-        s, R, t, status = _fit_samples(a[samples], b[samples])
-        with np.errstate(all="ignore"):  # rows of degenerate samples
+        s, q, t, status = _fit_samples(a[samples], b[samples])
+        R = quat_to_matrix(quat_canonical(q))  # Sim3 canonicalizes q once more
+        with np.errstate(all="ignore"):  # rows of refused samples
             fitted = s[:, None, None] * (a @ R.transpose(0, 2, 1)) + t[:, None]
             masks = np.linalg.norm(b - fitted, axis=-1) < threshold
-        for sample, state, mask in zip(samples.tolist(), status.tolist(), masks):
+        for state, mask in zip(status.tolist(), masks):
             if state == _FITTED:
                 yield mask
-            elif state == _DEGENERATE:
-                yield None
-            else:
-                try:
-                    model = horn_similarity(CorrespondenceSet(ids[sample], a[sample], b[sample]))
-                except DegenerateGeometryError:
-                    yield None
-                else:
-                    yield np.linalg.norm(b - model.apply(a), axis=1) < threshold
+                continue
+            error, message = _REFUSALS[state]
+            if error is not DegenerateGeometryError:
+                raise error(message)
+            yield None
 
 
 def _fit_samples(A: np.ndarray, B: np.ndarray):
-    """:func:`horn_similarity` of each stacked sample ``A[k] -> B[k]``, step
-    for step on ``(k, 3, 3)`` arrays, so every value is bit-identical.
+    """The closed-form similarity of each stacked point set ``A[k] -> B[k]``.
 
-    Returns ``(s, R, t, status)``: ``R`` is the rotation matrix of the
-    fitted quaternion, as ``Sim3.apply`` uses it.  ``status`` is
-    :data:`_FITTED`, :data:`_DEGENERATE` where :func:`horn_similarity`
-    raises :class:`DegenerateGeometryError`, or :data:`_IRREGULAR` where a
-    non-finite intermediate makes its outcome (an error, or whatever LAPACK
-    makes of non-finite input) something only it can reproduce.
+    Returns ``(s, q, t, status)``: ``q`` is :func:`matrix_to_quat` of the
+    fitted rotation, and ``status`` is :data:`_FITTED` or the code of the
+    first check that refuses the sample (see :data:`_REFUSALS`).  A sample
+    whose centred points or cross-covariance leave the finite range is
+    zeroed before the SVDs, since LAPACK may fail or hang on non-finite
+    input, and refused as :data:`_OVERFLOW`.
     """
     k = A.shape[0]
     with np.errstate(all="ignore"):
@@ -208,12 +197,11 @@ def _fit_samples(A: np.ndarray, B: np.ndarray):
         cb = B.mean(axis=1)
         a0 = A - ca[:, None]
         b0 = B - cb[:, None]
-        sa = np.sum((a0 * a0).reshape(k, 9), axis=1)
-        sb = np.sum((b0 * b0).reshape(k, 9), axis=1)
+        sa = np.sum((a0 * a0).reshape(k, -1), axis=1)
+        sb = np.sum((b0 * b0).reshape(k, -1), axis=1)
         H = a0.transpose(0, 2, 1) @ b0
         a_finite = np.isfinite(a0).all(axis=(1, 2))
         h_finite = np.isfinite(H).all(axis=(1, 2))
-        # LAPACK may fail or hang on non-finite input; those rows are irregular
         svals = np.linalg.svd(np.where(a_finite[:, None, None], a0, 0.0), compute_uv=False)
         U, _, Vt = np.linalg.svd(np.where(h_finite[:, None, None], H, 0.0))
         V = Vt.transpose(0, 2, 1)
@@ -223,9 +211,6 @@ def _fit_samples(A: np.ndarray, B: np.ndarray):
         R = V @ D @ U.transpose(0, 2, 1)
         s = np.sqrt(sb / sa)
         t = cb - s[:, None] * (R @ ca[:, :, None])[:, :, 0]
-        # matrix_to_quat, then the canonical form again as Sim3 takes it
-        q = _canonical_rows(_canonical_rows(_shepperd_rows(R)))
-    # horn_similarity's checks in its order: the first that fires decides
     status = np.select(
         [
             sa <= 0.0,
@@ -233,59 +218,9 @@ def _fit_samples(A: np.ndarray, B: np.ndarray):
             svals[:, 1] <= 1e-9 * svals[:, 0],
             ~h_finite,
             ~(np.isfinite(s) & (s > 0.0)),
-            ~np.isfinite(t).all(axis=1),  # refused by Sim3
+            ~np.isfinite(t).all(axis=1),
         ],
-        [_DEGENERATE, _IRREGULAR, _DEGENERATE, _IRREGULAR, _DEGENERATE, _IRREGULAR],
+        [_COINCIDENT, _OVERFLOW, _COLLINEAR, _OVERFLOW, _UNSCALED, _OVERFLOW],
         _FITTED,
     )
-    return s, _rotation_rows(q), t, status
-
-
-def _shepperd_rows(m: np.ndarray) -> np.ndarray:
-    """:func:`~csfm.rotations.matrix_to_quat` of each ``m[k]``, before its
-    canonical form."""
-    k = np.arange(m.shape[0])
-    tr = np.trace(m, axis1=1, axis2=2)
-    r = np.sqrt(1.0 + tr)
-    s = 0.5 / r
-    pos = np.stack(
-        [0.5 * r, (m[:, 2, 1] - m[:, 1, 2]) * s, (m[:, 0, 2] - m[:, 2, 0]) * s,
-         (m[:, 1, 0] - m[:, 0, 1]) * s],
-        axis=1,
-    )
-    i = np.argmax(np.diagonal(m, axis1=1, axis2=2), axis=1)
-    j, l = (i + 1) % 3, (i + 2) % 3
-    x = 1.0 + m[k, i, i] - m[k, j, j] - m[k, l, l]
-    r = np.sqrt(np.where(0.0 > x, 0.0, x))  # Python's max(x, 0.0)
-    s = 0.5 / np.where(1e-300 > r, 1e-300, r)
-    neg = np.empty_like(pos)
-    neg[:, 0] = (m[k, l, j] - m[k, j, l]) * s
-    neg[k, i + 1] = 0.5 * r
-    neg[k, j + 1] = (m[k, j, i] + m[k, i, j]) * s
-    neg[k, l + 1] = (m[k, l, i] + m[k, i, l]) * s
-    return np.where((tr > 0.0)[:, None], pos, neg)
-
-
-def _canonical_rows(q: np.ndarray) -> np.ndarray:
-    """:func:`~csfm.rotations.quat_canonical` of each row (a quaternion
-    Shepperd's method gives from a rotation, so never near zero)."""
-    # q[k] @ q[k] is the BLAS dot np.linalg.norm takes of a vector
-    n = np.sqrt((q[:, None, :] @ q[:, :, None])[:, 0, 0])
-    q = np.where((np.abs(n - 1.0) > UNIT_NORM_TOL)[:, None], q / n[:, None], q)
-    k = np.arange(q.shape[0])
-    big = np.argmax(np.abs(q[:, 1:]), axis=1) + 1
-    flip = (q[:, 0] < 0.0) | ((q[:, 0] == 0.0) & (q[k, big] < 0.0))
-    return np.where(flip[:, None], -q, q)
-
-
-def _rotation_rows(q: np.ndarray) -> np.ndarray:
-    """:func:`~csfm.rotations.quat_to_matrix` of each row, as ``(k, 3, 3)``."""
-    w, x, y, z = q.T
-    return np.stack(
-        [
-            1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
-            2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
-            2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
-        ],
-        axis=1,
-    ).reshape(-1, 3, 3)
+    return s, matrix_to_quat(R), t, status

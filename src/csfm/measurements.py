@@ -49,7 +49,10 @@ class PairwiseSimilarityMeasurement:
         object.__setattr__(self, "i", int(self.i))
         object.__setattr__(self, "j", int(self.j))
         object.__setattr__(self, "s_ij", float(self.s_ij))
-        object.__setattr__(self, "r_ij", quat_canonical(self.r_ij))
+        r_ij = quat_canonical(self.r_ij)
+        if r_ij.shape != (4,):
+            raise ValidationError(f"measured rotation must be one quaternion, not {r_ij.shape}")
+        object.__setattr__(self, "r_ij", r_ij)
         if self.t_ij is not None:
             t = np.asarray(self.t_ij, dtype=float).reshape(3)
             if not np.all(np.isfinite(t)):

@@ -70,22 +70,22 @@ def merge_reconstructions(recs, transforms: dict) -> MergedModel:
     """Map every community into the global frame through its ``Sim3`` in
     ``transforms`` (keyed by community id) and fuse duplicate tracks."""
     _require_transforms(recs, transforms)
-    cam_ids, cam_q, cam_c = [], [], []
+    cam_ids = [np.empty(0, dtype=np.int64)]
+    cam_q = [np.empty((0, 4))]
+    cam_c = [np.empty((0, 3))]
     track_blocks = [np.empty(0, dtype=np.int64)]
     community_blocks = [np.empty(0, dtype=np.int64)]
     point_blocks = [np.empty((0, 3))]
     for rec in sorted(recs, key=lambda r: r.community_id):
         tr = transforms[rec.community_id]
-        r_conj = quat_conjugate(tr.q)
-        for cid, q, c in zip(rec.camera_ids, rec.camera_rotations, tr.apply(rec.camera_centers)):
-            cam_ids.append(int(cid))
-            cam_q.append(quat_canonical(quat_multiply(q, r_conj)))
-            cam_c.append(c)
+        cam_ids.append(rec.camera_ids)
+        cam_q.append(quat_canonical(quat_multiply(rec.camera_rotations, quat_conjugate(tr.q))))
+        cam_c.append(tr.apply(rec.camera_centers))
         track_blocks.append(rec.track_ids)
         community_blocks.append(np.full(rec.track_ids.size, rec.community_id, dtype=np.int64))
         point_blocks.append(tr.apply(rec.points))
 
-    cam_ids = np.asarray(cam_ids, dtype=np.int64)
+    cam_ids = np.concatenate(cam_ids)
     if np.unique(cam_ids).size != cam_ids.size:
         raise ValidationError("a camera id appears in more than one community")
     order = np.argsort(cam_ids, kind="stable")
@@ -95,8 +95,8 @@ def merge_reconstructions(recs, transforms: dict) -> MergedModel:
     )
     return MergedModel(
         camera_ids=cam_ids[order],
-        camera_rotations=np.stack(cam_q)[order] if cam_ids.size else np.zeros((0, 4)),
-        camera_centers=np.stack(cam_c)[order] if cam_ids.size else np.zeros((0, 3)),
+        camera_rotations=np.concatenate(cam_q)[order],
+        camera_centers=np.concatenate(cam_c)[order],
         track_ids=tracks,
         points=fused,
         provenance=provenance,
@@ -324,12 +324,9 @@ def evaluate_against_truth(model: MergedModel, truth: Reconstruction) -> dict:
     centers_aligned = align.apply(model.camera_centers[im])
     center_err = np.linalg.norm(centers_aligned - truth.camera_centers[it], axis=1)
 
-    q_align_conj = quat_conjugate(align.q)
-    rot_err = np.array(
-        [
-            geodesic_angle(quat_multiply(qm, q_align_conj), qt)
-            for qm, qt in zip(model.camera_rotations[im], truth.camera_rotations[it])
-        ]
+    rot_err = geodesic_angle(
+        quat_multiply(model.camera_rotations[im], quat_conjugate(align.q)),
+        truth.camera_rotations[it],
     )
 
     shared, ipm, ipt = np.intersect1d(

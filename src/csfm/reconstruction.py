@@ -51,7 +51,7 @@ class Reconstruction:
         cam_ids, rots, centers = cam_ids[order], rots[order], centers[order]
         torder = np.argsort(tracks, kind="stable")
         tracks, pts = tracks[torder], pts[torder]
-        rots = np.stack([quat_canonical(q) for q in rots]) if rots.size else rots
+        rots = quat_canonical(rots)
         object.__setattr__(self, "community_id", int(self.community_id))
         object.__setattr__(self, "camera_ids", cam_ids)
         object.__setattr__(self, "camera_rotations", rots)

@@ -31,7 +31,10 @@ class Sim3:
         if not (np.isfinite(self.s) and self.s > 0.0):
             raise ValidationError(f"scale must be positive and finite, got {self.s}")
         object.__setattr__(self, "s", float(self.s))
-        object.__setattr__(self, "q", quat_canonical(self.q))
+        q = quat_canonical(self.q)
+        if q.shape != (4,):
+            raise ValidationError(f"rotation must be one quaternion, not {q.shape}")
+        object.__setattr__(self, "q", q)
         t = np.asarray(self.t, dtype=float)
         if t.shape != (3,) or not np.all(np.isfinite(t)):
             raise ValidationError("translation must be a finite 3-vector")

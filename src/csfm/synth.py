@@ -355,12 +355,7 @@ def fracture(
         pts_local = inv.apply(world.points[tracks])
         centers_local = inv.apply(world.camera_centers[cams])
         # world-to-camera in the local frame: fold the local->global rotation in
-        rot_local = np.stack(
-            [
-                quat_canonical(quat_multiply(world.camera_rotations[ci], tr.q))
-                for ci in cams
-            ]
-        ) if cams.size else np.zeros((0, 4))
+        rot_local = quat_canonical(quat_multiply(world.camera_rotations[cams], tr.q))
 
         if spec.noise_sigma > 0:
             local_sigma = spec.noise_sigma / tr.s  # world-unit sigma in local units

@@ -16,7 +16,13 @@ from csfm.alignment import (
 )
 from csfm.errors import DegenerateGeometryError, RansacFailureError
 from csfm.graph import EpipolarGraph
-from csfm.rotations import quat_to_matrix, random_quat
+from csfm.rotations import (
+    quat_canonical,
+    quat_conjugate,
+    quat_multiply,
+    quat_to_matrix,
+    random_quat,
+)
 from csfm.sim3 import Sim3
 
 
@@ -143,7 +149,9 @@ def loop_ransac(corr: CorrespondenceSet, inlier_threshold=None, max_iterations=1
 
     Reference for the batched scoring in ``csfm.alignment.ransac_similarity``:
     the same samples, stopping rule and refit, so it returns the same
-    ``(sim3, inlier_track_ids)`` or raises the same error.
+    ``(sim3, inlier_track_ids)`` or raises the same error.  Both run the one
+    closed-form fit, so this checks batching and scan order; the fit's own
+    bits are pinned in ``test_alignment.GOLDEN``.
     """
     n = len(corr)
     threshold = inlier_threshold if inlier_threshold is not None else default_inlier_threshold(corr)
@@ -222,6 +230,25 @@ def loop_merge(recs, transforms):
                 np.max(np.linalg.norm(stack - fused[row], axis=1))
             )
     return tracks, fused, provenance, fusion_spread
+
+
+def loop_cameras(recs, transforms):
+    """The merged cameras mapped one at a time, as ``(ids, rotations,
+    centers)`` sorted by id.
+
+    Reference for the stacked camera mapping in
+    ``csfm.merging.merge_reconstructions``.
+    """
+    cams = []
+    for rec in recs:
+        tr = transforms[rec.community_id]
+        r_conj = quat_conjugate(tr.q)
+        for cid, q, c in zip(rec.camera_ids, rec.camera_rotations, tr.apply(rec.camera_centers)):
+            cams.append((int(cid), quat_canonical(quat_multiply(q, r_conj)), c))
+    cams.sort(key=lambda cam: cam[0])
+    return (np.array([cid for cid, _, _ in cams], dtype=np.int64),
+            np.array([q for _, q, _ in cams]).reshape(-1, 4),
+            np.array([c for _, _, c in cams]).reshape(-1, 3))
 
 
 def random_sim3(rng, scale_range=(0.5, 2.0), translation=5.0) -> Sim3:

@@ -215,3 +215,96 @@ def test_overflowing_sample_drawn_past_the_stop_changes_nothing():
     outcome = ransac_outcome(ransac_similarity, corr, seed=1)
     assert outcome == ransac_outcome(loop_ransac, corr, seed=1)
     assert np.frombuffer(outcome[3], dtype=np.int64).tolist() == [i for i in range(30) if i != 7]
+
+
+def golden_corr(kind):
+    """A fixed input: ``generic``, a rotation ``half-turn`` away from pi by
+    1e-7 (Shepperd's trace <= 0 branch), or ``outliers`` (every third point)."""
+    rng = np.random.default_rng(7)
+    n = 40 if kind == "outliers" else 12
+    a = rng.uniform(-5.0, 5.0, size=(n, 3))
+    axis = np.array([1.0, 2.0, 2.0]) / 3.0
+    angle = np.pi - 1e-7 if kind == "half-turn" else 0.7
+    K = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]])
+    R = np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
+    b = 1.7 * (a @ R.T) + np.array([0.3, -2.0, 5.0]) + rng.normal(scale=1e-3, size=(n, 3))
+    if kind == "outliers":
+        b[::3] += rng.uniform(3.0, 8.0, size=b[::3].shape)
+    return corr_from(np.arange(n), a, b)
+
+
+# (s, q, t) of each fit as float.hex and the bytes of q and t, recorded
+# before the closed form was folded into the batched fit
+GOLDEN = {
+    "generic": [
+        ("0x1.b3307fc20720ep+0",
+         "10ab2b0b5e0fee3fc00ee9ac8c43bd3f8ffd9bd5ab42cd3f90212e1f2042cd3f",
+         "40370ef88d30d33f7b1762b20b0100c0ce9a0c5b93001440"),
+    ] * 2,
+    "half-turn": [
+        ("0x1.b32dcbf0f29f9p+0",
+         "83d68c97aa8fb63e97e96c839255d5bfdfffa7c55855e5bfbe265e994255e5bf",
+         "d85297e91534d33feefdcd3d030100c07dacc12fac001440"),
+    ] * 2,
+    "outliers": [
+        ("0x1.f5135f66e4477p+0",
+         "5eb46e537742ee3ff556877125b8c03fc64d020e7847c93f137aaf2ccb8ccc3f",
+         "0a1ed9b9411f044040836ca6fce1c0bf80fcafb5510d1a40"),
+        ("0x1.b334529c1e8ebp+0",
+         "a209a6fa5f0fee3fcaaa6d2fc542bd3fcb71524a5242cd3f899414bb8b42cd3f",
+         "c01c79c42e37d33f1e38be99700000c0989fdfdbd6ff1340"),
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN))
+def test_horn_and_ransac_keep_their_recorded_bits(kind):
+    corr = golden_corr(kind)
+    ransac, ids = ransac_similarity(corr, seed=5)
+    got = [(sim.s.hex(), sim.q.tobytes().hex(), sim.t.tobytes().hex())
+           for sim in (horn_similarity(corr), ransac)]
+    assert got == GOLDEN[kind]
+    inliers = [i for i in range(len(corr)) if kind != "outliers" or i % 3]
+    assert ids.tolist() == inliers
+
+
+OVERFLOW = "similarity fit overflows"
+
+
+def test_horn_refuses_an_overflowing_fit():
+    # 1e154**2 summed over the points leaves the double range in a0.T @ b0
+    rng = np.random.default_rng(0)
+    a = rng.uniform(-1.0, 1.0, size=(10, 3)) * 1e154
+    with pytest.raises(ValidationError, match=OVERFLOW):
+        horn_similarity(corr_from(range(10), a, random_sim3(rng).apply(a)))
+
+
+def first_sample_holding_two(points, n, seed):
+    """1-based scan position of the first RANSAC sample that draws two of
+    ``points``."""
+    rng = np.random.default_rng(seed)
+    it = 1
+    while np.isin(rng.choice(n, size=3, replace=False), points).sum() < 2:
+        it += 1
+    return it
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # the oracle's residuals
+@pytest.mark.parametrize("seed", [2, 4, 9])
+def test_ransac_raises_the_overflow_at_the_sample_the_oracle_does(seed):
+    # a sample with one of the huge points 7-9 is collinear to working
+    # precision; one with two of them overflows a0.T @ b0.  No hypothesis
+    # gets an inlier at this threshold, so both scan up to max_iterations.
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-5, 5, size=(30, 3))
+    b = random_sim3(rng).apply(a) + rng.normal(scale=1e-3, size=(30, 3))
+    a[7:10] = rng.normal(size=(3, 3)) * 1e200
+    b[7:10] = -a[7:10]
+    corr = corr_from(range(30), a, b)
+    stop = first_sample_holding_two([7, 8, 9], 30, seed)
+    assert stop > 1
+    for fn in (ransac_similarity, loop_ransac):
+        with pytest.raises(RansacFailureError, match=f"in {stop - 1} iterations"):
+            fn(corr, inlier_threshold=1e-12, max_iterations=stop - 1, seed=seed)
+        with pytest.raises(ValidationError, match=OVERFLOW):
+            fn(corr, inlier_threshold=1e-12, max_iterations=stop, seed=seed)

@@ -144,6 +144,11 @@ class TestMeasurementGraph:
         with pytest.raises(ValidationError):
             PairwiseSimilarityMeasurement(i=0, j=1, s_ij=0.0, r_ij=IDENTITY_QUAT)
 
+    @pytest.mark.parametrize("r_ij", [np.ones((2, 4)), np.ones((1, 4)), np.ones(3)])
+    def test_rotation_is_one_quaternion(self, r_ij):
+        with pytest.raises(ValidationError, match="quaternion"):
+            PairwiseSimilarityMeasurement(i=0, j=1, s_ij=1.0, r_ij=r_ij)
+
     def test_connectivity(self):
         mg = MeasurementGraph(community_count=3, measurements=(self.meas(0, 1),))
         assert not mg.is_connected()

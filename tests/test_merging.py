@@ -21,7 +21,7 @@ from csfm.rotations import (
 )
 from csfm.sim3 import Sim3
 
-from helpers import loop_merge, random_sim3
+from helpers import loop_cameras, loop_merge, random_sim3
 
 
 def rz(angle):
@@ -125,6 +125,24 @@ class TestMerge:
         assert all(type(t) is int and type(c) is tuple for t, c in model.provenance.items())
         assert all(type(t) is int and type(v) is float for t, v in model.fusion_spread.items())
         return model
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cameras_match_one_at_a_time(self, seed):
+        # 0-6 cameras per community, some rotations half-turns (w == 0)
+        rng = np.random.default_rng(seed)
+        recs, transforms = [], {}
+        for c in rng.permutation(5):
+            n = int(rng.integers(0, 7))
+            rotations = np.array([random_quat(rng) for _ in range(n)]).reshape(-1, 4)
+            rotations[rng.random(n) < 0.3, 0] = 0.0
+            recs.append(simple_rec(int(c), 10 * c + np.arange(n), [int(c)], [[0.0, 0, 0]], rng,
+                                   rotations=rotations))
+            transforms[int(c)] = random_sim3(rng)
+        model = merge_reconstructions(recs, transforms)
+        ids, rotations, centers = loop_cameras(recs, transforms)
+        assert np.array_equal(model.camera_ids, ids)
+        assert model.camera_rotations.tobytes() == rotations.tobytes()
+        assert model.camera_centers.tobytes() == centers.tobytes()
 
     def test_duplicate_camera_ids_rejected(self):
         rng = np.random.default_rng(4)

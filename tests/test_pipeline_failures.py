@@ -1,13 +1,20 @@
 """Failure-path behavior of the staged pipeline."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import csfm
 from csfm.errors import DisconnectedGraphError, ValidationError
 from csfm.measurements import MeasurementGraph
 from csfm.pipeline import PipelineConfig, measure_pairs, pairwise_seed, run_pipeline
 from csfm.reconstruction import Reconstruction
 from csfm.rotations import IDENTITY_QUAT, random_quat
-from csfm.synth import WorldSpec
+from csfm.synth import WorldSpec, generate_world
 
 from helpers import random_sim3
 
@@ -79,3 +86,26 @@ def test_seed_outside_seed_sequence_range_rejected_before_any_file(tmp_path, see
     with pytest.raises(ValidationError, match="seed"):
         run_pipeline(PipelineConfig(out_dir=str(out), seed=seed, spec=WorldSpec(seed=0)))
     assert not out.exists()
+
+
+def test_pairwise_refuses_overflowing_coordinates_instead_of_hanging(tmp_path):
+    # beyond about 1e154 the cross-covariance a0.T @ b0 overflows; LAPACK,
+    # handed the result, may never return, so the command runs in a child
+    # process with a timeout
+    spec = WorldSpec(seed=5, camera_count=60, point_count=600, cluster_count=3, noise_sigma=1e-3)
+    run_pipeline(PipelineConfig(out_dir=str(tmp_path), seed=5, world=generate_world(spec), workers=1))
+    for path in tmp_path.glob("rec_*.json"):
+        rec = json.loads(path.read_text())
+        rec["points"] = (np.array(rec["points"]) * 1e154).tolist()
+        path.write_text(json.dumps(rec))
+    src = str(Path(csfm.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-m", "csfm.cli", "pairwise", "--graph", str(tmp_path / "eg.json"),
+         "--partition", str(tmp_path / "partition.json"), "--recs", str(tmp_path),
+         "--seed", "1", "--workers", "1", "-o", str(tmp_path / "m.json")],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert result.returncode in (2, 4), result.stderr
+    assert "similarity fit overflows" in result.stderr
+    assert "Traceback" not in result.stderr + result.stdout

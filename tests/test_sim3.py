@@ -75,6 +75,11 @@ class TestValidation:
         with pytest.raises(ValidationError):
             Sim3(t=np.array([np.nan, 0, 0]))
 
+    @pytest.mark.parametrize("q", [np.ones((2, 4)), np.ones((1, 4)), np.ones(3)])
+    def test_rotation_is_one_quaternion(self, q):
+        with pytest.raises(ValidationError, match="quaternion"):
+            Sim3(q=q)
+
 
 def test_json_round_trip():
     rng = np.random.default_rng(4)
