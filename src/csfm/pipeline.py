@@ -199,12 +199,13 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         partition = None
     elif world is not None:
         def detect():
+            counts = {}
             part, q_max, flagged = detect_communities(
-                world.graph, config.q_threshold, config.min_community_size
+                world.graph, config.q_threshold, config.min_community_size, counts
             )
             save_partition(out / "partition.json", part, q_max, flagged)
             return part, {"q_max": q_max, "communities": part.community_count,
-                          "flagged": len(flagged)}
+                          "flagged": len(flagged), **counts}
 
         partition = runner.run("detect", detect, out / "partition.json")
 

@@ -24,6 +24,13 @@ _CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
 UNIT_NORM_TOL = 4 * np.finfo(float).eps
 
 
+def _norms(v) -> np.ndarray:
+    """Euclidean norm along the last axis, each the bits ``np.linalg.norm``
+    gives that vector alone: ``v[k] @ v[k]`` is the BLAS dot it takes, where
+    ``np.linalg.norm(axis=-1)`` differs in the last bit on some rows."""
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+
+
 def quat_canonical(q) -> np.ndarray:
     """Normalize to unit norm and the w >= 0 hemisphere.
 
@@ -39,8 +46,7 @@ def quat_canonical(q) -> np.ndarray:
     if q.shape[-1:] != (4,):
         raise ValidationError(f"quaternion must have shape (4,) or (..., 4), got {q.shape}")
     rows = q.reshape(-1, 4)
-    # rows[k] @ rows[k] is the BLAS dot np.linalg.norm takes of one vector
-    n = np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+    n = _norms(rows)
     if not (np.isfinite(n).all() and (n >= 1e-12).all()):
         raise ValidationError("quaternion has near-zero or non-finite norm")
     rows = np.where((np.abs(n - 1.0) > UNIT_NORM_TOL)[:, None], rows / n[:, None], rows)
@@ -161,17 +167,28 @@ def geodesic_angle(qa, qb):
     tiny angles where arccos of the dot product loses half the significand.
     """
     d = quat_multiply(quat_canonical(qa), quat_conjugate(quat_canonical(qb)))
-    v = d[..., 1:]
-    # v @ v is the BLAS dot np.linalg.norm takes of one vector
-    norm = np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
-    angle = 2.0 * np.arctan2(norm, np.abs(d[..., 0]))
+    angle = 2.0 * np.arctan2(_norms(d[..., 1:]), np.abs(d[..., 0]))
     return float(angle) if angle.ndim == 0 else angle
 
 
 def random_quat(rng) -> np.ndarray:
     """Uniform random rotation (normalized 4-d Gaussian)."""
-    while True:
-        q = rng.normal(size=4)
-        n = np.linalg.norm(q)
-        if n > 1e-6:
-            return quat_canonical(q / n)
+    return random_quats(rng, 1)[0]
+
+
+def random_quats(rng, count: int) -> np.ndarray:
+    """``count`` uniform random rotations as a ``(count, 4)`` stack: bit for
+    bit the quaternions of ``count`` successive :func:`random_quat` calls.
+
+    One ``rng.normal(size=(count, 4))`` reads the same stream as ``count``
+    draws of 4.  A draw whose norm is at most 1e-6 is rejected, so the draws
+    after it move up one place and the shortfall is drawn after the batch,
+    where draws one at a time would also have read it.
+    """
+    q = rng.normal(size=(count, 4))
+    n = _norms(q)
+    keep = n > 1e-6
+    out = quat_canonical(q[keep] / n[keep, None])
+    if out.shape[0] < count:
+        out = np.concatenate([out, random_quats(rng, count - out.shape[0])])
+    return out

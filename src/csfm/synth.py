@@ -30,7 +30,7 @@ from .reconstruction import (
     points_from_json,
     points_to_json,
 )
-from .rotations import quat_canonical, quat_multiply, random_quat
+from .rotations import quat_canonical, quat_multiply, random_quat, random_quats
 from .sim3 import Sim3
 
 # seed-stream tags so the per-purpose generators never collide
@@ -197,7 +197,7 @@ def _draw_geometry(spec: WorldSpec, rng: np.random.Generator):
             -1.0, 1.0, size=(cnt, 3)
         )
         row += cnt
-    cam_rotations = np.stack([random_quat(rng) for _ in range(n_cam)])
+    cam_rotations = random_quats(rng, n_cam)
 
     links = [(c, (c + 1) % k) for c in range(k)] if k > 2 else ([(0, 1)] if k == 2 else [])
     backbone_per_link = 6 * spec.min_shared_tracks

@@ -14,8 +14,9 @@ from csfm.alignment import (
     default_inlier_threshold,
     horn_similarity,
 )
+from csfm.community import Partition, best_partition
 from csfm.errors import DegenerateGeometryError, RansacFailureError
-from csfm.graph import EpipolarGraph
+from csfm.graph import EpipolarGraph, connected_components, induced_subgraph
 from csfm.rotations import (
     quat_canonical,
     quat_conjugate,
@@ -94,6 +95,54 @@ def random_connected_graph(rng, n, extra_edges=0):
         if a != b:
             edges.add((min(int(a), int(b)), max(int(a), int(b))))
     return make_graph(n, sorted(edges))
+
+
+def planted_graph(rng, sizes, p_in, p_out):
+    """Blocks of the given sizes, each pair inside a block linked with
+    probability ``p_in`` and across blocks with ``p_out``, plus the path
+    ``0-1-...-(n-1)`` so the graph is connected."""
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    n = labels.size
+    i, j = np.triu_indices(n, 1)
+    p = np.where(labels[i] == labels[j], p_in, p_out)
+    keep = (rng.random(i.size) < p) | (j == i + 1)
+    return make_graph(n, np.column_stack([i[keep], j[keep]]))
+
+
+def split_recursively(g: EpipolarGraph, q_threshold):
+    """Recursive greedy-modularity split that runs the agglomeration on every
+    subgraph, as ``recursive_partition`` did before its leaf certificate.
+
+    Reference for ``csfm.community.recursive_partition``.  Returns the
+    partition and the ``q_max`` of every agglomeration run, in run order.
+    """
+    leaves, peaks = [], []
+
+    def split(nodes):
+        if len(nodes) < 2:
+            leaves.append(nodes)
+            return
+        sub, _ = induced_subgraph(g, nodes)
+        if sub.edge_count == 0:
+            leaves.append(nodes)
+            return
+        part, q_max, significant = best_partition(sub, q_threshold)
+        peaks.append(q_max)
+        if not significant or part.community_count == 1:
+            leaves.append(nodes)
+            return
+        groups = [[] for _ in range(part.community_count)]
+        for v, c in enumerate(part.assignment.tolist()):
+            groups[c].append(v)
+        for group in groups:
+            split([nodes[v] for v in group])
+
+    for comp in connected_components(g):
+        split(comp)
+    labels = np.empty(g.node_count, dtype=np.int64)
+    for leaf_id, leaf in enumerate(leaves):
+        labels[leaf] = leaf_id
+    return Partition.from_labels(labels), peaks
 
 
 def scan_merge_trace(g: EpipolarGraph):
@@ -249,6 +298,21 @@ def loop_cameras(recs, transforms):
     return (np.array([cid for cid, _, _ in cams], dtype=np.int64),
             np.array([q for _, q, _ in cams]).reshape(-1, 4),
             np.array([c for _, _, c in cams]).reshape(-1, 3))
+
+
+def loop_random_quats(rng, count):
+    """``count`` rotations drawn one at a time, redrawing a Gaussian 4-vector
+    whose norm is at most 1e-6.  Reference for ``csfm.rotations.random_quats``.
+    """
+    out = []
+    for _ in range(count):
+        while True:
+            q = rng.normal(size=4)
+            n = np.linalg.norm(q)
+            if n > 1e-6:
+                out.append(quat_canonical(q / n))
+                break
+    return np.array(out).reshape(-1, 4)
 
 
 def random_sim3(rng, scale_range=(0.5, 2.0), translation=5.0) -> Sim3:

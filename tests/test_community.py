@@ -1,24 +1,38 @@
+import re
+from fractions import Fraction
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+import csfm.community as community
 from csfm.community import (
+    DendrogramTrace,
     Partition,
+    _certified_modularity,
+    _cut_trace,
+    _modularity_matrix,
+    _top_eigenvalue_bound,
     absorb_small,
     best_partition,
     build_community_graph,
+    detect_communities,
     greedy_merge_trace,
     modularity,
     recursive_partition,
 )
 from csfm.errors import DisconnectedGraphError, ValidationError
+from csfm.synth import WorldSpec, generate_world
 
 from helpers import (
     brute_modularity,
     clique_edges,
     exhaustive_max_modularity,
     make_graph,
+    planted_graph,
     random_connected_graph,
     scan_merge_trace,
+    split_recursively,
 )
 
 TWO_TRIANGLES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
@@ -48,6 +62,95 @@ class TestPartitionFromLabels:
     def test_empty_labels_rejected(self):
         with pytest.raises(ValidationError):
             Partition.from_labels(np.empty(0, dtype=np.int64))
+
+
+def loop_communities(p):
+    groups = [[] for _ in range(p.community_count)]
+    for v, c in enumerate(p.assignment):
+        groups[int(c)].append(v)
+    return groups
+
+
+def loop_from_communities(groups, n):
+    """The node-by-node scan: returns the assignment or the error message."""
+    a = np.full(n, -1, dtype=np.int64)
+    for cid, group in enumerate(groups):
+        for v in group:
+            if not 0 <= v < n:
+                return f"node {v} out of range [0, {n})"
+            if a[v] != -1:
+                return f"node {v} assigned to two communities"
+            a[v] = cid
+    if np.any(a < 0):
+        return "partition does not cover every node"
+    return a
+
+
+class TestPartitionCommunities:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_communities_match_a_node_loop(self, seed):
+        labels = np.random.default_rng(seed).integers(0, 7, size=300)
+        p = Partition.from_labels(labels)
+        assert p.communities() == loop_communities(p)
+        assert all(type(v) is int for grp in p.communities() for v in grp)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_round_trip(self, seed):
+        p = Partition.from_labels(np.random.default_rng(seed).integers(0, 9, size=200))
+        for groups in (p.communities(), [np.array(grp) for grp in p.communities()]):
+            q = Partition.from_communities(groups)
+            assert np.array_equal(q.assignment, p.assignment)
+            assert q.community_count == p.community_count
+
+    @pytest.mark.parametrize(
+        "groups, n",
+        [
+            ([[0, 1], [2, 7]], 4),  # out of range
+            ([[0, -1], [2, 3]], 4),  # negative
+            ([[0, 1], [1, 2]], 3),  # repeated across groups
+            ([[0, 0, 1]], 2),  # repeated within a group
+            ([[0, 2], [2, 9]], 3),  # repeat comes first in group order
+            ([[9, 1], [1, 0]], 3),  # out of range comes first
+            ([[5, 5], [0]], 3),  # out of range and repeated: range is reported
+            ([[0], [1]], 3),  # not covering
+        ],
+    )
+    def test_from_communities_reports_what_a_scan_reports(self, groups, n):
+        expected = loop_from_communities(groups, n)
+        with pytest.raises(ValidationError, match="^" + re.escape(expected) + "$"):
+            Partition.from_communities(groups, node_count=n)
+
+    def test_from_communities_random_errors_match_the_scan(self):
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            n = int(rng.integers(1, 12))
+            nodes = rng.integers(-2, n + 2, size=int(rng.integers(0, n + 3))).tolist()
+            cuts = sorted(rng.integers(0, len(nodes) + 1, size=2).tolist())
+            groups = [nodes[: cuts[0]], nodes[cuts[0] : cuts[1]], nodes[cuts[1] :]]
+            expected = loop_from_communities(groups, n)
+            if isinstance(expected, str):
+                with pytest.raises(ValidationError) as info:
+                    Partition.from_communities(groups, node_count=n)
+                assert str(info.value) == expected
+            elif any(len(grp) == 0 for grp in groups):
+                with pytest.raises(ValidationError, match="contiguous"):
+                    Partition.from_communities(groups, node_count=n)
+            else:
+                assert np.array_equal(Partition.from_communities(groups, n).assignment, expected)
+
+
+class TestDendrogramTrace:
+    def test_first_bad_value_is_reported(self):
+        merges = ((0, 1, 0.1), (0, 2, 1.5), (0, 3, float("nan")))
+        with pytest.raises(ValidationError, match=r"^modularity value 1.5 outside \[-1, 1\]$"):
+            DendrogramTrace(merges=merges, q_peak=0.1, peak_index=0)
+        merges = ((0, 1, 0.1), (0, 2, float("nan")), (0, 3, -2.0))
+        with pytest.raises(ValidationError, match=r"^modularity value nan outside"):
+            DendrogramTrace(merges=merges, q_peak=0.1, peak_index=0)
+
+    def test_bounds_are_inclusive(self):
+        DendrogramTrace(merges=((0, 1, -1.0), (0, 2, 1.0)), q_peak=1.0, peak_index=1)
+        DendrogramTrace(merges=(), q_peak=0.0, peak_index=0)
 
 
 class TestModularity:
@@ -291,6 +394,21 @@ class TestCommunityGraph:
         cross = build_community_graph(g, Partition.from_communities([[0, 1, 2], [3, 4, 5]]))
         assert cross == {(0, 1): 1}
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_counts_match_an_edge_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, 60, 200)
+        p = Partition.from_labels(rng.integers(0, 6, size=60))
+        expected = {}
+        for a, b in p.assignment[g.edges].tolist():
+            if a != b:
+                key = (min(a, b), max(a, b))
+                expected[key] = expected.get(key, 0) + 1
+        cross = build_community_graph(g, p)
+        assert cross == expected
+        assert list(cross) == sorted(expected)
+        assert all(type(x) is int for key, c in cross.items() for x in (*key, c))
+
     def test_planted_three_block_counts(self):
         # oracle: the generator's own inter-block edge lists
         rng = np.random.default_rng(6)
@@ -325,3 +443,132 @@ class TestHeapKernelAgainstScan:
         clique = make_graph(n, clique_edges(range(n)))
         for g in (ring, clique):
             assert greedy_merge_trace(g).merges == scan_merge_trace(g)
+
+
+    def test_python_int_keys_match_int64_keys(self, monkeypatch):
+        # graphs of 55,000 nodes or more pack heap keys as Python ints
+        rng = np.random.default_rng(8)
+        graphs = [random_connected_graph(rng, int(rng.integers(2, 40)), 60) for _ in range(30)]
+        expected = [greedy_merge_trace(g).merges for g in graphs]
+        monkeypatch.setattr(community, "_INT64_KEY_NODES", 0)
+        assert [greedy_merge_trace(g).merges for g in graphs] == expected
+
+
+def acceptance_oracle_graphs():
+    """The small graphs ``test_modularity_oracle_equivalence`` enumerates."""
+    rng = np.random.default_rng(42)
+    for _ in range(50):
+        n = int(rng.integers(3, 9))
+        yield random_connected_graph(rng, n, int(rng.integers(0, n)))
+        for _ in range(3):
+            rng.integers(0, max(2, n // 2), size=n)
+
+
+def random_planted_graphs(count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        k = int(rng.integers(1, 5))
+        sizes = rng.integers(4, 25, size=k)
+        yield planted_graph(rng, sizes, rng.uniform(0.6, 1.0), rng.uniform(0.0, 0.08))
+
+
+def modularity_bound(g):
+    """The certified bound ``n (lambda + delta) / 2m + eps_q`` of ``g``."""
+    deg = g.degrees()
+    lam = _top_eigenvalue_bound(_modularity_matrix(g.edges, deg), int(deg.max()))
+    return _certified_modularity(lam, g.node_count, g.edge_count)
+
+
+def exact_modularity(g, labels):
+    m = g.edge_count
+    intra = np.bincount(labels[g.edges[:, 0]][labels[g.edges[:, 0]] == labels[g.edges[:, 1]]],
+                        minlength=labels.max() + 1)
+    dsum = np.bincount(labels, weights=g.degrees(), minlength=labels.max() + 1)
+    return sum(Fraction(int(e), m) - Fraction(int(d), 2 * m) ** 2 for e, d in zip(intra, dsum))
+
+
+class TestLeafCertificate:
+    """The bound ``n (lambda + delta) / 2m + eps_q`` that lets
+    ``recursive_partition`` skip the agglomeration on a leaf."""
+
+    def test_bound_covers_the_exhaustive_maximum(self):
+        for g in acceptance_oracle_graphs():
+            assert modularity_bound(g) >= exhaustive_max_modularity(g)
+
+    def test_bound_covers_the_agglomeration_peak(self):
+        for g in random_planted_graphs(60, 21):
+            assert modularity_bound(g) >= greedy_merge_trace(g).q_peak
+
+    def test_eigenvalue_margin_covers_the_eigensolver(self):
+        # the modularity matrix of K_n is J/n - I: lambda_max is exactly 0, yet
+        # LAPACK reports a negative top eigenvalue for many n
+        undershoots = 0
+        for n in range(2, 80):
+            g = make_graph(n, clique_edges(range(n)))
+            b = _modularity_matrix(g.edges, g.degrees())
+            undershoots += sla.eigvalsh(b, subset_by_index=[n - 1, n - 1])[0] < 0.0
+            assert _top_eigenvalue_bound(b, n - 1) >= 0.0
+        assert undershoots > 0
+        # the hypercube Q_d is d-regular with top modularity eigenvalue d - 2
+        for d in range(2, 9):
+            n = 2**d
+            g = make_graph(n, [(i, i ^ (1 << k)) for i in range(n) for k in range(d) if i < i ^ (1 << k)])
+            b = _modularity_matrix(g.edges, g.degrees())
+            assert _top_eigenvalue_bound(b, d) >= d - 2
+
+    def test_rounding_margin_covers_the_float_accumulation_of_q(self):
+        # with the exact lambda_max of a clique (0), only eps_q stands between
+        # the bound and a float peak that rounding pushed above 0
+        overshoots = 0
+        for n in range(2, 80):
+            m = n * (n - 1) // 2
+            q_peak = greedy_merge_trace(make_graph(n, clique_edges(range(n)))).q_peak
+            overshoots += q_peak > 0.0
+            assert _certified_modularity(0.0, n, m) >= q_peak
+        assert overshoots > 0
+        # eps_q against the exact modularity of the partition at the peak
+        rng = np.random.default_rng(22)
+        for _ in range(100):
+            n = int(rng.integers(3, 50))
+            g = random_connected_graph(rng, n, int(rng.integers(0, 3 * n)))
+            trace = greedy_merge_trace(g)
+            cut = _cut_trace(n, trace, trace.peak_index)
+            error = Fraction(trace.q_peak) - exact_modularity(g, cut.assignment)
+            assert error <= Fraction(_certified_modularity(0.0, n, g.edge_count))
+
+    def test_recursion_matches_the_uncertified_split(self):
+        certified = runs = 0
+        for g in random_planted_graphs(30, 23):
+            _, peaks = split_recursively(g, 0.3)
+            # the default threshold, and thresholds within 0.02 of each peak
+            thresholds = {0.3} | {q + dq for q in peaks for dq in (-0.019, -1e-9, 0.0, 1e-9, 0.019)}
+            for t in sorted(thresholds):
+                expected, _ = split_recursively(g, t)
+                counts = {}
+                got = recursive_partition(g, t, counts)
+                assert np.array_equal(got.assignment, expected.assignment), t
+                certified += counts["certified_leaves"]
+                runs += counts["cnm_runs"]
+        assert certified > 100 and runs > 100
+
+    def test_counts(self, monkeypatch):
+        # three 8-cliques in a path: the whole graph splits, each clique is certified
+        blocks = [range(8 * c, 8 * c + 8) for c in range(3)]
+        g = make_graph(24, sum((clique_edges(b) for b in blocks), []) + [(7, 8), (15, 16)])
+        counts = {}
+        assert recursive_partition(g, 0.3, counts).community_count == 3
+        assert counts == {"cnm_runs": 1, "certified_leaves": 3}
+        # subgraphs above the size cap run the agglomeration
+        monkeypatch.setattr(community, "_BOUND_MAX_NODES", 7)
+        assert recursive_partition(g, 0.3, counts).community_count == 3
+        assert counts == {"cnm_runs": 4, "certified_leaves": 0}
+
+    def test_detect_runs_on_the_large_graph_workload(self):
+        # CNM runs per detect are pinned; change them only with a recorded reason.
+        # Before the leaf certificate this world took 9 runs, 6 of them leaves.
+        spec = WorldSpec(camera_count=450, point_count=6000, cluster_count=6,
+                         noise_sigma=1e-3, outlier_fraction=0.0, seed=15)
+        counts = {}
+        part, _, _ = detect_communities(generate_world(spec).graph, counts=counts)
+        assert counts == {"cnm_runs": 3, "certified_leaves": 6}
+        assert part.community_count == 6

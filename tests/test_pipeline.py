@@ -95,6 +95,15 @@ class TestRunPipeline:
         assert a.keys() == b.keys()
         for name in a:
             assert a[name] == b[name], f"{name} differs between worker counts"
+        # the detect counters are deterministic too, though report.json is no data artifact
+        assert "report.json" not in DATA_ARTIFACTS
+        detect = [
+            [s for s in json.loads((tmp_path / w / "report.json").read_text())["stages"]
+             if s["name"] == "detect"][0]["stats"]
+            for w in ("w1", "w4")
+        ]
+        assert detect[0] == detect[1]
+        assert (detect[0]["cnm_runs"], detect[0]["certified_leaves"]) == (1, 3)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         world = generate_world(WorldSpec(seed=24, **THREE))

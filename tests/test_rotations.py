@@ -17,8 +17,11 @@ from csfm.rotations import (
     quat_multiply,
     quat_to_matrix,
     random_quat,
+    random_quats,
     rotate_points,
 )
+
+from helpers import loop_random_quats
 
 
 def rz(angle):
@@ -216,3 +219,51 @@ def test_conversions_keep_their_recorded_bits():
         "geodesic_angle": geodesic_angle(q, p),
     }
     assert {k: hashlib.sha256(v.tobytes()).hexdigest()[:16] for k, v in got.items()} == GOLDEN
+
+
+class PlantedNormals:
+    """A generator whose ``normal`` serves a fixed stream of values in order,
+    whatever shape each call asks for."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float).ravel()
+        self.pos = 0
+
+    def normal(self, size):
+        count = int(np.prod(size))
+        out = self.values[self.pos : self.pos + count]
+        assert out.size == count, "planted stream exhausted"
+        self.pos += count
+        return out.reshape(size)
+
+
+class TestRandomQuats:
+    @pytest.mark.parametrize("count", [0, 1, 2, 7, 450, 4032])
+    def test_batch_matches_draws_one_at_a_time(self, count):
+        for seed in range(3):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.array_equal(random_quats(a, count), loop_random_quats(b, count))
+            # both leave the generator at the same place
+            assert a.normal() == b.normal()
+
+    def test_single_draw_matches_the_loop(self):
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(100):
+            assert np.array_equal(random_quat(a), loop_random_quats(b, 1)[0])
+
+    @pytest.mark.parametrize("rejected", [[0], [3], [3, 4], [9], [2, 9, 10, 11]])
+    def test_rejected_draws_keep_the_stream_order(self, rejected):
+        # rows of norm <= 1e-6 are redrawn: plant some among 10 requested
+        # draws (row 9 is the last of the batch, rows 10 and 11 fall after it)
+        values = np.random.default_rng(4).normal(size=(20, 4))
+        for row in rejected:
+            values[row] = 1e-7 * (row % 2)  # both 0 and a tiny nonzero norm
+        values[5] = [1e-6, 0.0, 0.0, 0.0]  # a norm of exactly 1e-6 is rejected too
+        batch, oracle = PlantedNormals(values), PlantedNormals(values)
+        got = random_quats(batch, 10)
+        assert np.array_equal(got, loop_random_quats(oracle, 10))
+        # the rotations are the kept rows in order, and both read the same draws
+        kept = [r for r in range(10 + len(rejected) + 1) if r not in rejected and r != 5]
+        unit = values[kept] / np.linalg.norm(values[kept], axis=1)[:, None]
+        assert np.allclose(got, quat_canonical(unit), rtol=0.0, atol=1e-15)
+        assert batch.pos == oracle.pos == 4 * (kept[-1] + 1)
