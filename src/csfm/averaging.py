@@ -41,25 +41,16 @@ def _edge_system(mg: MeasurementGraph, rhs: np.ndarray, plus_on_j: bool) -> Spar
     ``plus_on_j`` selects the row sign convention: +1 on j / -1 on i for
     difference constraints (rotations, translations), the opposite for the
     log-scale constraint."""
-    k = mg.community_count
     rows = len(mg.measurements)
-    row_idx, col_idx, values = [], [], []
-    for r, m in enumerate(mg.measurements):
-        si, sj = (-1.0, 1.0) if plus_on_j else (1.0, -1.0)
-        if m.i != GAUGE_COMMUNITY:
-            row_idx.append(r)
-            col_idx.append(m.i - 1)
-            values.append(si)
-        if m.j != GAUGE_COMMUNITY:
-            row_idx.append(r)
-            col_idx.append(m.j - 1)
-            values.append(sj)
+    ends = np.array([(m.i, m.j) for m in mg.measurements], dtype=np.int64).reshape(-1)
+    signs = np.tile([-1.0, 1.0] if plus_on_j else [1.0, -1.0], rows)
+    free = ends != GAUGE_COMMUNITY
     return SparseLinearSystem(
         rows=rows,
-        cols=k - 1,
-        row_idx=np.array(row_idx, dtype=np.int64),
-        col_idx=np.array(col_idx, dtype=np.int64),
-        values=np.array(values, dtype=float),
+        cols=mg.community_count - 1,
+        row_idx=np.repeat(np.arange(rows), 2)[free],
+        col_idx=ends[free] - 1,
+        values=signs[free],
         rhs=rhs,
     )
 
@@ -83,8 +74,7 @@ def average_scales(mg: MeasurementGraph) -> np.ndarray:
 
 def spanning_tree_edges(mg: MeasurementGraph) -> list:
     """BFS spanning tree from the gauge community, neighbours visited in
-    ascending order; returns measurement indices in discovery order, the
-    first of duplicate measurements standing for its pair."""
+    ascending order; returns measurement indices in discovery order."""
     adj = [[] for _ in range(mg.community_count)]
     for idx, m in enumerate(mg.measurements):
         adj[m.i].append((m.j, idx))
@@ -131,16 +121,15 @@ def average_rotations(mg: MeasurementGraph) -> np.ndarray:
     k = mg.community_count
     if k == 1 or not mg.measurements:
         return np.tile(IDENTITY_QUAT, (k, 1))
-    R = _chain_initial_rotations(mg)
-    meas_rot = [quat_to_matrix(m.r_ij) for m in mg.measurements]
+    R = np.stack(_chain_initial_rotations(mg))
+    i, j = np.array([(m.i, m.j) for m in mg.measurements], dtype=np.int64).T
+    meas_rot = quat_to_matrix(np.stack([m.r_ij for m in mg.measurements]))
     sys_pattern = _edge_system(mg, np.zeros(len(mg.measurements)), plus_on_j=True)
 
     converged = False
     max_step = np.inf
     for _ in range(ROTATION_MAX_ITERATIONS):
-        resid = np.empty((len(mg.measurements), 3))
-        for idx, m in enumerate(mg.measurements):
-            resid[idx] = log_matrix(R[m.i] @ meas_rot[idx] @ R[m.j].T)
+        resid = log_matrix(R[i] @ meas_rot @ R[j].transpose(0, 2, 1))
         delta = np.zeros((k, 3))
         for axis in range(3):
             delta[1:, axis] = solve_l1(sys_pattern.with_rhs(resid[:, axis]))
@@ -148,8 +137,7 @@ def average_rotations(mg: MeasurementGraph) -> np.ndarray:
         if max_step < ROTATION_UPDATE_TOL:
             converged = True
             break
-        for c in range(1, k):
-            R[c] = quat_to_matrix(exp_rotation(delta[c])) @ R[c]
+        R[1:] = quat_to_matrix(exp_rotation(delta[1:])) @ R[1:]
     if not converged:
         l1_resid = float(np.abs(resid).sum())
         log.warning(
@@ -158,8 +146,7 @@ def average_rotations(mg: MeasurementGraph) -> np.ndarray:
             ROTATION_MAX_ITERATIONS, max_step, l1_resid, len(mg.measurements),
         )
     quats = np.tile(IDENTITY_QUAT, (k, 1))
-    for c in range(1, k):
-        quats[c] = matrix_to_quat(R[c])
+    quats[1:] = matrix_to_quat(R[1:])
     return quats
 
 
@@ -191,11 +178,7 @@ def recompute_pairwise_translations(
             )
             continue
         kept.append(m.with_translation(t))
-    out = MeasurementGraph(
-        community_count=mg.community_count,
-        measurements=tuple(kept),
-        allow_duplicates=mg.allow_duplicates,
-    )
+    out = MeasurementGraph(community_count=mg.community_count, measurements=tuple(kept))
     if not out.is_connected():
         raise DisconnectedGraphError(
             "dropped measurements disconnected the measurement graph"

@@ -351,7 +351,7 @@ def recursive_partition(
         if len(nodes) < 2:
             leaves.append(nodes)
             return
-        sub, _ = induced_subgraph(g, nodes)
+        sub = induced_subgraph(g, nodes)
         if sub.edge_count == 0:
             # only possible for a single node; components are internally connected
             leaves.append(nodes)

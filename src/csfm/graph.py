@@ -69,27 +69,24 @@ class EpipolarGraph:
         return d
 
 
-def induced_subgraph(g: EpipolarGraph, nodes) -> tuple[EpipolarGraph, dict]:
-    """Subgraph on ``nodes`` plus the old-index -> new-index map."""
-    nodes = sorted(set(int(v) for v in nodes))
-    if not nodes:
+def induced_subgraph(g: EpipolarGraph, nodes) -> EpipolarGraph:
+    """Subgraph on ``nodes``, renumbered in ascending order of the old index."""
+    nodes = np.unique(np.fromiter(nodes, dtype=np.int64))
+    if not nodes.size:
         raise ValidationError("cannot induce a subgraph on an empty node set")
     if nodes[0] < 0 or nodes[-1] >= g.node_count:
         raise ValidationError("subgraph node index out of range")
-    index_map = {old: new for new, old in enumerate(nodes)}
     mask = np.zeros(g.node_count, dtype=bool)
     mask[nodes] = True
-    keep = mask[g.edges[:, 0]] & mask[g.edges[:, 1]] if g.edges.size else np.zeros(0, dtype=bool)
+    keep = mask[g.edges[:, 0]] & mask[g.edges[:, 1]]
     remap = np.full(g.node_count, -1, dtype=np.int64)
-    remap[nodes] = np.arange(len(nodes))
-    sub_edges = remap[g.edges[keep]] if g.edges.size else np.zeros((0, 2), dtype=np.int64)
-    sub = EpipolarGraph(
-        node_count=len(nodes),
-        edges=sub_edges,
-        weights=g.weights[keep] if g.edges.size else np.zeros(0, dtype=np.int64),
-        node_labels=tuple(g.node_labels[v] for v in nodes),
+    remap[nodes] = np.arange(nodes.size)
+    return EpipolarGraph(
+        node_count=nodes.size,
+        edges=remap[g.edges[keep]],
+        weights=g.weights[keep],
+        node_labels=tuple(g.node_labels[v] for v in nodes.tolist()),
     )
-    return sub, index_map
 
 
 def component_labels(node_count: int, edges: np.ndarray) -> np.ndarray:

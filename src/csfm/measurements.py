@@ -14,7 +14,7 @@ Sim3 inverse and is never stored twice.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,7 +71,6 @@ class PairwiseSimilarityMeasurement:
 class MeasurementGraph:
     community_count: int
     measurements: tuple
-    allow_duplicates: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         k = int(self.community_count)
@@ -83,7 +82,7 @@ class MeasurementGraph:
             if not 0 <= m.i < k or not 0 <= m.j < k:
                 raise ValidationError(f"measurement endpoint out of range: ({m.i}, {m.j})")
             key = (m.i, m.j)
-            if key in seen and not self.allow_duplicates:
+            if key in seen:
                 raise ValidationError(f"duplicate measurement for pair {key}")
             seen.add(key)
         object.__setattr__(self, "community_count", k)

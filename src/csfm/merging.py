@@ -146,6 +146,21 @@ def _fuse_tracks(track_ids, communities, points):
     return tracks, fused, provenance, fusion_spread
 
 
+def _jacobian(rx, sign):
+    """``(n, 3, 7)`` Jacobians of ``sign * (s R x + T)`` with respect to
+    ``(log s, rotation update, T)``, given the rows' ``rx = s R x``; ``sign``
+    is a number or an ``(n, 1, 1)`` per-row factor."""
+    J = np.zeros((rx.shape[0], 3, 7))
+    J[:, :, 0] = rx
+    # -skew(rx) row blocks
+    J[:, 0, 2], J[:, 0, 3] = rx[:, 2], -rx[:, 1]
+    J[:, 1, 1], J[:, 1, 3] = -rx[:, 2], rx[:, 0]
+    J[:, 2, 1], J[:, 2, 2] = rx[:, 1], -rx[:, 0]
+    J[:, :, 4:] = np.eye(3)
+    J *= sign
+    return J
+
+
 def joint_refine(recs, transforms: dict):
     """Jointly polish all non-gauge community transforms.
 
@@ -155,10 +170,13 @@ def joint_refine(recs, transforms: dict):
     community fixed).  Returns ``(refined transforms, merged model, info)``,
     the transforms keyed by the id of each reconstruction; when there is
     nothing to refine the inputs pass through unchanged.
+    ``info["log_scale_change"]`` is each community's ``log s_refined -
+    log s_in`` in id order, exactly 0 for the gauge.
     """
     recs = sorted(recs, key=lambda r: r.community_id)
     _require_transforms(recs, transforms)
     transforms = {r.community_id: transforms[r.community_id] for r in recs}
+    col = {cid: k for k, cid in enumerate(transforms)}  # gauge = first id
 
     # Huber scale per pair, same rule as the consensus threshold: 1% of that
     # pair's co-visible cloud extent in the merged frame.  Tracks far outside
@@ -166,134 +184,108 @@ def joint_refine(recs, transforms: dict):
     # them would bias the quadratic steps through the loss's linear tail, so
     # they are gated out against a median-based scale that tracks the actual
     # residual level (a coherently perturbed start keeps all its rows).
-    pairs = []
-    deltas = []
+    pairs, xa, xb, deltas = [], [], [], []
     for rec_a, rec_b, ia, ib in covisible_pairs(recs):
         cloud = transforms[rec_a.community_id].apply(rec_a.points[ia])
         delta = max(0.01 * float(np.median(np.ptp(cloud, axis=0))), 1e-12)
         r0 = np.linalg.norm(cloud - transforms[rec_b.community_id].apply(rec_b.points[ib]), axis=1)
-        gate = max(10.0 * float(np.median(r0)), delta)
-        keep = r0 <= gate
+        keep = r0 <= max(10.0 * float(np.median(r0)), delta)
         if np.any(keep):
-            pairs.append((rec_a, rec_b, ia[keep], ib[keep]))
+            pairs.append((col[rec_a.community_id], col[rec_b.community_id]))
+            xa.append(rec_a.points[ia[keep]])
+            xb.append(rec_b.points[ib[keep]])
             deltas.append(delta)
     if not pairs:
         log.info("joint refinement skipped: no co-visible tracks between communities")
         return transforms, merge_reconstructions(recs, transforms), {
             "skipped": True, "iterations": 0, "initial_cost": 0.0, "final_cost": 0.0,
+            "log_scale_change": [0.0] * len(transforms),
         }
 
-    ids = list(transforms)
-    col = {cid: k for k, cid in enumerate(ids)}
-    free = {cid: k - 1 for k, cid in enumerate(ids) if k > 0}  # gauge = first id
-    n_var = 7 * len(free)
+    # one row per kept track of a pair; the rows of pair p start at starts[p]
+    counts = [x.shape[0] for x in xa]
+    starts = np.cumsum(counts) - counts
+    pa, pb = np.array(pairs).T
+    ka, kb = np.repeat(pa, counts), np.repeat(pb, counts)
+    xa, xb = np.concatenate(xa), np.concatenate(xb)
+    delta = np.repeat(deltas, counts)
+    K = len(transforms)
 
-    s = np.array([t.s for t in transforms.values()])
-    R = [quat_to_matrix(t.q) for t in transforms.values()]
-    T = np.stack([t.t for t in transforms.values()])
+    def residuals(s, R, T):
+        """``(s R x)`` of both sides, the residuals, their norms and the Huber cost."""
+        rxa = s[ka, None] * (R[ka] @ xa[:, :, None])[:, :, 0]
+        rxb = s[kb, None] * (R[kb] @ xb[:, :, None])[:, :, 0]
+        r = (rxa + T[ka]) - (rxb + T[kb])
+        nrm = np.linalg.norm(r, axis=1)
+        cost = np.where(nrm <= delta, 0.5 * nrm**2, delta * (nrm - 0.5 * delta))
+        return (rxa, rxb, r, nrm), float(np.sum(cost))
 
-    def mapped(k, x):
-        return s[k] * (x @ R[k].T) + T[k]
+    def normal_equations(rxa, rxb, r, nrm):
+        """Gauss-Newton system of the free communities: per-row products of
+        the Jacobians, summed per pair and placed in ``(K, K, 7, 7)``
+        blocks; the gauge's rows and columns are then sliced off."""
+        # sqrt of the Huber weight folded into J and r: a row's J^T J is then
+        # its w J^T J, and only one weighted Jacobian per side is held
+        sw = np.sqrt(np.where(nrm <= delta, 1.0, delta / np.maximum(nrm, 1e-300)))[:, None, None]
+        Ja, Jb, swr = _jacobian(rxa, sw), _jacobian(rxb, -sw), sw * r[:, :, None]
 
-    def residuals():
-        blocks = []
-        for (rec_a, rec_b, ia, ib), delta in zip(pairs, deltas):
-            ka, kb = col[rec_a.community_id], col[rec_b.community_id]
-            pa = mapped(ka, rec_a.points[ia])
-            pb = mapped(kb, rec_b.points[ib])
-            blocks.append((ka, kb, rec_a.points[ia], rec_b.points[ib], pa - pb, delta))
-        return blocks
+        def per_pair(A, B):
+            """Sum of ``A_n^T B_n`` over each pair's rows."""
+            return np.add.reduceat(A.transpose(0, 2, 1) @ B, starts)
 
-    def cost_of(blocks):
-        total = 0.0
-        for _, _, _, _, r, delta in blocks:
-            nrm = np.linalg.norm(r, axis=1)
-            quad = nrm <= delta
-            total += float(np.sum(0.5 * nrm[quad] ** 2))
-            total += float(np.sum(delta * (nrm[~quad] - 0.5 * delta)))
-        return total
+        Hab = per_pair(Ja, Jb)
+        blocks, g = np.zeros((K, K, 7, 7)), np.zeros((K, 7))
+        np.add.at(blocks, (pa, pa), per_pair(Ja, Ja))
+        np.add.at(blocks, (pb, pb), per_pair(Jb, Jb))
+        np.add.at(blocks, (pa, pb), Hab)
+        np.add.at(blocks, (pb, pa), Hab.transpose(0, 2, 1))
+        np.add.at(g, pa, per_pair(Ja, swr)[:, :, 0])
+        np.add.at(g, pb, per_pair(Jb, swr)[:, :, 0])
+        n_var = 7 * (K - 1)
+        return blocks[1:, 1:].transpose(0, 2, 1, 3).reshape(n_var, n_var), g[1:].reshape(n_var)
 
-    def stacked_jacobian(k, x, sign):
-        """(n, 3, 7) residual Jacobians wrt (log s, rotation update, T)."""
-        rx = s[k] * (x @ R[k].T)
-        n = rx.shape[0]
-        J = np.zeros((n, 3, 7))
-        J[:, :, 0] = sign * rx
-        # -sign * skew(rx) row blocks
-        J[:, 0, 2] = sign * rx[:, 2]
-        J[:, 0, 3] = -sign * rx[:, 1]
-        J[:, 1, 1] = -sign * rx[:, 2]
-        J[:, 1, 3] = sign * rx[:, 0]
-        J[:, 2, 1] = sign * rx[:, 1]
-        J[:, 2, 2] = -sign * rx[:, 0]
-        J[:, 0, 4] = sign
-        J[:, 1, 5] = sign
-        J[:, 2, 6] = sign
-        return J
-
-    blocks = residuals()
-    cost = cost_of(blocks)
+    s_in = np.array([t.s for t in transforms.values()])
+    s, T = s_in, np.stack([t.t for t in transforms.values()])
+    R = quat_to_matrix(np.stack([t.q for t in transforms.values()]))
+    rows, cost = residuals(s, R, T)
     initial_cost = cost
+    H, g = normal_equations(*rows)
     lam = 1e-8
     iterations = 0
     for _ in range(REFINE_MAX_ITERATIONS):
-        H = np.zeros((n_var, n_var))
-        g = np.zeros(n_var)
-        for ka, kb, xa, xb, r, delta in blocks:
-            nrm = np.maximum(np.linalg.norm(r, axis=1), 1e-300)
-            w = np.where(nrm <= delta, 1.0, delta / nrm)
-            Ja = stacked_jacobian(ka, xa, 1.0) if ids[ka] in free else None
-            Jb = stacked_jacobian(kb, xb, -1.0) if ids[kb] in free else None
-            if Ja is not None:
-                base = 7 * free[ids[ka]]
-                H[base : base + 7, base : base + 7] += np.einsum("n,nij,nik->jk", w, Ja, Ja)
-                g[base : base + 7] += np.einsum("n,nij,ni->j", w, Ja, r)
-            if Jb is not None:
-                base = 7 * free[ids[kb]]
-                H[base : base + 7, base : base + 7] += np.einsum("n,nij,nik->jk", w, Jb, Jb)
-                g[base : base + 7] += np.einsum("n,nij,ni->j", w, Jb, r)
-            if Ja is not None and Jb is not None:
-                ba, bb = 7 * free[ids[ka]], 7 * free[ids[kb]]
-                Hab = np.einsum("n,nij,nik->jk", w, Ja, Jb)
-                H[ba : ba + 7, bb : bb + 7] += Hab
-                H[bb : bb + 7, ba : ba + 7] += Hab.T
         try:
-            step = np.linalg.solve(H + lam * np.eye(n_var), -g)
+            step = np.linalg.solve(H + lam * np.eye(H.shape[0]), -g).reshape(K - 1, 7)
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"refinement normal equations singular: {exc}") from exc
-
-        s_try, R_try, T_try = s.copy(), list(R), T.copy()
-        for cid, fidx in free.items():
-            k = col[cid]
-            d = step[7 * fidx : 7 * fidx + 7]
-            s_try[k] = s[k] * np.exp(d[0])
-            R_try[k] = quat_to_matrix(exp_rotation(d[1:4])) @ R[k]
-            T_try[k] = T[k] + d[4:7]
-        s_old, R_old, T_old = s, R, T
-        s, R, T = s_try, R_try, T_try
-        new_blocks = residuals()
-        new_cost = cost_of(new_blocks)
+        # the gauge's row is never written, so it keeps its bits
+        s_try, R_try, T_try = s.copy(), R.copy(), T.copy()
+        s_try[1:] = s[1:] * np.exp(step[:, 0])
+        R_try[1:] = quat_to_matrix(exp_rotation(step[:, 1:4])) @ R[1:]
+        T_try[1:] = T[1:] + step[:, 4:]
+        new_rows, new_cost = residuals(s_try, R_try, T_try)
         if new_cost > cost:
-            s, R, T = s_old, R_old, T_old
             lam *= 10.0
             if lam > 1e6:
                 break
             continue
         lam = max(lam * 0.3, 1e-12)
         iterations += 1
-        blocks = new_blocks
+        s, R, T, rows = s_try, R_try, T_try, new_rows
         improvement = cost - new_cost
         cost = new_cost
         if improvement < REFINE_REL_TOL * max(cost, 1e-300):
             break
+        H, g = normal_equations(*rows)
 
-    refined = {c: Sim3(s=s[k], q=matrix_to_quat(R[k]), t=T[k]) for c, k in col.items()}
+    q = matrix_to_quat(R)
+    refined = {c: Sim3(s=s[k], q=q[k], t=T[k]) for c, k in col.items()}
     model = merge_reconstructions(recs, refined)
     return refined, model, {
         "skipped": False,
         "iterations": iterations,
         "initial_cost": initial_cost,
         "final_cost": cost,
+        "log_scale_change": (np.log(s) - np.log(s_in)).tolist(),
     }
 
 

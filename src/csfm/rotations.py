@@ -7,9 +7,11 @@ radians, restricted to the principal branch ``|angle| <= pi``.
 
 The quaternion products and conversions (:func:`quat_canonical`,
 :func:`quat_multiply`, :func:`quat_conjugate`, :func:`quat_to_matrix`,
-:func:`matrix_to_quat`, :func:`geodesic_angle`) take one item or a stack,
-``(..., 4)`` or ``(..., 3, 3)``, and give each row of a stack the bits it
-gets on its own, so a loop over rows and one call on the stack agree.
+:func:`matrix_to_quat`, :func:`geodesic_angle`) and the axis-angle maps
+(:func:`exp_rotation`, :func:`log_rotation`, :func:`log_matrix`) take one
+item or a stack, ``(..., 3)``, ``(..., 4)`` or ``(..., 3, 3)``, and give each
+row of a stack the bits it gets on its own, so a loop over rows and one call
+on the stack agree.
 """
 from __future__ import annotations
 
@@ -129,33 +131,39 @@ def rotate_points(q, pts) -> np.ndarray:
 
 
 def log_rotation(q) -> np.ndarray:
-    """Axis-angle vector of the rotation; principal branch, |result| <= pi."""
+    """Axis-angle vector of the rotation, or ``(..., 3)`` of a stack
+    ``(..., 4)``; principal branch, |result| <= pi."""
     q = quat_canonical(q)
-    w = q[0]
-    v = q[1:]
-    s = np.linalg.norm(v)
-    angle = 2.0 * np.arctan2(s, w)
-    if s < 1e-12:
-        # series: 2*atan2(s, w)/s -> 2/w as s -> 0
-        return v * (2.0 / max(w, _TINY))
-    return v * (angle / s)
+    w = q[..., 0]
+    v = q[..., 1:]
+    s = _norms(v)
+    small = s < 1e-12
+    # series: 2*atan2(s, w)/s -> 2/w as s -> 0
+    factor = np.where(
+        small, 2.0 / np.maximum(w, _TINY), 2.0 * np.arctan2(s, w) / np.where(small, 1.0, s)
+    )
+    return v * factor[..., None]
 
 
 def exp_rotation(aa) -> np.ndarray:
-    """Quaternion of an axis-angle vector (inverse of :func:`log_rotation`)."""
+    """Quaternion of an axis-angle vector, or ``(..., 4)`` of a stack
+    ``(..., 3)`` (inverse of :func:`log_rotation`)."""
     aa = np.asarray(aa, dtype=float)
-    if aa.shape != (3,):
-        raise ValidationError(f"axis-angle vector must have shape (3,), got {aa.shape}")
-    angle = np.linalg.norm(aa)
-    if angle < 1e-12:
-        # sin(t/2)/t ~ 1/2 - t^2/48
-        factor = 0.5 - angle * angle / 48.0
-        return quat_canonical(np.concatenate(([1.0], aa * factor)))
+    if aa.shape[-1:] != (3,):
+        raise ValidationError(f"axis-angle vector must have shape (3,) or (..., 3), got {aa.shape}")
+    angle = _norms(aa)
+    small = angle < 1e-12
     half = 0.5 * angle
-    return quat_canonical(np.concatenate(([np.cos(half)], aa * (np.sin(half) / angle))))
+    # sin(t/2)/t ~ 1/2 - t^2/48
+    factor = np.where(
+        small, 0.5 - angle * angle / 48.0, np.sin(half) / np.where(small, 1.0, angle)
+    )
+    w = np.where(small, 1.0, np.cos(half))
+    return quat_canonical(np.concatenate([w[..., None], aa * factor[..., None]], axis=-1))
 
 
 def log_matrix(m) -> np.ndarray:
+    """Axis-angle vector of a rotation matrix, or ``(..., 3)`` of a stack."""
     return log_rotation(matrix_to_quat(m))
 
 

@@ -15,9 +15,18 @@ from csfm.alignment import (
     horn_similarity,
 )
 from csfm.community import Partition, best_partition
-from csfm.errors import DegenerateGeometryError, RansacFailureError
+from csfm.errors import DegenerateGeometryError, NumericError, RansacFailureError
 from csfm.graph import EpipolarGraph, connected_components, induced_subgraph
+from csfm.merging import (
+    REFINE_MAX_ITERATIONS,
+    REFINE_REL_TOL,
+    _require_transforms,
+    merge_reconstructions,
+)
+from csfm.reconstruction import covisible_pairs
 from csfm.rotations import (
+    exp_rotation,
+    matrix_to_quat,
     quat_canonical,
     quat_conjugate,
     quat_multiply,
@@ -122,7 +131,7 @@ def split_recursively(g: EpipolarGraph, q_threshold):
         if len(nodes) < 2:
             leaves.append(nodes)
             return
-        sub, _ = induced_subgraph(g, nodes)
+        sub = induced_subgraph(g, nodes)
         if sub.edge_count == 0:
             leaves.append(nodes)
             return
@@ -313,6 +322,155 @@ def loop_random_quats(rng, count):
                 out.append(quat_canonical(q / n))
                 break
     return np.array(out).reshape(-1, 4)
+
+
+def loop_joint_refine(recs, transforms: dict):
+    """Joint refinement that assembles its normal equations one community
+    pair at a time.
+
+    Reference for the stacked solve in ``csfm.merging.joint_refine``: the
+    same gating, Huber loss, Jacobians and damping schedule, with a block of
+    Python per pair in every iteration.  Returns ``(refined transforms,
+    merged model, info)``; ``info`` has no ``log_scale_change``.
+    """
+    recs = sorted(recs, key=lambda r: r.community_id)
+    _require_transforms(recs, transforms)
+    transforms = {r.community_id: transforms[r.community_id] for r in recs}
+
+    # Huber scale per pair, same rule as the consensus threshold: 1% of that
+    # pair's co-visible cloud extent in the merged frame.  Tracks far outside
+    # the pair's own residual distribution are consensus outliers; keeping
+    # them would bias the quadratic steps through the loss's linear tail, so
+    # they are gated out against a median-based scale that tracks the actual
+    # residual level (a coherently perturbed start keeps all its rows).
+    pairs = []
+    deltas = []
+    for rec_a, rec_b, ia, ib in covisible_pairs(recs):
+        cloud = transforms[rec_a.community_id].apply(rec_a.points[ia])
+        delta = max(0.01 * float(np.median(np.ptp(cloud, axis=0))), 1e-12)
+        r0 = np.linalg.norm(cloud - transforms[rec_b.community_id].apply(rec_b.points[ib]), axis=1)
+        gate = max(10.0 * float(np.median(r0)), delta)
+        keep = r0 <= gate
+        if np.any(keep):
+            pairs.append((rec_a, rec_b, ia[keep], ib[keep]))
+            deltas.append(delta)
+    if not pairs:
+        return transforms, merge_reconstructions(recs, transforms), {
+            "skipped": True, "iterations": 0, "initial_cost": 0.0, "final_cost": 0.0,
+        }
+
+    ids = list(transforms)
+    col = {cid: k for k, cid in enumerate(ids)}
+    free = {cid: k - 1 for k, cid in enumerate(ids) if k > 0}  # gauge = first id
+    n_var = 7 * len(free)
+
+    s = np.array([t.s for t in transforms.values()])
+    R = [quat_to_matrix(t.q) for t in transforms.values()]
+    T = np.stack([t.t for t in transforms.values()])
+
+    def mapped(k, x):
+        return s[k] * (x @ R[k].T) + T[k]
+
+    def residuals():
+        blocks = []
+        for (rec_a, rec_b, ia, ib), delta in zip(pairs, deltas):
+            ka, kb = col[rec_a.community_id], col[rec_b.community_id]
+            pa = mapped(ka, rec_a.points[ia])
+            pb = mapped(kb, rec_b.points[ib])
+            blocks.append((ka, kb, rec_a.points[ia], rec_b.points[ib], pa - pb, delta))
+        return blocks
+
+    def cost_of(blocks):
+        total = 0.0
+        for _, _, _, _, r, delta in blocks:
+            nrm = np.linalg.norm(r, axis=1)
+            quad = nrm <= delta
+            total += float(np.sum(0.5 * nrm[quad] ** 2))
+            total += float(np.sum(delta * (nrm[~quad] - 0.5 * delta)))
+        return total
+
+    def stacked_jacobian(k, x, sign):
+        """(n, 3, 7) residual Jacobians wrt (log s, rotation update, T)."""
+        rx = s[k] * (x @ R[k].T)
+        n = rx.shape[0]
+        J = np.zeros((n, 3, 7))
+        J[:, :, 0] = sign * rx
+        # -sign * skew(rx) row blocks
+        J[:, 0, 2] = sign * rx[:, 2]
+        J[:, 0, 3] = -sign * rx[:, 1]
+        J[:, 1, 1] = -sign * rx[:, 2]
+        J[:, 1, 3] = sign * rx[:, 0]
+        J[:, 2, 1] = sign * rx[:, 1]
+        J[:, 2, 2] = -sign * rx[:, 0]
+        J[:, 0, 4] = sign
+        J[:, 1, 5] = sign
+        J[:, 2, 6] = sign
+        return J
+
+    blocks = residuals()
+    cost = cost_of(blocks)
+    initial_cost = cost
+    lam = 1e-8
+    iterations = 0
+    for _ in range(REFINE_MAX_ITERATIONS):
+        H = np.zeros((n_var, n_var))
+        g = np.zeros(n_var)
+        for ka, kb, xa, xb, r, delta in blocks:
+            nrm = np.maximum(np.linalg.norm(r, axis=1), 1e-300)
+            w = np.where(nrm <= delta, 1.0, delta / nrm)
+            Ja = stacked_jacobian(ka, xa, 1.0) if ids[ka] in free else None
+            Jb = stacked_jacobian(kb, xb, -1.0) if ids[kb] in free else None
+            if Ja is not None:
+                base = 7 * free[ids[ka]]
+                H[base : base + 7, base : base + 7] += np.einsum("n,nij,nik->jk", w, Ja, Ja)
+                g[base : base + 7] += np.einsum("n,nij,ni->j", w, Ja, r)
+            if Jb is not None:
+                base = 7 * free[ids[kb]]
+                H[base : base + 7, base : base + 7] += np.einsum("n,nij,nik->jk", w, Jb, Jb)
+                g[base : base + 7] += np.einsum("n,nij,ni->j", w, Jb, r)
+            if Ja is not None and Jb is not None:
+                ba, bb = 7 * free[ids[ka]], 7 * free[ids[kb]]
+                Hab = np.einsum("n,nij,nik->jk", w, Ja, Jb)
+                H[ba : ba + 7, bb : bb + 7] += Hab
+                H[bb : bb + 7, ba : ba + 7] += Hab.T
+        try:
+            step = np.linalg.solve(H + lam * np.eye(n_var), -g)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"refinement normal equations singular: {exc}") from exc
+
+        s_try, R_try, T_try = s.copy(), list(R), T.copy()
+        for cid, fidx in free.items():
+            k = col[cid]
+            d = step[7 * fidx : 7 * fidx + 7]
+            s_try[k] = s[k] * np.exp(d[0])
+            R_try[k] = quat_to_matrix(exp_rotation(d[1:4])) @ R[k]
+            T_try[k] = T[k] + d[4:7]
+        s_old, R_old, T_old = s, R, T
+        s, R, T = s_try, R_try, T_try
+        new_blocks = residuals()
+        new_cost = cost_of(new_blocks)
+        if new_cost > cost:
+            s, R, T = s_old, R_old, T_old
+            lam *= 10.0
+            if lam > 1e6:
+                break
+            continue
+        lam = max(lam * 0.3, 1e-12)
+        iterations += 1
+        blocks = new_blocks
+        improvement = cost - new_cost
+        cost = new_cost
+        if improvement < REFINE_REL_TOL * max(cost, 1e-300):
+            break
+
+    refined = {c: Sim3(s=s[k], q=matrix_to_quat(R[k]), t=T[k]) for c, k in col.items()}
+    model = merge_reconstructions(recs, refined)
+    return refined, model, {
+        "skipped": False,
+        "iterations": iterations,
+        "initial_cost": initial_cost,
+        "final_cost": cost,
+    }
 
 
 def random_sim3(rng, scale_range=(0.5, 2.0), translation=5.0) -> Sim3:

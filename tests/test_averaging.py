@@ -102,16 +102,6 @@ class TestAverageScales:
         assert s[1] / s[2] == pytest.approx(3.0, rel=1e-10)
         assert s[0] / s[2] == pytest.approx(6.0, rel=1e-10)
 
-    def test_duplicate_pair_median(self):
-        # L1 over duplicate rows picks the median of the logs
-        mg = MeasurementGraph(
-            community_count=2,
-            measurements=(meas(0, 1, s=2.0), meas(0, 1, s=2.0), meas(0, 1, s=8.0)),
-            allow_duplicates=True,
-        )
-        s = average_scales(mg)
-        assert s[1] == pytest.approx(0.5, abs=1e-8)
-
     def test_disconnected_rejected(self):
         mg = MeasurementGraph(community_count=3, measurements=(meas(0, 1),))
         with pytest.raises(DisconnectedGraphError):

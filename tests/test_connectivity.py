@@ -13,13 +13,12 @@ from csfm.rotations import IDENTITY_QUAT
 from helpers import make_graph, random_connected_graph
 
 
-def measurement_graph(n, pairs, allow_duplicates=False):
+def measurement_graph(n, pairs):
     return MeasurementGraph(
         community_count=n,
         measurements=tuple(
             PairwiseSimilarityMeasurement(i=i, j=j, s_ij=1.0, r_ij=IDENTITY_QUAT) for i, j in pairs
         ),
-        allow_duplicates=allow_duplicates,
     )
 
 
@@ -77,20 +76,16 @@ def test_connectivity_of_edgeless_graphs():
 def test_spanning_tree_is_a_bfs_tree_of_first_measurements(seed):
     n, edges = split_graph(seed)
     rng = np.random.default_rng([seed, 1])
-    # repeat some pairs and shuffle, so the first of duplicates must be chosen
-    pairs = edges + [edges[k] for k in rng.integers(0, len(edges), size=len(edges) // 2)]
-    pairs = [pairs[k] for k in rng.permutation(len(pairs))]
+    # shuffled, so the tree cannot follow the listing order
+    pairs = [edges[k] for k in rng.permutation(len(edges))]
     reference = nx.Graph(edges)
     reference.add_nodes_from(range(n))
     depth = nx.single_source_shortest_path_length(reference, 0)
-    for mg in (measurement_graph(n, edges), measurement_graph(n, pairs, allow_duplicates=True)):
-        listed = [(m.i, m.j) for m in mg.measurements]
-        reached = [0]
-        for idx in spanning_tree_edges(mg):
-            i, j = listed[idx]
-            assert idx == listed.index((i, j))
-            assert (i in reached) != (j in reached)
-            reached.append(j if i in reached else i)
-        # every community of the gauge's component, nearest first
-        assert sorted(reached) == sorted(depth)
-        assert [depth[v] for v in reached] == sorted(depth[v] for v in reached)
+    reached = [0]
+    for idx in spanning_tree_edges(measurement_graph(n, pairs)):
+        i, j = pairs[idx]
+        assert (i in reached) != (j in reached)
+        reached.append(j if i in reached else i)
+    # every community of the gauge's component, nearest first
+    assert sorted(reached) == sorted(depth)
+    assert [depth[v] for v in reached] == sorted(depth[v] for v in reached)

@@ -106,21 +106,21 @@ class TestDegree:
 class TestInducedSubgraph:
     def test_k4_to_k3(self):
         g = make_graph(4, clique_edges(range(4)))
-        sub, idx = induced_subgraph(g, {0, 1, 2})
+        sub = induced_subgraph(g, {0, 1, 2})
         assert sub.node_count == 3
         assert sub.edge_count == 3
-        assert idx == {0: 0, 1: 1, 2: 2}
+        assert sub.node_labels == ("node_0", "node_1", "node_2")
 
     def test_path_ends_only(self):
         g = make_graph(3, [(0, 1), (1, 2)])
-        sub, idx = induced_subgraph(g, {0, 2})
+        sub = induced_subgraph(g, {0, 2})
         assert sub.node_count == 2
         assert sub.edge_count == 0
-        assert idx == {0: 0, 2: 1}
+        assert sub.node_labels == ("node_0", "node_2")
 
     def test_identity(self):
         g = make_graph(5, [(0, 1), (1, 2), (3, 4)])
-        sub, _ = induced_subgraph(g, range(5))
+        sub = induced_subgraph(g, range(5))
         assert sub.edge_count == g.edge_count
         assert np.array_equal(sub.edges, g.edges)
 
@@ -128,6 +128,17 @@ class TestInducedSubgraph:
         g = make_graph(2, [(0, 1)])
         with pytest.raises(ValidationError):
             induced_subgraph(g, set())
+
+    def test_out_of_range_rejected(self):
+        g = make_graph(3, [(0, 1), (1, 2)])
+        for nodes in ([0, 3], [-1, 1]):
+            with pytest.raises(ValidationError, match="out of range"):
+                induced_subgraph(g, nodes)
+
+    def test_edgeless_graph(self):
+        sub = induced_subgraph(make_graph(3, []), [2, 0])
+        assert sub.node_count == 2
+        assert sub.edges.shape == (0, 2)
 
 
 class TestConnectedComponents:

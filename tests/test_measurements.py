@@ -124,14 +124,6 @@ class TestMeasurementGraph:
         with pytest.raises(ValidationError, match="duplicate"):
             MeasurementGraph(community_count=2, measurements=(self.meas(0, 1), self.meas(0, 1)))
 
-    def test_duplicates_allowed_in_test_mode(self):
-        mg = MeasurementGraph(
-            community_count=2,
-            measurements=(self.meas(0, 1), self.meas(0, 1, 2.0)),
-            allow_duplicates=True,
-        )
-        assert len(mg.measurements) == 2
-
     def test_orientation_must_be_canonical(self):
         with pytest.raises(ValidationError):
             PairwiseSimilarityMeasurement(i=2, j=1, s_ij=1.0, r_ij=IDENTITY_QUAT)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from csfm.averaging import average_similarities
+from csfm.community import DEFAULT_MIN_COMMUNITY_SIZE, DEFAULT_Q_THRESHOLD, detect_communities
 from csfm.errors import ValidationError
 from csfm.jsonio import write_json
+from csfm.measurements import MIN_COVISIBLE, MeasurementGraph
 from csfm.merging import (
     evaluate_against_truth,
     export_ply,
@@ -11,7 +14,8 @@ from csfm.merging import (
     merge_reconstructions,
     save_merged,
 )
-from csfm.reconstruction import Reconstruction
+from csfm.pipeline import measure_pairs
+from csfm.reconstruction import Reconstruction, covisible_pairs
 from csfm.rotations import (
     IDENTITY_QUAT,
     geodesic_angle,
@@ -20,8 +24,9 @@ from csfm.rotations import (
     random_quat,
 )
 from csfm.sim3 import Sim3
+from csfm.synth import WorldSpec, fracture, generate_world
 
-from helpers import loop_cameras, loop_merge, random_sim3
+from helpers import loop_cameras, loop_joint_refine, loop_merge, random_sim3
 
 
 def rz(angle):
@@ -240,6 +245,70 @@ class TestJointRefine:
         refined, model, info = joint_refine(recs, applied)
         assert info["skipped"]
         assert refined == applied
+        assert info["log_scale_change"] == [0.0]
+
+    def test_log_scale_change_is_the_log_ratio_of_the_scales(self):
+        rng = np.random.default_rng(10)
+        recs, applied, _, _ = fracture_world(rng, k=4)
+        start = {c: Sim3(s=tr.s * (1.0 + 0.01 * c), q=tr.q, t=tr.t) for c, tr in applied.items()}
+        refined, _, info = joint_refine(recs, start)
+        s_in = np.array([tr.s for tr in start.values()])
+        s_out = np.array([refined[c].s for c in start])
+        assert info["log_scale_change"] == (np.log(s_out) - np.log(s_in)).tolist()
+        assert info["log_scale_change"][0] == 0.0
+        # the planted scales come back, so each change undoes its perturbation
+        assert np.allclose(info["log_scale_change"][1:], -np.log1p(0.01 * np.arange(1, 4)))
+
+
+# the worlds of the perfbench workloads (perfbench/run.py) and the seed-13 world,
+# on which refinement collapses the model
+REFINE_WORLDS = {
+    "large-graph": dict(camera_count=450, point_count=6000, cluster_count=6,
+                        noise_sigma=1e-3, outlier_fraction=0.0),
+    "dense-points": dict(camera_count=180, point_count=27000, cluster_count=4,
+                         cluster_spread=1.5, noise_sigma=1e-3, outlier_fraction=0.0),
+    "staged-cli": dict(camera_count=400, point_count=10000, cluster_count=16,
+                       noise_sigma=1e-3, outlier_fraction=0.2),
+    "collapse": dict(camera_count=200, point_count=30000, cluster_count=4,
+                     noise_sigma=1e-3, outlier_fraction=0.2),
+}
+
+
+def averaged_world(spec):
+    """The reconstructions and averaged transforms ``run_pipeline`` refines
+    on the world of ``spec`` (pairwise seed = world seed, one worker)."""
+    world = generate_world(spec)
+    partition, _, _ = detect_communities(
+        world.graph, DEFAULT_Q_THRESHOLD, DEFAULT_MIN_COMMUNITY_SIZE
+    )
+    recs = list(fracture(world, partition).reconstructions)
+    pairs = [(a.community_id, b.community_id) for a, b, _, _ in covisible_pairs(recs, MIN_COVISIBLE)]
+    mg = MeasurementGraph(len(recs), tuple(measure_pairs(recs, pairs, seed=spec.seed, workers=1)))
+    transforms, _ = average_similarities({r.community_id: r for r in recs}, mg)
+    return recs, transforms
+
+
+def relative_gap(a, b):
+    return float(np.max(np.abs(np.subtract(a, b))) / max(np.max(np.abs(b)), 1e-300))
+
+
+@pytest.mark.parametrize("world, seed", [
+    ("large-graph", 0), ("large-graph", 1), ("dense-points", 0), ("dense-points", 1),
+    ("staged-cli", 0), ("staged-cli", 1), ("staged-cli", 101), ("collapse", 13),
+])
+def test_stacked_refine_matches_the_per_pair_oracle(world, seed):
+    recs, transforms = averaged_world(WorldSpec(**REFINE_WORLDS[world], seed=seed))
+    refined, _, info = joint_refine(recs, transforms)
+    expected, _, oracle = loop_joint_refine(recs, transforms)
+    assert not info["skipped"]
+    assert info["iterations"] == oracle["iterations"]
+    for key in ("initial_cost", "final_cost"):
+        assert info[key] == pytest.approx(oracle[key], rel=1e-9)
+    assert refined.keys() == expected.keys()
+    for c, tr in expected.items():
+        assert relative_gap(refined[c].s, tr.s) <= 1e-8
+        assert relative_gap(refined[c].q, tr.q) <= 1e-8
+        assert relative_gap(refined[c].t, tr.t) <= 1e-8
 
 
 class TestEvaluate:

@@ -105,6 +105,24 @@ class TestRunPipeline:
         assert detect[0] == detect[1]
         assert (detect[0]["cnm_runs"], detect[0]["certified_leaves"]) == (1, 3)
 
+    def test_refine_reports_its_log_scale_change(self, tmp_path):
+        world = generate_world(WorldSpec(seed=26, **THREE))
+        stats = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            run_pipeline(PipelineConfig(out_dir=str(out), seed=26, world=world, workers=workers))
+            stages = json.loads((out / "report.json").read_text())["stages"]
+            stats.append([s for s in stages if s["name"] == "refine"][0]["stats"])
+        assert stats[0] == stats[1]
+        change = stats[0]["log_scale_change"]
+        assert set(stats[0]) == {"skipped", "iterations", "initial_cost", "final_cost",
+                                 "log_scale_change"}
+        s_in = [tr.s for tr in load_transforms(out / "transforms.json").values()]
+        s_out = [tr.s for tr in load_transforms(out / "transforms_refined.json").values()]
+        assert len(change) == len(s_in) == 3
+        assert change == (np.log(s_out) - np.log(s_in)).tolist()
+        assert change[0] == 0.0
+
     def test_rerun_is_byte_identical(self, tmp_path):
         world = generate_world(WorldSpec(seed=24, **THREE))
         run_pipeline(PipelineConfig(out_dir=str(tmp_path / "r1"), seed=24, world=world))

@@ -10,6 +10,7 @@ from csfm.rotations import (
     IDENTITY_QUAT,
     exp_rotation,
     geodesic_angle,
+    log_matrix,
     log_rotation,
     matrix_to_quat,
     quat_canonical,
@@ -162,6 +163,44 @@ def test_each_conversion_gives_a_stack_the_bits_of_its_rows(seed, k):
     )
 
 
+def axis_angle_stack(rng, k):
+    """Axis-angle vectors with angles 0, below and at the 1e-12 series
+    switch, small, generic and pi, in a random order."""
+    axis = rng.normal(size=(k, 3))
+    axis /= np.linalg.norm(axis, axis=1, keepdims=True)
+    angle = rng.choice([0.0, 3e-13, 1e-12, 1e-7, 1.0, 2.5, np.pi], size=k)
+    aa = axis * angle[:, None]
+    aa[: k // 3] = rng.normal(size=(k // 3, 3))
+    return aa[rng.permutation(k)]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_axis_angle_maps_give_a_stack_the_bits_of_its_rows(seed):
+    rng = np.random.default_rng(seed)
+    aa = np.concatenate([[[0.0, 0.0, 0.0], [3e-13, -4e-13, 0.0], [0.0, 0.0, np.pi]],
+                         axis_angle_stack(rng, 60)])
+    q = np.concatenate([exp_rotation(aa), quaternion_stack(rng, 30),
+                        [[1.0, 0.0, 0.0, 0.0], [1.0, 1e-13, 0.0, 0.0], [0.0, 0.6, 0.0, -0.8]]])
+    m = np.concatenate([quat_to_matrix(quat_canonical(q)), rotation_stack(rng, 30)])
+    for stack, items, f in [(exp_rotation(aa), aa, exp_rotation),
+                            (log_rotation(q), q, log_rotation),
+                            (log_matrix(m), m, log_matrix)]:
+        assert len(stack) == len(items)
+        assert all(same_bits(stack[i], f(items[i])) for i in range(len(items)))
+        assert same_bits(f(items[:62].reshape(2, 31, *items.shape[1:])),
+                         stack[:62].reshape(2, 31, -1))
+    # the special rows take the series branch and the half turn exactly
+    assert same_bits(exp_rotation(aa[0]), IDENTITY_QUAT)
+    assert np.linalg.norm(log_rotation(q[-2])) < 1e-12
+    assert np.linalg.norm(log_rotation(q[-1])) == pytest.approx(np.pi, abs=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(), (4,), (2, 2)])
+def test_axis_angle_with_a_wrong_last_axis_rejected(shape):
+    with pytest.raises(ValidationError, match="shape"):
+        exp_rotation(np.ones(shape))
+
+
 def test_half_turn_stack_canonicalizes_by_its_largest_component():
     q = np.array([[0.0, 0.6, -0.8, 0.0], [-0.0, -0.6, 0.8, 0.0], [0.0, 0.0, 0.0, -1.0]])
     expected = np.array([[-0.0, -0.6, 0.8, -0.0], [-0.0, -0.6, 0.8, 0.0], [-0.0, -0.0, -0.0, 1.0]])
@@ -192,6 +231,9 @@ GOLDEN = {
     "quat_multiply": "0d2d2dc6ed4f067e",
     "quat_conjugate": "28a2406cbc1d8582",
     "geodesic_angle": "63811e0a87f93ef5",
+    "exp_rotation": "a1ed4a191ba4ef29",
+    "log_rotation": "0a518b958fa99122",
+    "log_matrix": "3c508e3bd1f7e412",
 }
 
 
@@ -207,6 +249,13 @@ def golden_inputs():
     return q, p, m
 
 
+def golden_axis_angles():
+    """Axis-angle vectors with angles from 0 through the 1e-12 series
+    switch to beyond pi, made without csfm."""
+    rng = np.random.default_rng(12)
+    return rng.normal(size=(64, 3)) * rng.choice([0.0, 1e-13, 1e-6, 1.0, 3.0], size=(64, 1))
+
+
 def test_conversions_keep_their_recorded_bits():
     q, p, m = golden_inputs()
     unit = quat_canonical(q)
@@ -217,6 +266,9 @@ def test_conversions_keep_their_recorded_bits():
         "quat_multiply": quat_multiply(q, p),
         "quat_conjugate": quat_conjugate(q),
         "geodesic_angle": geodesic_angle(q, p),
+        "exp_rotation": exp_rotation(golden_axis_angles()),
+        "log_rotation": log_rotation(q),
+        "log_matrix": log_matrix(m),
     }
     assert {k: hashlib.sha256(v.tobytes()).hexdigest()[:16] for k, v in got.items()} == GOLDEN
 
