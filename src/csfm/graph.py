@@ -39,13 +39,15 @@ class EpipolarGraph:
                 raise ValidationError(f"self-loop at node {bad[0]}")
             lo = np.minimum(edges[:, 0], edges[:, 1])
             hi = np.maximum(edges[:, 0], edges[:, 1])
-            edges = np.column_stack([lo, hi])
             keys = lo * n + hi
-            if np.unique(keys).size != keys.size:
-                raise ValidationError("duplicate edge (same unordered pair listed twice)")
-            order = np.argsort(keys, kind="stable")
-            edges = edges[order]
-            weights = weights[order]
+            # strictly increasing keys (every induced subgraph's) are sorted
+            # and free of duplicates already
+            if not np.all(keys[1:] > keys[:-1]):
+                order = np.argsort(keys, kind="stable")
+                if np.any(keys[order[1:]] == keys[order[:-1]]):
+                    raise ValidationError("duplicate edge (same unordered pair listed twice)")
+                lo, hi, weights = lo[order], hi[order], weights[order]
+            edges = np.column_stack([lo, hi])
             if np.any(weights <= 0):
                 raise ValidationError("edge weights must be strictly positive")
         labels = tuple(self.node_labels) if self.node_labels else tuple(f"node_{i}" for i in range(n))

@@ -7,7 +7,8 @@ two other notations: a magnitude in [1e-5, 1e-4) is written positionally
 (``0.00001`` for ``1e-05``), and an exponent has no ``+`` or leading zero
 (``1e16``, ``1e-7``).  Every float reads back bit for bit.  Non-finite
 numbers are refused both ways, so a ``NaN`` can neither be written into an
-artifact nor read back out of one.
+artifact nor read back out of one.  Numeric columns are written from numpy
+arrays, cast by :func:`as_column`, without a ``.tolist()``.
 
 Parsing is ``orjson`` too.  A text it refuses is parsed again by the
 standard library's ``json``, which decides: it reads ``1e999`` as ``inf``
@@ -52,6 +53,15 @@ def _non_finite(obj) -> bool:
     if isinstance(obj, (np.ndarray, np.floating)):
         return not np.all(np.isfinite(obj))
     return False
+
+
+def as_column(values, dtype=np.float64) -> np.ndarray:
+    """``values`` as a C-contiguous ``float64`` (or ``int64``) array, which
+    :func:`write_json` hands to orjson whole, with the bytes of its
+    ``.tolist()``: orjson refuses a non-contiguous array and writes a
+    ``float32`` one at ``float32`` precision (``0.1``, not the
+    ``0.10000000149011612`` of ``.tolist()``)."""
+    return np.ascontiguousarray(values, dtype=dtype)
 
 
 def write_json(path, obj) -> None:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .alignment import CorrespondenceSet, ransac_similarity
 from .errors import NumericError, ValidationError
-from .jsonio import column, parsing, write_json
+from .jsonio import as_column, column, parsing, write_json
 from .reconstruction import (
     Reconstruction,
     cameras_from_json,
@@ -52,8 +52,11 @@ class MergedModel:
     camera_centers: np.ndarray
     track_ids: np.ndarray
     points: np.ndarray
-    provenance: dict  # track id -> tuple of contributing community ids
-    fusion_spread: dict  # multi-community track id -> max deviation from the fused point
+    # track_ids[i] was reconstructed by communities[community_bounds[i]:community_bounds[i + 1]]
+    communities: np.ndarray  # (copies,) contributing community ids, track by track
+    community_bounds: np.ndarray  # (n + 1,) offsets into communities
+    fusion_tracks: np.ndarray  # (f,) the tracks reconstructed more than once
+    fusion_spread: np.ndarray  # (f,) each one's max deviation from its fused point
 
     @property
     def camera_count(self) -> int:
@@ -90,7 +93,7 @@ def merge_reconstructions(recs, transforms: dict) -> MergedModel:
         raise ValidationError("a camera id appears in more than one community")
     order = np.argsort(cam_ids, kind="stable")
 
-    tracks, fused, provenance, fusion_spread = _fuse_tracks(
+    tracks, fused, communities, bounds, fusion_tracks, spread = _fuse_tracks(
         np.concatenate(track_blocks), np.concatenate(community_blocks), np.concatenate(point_blocks)
     )
     return MergedModel(
@@ -99,8 +102,10 @@ def merge_reconstructions(recs, transforms: dict) -> MergedModel:
         camera_centers=np.concatenate(cam_c)[order],
         track_ids=tracks,
         points=fused,
-        provenance=provenance,
-        fusion_spread=fusion_spread,
+        communities=communities,
+        community_bounds=bounds,
+        fusion_tracks=fusion_tracks,
+        fusion_spread=spread,
     )
 
 
@@ -113,7 +118,9 @@ def _fuse_tracks(track_ids, communities, points):
     takes it, a partition at the same positions and then the mean of the
     middle one or two, so it is bit-identical to ``np.median`` per track.
     Returns the sorted unique tracks, their fused points, and the
-    ``provenance`` and ``fusion_spread`` maps of :class:`MergedModel`.
+    ``communities``, ``community_bounds``, ``fusion_tracks`` and
+    ``fusion_spread`` arrays of :class:`MergedModel`, each track's
+    communities in ascending order.
     """
     order = np.lexsort((communities, track_ids))
     track_ids, communities, points = track_ids[order], communities[order], points[order]
@@ -124,9 +131,12 @@ def _fuse_tracks(track_ids, communities, points):
     sizes = np.diff(bounds)
     tracks = track_ids[starts]
     fused = points[starts]
-    spread = np.zeros(tracks.size)
-    for k in np.unique(sizes[sizes > 1]).tolist():
-        rows = np.flatnonzero(sizes == k)
+    multi = np.flatnonzero(sizes > 1)
+    multi_sizes = sizes[multi]
+    spread = np.empty(multi.size)
+    for k in np.unique(multi_sizes).tolist():
+        sel = np.flatnonzero(multi_sizes == k)
+        rows = multi[sel]
         stack = points[starts[rows, None] + np.arange(k)]
         half = k // 2
         if k % 2:
@@ -135,15 +145,8 @@ def _fuse_tracks(track_ids, communities, points):
             part = np.partition(stack, [half - 1, half, -1], axis=1)
             median = (part[:, half - 1] + part[:, half]) / 2
         fused[rows] = median
-        spread[rows] = np.max(np.linalg.norm(stack - median[:, None, :], axis=2), axis=1)
-
-    comm, bounds = communities.tolist(), bounds.tolist()
-    provenance = dict(
-        zip(tracks.tolist(), (tuple(comm[a:b]) for a, b in zip(bounds[:-1], bounds[1:])))
-    )
-    multi = sizes > 1
-    fusion_spread = dict(zip(tracks[multi].tolist(), spread[multi].tolist()))
-    return tracks, fused, provenance, fusion_spread
+        spread[sel] = np.max(np.linalg.norm(stack - median[:, None, :], axis=2), axis=1)
+    return tracks, fused, communities, bounds, tracks[multi], spread
 
 
 def _jacobian(rx, sign):
@@ -344,12 +347,19 @@ def evaluate_against_truth(model: MergedModel, truth: Reconstruction) -> dict:
 
 
 def merged_to_json(model: MergedModel) -> dict:
-    fused = sorted(model.fusion_spread.items())
+    bounds = model.community_bounds
+    # one community per track but for the few fused ones, patched in after
+    communities = model.communities[bounds[:-1]][:, None].tolist()
+    for i in np.flatnonzero(np.diff(bounds) != 1).tolist():
+        communities[i] = model.communities[bounds[i]:bounds[i + 1]].tolist()
     return {
         "cameras": cameras_to_json(model.camera_ids, model.camera_rotations, model.camera_centers),
         **points_to_json(model.track_ids, model.points),
-        "communities": [model.provenance[t] for t in model.track_ids.tolist()],
-        "fusion": {"tracks": [t for t, _ in fused], "spread": [v for _, v in fused]},
+        "communities": communities,
+        "fusion": {
+            "tracks": as_column(model.fusion_tracks, np.int64),
+            "spread": as_column(model.fusion_spread),
+        },
     }
 
 
@@ -358,16 +368,19 @@ def save_merged(model: MergedModel, path) -> None:
 
 
 def load_merged(path) -> MergedModel:
+    """Read a merged model; each track's communities and the fusion entries
+    keep the file's order, so the model writes back to the same bytes."""
     with parsing(path, "merged-model file") as obj:
         ids, rotations, centers = cameras_from_json(obj["cameras"], "merged model")
         tracks, points = points_from_json(obj, "merged model")
         communities = obj["communities"]
         if not isinstance(communities, list) or len(communities) != tracks.size:
             raise ValidationError("merged-model communities do not align with its tracks")
-        provenance = dict(zip(tracks.tolist(), map(tuple, communities)))
-        if not all(provenance.values()):
+        flat = list(chain.from_iterable(communities))
+        sizes = np.fromiter(map(len, communities), np.int64, len(communities))
+        if np.any(sizes == 0):
             raise ValidationError("merged-model track with no contributing community")
-        column(list(chain.from_iterable(provenance.values())), "merged-model communities", np.int64)
+        flat = column(flat, "merged-model communities", np.int64)
         fusion = obj["fusion"]
         fusion_tracks = column(fusion["tracks"], "merged-model fusion tracks", np.int64)
         spread = column(fusion["spread"], "merged-model fusion spreads")
@@ -379,8 +392,10 @@ def load_merged(path) -> MergedModel:
         camera_centers=centers,
         track_ids=tracks,
         points=points,
-        provenance=provenance,
-        fusion_spread=dict(zip(fusion_tracks.tolist(), spread.tolist())),
+        communities=flat,
+        community_bounds=np.concatenate([[0], np.cumsum(sizes)]),
+        fusion_tracks=fusion_tracks,
+        fusion_spread=spread,
     )
 
 
@@ -401,10 +416,9 @@ def export_ply(model: MergedModel, path, color_by_community: bool = False) -> No
     rows = [f"{x:.8g} {y:.8g} {z:.8g}" for x, y, z in model.points.tolist()]
     if color_by_community:
         suffix = [f" {r} {g} {b}" for r, g, b in _PALETTE]
-        rows = [
-            row + suffix[min(model.provenance[t]) % len(suffix)]
-            for row, t in zip(rows, model.track_ids.tolist())
-        ]
+        # a loaded file may list a track's communities in any order
+        lowest = np.minimum.reduceat(model.communities, model.community_bounds[:-1])
+        rows = [row + suffix[c] for row, c in zip(rows, (lowest % len(suffix)).tolist())]
     lines += rows
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .alignment import CorrespondenceSet
 from .errors import ValidationError
-from .jsonio import column, parsing, records, scalar, write_json
+from .jsonio import as_column, column, parsing, records, scalar, write_json
 from .rotations import quat_canonical
 
 
@@ -122,7 +122,7 @@ def cameras_from_json(cams, what: str) -> tuple:
 
 def points_to_json(track_ids, points) -> dict:
     """The columnar point block shared by every point-cloud artifact."""
-    return {"tracks": track_ids.tolist(), "points": points.tolist()}
+    return {"tracks": as_column(track_ids, np.int64), "points": as_column(points)}
 
 
 def points_from_json(obj, what: str) -> tuple:

@@ -22,7 +22,7 @@ from scipy.spatial import cKDTree
 from .community import Partition
 from .errors import ValidationError
 from .graph import EpipolarGraph, component_labels, save_graph
-from .jsonio import column, parsing, scalar, write_json
+from .jsonio import as_column, column, parsing, scalar, write_json
 from .reconstruction import (
     Reconstruction,
     cameras_from_json,
@@ -393,7 +393,7 @@ def world_to_json(world: GroundTruthWorld) -> dict:
             np.arange(world.camera_centers.shape[0]), world.camera_rotations, world.camera_centers
         ),
         **points_to_json(world.track_ids, world.points),
-        "labels": world.labels.tolist(),
+        "labels": as_column(world.labels, np.int64),
         "planted": [tr.to_json() for tr in world.planted_transforms],
     }
 
@@ -407,7 +407,7 @@ def write_world_files(world: GroundTruthWorld, out_dir) -> None:
     out = Path(out_dir)
     save_world(world, out / "world.json")
     save_graph(world.graph, out / "eg.json")
-    write_json(out / "truth-labels.json", {"labels": world.labels.tolist()})
+    write_json(out / "truth-labels.json", {"labels": as_column(world.labels, np.int64)})
 
 
 def read_world(path) -> dict:

@@ -48,6 +48,26 @@ def clique_edges(nodes):
     return [(nodes[i], nodes[j]) for i in range(len(nodes)) for j in range(i + 1, len(nodes))]
 
 
+def unique_sort_edges(n, edges, weights):
+    """Edge validation as ``np.unique`` on all keys, then a stable argsort:
+    reference for the sort-once check in ``EpipolarGraph``.  Returns the
+    sorted ``(edges, weights)``, or the ``ValidationError`` message."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    weights = np.asarray(weights, dtype=np.int64).reshape(-1)
+    if edges.min() < 0 or edges.max() >= n:
+        return "edge endpoint out of range"
+    if np.any(edges[:, 0] == edges[:, 1]):
+        return f"self-loop at node {edges[edges[:, 0] == edges[:, 1]][0][0]}"
+    lo, hi = np.minimum(edges[:, 0], edges[:, 1]), np.maximum(edges[:, 0], edges[:, 1])
+    keys = lo * n + hi
+    if np.unique(keys).size != keys.size:
+        return "duplicate edge (same unordered pair listed twice)"
+    order = np.argsort(keys, kind="stable")
+    if np.any(weights[order] <= 0):
+        return "edge weights must be strictly positive"
+    return np.column_stack([lo, hi])[order], weights[order]
+
+
 def brute_modularity(g: EpipolarGraph, labels) -> float:
     """Literal ordered-pair double sum: (1/2m) sum_ij (A_ij - d_i d_j / 2m) delta."""
     n = g.node_count
@@ -288,6 +308,22 @@ def loop_merge(recs, transforms):
                 np.max(np.linalg.norm(stack - fused[row], axis=1))
             )
     return tracks, fused, provenance, fusion_spread
+
+
+PROVENANCE_FIELDS = ("communities", "community_bounds", "fusion_tracks", "fusion_spread")
+
+
+def provenance_arrays(track_ids, provenance, fusion_spread):
+    """The ``provenance`` and ``fusion_spread`` maps of :func:`loop_merge` as
+    the :class:`csfm.merging.MergedModel` arrays named in ``PROVENANCE_FIELDS``."""
+    copies = [provenance[t] for t in track_ids.tolist()]
+    fused = sorted(fusion_spread)
+    return (
+        np.array([c for cs in copies for c in cs], dtype=np.int64),
+        np.cumsum([0] + [len(cs) for cs in copies], dtype=np.int64),
+        np.array(fused, dtype=np.int64),
+        np.array([fusion_spread[t] for t in fused], dtype=float),
+    )
 
 
 def loop_cameras(recs, transforms):

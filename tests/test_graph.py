@@ -16,7 +16,7 @@ from csfm.graph import (
     load_graph,
 )
 
-from helpers import clique_edges, make_graph, random_connected_graph
+from helpers import clique_edges, make_graph, random_connected_graph, unique_sort_edges
 
 
 def graph_bytes(nodes, edges):
@@ -190,3 +190,40 @@ def test_components_partition_nodes(n, seed):
     comps = connected_components(g)
     flat = sorted(v for comp in comps for v in comp)
     assert flat == list(range(n))
+
+
+@pytest.mark.parametrize(
+    "layout", ["sorted", "shuffled", "sorted-duplicate", "sorted-reversed", "shuffled-reversed-duplicate"]
+)
+@pytest.mark.parametrize("seed", range(25))
+def test_edge_validation_matches_unique_then_sort(layout, seed):
+    # sorted input skips the sort; anything else is sorted once and checked
+    # for neighbouring duplicates; both must agree with np.unique + argsort,
+    # in the edges, the weights and the first error raised
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 30))
+    pairs = np.array([(i, j) for i in range(n) for j in range(i + 1, n)])
+    edges = pairs[np.sort(rng.choice(len(pairs), size=int(rng.integers(1, len(pairs) + 1)), replace=False))]
+    weights = rng.integers(1, 9, size=len(edges))
+    if layout.startswith("shuffled"):
+        order = rng.permutation(len(edges))
+        edges, weights = edges[order], weights[order]
+    if layout.endswith("duplicate"):
+        dup = int(rng.integers(len(edges)))
+        at = int(rng.integers(len(edges) + 1)) if layout.startswith("shuffled") else dup
+        edges = np.insert(edges, at, edges[dup], axis=0)
+        weights = np.insert(weights, at, weights[dup])
+    if "reversed" in layout:
+        flip = rng.random(len(edges)) < 0.5
+        edges[flip] = edges[flip][:, ::-1]
+    if seed % 5 == 4:  # a bad weight too: the duplicate still wins
+        weights[int(rng.integers(len(weights)))] = 0
+    expected = unique_sort_edges(n, edges, weights)
+    if isinstance(expected, str):
+        with pytest.raises(ValidationError) as err:
+            EpipolarGraph(node_count=n, edges=edges, weights=weights)
+        assert str(err.value) == expected
+    else:
+        g = EpipolarGraph(node_count=n, edges=edges, weights=weights)
+        for got, want in zip((g.edges, g.weights), expected):
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from csfm.errors import NumericError, ValidationError
 from csfm import jsonio
-from csfm.jsonio import column, parsing, records, scalar, write_json
+from csfm.jsonio import as_column, column, parsing, records, scalar, write_json
 
 
 def test_format_is_compact_sorted_with_trailing_newline(tmp_path):
@@ -290,3 +290,60 @@ def test_integer_column_refuses_a_number_beyond_int64_whatever_its_notation(text
             column(obj["i"], "i", np.int64)
         with pytest.raises(ValidationError, match="n: number out of range"):
             scalar(obj["n"], "n", np.int64)
+
+
+def written(tmp_path, obj) -> bytes:
+    write_json(tmp_path / "x.json", obj)
+    return (tmp_path / "x.json").read_bytes()
+
+
+BOUNDARY_FLOATS = [
+    -0.0, 0.0, 5e-324, -5e-324, 1e-5, np.nextafter(1e-5, 0.0), np.nextafter(1e-5, 1.0),
+    1e-4, np.nextafter(1e-4, 0.0), 1e16, np.nextafter(1e16, 0.0), np.nextafter(1e16, 2e16),
+    0.1, 1e-7, 1.7976931348623157e308,
+]
+
+
+@pytest.mark.parametrize(
+    "values, dtype",
+    [
+        (np.array([[0.1, 0.2, 0.3], [1e-5, -0.0, 1e16]], dtype=np.float32), np.float64),
+        (np.asfortranarray(np.arange(12.0).reshape(4, 3) / 7), np.float64),
+        (np.arange(30.0).reshape(10, 3)[::3] / 3, np.float64),
+        (np.arange(20, dtype=np.int32)[::4], np.int64),
+        (np.array(BOUNDARY_FLOATS), np.float64),
+        (np.array(BOUNDARY_FLOATS).reshape(-1, 3)[:, ::-1], np.float64),
+        (np.array([-2**63, 2**63 - 1, 0]), np.int64),
+        (np.zeros(0), np.float64),
+        (np.zeros((0, 3)), np.float64),
+        (np.zeros(0, dtype=np.int64), np.int64),
+    ],
+    ids=["float32", "fortran-order", "strided", "strided-int32", "boundaries",
+         "reversed-rows", "int64-limits", "empty", "empty-rows", "empty-int"],
+)
+def test_a_column_writes_the_bytes_of_its_list(tmp_path, values, dtype):
+    assert written(tmp_path, {"c": as_column(values, dtype)}) == written(tmp_path, {"c": values.tolist()})
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=30))
+@example(BOUNDARY_FLOATS)
+def test_any_finite_column_writes_the_bytes_of_its_list(tmp_path, values):
+    column = np.array(values, dtype=float)
+    assert written(tmp_path, [as_column(column)]) == written(tmp_path, [column.tolist()])
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("shape", [(3000,), (1000, 3)])
+def test_non_finite_in_a_column_refused_and_an_existing_file_kept(tmp_path, value, shape):
+    path = tmp_path / "x.json"
+    values = np.linspace(-1.0, 1.0, num=int(np.prod(shape))).reshape(shape)
+    values.flat[1234] = value
+    obj = {"points": as_column(values), "tracks": as_column(np.arange(shape[0]), np.int64)}
+    with pytest.raises(NumericError, match="x.json"):
+        write_json(path, obj)
+    assert not path.exists()
+    write_json(path, [1])
+    with pytest.raises(NumericError, match="x.json"):
+        write_json(path, obj)
+    assert path.read_bytes() == b"[1]\n"

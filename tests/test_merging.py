@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from csfm.errors import ValidationError
 from csfm.jsonio import write_json
 from csfm.measurements import MIN_COVISIBLE, MeasurementGraph
 from csfm.merging import (
+    _PALETTE,
     evaluate_against_truth,
     export_ply,
     joint_refine,
@@ -26,11 +29,28 @@ from csfm.rotations import (
 from csfm.sim3 import Sim3
 from csfm.synth import WorldSpec, fracture, generate_world
 
-from helpers import loop_cameras, loop_joint_refine, loop_merge, random_sim3
+from helpers import (
+    PROVENANCE_FIELDS,
+    loop_cameras,
+    loop_joint_refine,
+    loop_merge,
+    provenance_arrays,
+    random_sim3,
+)
 
 
 def rz(angle):
     return np.array([np.cos(angle / 2), 0.0, 0.0, np.sin(angle / 2)])
+
+
+def one_copy_each(track_ids):
+    """The provenance fields of a model whose every track has one copy, in community 0."""
+    return dict(
+        communities=np.zeros(len(track_ids), dtype=np.int64),
+        community_bounds=np.arange(len(track_ids) + 1),
+        fusion_tracks=np.empty(0, dtype=np.int64),
+        fusion_spread=np.empty(0),
+    )
 
 
 def simple_rec(cid, cam_ids, tracks, points, rng, centers=None, rotations=None):
@@ -86,8 +106,10 @@ class TestMerge:
         ]
         model = merge_reconstructions(recs, {c: Sim3() for c in range(3)})
         assert np.allclose(model.points[0], p[0], atol=1e-12)  # median of the three
-        assert model.provenance[7] == (0, 1, 2)
-        assert model.fusion_spread[7] == pytest.approx(np.sqrt(3 * 0.25), abs=1e-12)
+        assert model.communities.tolist() == [0, 1, 2]
+        assert model.community_bounds.tolist() == [0, 3]
+        assert model.fusion_tracks.tolist() == [7]
+        assert model.fusion_spread[0] == pytest.approx(np.sqrt(3 * 0.25), abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_fusion_matches_per_track_median(self, seed):
@@ -115,7 +137,7 @@ class TestMerge:
         recs = [simple_rec(c, [c], range(10 * c, 10 * c + 7), rng.normal(size=(7, 3)), rng)
                 for c in range(3)]
         model = self.assert_fusion_matches_loop(recs, {c: Sim3() for c in range(3)})
-        assert model.fusion_spread == {}
+        assert model.fusion_tracks.shape == model.fusion_spread.shape == (0,)
 
     @staticmethod
     def assert_fusion_matches_loop(recs, transforms):
@@ -125,10 +147,10 @@ class TestMerge:
         assert np.array_equal(model.track_ids, tracks)
         # bit for bit, signed zeros included
         assert model.points.tobytes() == points.tobytes()
-        assert model.provenance == provenance
-        assert model.fusion_spread == fusion_spread
-        assert all(type(t) is int and type(c) is tuple for t, c in model.provenance.items())
-        assert all(type(t) is int and type(v) is float for t, v in model.fusion_spread.items())
+        expected = provenance_arrays(tracks, provenance, fusion_spread)
+        for field, want in zip(PROVENANCE_FIELDS, expected):
+            got = getattr(model, field)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
         return model
 
     @pytest.mark.parametrize("seed", range(5))
@@ -335,8 +357,7 @@ class TestEvaluate:
             camera_centers=sim.apply(truth.camera_centers),
             track_ids=truth.track_ids,
             points=sim.apply(truth.points),
-            provenance={int(t): (0,) for t in truth.track_ids},
-            fusion_spread={},
+            **one_copy_each(truth.track_ids),
         )
 
     def test_identical_model_zero_error(self):
@@ -376,8 +397,7 @@ class TestEvaluate:
             camera_centers=centers,
             track_ids=model.track_ids,
             points=model.points,
-            provenance=model.provenance,
-            fusion_spread={},
+            **one_copy_each(model.track_ids),
         )
         metrics = evaluate_against_truth(model, truth)
         assert metrics["median_center_error"] == pytest.approx(0.0, abs=1e-9)
@@ -399,8 +419,7 @@ class TestEvaluate:
             camera_centers=noisy_centers,
             track_ids=base.track_ids,
             points=base.points,
-            provenance=base.provenance,
-            fusion_spread={},
+            **one_copy_each(base.track_ids),
         )
         g = random_sim3(rng)
         moved = MergedModel(
@@ -411,8 +430,7 @@ class TestEvaluate:
             camera_centers=g.apply(model.camera_centers),
             track_ids=model.track_ids,
             points=g.apply(model.points),
-            provenance=model.provenance,
-            fusion_spread={},
+            **one_copy_each(model.track_ids),
         )
         m1 = evaluate_against_truth(model, truth)
         m2 = evaluate_against_truth(moved, truth)
@@ -434,8 +452,7 @@ class TestEvaluate:
             camera_centers=model.camera_centers,
             track_ids=model.track_ids + 1000,
             points=model.points,
-            provenance={int(t) + 1000: c for t, c in model.provenance.items()},
-            fusion_spread={},
+            **one_copy_each(model.track_ids),
         )
         metrics = evaluate_against_truth(disjoint, truth)
         assert metrics["n_shared_tracks"] == 0
@@ -455,8 +472,7 @@ class TestEvaluate:
             camera_centers=model.camera_centers[:2],
             track_ids=model.track_ids,
             points=model.points,
-            provenance=model.provenance,
-            fusion_spread={},
+            **one_copy_each(model.track_ids),
         )
         with pytest.raises(ValidationError):
             evaluate_against_truth(small, truth)
@@ -472,7 +488,8 @@ class TestArtifacts:
         assert np.array_equal(back.camera_ids, model.camera_ids)
         assert np.allclose(back.camera_centers, model.camera_centers, atol=0)
         assert np.allclose(back.points, model.points, atol=0)
-        assert back.provenance == model.provenance
+        for field in PROVENANCE_FIELDS:
+            assert np.array_equal(getattr(back, field), getattr(model, field)), field
 
     def test_export_ply(self, tmp_path):
         rng = np.random.default_rng(15)
@@ -487,3 +504,47 @@ class TestArtifacts:
         body = lines[lines.index("end_header") + 1 :]
         assert len(body) == model.track_ids.size
         assert all(len(row.split()) == 6 for row in body)
+
+    def test_export_ply_colours_by_the_smallest_community_listed(self, tmp_path):
+        # a file may list a track's communities in any order: colour by the least
+        rng = np.random.default_rng(18)
+        recs = [simple_rec(c, [c], range(4 * c, 4 * c + 8), rng.normal(size=(8, 3)), rng)
+                for c in range(3)]
+        model = merge_reconstructions(recs, {c: Sim3() for c in range(3)})
+        save_merged(model, tmp_path / "m.json")
+        obj = json.loads((tmp_path / "m.json").read_text())
+        obj["communities"] = [c[::-1] for c in obj["communities"]]
+        (tmp_path / "shuffled.json").write_text(json.dumps(obj))
+        export_ply(load_merged(tmp_path / "shuffled.json"), tmp_path / "a.ply", True)
+        export_ply(model, tmp_path / "b.ply", True)
+        assert (tmp_path / "a.ply").read_bytes() == (tmp_path / "b.ply").read_bytes()
+        body = (tmp_path / "a.ply").read_text().splitlines()[-model.track_ids.size:]
+        colours = [tuple(map(int, row.split()[3:])) for row in body]
+        # tracks 0-3 are community 0's alone, 4-7 shared by 0 and 1, 8-11 by 1 and 2
+        assert colours == [_PALETTE[c] for c in [0] * 8 + [1] * 4 + [2] * 4]
+
+    @pytest.mark.parametrize(
+        "communities, match",
+        [
+            (lambda c: c[:-1], "do not align with its tracks"),
+            (lambda c: c + [[0]], "do not align with its tracks"),
+            (lambda c: {"0": c}, "do not align with its tracks"),
+            (lambda c: [[]] + c[1:], "track with no contributing community"),
+            (lambda c: c[:-1] + [[]], "track with no contributing community"),
+            (lambda c: [[0.5]] + c[1:], "merged-model communities"),
+            (lambda c: [[True]] + c[1:], "merged-model communities"),
+            (lambda c: [[[0]]] + c[1:], "merged-model communities"),
+            (lambda c: [0] + c[1:], "malformed merged-model file"),
+        ],
+        ids=["short", "long", "not-a-list", "first-empty", "last-empty",
+             "float", "bool", "nested", "bare-integer"],
+    )
+    def test_load_merged_refuses_bad_communities(self, tmp_path, communities, match):
+        rng = np.random.default_rng(19)
+        recs, applied, _, _ = fracture_world(rng, k=2, n_world=10)
+        save_merged(merge_reconstructions(recs, applied), tmp_path / "m.json")
+        obj = json.loads((tmp_path / "m.json").read_text())
+        obj["communities"] = communities(obj["communities"])
+        (tmp_path / "m.json").write_text(json.dumps(obj))
+        with pytest.raises(ValidationError, match=match):
+            load_merged(tmp_path / "m.json")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import shutil
@@ -5,25 +6,38 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import orjson
 import pytest
 from click.testing import CliRunner
 
+from csfm import jsonio
 from csfm.alignment import MIN_SAMPLE
 from csfm.averaging import load_transforms
 from csfm.cli import main
 from csfm.community import build_community_graph, load_partition
 from csfm.errors import ValidationError
 from csfm.measurements import load_measurements
-from csfm.merging import load_merged, save_merged
+from csfm.merging import load_merged, merged_to_json, save_merged
 from csfm.pipeline import DATA_ARTIFACTS, PipelineConfig, run_pipeline
 from csfm.reconstruction import (
     Reconstruction,
     covisible_pairs,
     load_reconstruction,
+    reconstruction_to_json,
     save_reconstruction,
 )
 from csfm.rotations import IDENTITY_QUAT
-from csfm.synth import WorldSpec, fracture, generate_world, read_world, save_world
+from csfm.synth import (
+    WorldSpec,
+    fracture,
+    generate_world,
+    load_world,
+    read_world,
+    save_world,
+    world_to_json,
+)
+
+from helpers import PROVENANCE_FIELDS
 
 THREE = dict(
     camera_count=120,
@@ -683,9 +697,47 @@ def test_merged_round_trip_is_bit_exact(pipeline_run, tmp_path, name):
     save_merged(first, tmp_path / name)
     assert (tmp_path / name).read_bytes() == (pipeline_run / name).read_bytes()
     back = load_merged(tmp_path / name)
-    assert_same_arrays(first, back, ARRAY_FIELDS)
-    assert back.provenance == first.provenance
-    assert back.fusion_spread == first.fusion_spread
+    assert_same_arrays(first, back, ARRAY_FIELDS + list(PROVENANCE_FIELDS))
+
+
+def listed(obj):
+    """``obj`` with every numpy array replaced by its ``.tolist()``."""
+    if isinstance(obj, dict):
+        return {k: listed(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [listed(v) for v in obj]
+    return obj.tolist() if isinstance(obj, np.ndarray) else obj
+
+
+RELAID = {
+    "as-loaded": lambda a: a,
+    "float32": lambda a: a.astype(np.float32) if a.dtype == np.float64 else a,
+    "fortran-order": np.asfortranarray,
+    "strided": lambda a: np.repeat(a, 2, axis=0)[::2],
+}
+
+
+@pytest.mark.parametrize("layout", RELAID)
+def test_artifacts_are_the_bytes_of_their_listed_form(pipeline_run, tmp_path, layout):
+    # arrays go to orjson as they are; a writer that emitted a float32
+    # column's own digits, or refused a non-contiguous one, fails here
+    relaid = RELAID[layout]
+    world = load_world(pipeline_run / "world.json")
+    world_fields = ["camera_centers", "camera_rotations", "track_ids", "points", "labels"]
+    world = dataclasses.replace(world, **{f: relaid(getattr(world, f)) for f in world_fields})
+    merged = load_merged(pipeline_run / "merged.json")
+    merged_fields = [f.name for f in dataclasses.fields(merged)]
+    merged = dataclasses.replace(merged, **{f: relaid(getattr(merged, f)) for f in merged_fields})
+    # Reconstruction casts its arrays itself, so only its loaded form is tried
+    rec = load_reconstruction(pipeline_run / "rec_0.json")
+    for save, to_json, obj in [
+        (save_world, world_to_json, world),
+        (save_reconstruction, reconstruction_to_json, rec),
+        (save_merged, merged_to_json, merged),
+    ]:
+        save(obj, tmp_path / "x.json")
+        expected = orjson.dumps(listed(to_json(obj)), option=jsonio._OPTIONS)
+        assert (tmp_path / "x.json").read_bytes() == expected, save.__name__
 
 
 def test_reconstruction_round_trip_is_bit_exact(pipeline_run, tmp_path):

@@ -10,6 +10,7 @@ import pytest
 from csfm.averaging import average_similarities
 from csfm.community import Partition, best_partition, recursive_partition
 from csfm.errors import ValidationError
+from csfm.jsonio import write_json
 from csfm.measurements import MeasurementGraph
 from csfm.merging import evaluate_against_truth, merge_reconstructions
 from csfm.pipeline import measure_pairs
@@ -362,7 +363,7 @@ def test_world_file_counts_must_match_its_spec(tmp_path):
     world = generate_world(WorldSpec(seed=10, **STRONG))
     obj = world_to_json(world)
     obj["tracks"], obj["points"] = obj["tracks"][:-1], obj["points"][:-1]
-    (tmp_path / "world.json").write_text(json.dumps(obj))
+    write_json(tmp_path / "world.json", obj)
     with pytest.raises(ValidationError, match="point counts differ"):
         load_world(tmp_path / "world.json")
 
