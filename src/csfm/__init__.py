@@ -38,11 +38,7 @@ from .errors import (
 )
 from .graph import EpipolarGraph, connected_components, induced_subgraph, load_graph
 from .l1 import SparseLinearSystem, solve_l1, solve_weighted_ls
-from .measurements import (
-    MeasurementGraph,
-    PairwiseSimilarityMeasurement,
-    pairwise_measurement,
-)
+from .measurements import MeasurementGraph, pairwise_measurement
 from .merging import (
     MergedModel,
     evaluate_against_truth,

@@ -21,8 +21,11 @@ from .measurements import MeasurementGraph, median_offset
 from .rotations import (
     IDENTITY_QUAT,
     exp_rotation,
+    geodesic_angle,
     log_matrix,
     matrix_to_quat,
+    quat_conjugate,
+    quat_multiply,
     quat_to_matrix,
 )
 from .sim3 import Sim3
@@ -41,8 +44,8 @@ def _edge_system(mg: MeasurementGraph, rhs: np.ndarray, plus_on_j: bool) -> Spar
     ``plus_on_j`` selects the row sign convention: +1 on j / -1 on i for
     difference constraints (rotations, translations), the opposite for the
     log-scale constraint."""
-    rows = len(mg.measurements)
-    ends = np.array([(m.i, m.j) for m in mg.measurements], dtype=np.int64).reshape(-1)
+    rows = mg.i.size
+    ends = np.column_stack([mg.i, mg.j]).reshape(-1)
     signs = np.tile([-1.0, 1.0] if plus_on_j else [1.0, -1.0], rows)
     free = ends != GAUGE_COMMUNITY
     return SparseLinearSystem(
@@ -64,11 +67,9 @@ def average_scales(mg: MeasurementGraph) -> np.ndarray:
     mg.require_connected("scale averaging")
     k = mg.community_count
     scales = np.ones(k)
-    if k == 1 or not mg.measurements:
+    if k == 1 or not mg.i.size:
         return scales
-    rhs = np.array([np.log(m.s_ij) for m in mg.measurements])
-    sys = _edge_system(mg, rhs, plus_on_j=False)
-    scales[1:] = np.exp(solve_l1(sys))
+    scales[1:] = np.exp(solve_l1(_edge_system(mg, np.log(mg.s), plus_on_j=False)))
     return scales
 
 
@@ -76,9 +77,9 @@ def spanning_tree_edges(mg: MeasurementGraph) -> list:
     """BFS spanning tree from the gauge community, neighbours visited in
     ascending order; returns measurement indices in discovery order."""
     adj = [[] for _ in range(mg.community_count)]
-    for idx, m in enumerate(mg.measurements):
-        adj[m.i].append((m.j, idx))
-        adj[m.j].append((m.i, idx))
+    for idx, (i, j) in enumerate(zip(mg.i.tolist(), mg.j.tolist())):
+        adj[i].append((j, idx))
+        adj[j].append((i, idx))
     seen = [False] * mg.community_count
     seen[GAUGE_COMMUNITY] = True
     queue = [GAUGE_COMMUNITY]
@@ -93,18 +94,18 @@ def spanning_tree_edges(mg: MeasurementGraph) -> list:
     return tree
 
 
-def _chain_initial_rotations(mg: MeasurementGraph) -> list:
-    """Initialize by composing measurements along the BFS spanning tree."""
+def _chain_initial_rotations(mg: MeasurementGraph, meas_rot: np.ndarray) -> list:
+    """Initialize by composing the measured rotations (``meas_rot``, one
+    matrix per row of ``mg``) along the BFS spanning tree."""
     R = [None] * mg.community_count
     R[GAUGE_COMMUNITY] = np.eye(3)
     for idx in spanning_tree_edges(mg):
-        m = mg.measurements[idx]
-        rot = quat_to_matrix(m.r_ij)
-        if R[m.i] is not None and R[m.j] is None:
+        i, j, rot = mg.i[idx], mg.j[idx], meas_rot[idx]
+        if R[i] is not None and R[j] is None:
             # R_i^T R_j = r_ij  =>  R_j = R_i r_ij
-            R[m.j] = R[m.i] @ rot
-        elif R[m.j] is not None and R[m.i] is None:
-            R[m.i] = R[m.j] @ rot.T
+            R[j] = R[i] @ rot
+        elif R[j] is not None and R[i] is None:
+            R[i] = R[j] @ rot.T
     return R
 
 
@@ -119,12 +120,12 @@ def average_rotations(mg: MeasurementGraph) -> np.ndarray:
     """
     mg.require_connected("rotation averaging")
     k = mg.community_count
-    if k == 1 or not mg.measurements:
+    if k == 1 or not mg.i.size:
         return np.tile(IDENTITY_QUAT, (k, 1))
-    R = np.stack(_chain_initial_rotations(mg))
-    i, j = np.array([(m.i, m.j) for m in mg.measurements], dtype=np.int64).T
-    meas_rot = quat_to_matrix(np.stack([m.r_ij for m in mg.measurements]))
-    sys_pattern = _edge_system(mg, np.zeros(len(mg.measurements)), plus_on_j=True)
+    i, j = mg.i, mg.j
+    meas_rot = quat_to_matrix(mg.q)
+    R = np.stack(_chain_initial_rotations(mg, meas_rot))
+    sys_pattern = _edge_system(mg, np.zeros(i.size), plus_on_j=True)
 
     converged = False
     max_step = np.inf
@@ -143,7 +144,7 @@ def average_rotations(mg: MeasurementGraph) -> np.ndarray:
         log.warning(
             "rotation averaging stopped after %d sweeps without convergence: "
             "last update %.3e rad, residual L1 %.3e rad over %d measurements",
-            ROTATION_MAX_ITERATIONS, max_step, l1_resid, len(mg.measurements),
+            ROTATION_MAX_ITERATIONS, max_step, l1_resid, i.size,
         )
     quats = np.tile(IDENTITY_QUAT, (k, 1))
     quats[1:] = matrix_to_quat(R[1:])
@@ -160,25 +161,25 @@ def recompute_pairwise_translations(
 
     Every community's points are first mapped by its averaged ``s_k R_k``
     (no translation yet); the per-pair offset is then a robust (median)
-    estimate of ``T_j - T_i``.  Pairs whose co-visible set vanished are
-    dropped with a warning; if the drops disconnect the measurement graph
-    that is an error.
+    estimate of ``T_j - T_i``.  Returns the kept rows of ``mg`` with ``t``
+    filled.  Pairs whose co-visible set vanished are dropped with a warning;
+    if the drops disconnect the measurement graph that is an error.
     """
     mapped = {
         c: (rec.track_ids, float(scales[c]) * (rec.points @ quat_to_matrix(rotations[c]).T))
         for c, rec in recs.items()
     }
-    kept = []
-    for m in mg.measurements:
+    keep, t = np.zeros(mg.i.size, dtype=bool), []
+    for idx, (i, j) in enumerate(zip(mg.i.tolist(), mg.j.tolist())):
         try:
-            t = median_offset(*mapped[m.i], *mapped[m.j])
+            t.append(median_offset(*mapped[i], *mapped[j]))
+            keep[idx] = True
         except ValidationError:
-            log.warning(
-                "dropping measurement (%d, %d): no surviving co-visible tracks", m.i, m.j
-            )
-            continue
-        kept.append(m.with_translation(t))
-    out = MeasurementGraph(community_count=mg.community_count, measurements=tuple(kept))
+            log.warning("dropping measurement (%d, %d): no surviving co-visible tracks", i, j)
+    out = MeasurementGraph(
+        mg.community_count, mg.i[keep], mg.j[keep], mg.s[keep], mg.q[keep], mg.inliers[keep],
+        np.reshape(t, (-1, 3)),
+    )
     if not out.is_connected():
         raise DisconnectedGraphError(
             "dropped measurements disconnected the measurement graph"
@@ -195,17 +196,14 @@ def average_translations(mg: MeasurementGraph) -> np.ndarray:
     mg.require_connected("translation averaging")
     k = mg.community_count
     out = np.zeros((k, 3))
-    if k == 1 or not mg.measurements:
+    if k == 1 or not mg.i.size:
         return out
-    for m in mg.measurements:
-        if m.t_ij is None:
-            raise ValidationError(
-                f"measurement ({m.i}, {m.j}) has no translation; run the recompute stage first"
-            )
+    if mg.t is None:
+        raise ValidationError(
+            f"measurement ({mg.i[0]}, {mg.j[0]}) has no translation; run the recompute stage first"
+        )
     for axis in range(3):
-        rhs = np.array([m.t_ij[axis] for m in mg.measurements])
-        sys = _edge_system(mg, rhs, plus_on_j=True)
-        out[1:, axis] = solve_l1(sys)
+        out[1:, axis] = solve_l1(_edge_system(mg, mg.t[:, axis], plus_on_j=True))
     return out
 
 
@@ -221,6 +219,23 @@ def average_similarities(recs: dict, mg: MeasurementGraph):
         for c in range(mg.community_count)
     }
     return transforms, mg_t
+
+
+def averaging_residuals(mg: MeasurementGraph, mg_t: MeasurementGraph, transforms: dict) -> dict:
+    """L1 residuals of the scale, rotation and translation problems at the
+    averaged transforms (``mg_t`` carries the recomputed translations)."""
+    log_s = np.log([tr.s for tr in transforms.values()])
+    q = np.stack([tr.q for tr in transforms.values()])
+    T = np.stack([tr.t for tr in transforms.values()])
+    scale = np.abs(np.log(mg.s) - (log_s[mg.i] - log_s[mg.j]))
+    rotation = geodesic_angle(quat_multiply(quat_conjugate(q[mg.i]), q[mg.j]), mg.q)
+    translation = np.abs(mg_t.t - (T[mg_t.j] - T[mg_t.i])).sum(axis=1)
+    return {
+        "scale_l1_residual": float(np.sum(scale)),
+        "rotation_l1_residual_rad": float(np.sum(rotation)),
+        "kept_pairs": int(mg_t.i.size),
+        "translation_l1_residual": float(np.sum(translation)),
+    }
 
 
 def transforms_to_json(transforms: dict) -> list:

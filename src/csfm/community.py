@@ -30,7 +30,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import DisconnectedGraphError, ValidationError
-from .graph import EpipolarGraph, connected_components, induced_subgraph
+from .graph import EpipolarGraph, component_labels, connected_components, induced_subgraph
 from .jsonio import column, parsing, scalar, write_json
 
 DEFAULT_Q_THRESHOLD = 0.3
@@ -232,18 +232,9 @@ def _merge_trace(n, edges):
 
 
 def _cut_trace(n: int, trace: DendrogramTrace, upto: int) -> Partition:
-    """Partition after replaying merges[0..upto] (union-find replay)."""
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b, _ in trace.merges[: upto + 1]:
-        parent[find(b)] = find(a)
-    return Partition.from_labels([find(v) for v in range(n)])
+    """Partition after merges[0..upto]: the components those merges link."""
+    merged = np.array([(a, b) for a, b, _ in trace.merges[: upto + 1]], dtype=np.int64)
+    return Partition.from_labels(component_labels(n, merged.reshape(-1, 2)))
 
 
 def best_partition(g: EpipolarGraph, q_threshold: float = DEFAULT_Q_THRESHOLD):

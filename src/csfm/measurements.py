@@ -10,7 +10,10 @@ Conventions (one transform per community, applied as local -> merged frame
   stage from scale-and-rotation-aligned co-visible points.
 
 Measurements are canonicalized to ``i < j``; the reverse direction is the
-Sim3 inverse and is never stored twice.
+Sim3 inverse and is never stored twice.  A :class:`MeasurementGraph` holds
+them as one table of aligned columns (``i``, ``j``, ``s``, ``q``, ``t``,
+``inliers``), the form the averaging solves read; the measurement files keep
+one ``{"i", "j", "s_ij", "q_ij", "t_ij", "inliers"}`` record per pair.
 """
 from __future__ import annotations
 
@@ -31,65 +34,67 @@ MIN_COVISIBLE = MIN_SAMPLE + 1
 
 
 @dataclass(frozen=True)
-class PairwiseSimilarityMeasurement:
-    i: int
-    j: int
-    s_ij: float
-    r_ij: np.ndarray  # quaternion
-    t_ij: np.ndarray | None = None
-    inlier_count: int = 0
-
-    def __post_init__(self):
-        if self.i == self.j:
-            raise ValidationError("measurement endpoints must differ")
-        if self.i > self.j:
-            raise ValidationError("measurements are canonicalized to i < j")
-        if not (np.isfinite(self.s_ij) and self.s_ij > 0):
-            raise ValidationError(f"measured scale must be positive, got {self.s_ij}")
-        object.__setattr__(self, "i", int(self.i))
-        object.__setattr__(self, "j", int(self.j))
-        object.__setattr__(self, "s_ij", float(self.s_ij))
-        r_ij = quat_canonical(self.r_ij)
-        if r_ij.shape != (4,):
-            raise ValidationError(f"measured rotation must be one quaternion, not {r_ij.shape}")
-        object.__setattr__(self, "r_ij", r_ij)
-        if self.t_ij is not None:
-            t = np.asarray(self.t_ij, dtype=float).reshape(3)
-            if not np.all(np.isfinite(t)):
-                raise ValidationError("measured translation must be finite")
-            object.__setattr__(self, "t_ij", t)
-        object.__setattr__(self, "inlier_count", int(self.inlier_count))
-
-    def with_translation(self, t) -> "PairwiseSimilarityMeasurement":
-        return PairwiseSimilarityMeasurement(
-            i=self.i, j=self.j, s_ij=self.s_ij, r_ij=self.r_ij, t_ij=t,
-            inlier_count=self.inlier_count,
-        )
-
-
-@dataclass(frozen=True)
 class MeasurementGraph:
+    """The measured community pairs as a table of aligned columns, one row
+    per pair: ends ``i < j``, scale ``s`` (``s_ij``), rotation ``q``
+    (``r_ij``, canonical quaternions), RANSAC ``inliers`` and translation
+    ``t`` (``t_ij``; ``None`` until the recompute stage fills every row)."""
+
     community_count: int
-    measurements: tuple
+    i: np.ndarray  # (n,) int64
+    j: np.ndarray  # (n,) int64
+    s: np.ndarray  # (n,)
+    q: np.ndarray  # (n, 4)
+    inliers: np.ndarray  # (n,) int64
+    t: np.ndarray | None = None  # (n, 3)
 
     def __post_init__(self):
         k = int(self.community_count)
-        meas = tuple(self.measurements)
+        i = np.asarray(self.i, dtype=np.int64).reshape(-1)
+        j = np.asarray(self.j, dtype=np.int64).reshape(-1)
+        s = np.asarray(self.s, dtype=float).reshape(-1)
+        q = np.asarray(self.q, dtype=float)
+        t = None if self.t is None else np.asarray(self.t, dtype=float)
+        inliers = np.asarray(self.inliers, dtype=np.int64).reshape(-1)
+        n = i.size
+        if not j.size == s.size == inliers.size == n:
+            raise ValidationError("measurement columns must have one entry per pair")
+        if q.shape != (n, 4):
+            raise ValidationError(f"measured rotation must be one quaternion per pair, not {q.shape}")
+        if t is not None and t.shape != (n, 3):
+            raise ValidationError(f"measured translation must be one 3-vector per pair, not {t.shape}")
+        # a row's own checks, then the graph's; the first offending row decides
+        norms = np.sqrt(np.einsum("ij,ij->i", q, q))
+        _first_fault(
+            (i == j, lambda r: "measurement endpoints must differ"),
+            (i > j, lambda r: "measurements are canonicalized to i < j"),
+            (~(np.isfinite(s) & (s > 0)), lambda r: f"measured scale must be positive, got {s[r]}"),
+            (~(np.isfinite(norms) & (norms >= 1e-12)),
+             lambda r: "quaternion has near-zero or non-finite norm"),
+            (np.zeros(n, bool) if t is None else ~np.isfinite(t).all(axis=1),
+             lambda r: "measured translation must be finite"),
+        )
         if k <= 0:
             raise ValidationError("community count must be positive")
-        seen = set()
-        for m in meas:
-            if not 0 <= m.i < k or not 0 <= m.j < k:
-                raise ValidationError(f"measurement endpoint out of range: ({m.i}, {m.j})")
-            key = (m.i, m.j)
-            if key in seen:
-                raise ValidationError(f"duplicate measurement for pair {key}")
-            seen.add(key)
-        object.__setattr__(self, "community_count", k)
-        object.__setattr__(self, "measurements", meas)
+        repeated = np.ones(n, dtype=bool)
+        repeated[np.unique(np.column_stack([i, j]), axis=0, return_index=True)[1]] = False
+        _first_fault(  # i < j on every row by now
+            ((i < 0) | (j >= k), lambda r: f"measurement endpoint out of range: ({i[r]}, {j[r]})"),
+            (repeated, lambda r: f"duplicate measurement for pair ({i[r]}, {j[r]})"),
+        )
+        for name, value in (("community_count", k), ("i", i), ("j", j), ("s", s),
+                            ("q", quat_canonical(q)), ("t", t), ("inliers", inliers)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_rows(cls, community_count: int, rows) -> "MeasurementGraph":
+        """Stack ``(i, j, s, q, inliers)`` rows, as :func:`pairwise_measurement`
+        gives them, into a graph without translations."""
+        i, j, s, q, inliers = zip(*rows) if rows else ((),) * 5
+        return cls(community_count, i, j, s, np.reshape(q, (-1, 4)), inliers)
 
     def is_connected(self) -> bool:
-        edges = np.array([(m.i, m.j) for m in self.measurements], dtype=np.int64).reshape(-1, 2)
+        edges = np.column_stack([self.i, self.j])
         return bool(component_labels(self.community_count, edges).max() == 0)
 
     def require_connected(self, context: str = "averaging"):
@@ -99,18 +104,25 @@ class MeasurementGraph:
             )
 
 
-def pairwise_measurement(
-    rec_i: Reconstruction,
-    rec_j: Reconstruction,
-    seed: int = 0,
-) -> PairwiseSimilarityMeasurement:
+def _first_fault(*checks):
+    """Raise the message of the first failing check on the first row that
+    fails any; ``checks`` pairs a per-row fault mask with a message for a row."""
+    faults = np.stack([mask for mask, _ in checks])
+    rows = np.flatnonzero(faults.any(axis=0))
+    if rows.size:
+        r = int(rows[0])
+        raise ValidationError(checks[int(np.argmax(faults[:, r]))][1](r))
+
+
+def pairwise_measurement(rec_i: Reconstruction, rec_j: Reconstruction, seed: int = 0) -> tuple:
     """Estimate the similarity between two communities from co-visible points.
 
-    Runs RANSAC on the frame-i -> frame-j correspondences; the resulting scale
-    is stored as-is (it already equals ``s_i / s_j``) and the rotation is
-    stored transposed so it composes as ``R_i^T R_j`` of the per-community
-    alignment rotations.  Translation is left unset here; it is recomputed
-    after scales and rotations are averaged.
+    Runs RANSAC on the frame-i -> frame-j correspondences and returns the
+    pair's row ``(i, j, s_ij, r_ij, inliers)``, ends in ascending order.  The
+    scale is the fit's as-is (it already equals ``s_i / s_j``) and the
+    rotation its transpose, so it composes as ``R_i^T R_j`` of the
+    per-community alignment rotations.  The row holds no translation; that is
+    recomputed after scales and rotations are averaged.
     """
     if rec_i.community_id == rec_j.community_id:
         raise ValidationError("pairwise measurement needs two distinct communities")
@@ -123,14 +135,7 @@ def pairwise_measurement(
             f"{len(corr)} tracks; need at least {MIN_COVISIBLE}"
         )
     sim, inlier_ids = ransac_similarity(corr, seed=seed)
-    return PairwiseSimilarityMeasurement(
-        i=rec_i.community_id,
-        j=rec_j.community_id,
-        s_ij=sim.s,
-        r_ij=quat_conjugate(sim.q),
-        t_ij=None,
-        inlier_count=len(inlier_ids),
-    )
+    return rec_i.community_id, rec_j.community_id, sim.s, quat_conjugate(sim.q), len(inlier_ids)
 
 
 def median_offset(tracks_i, points_i, tracks_j, points_j) -> np.ndarray:
@@ -147,23 +152,16 @@ def median_offset(tracks_i, points_i, tracks_j, points_j) -> np.ndarray:
 
 
 def measurements_to_json(mg: MeasurementGraph) -> list:
-    out = []
-    for m in mg.measurements:
-        out.append(
-            {
-                "i": m.i,
-                "j": m.j,
-                "s_ij": m.s_ij,
-                "q_ij": [float(v) for v in m.r_ij],
-                "t_ij": None if m.t_ij is None else [float(v) for v in m.t_ij],
-                "inliers": m.inlier_count,
-            }
-        )
-    return out
+    t = [None] * mg.i.size if mg.t is None else mg.t.tolist()
+    columns = (mg.i.tolist(), mg.j.tolist(), mg.s.tolist(), mg.q.tolist(), t, mg.inliers.tolist())
+    return [
+        {"i": i, "j": j, "s_ij": s, "q_ij": q, "t_ij": t_ij, "inliers": n}
+        for i, j, s, q, t_ij, n in zip(*columns)
+    ]
 
 
 def save_measurements(mg: MeasurementGraph, path) -> None:
-    """Write the measurement list (the graph's node count is implied by the
+    """Write the measurement records (the graph's node count is implied by the
     per-community reconstruction set it belongs to)."""
     write_json(path, measurements_to_json(mg))
 
@@ -175,20 +173,15 @@ def load_measurements(path, community_count=None) -> MeasurementGraph:
     with parsing(path, "measurement file") as obj:
         recs = records(obj, "measurement file", "measurement")
         t = [r["t_ij"] for r in recs]
-        if any(v is not None for v in t):
-            t = column(t, "measured translation", width=3)
+        t = column(t, "measured translation", width=3) if any(v is not None for v in t) else None
         i, j, inliers = [
-            column([r[key] for r in recs], f"measurement {key}", np.int64).tolist()
+            column([r[key] for r in recs], f"measurement {key}", np.int64)
             for key in ("i", "j", "inliers")
         ]
-        scales = column([r["s_ij"] for r in recs], "measured scale").tolist()
-        rotations = column([r["q_ij"] for r in recs], "measured rotation", width=4)
-    meas = tuple(
-        PairwiseSimilarityMeasurement(i=a, j=b, s_ij=s, r_ij=q, t_ij=tab, inlier_count=n)
-        for a, b, s, q, tab, n in zip(i, j, scales, rotations, t, inliers)
-    )
+        s = column([r["s_ij"] for r in recs], "measured scale")
+        q = column([r["q_ij"] for r in recs], "measured rotation", width=4)
     if community_count is None:
-        if not meas:
+        if not recs:
             raise ValidationError("cannot infer the community count from an empty measurement list")
-        community_count = max(max(m.i, m.j) for m in meas) + 1
-    return MeasurementGraph(community_count=community_count, measurements=meas)
+        community_count = int(max(i.max(), j.max())) + 1
+    return MeasurementGraph(community_count, i, j, s, q, inliers, t)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .averaging import average_similarities, save_transforms
+from .averaging import average_similarities, averaging_residuals, save_transforms
 from .community import (
     DEFAULT_MIN_COMMUNITY_SIZE,
     DEFAULT_Q_THRESHOLD,
@@ -40,7 +40,6 @@ from .merging import (
     save_merged,
 )
 from .reconstruction import check_community_ids, covisible_pairs, save_reconstructions
-from .rotations import geodesic_angle, quat_conjugate, quat_multiply
 from .synth import (
     GroundTruthWorld,
     WorldSpec,
@@ -83,6 +82,7 @@ def pairwise_seed(base_seed: int, i: int, j: int) -> int:
 
 def measure_pairs(recs, pairs, seed: int, workers: int = 4) -> list:
     """RANSAC-measure each community pair; parallel, deterministic order.
+    Returns the :func:`pairwise_measurement` row of each measured pair.
 
     Pairs without enough co-visible tracks are skipped with a warning.
     """
@@ -115,34 +115,11 @@ def measure_graph(recs, seed: int, workers: int, path):
         (rec_a.community_id, rec_b.community_id)
         for rec_a, rec_b, _, _ in covisible_pairs(recs, MIN_COVISIBLE)
     ]
-    meas = measure_pairs(recs, pairs, seed=seed, workers=workers)
-    mg = MeasurementGraph(community_count=len(recs), measurements=tuple(meas))
+    rows = measure_pairs(recs, pairs, seed=seed, workers=workers)
+    mg = MeasurementGraph.from_rows(len(recs), rows)
     mg.require_connected("pairwise measurement")
     save_measurements(mg, path)
-    return mg, {"measured_pairs": len(meas), "candidate_pairs": len(pairs)}
-
-
-def _averaging_residuals(mg: MeasurementGraph, mg_t: MeasurementGraph, transforms: dict) -> dict:
-    """L1 residuals of the scale, rotation and translation problems at the
-    averaged transforms (``mg_t`` carries the recomputed translations)."""
-    log_s = np.log([tr.s for tr in transforms.values()])
-    scale = [abs(np.log(m.s_ij) - (log_s[m.i] - log_s[m.j])) for m in mg.measurements]
-    rotation = [
-        geodesic_angle(
-            quat_multiply(quat_conjugate(transforms[m.i].q), transforms[m.j].q), m.r_ij
-        )
-        for m in mg.measurements
-    ]
-    translation = [
-        float(np.abs(m.t_ij - (transforms[m.j].t - transforms[m.i].t)).sum())
-        for m in mg_t.measurements
-    ]
-    return {
-        "scale_l1_residual": float(np.sum(scale)),
-        "rotation_l1_residual_rad": float(np.sum(rotation)),
-        "kept_pairs": len(mg_t.measurements),
-        "translation_l1_residual": float(np.sum(translation)),
-    }
+    return mg, {"measured_pairs": len(rows), "candidate_pairs": len(pairs)}
 
 
 class _StageRunner:
@@ -230,7 +207,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         transforms, mg_t = average_similarities(recs_by_id, mg)
         save_measurements(mg_t, out / "measurements_with_t.json")
         save_transforms(transforms, out / "transforms.json")
-        return transforms, _averaging_residuals(mg, mg_t, transforms)
+        return transforms, averaging_residuals(mg, mg_t, transforms)
 
     transforms = runner.run("average", average_stage, out / "transforms.json")
 

@@ -43,14 +43,12 @@ class Reconstruction:
         for name, values in (("camera rotations", rots), ("camera centers", centers), ("points", pts)):
             if not np.all(np.isfinite(values)):
                 raise ValidationError(f"reconstruction {name} contain a non-finite number")
-        if np.unique(cam_ids).size != cam_ids.size:
-            raise ValidationError("duplicate camera id in reconstruction")
-        if np.unique(tracks).size != tracks.size:
-            raise ValidationError("duplicate track id in reconstruction")
-        order = np.argsort(cam_ids, kind="stable")
-        cam_ids, rots, centers = cam_ids[order], rots[order], centers[order]
-        torder = np.argsort(tracks, kind="stable")
-        tracks, pts = tracks[torder], pts[torder]
+        order = _sorting_order(cam_ids, "camera")
+        torder = _sorting_order(tracks, "track")
+        if order is not None:
+            cam_ids, rots, centers = cam_ids[order], rots[order], centers[order]
+        if torder is not None:
+            tracks, pts = tracks[torder], pts[torder]
         rots = quat_canonical(rots)
         object.__setattr__(self, "community_id", int(self.community_id))
         object.__setattr__(self, "camera_ids", cam_ids)
@@ -66,6 +64,18 @@ class Reconstruction:
     @property
     def point_count(self) -> int:
         return int(self.track_ids.shape[0])
+
+
+def _sorting_order(ids: np.ndarray, what: str):
+    """The stable order that sorts ``ids``, or ``None`` when they are
+    strictly increasing already (every fractured or loaded reconstruction's);
+    a repeated id raises."""
+    if np.all(ids[1:] > ids[:-1]):
+        return None
+    order = np.argsort(ids, kind="stable")
+    if np.any(ids[order[1:]] == ids[order[:-1]]):
+        raise ValidationError(f"duplicate {what} id in reconstruction")
+    return order
 
 
 def covisible(rec_a: Reconstruction, rec_b: Reconstruction) -> CorrespondenceSet:

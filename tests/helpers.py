@@ -15,8 +15,9 @@ from csfm.alignment import (
     horn_similarity,
 )
 from csfm.community import Partition, best_partition
-from csfm.errors import DegenerateGeometryError, NumericError, RansacFailureError
+from csfm.errors import DegenerateGeometryError, NumericError, RansacFailureError, ValidationError
 from csfm.graph import EpipolarGraph, connected_components, induced_subgraph
+from csfm.measurements import MeasurementGraph
 from csfm.merging import (
     REFINE_MAX_ITERATIONS,
     REFINE_REL_TOL,
@@ -25,7 +26,9 @@ from csfm.merging import (
 )
 from csfm.reconstruction import covisible_pairs
 from csfm.rotations import (
+    IDENTITY_QUAT,
     exp_rotation,
+    geodesic_angle,
     matrix_to_quat,
     quat_canonical,
     quat_conjugate,
@@ -66,6 +69,93 @@ def unique_sort_edges(n, edges, weights):
     if np.any(weights[order] <= 0):
         return "edge weights must be strictly positive"
     return np.column_stack([lo, hi])[order], weights[order]
+
+
+def unique_sort_ids(camera_ids, track_ids):
+    """Reconstruction id validation as ``np.unique`` on each id column, then
+    a stable argsort of each: reference for the sort-once check in
+    ``Reconstruction``.  Returns the camera and track sorting orders, or the
+    ``ValidationError`` message."""
+    for ids, what in ((camera_ids, "camera"), (track_ids, "track")):
+        if np.unique(ids).size != ids.size:
+            return f"duplicate {what} id in reconstruction"
+    return np.argsort(camera_ids, kind="stable"), np.argsort(track_ids, kind="stable")
+
+
+def measurement_graph(k, rows):
+    """A ``MeasurementGraph`` of ``k`` communities from ``(i, j[, s[, r[,
+    t]]])`` rows; ``s`` defaults to 1, ``r`` to the identity rotation and
+    ``t`` to unset (a graph's translations are all set or all unset)."""
+    rows = [tuple(row) + (1.0, IDENTITY_QUAT, None)[len(row) - 2 :] for row in rows]
+    i, j, s, r, t = zip(*rows) if rows else ((), (), (), np.zeros((0, 4)), ())
+    has_t = any(v is not None for v in t)
+    return MeasurementGraph(
+        k, i, j, s, np.array(r, dtype=float), np.zeros(len(rows), dtype=np.int64),
+        np.array(t) if has_t else None,
+    )
+
+
+def record_checks(k, i, j, s, q, t=None):
+    """Measurement validation one record at a time: each record's own checks
+    (ends, scale, rotation, translation) in row order, then the community
+    count, then the graph's (endpoint range, duplicate pair) in row order.
+
+    Reference for the vectorised checks in ``MeasurementGraph``.  Returns the
+    first ``ValidationError`` message, or ``None`` for a valid table.
+    """
+    try:
+        for r in range(len(i)):
+            if i[r] == j[r]:
+                raise ValidationError("measurement endpoints must differ")
+            if i[r] > j[r]:
+                raise ValidationError("measurements are canonicalized to i < j")
+            if not (np.isfinite(s[r]) and s[r] > 0):
+                raise ValidationError(f"measured scale must be positive, got {s[r]}")
+            r_ij = quat_canonical(q[r])
+            if r_ij.shape != (4,):
+                raise ValidationError(f"measured rotation must be one quaternion, not {r_ij.shape}")
+            if t is not None and not np.all(np.isfinite(t[r])):
+                raise ValidationError("measured translation must be finite")
+        if k <= 0:
+            raise ValidationError("community count must be positive")
+        seen = set()
+        for a, b in zip(i.tolist(), j.tolist()):
+            if not 0 <= a < k or not 0 <= b < k:
+                raise ValidationError(f"measurement endpoint out of range: ({a}, {b})")
+            if (a, b) in seen:
+                raise ValidationError(f"duplicate measurement for pair {(a, b)}")
+            seen.add((a, b))
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def loop_averaging_residuals(mg, mg_t, transforms: dict) -> dict:
+    """The ``average`` stage's report statistics, one measurement at a time.
+
+    Reference for ``csfm.averaging.averaging_residuals``: L1 residuals of the
+    scale and rotation problems over ``mg`` and of the translation problem
+    over ``mg_t`` (the recomputed translations) at the averaged transforms.
+    """
+    log_s = np.log([tr.s for tr in transforms.values()])
+    scale = [
+        abs(np.log(s) - (log_s[i] - log_s[j]))
+        for i, j, s in zip(mg.i.tolist(), mg.j.tolist(), mg.s.tolist())
+    ]
+    rotation = [
+        geodesic_angle(quat_multiply(quat_conjugate(transforms[i].q), transforms[j].q), r)
+        for i, j, r in zip(mg.i.tolist(), mg.j.tolist(), mg.q)
+    ]
+    translation = [
+        float(np.abs(t - (transforms[j].t - transforms[i].t)).sum())
+        for i, j, t in zip(mg_t.i.tolist(), mg_t.j.tolist(), mg_t.t)
+    ]
+    return {
+        "scale_l1_residual": float(np.sum(scale)),
+        "rotation_l1_residual_rad": float(np.sum(rotation)),
+        "kept_pairs": len(translation),
+        "translation_l1_residual": float(np.sum(translation)),
+    }
 
 
 def brute_modularity(g: EpipolarGraph, labels) -> float:
@@ -172,6 +262,22 @@ def split_recursively(g: EpipolarGraph, q_threshold):
     for leaf_id, leaf in enumerate(leaves):
         labels[leaf] = leaf_id
     return Partition.from_labels(labels), peaks
+
+
+def union_find_cut(n, trace, upto):
+    """Partition after replaying ``trace.merges[0..upto]`` into a union-find:
+    reference for ``csfm.community._cut_trace``."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b, _ in trace.merges[: upto + 1]:
+        parent[find(b)] = find(a)
+    return Partition.from_labels([find(v) for v in range(n)])
 
 
 def scan_merge_trace(g: EpipolarGraph):

@@ -16,7 +16,6 @@ from csfm.averaging import (
     spanning_tree_edges,
 )
 from csfm.community import Partition, best_partition, greedy_merge_trace, modularity
-from csfm.measurements import MeasurementGraph, PairwiseSimilarityMeasurement
 from csfm.pipeline import PipelineConfig, run_pipeline
 from csfm.rotations import geodesic_angle, quat_conjugate, quat_multiply, random_quat
 from csfm.synth import WorldSpec, generate_world
@@ -26,6 +25,7 @@ from helpers import (
     clique_edges,
     exhaustive_max_modularity,
     make_graph,
+    measurement_graph,
     random_connected_graph,
     random_sim3,
 )
@@ -100,17 +100,12 @@ def _random_connected_pairs(rng, k, extra):
 
 
 def _consistent_measurements(planted, edges, t=True):
+    """Exact ``(i, j, s_ij, r_ij, t_ij)`` rows from planted transforms."""
     out = []
     for i, j in edges:
         ti, tj = planted[i], planted[j]
         out.append(
-            PairwiseSimilarityMeasurement(
-                i=i,
-                j=j,
-                s_ij=ti.s / tj.s,
-                r_ij=quat_multiply(quat_conjugate(ti.q), tj.q),
-                t_ij=(tj.t - ti.t) if t else None,
-            )
+            (i, j, ti.s / tj.s, quat_multiply(quat_conjugate(ti.q), tj.q), (tj.t - ti.t) if t else None)
         )
     return out
 
@@ -122,10 +117,7 @@ def test_averaging_exactness():
             k = int(rng.integers(4, 11))
             planted = [random_sim3(rng) for _ in range(k)]
             edges = _random_connected_pairs(rng, k, int(rng.integers(0, 5)))
-            mg = MeasurementGraph(
-                community_count=k,
-                measurements=tuple(_consistent_measurements(planted, edges)),
-            )
+            mg = measurement_graph(k, _consistent_measurements(planted, edges))
             scales = average_scales(mg)
             rotations = average_rotations(mg)
             translations = average_translations(mg)
@@ -182,14 +174,14 @@ def test_l1_robustness_to_gross_outliers():
 
         # one corrupted rotation per independent cycle, realized as chords of
         # the averaging spanning tree, pairwise vertex-disjoint
-        mg_probe = MeasurementGraph(community_count=k, measurements=tuple(base))
+        mg_probe = measurement_graph(k, base)
         tree = set(spanning_tree_edges(mg_probe))
         bad_rot = []
         used = set()
         for idx in range(m):
             if idx in tree:
                 continue
-            mi, mj = base[idx].i, base[idx].j
+            mi, mj = base[idx][:2]
             if mi in used or mj in used:
                 continue
             bad_rot.append(idx)
@@ -198,15 +190,13 @@ def test_l1_robustness_to_gross_outliers():
                 break
 
         corrupted = []
-        for idx, meas in enumerate(base):
-            s = meas.s_ij * (float(rng.uniform(20.0, 80.0)) if idx in bad_scale else 1.0)
-            r = random_quat(rng) if idx in bad_rot else meas.r_ij
-            t = meas.t_ij + (rng.uniform(40.0, 90.0, size=3) * rng.choice([-1.0, 1.0], size=3)
-                             if idx in bad_trans else 0.0)
-            corrupted.append(
-                PairwiseSimilarityMeasurement(i=meas.i, j=meas.j, s_ij=s, r_ij=r, t_ij=t)
-            )
-        mg = MeasurementGraph(community_count=k, measurements=tuple(corrupted))
+        for idx, (i, j, s_ij, r_ij, t_ij) in enumerate(base):
+            s = s_ij * (float(rng.uniform(20.0, 80.0)) if idx in bad_scale else 1.0)
+            r = random_quat(rng) if idx in bad_rot else r_ij
+            t = t_ij + (rng.uniform(40.0, 90.0, size=3) * rng.choice([-1.0, 1.0], size=3)
+                        if idx in bad_trans else 0.0)
+            corrupted.append((i, j, s, r, t))
+        mg = measurement_graph(k, corrupted)
 
         scales = average_scales(mg)
         rotations = average_rotations(mg)

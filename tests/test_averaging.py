@@ -11,7 +11,6 @@ from csfm.averaging import (
     spanning_tree_edges,
 )
 from csfm.errors import DisconnectedGraphError, ValidationError
-from csfm.measurements import MeasurementGraph, PairwiseSimilarityMeasurement
 from csfm.reconstruction import Reconstruction
 from csfm.rotations import (
     IDENTITY_QUAT,
@@ -21,7 +20,7 @@ from csfm.rotations import (
     random_quat,
 )
 
-from helpers import random_sim3
+from helpers import measurement_graph, random_sim3
 
 
 def rz(angle):
@@ -29,27 +28,17 @@ def rz(angle):
 
 
 def meas(i, j, s=1.0, r=None, t=None):
-    return PairwiseSimilarityMeasurement(
-        i=i, j=j, s_ij=s, r_ij=IDENTITY_QUAT if r is None else r, t_ij=t
-    )
+    return (i, j, s, IDENTITY_QUAT if r is None else r, t)
 
 
 def consistent_measurements(transforms, edges):
-    """Synthesize exact measurements from planted per-community transforms:
-    s_ij = s_i/s_j, r_ij = R_i^T R_j, t_ij = T_j - T_i."""
+    """Synthesize exact measurement rows from planted per-community
+    transforms: s_ij = s_i/s_j, r_ij = R_i^T R_j, t_ij = T_j - T_i."""
     out = []
     for i, j in edges:
         ti, tj = transforms[i], transforms[j]
-        out.append(
-            PairwiseSimilarityMeasurement(
-                i=i,
-                j=j,
-                s_ij=ti.s / tj.s,
-                r_ij=quat_multiply(quat_conjugate(ti.q), tj.q),
-                t_ij=tj.t - ti.t,
-            )
-        )
-    return tuple(out)
+        out.append((i, j, ti.s / tj.s, quat_multiply(quat_conjugate(ti.q), tj.q), tj.t - ti.t))
+    return out
 
 
 def gauge_normalized(transforms):
@@ -85,17 +74,14 @@ def random_connected_edges(rng, k, extra=2):
 
 class TestAverageScales:
     def test_single_pair(self):
-        mg = MeasurementGraph(community_count=2, measurements=(meas(0, 1, s=2.0),))
+        mg = measurement_graph(2, [meas(0, 1, s=2.0)])
         s = average_scales(mg)
         assert s[0] == 1.0
         assert s[1] == pytest.approx(0.5, abs=1e-12)
 
     def test_consistent_triangle(self):
         # substitution oracle: s_i / s_j = s_ij on every edge, zero residual
-        mg = MeasurementGraph(
-            community_count=3,
-            measurements=(meas(0, 1, s=2.0), meas(1, 2, s=3.0), meas(0, 2, s=6.0)),
-        )
+        mg = measurement_graph(3, [meas(0, 1, s=2.0), meas(1, 2, s=3.0), meas(0, 2, s=6.0)])
         s = average_scales(mg)
         assert np.allclose(s, [1.0, 0.5, 1.0 / 6.0], rtol=1e-10)
         assert s[0] / s[1] == pytest.approx(2.0, rel=1e-10)
@@ -103,25 +89,20 @@ class TestAverageScales:
         assert s[0] / s[2] == pytest.approx(6.0, rel=1e-10)
 
     def test_disconnected_rejected(self):
-        mg = MeasurementGraph(community_count=3, measurements=(meas(0, 1),))
+        mg = measurement_graph(3, [meas(0, 1)])
         with pytest.raises(DisconnectedGraphError):
             average_scales(mg)
 
 
 class TestAverageRotations:
     def test_all_identity(self):
-        mg = MeasurementGraph(
-            community_count=3, measurements=(meas(0, 1), meas(1, 2), meas(0, 2))
-        )
+        mg = measurement_graph(3, [meas(0, 1), meas(1, 2), meas(0, 2)])
         q = average_rotations(mg)
         for row in q:
             assert geodesic_angle(row, IDENTITY_QUAT) < 1e-12
 
     def test_chain_of_thirty_degree_turns(self):
-        mg = MeasurementGraph(
-            community_count=3,
-            measurements=(meas(0, 1, r=rz(np.pi / 6)), meas(1, 2, r=rz(np.pi / 6))),
-        )
+        mg = measurement_graph(3, [meas(0, 1, r=rz(np.pi / 6)), meas(1, 2, r=rz(np.pi / 6))])
         q = average_rotations(mg)
         assert geodesic_angle(q[0], IDENTITY_QUAT) < 1e-12
         assert geodesic_angle(q[1], rz(np.pi / 6)) < 1e-12
@@ -136,7 +117,7 @@ class TestAverageRotations:
             meas(min(i, j), max(i, j), r=quat_multiply(quat_conjugate(planted[min(i, j)]), planted[max(i, j)]))
             for i, j in edges
         )
-        q = average_rotations(MeasurementGraph(community_count=6, measurements=ms))
+        q = average_rotations(measurement_graph(6, ms))
         expected = [quat_multiply(quat_conjugate(planted[0]), p) for p in planted]
         for row, exp in zip(q, expected):
             assert geodesic_angle(row, exp) < 1e-9
@@ -144,7 +125,7 @@ class TestAverageRotations:
     def test_gauge_is_exact_identity(self):
         rng = np.random.default_rng(1)
         ms = (meas(0, 1, r=random_quat(rng)), meas(1, 2, r=random_quat(rng)))
-        q = average_rotations(MeasurementGraph(community_count=3, measurements=ms))
+        q = average_rotations(measurement_graph(3, ms))
         assert np.array_equal(q[0], IDENTITY_QUAT)
 
     def test_residual_stays_zero_on_clean_data(self):
@@ -156,11 +137,11 @@ class TestAverageRotations:
         ms = tuple(
             meas(i, j, r=quat_multiply(quat_conjugate(planted[i]), planted[j])) for i, j in edges
         )
-        mg = MeasurementGraph(community_count=5, measurements=ms)
+        mg = measurement_graph(5, ms)
         q = average_rotations(mg)
-        for m in mg.measurements:
-            lhs = quat_multiply(quat_conjugate(q[m.i]), q[m.j])
-            assert geodesic_angle(lhs, m.r_ij) < 1e-10
+        for i, j, r_ij in zip(mg.i, mg.j, mg.q):
+            lhs = quat_multiply(quat_conjugate(q[i]), q[j])
+            assert geodesic_angle(lhs, r_ij) < 1e-10
 
 
 class TestRecomputeTranslations:
@@ -192,9 +173,9 @@ class TestRecomputeTranslations:
             )
             for c in (0, 1)
         }
-        mg = MeasurementGraph(community_count=2, measurements=(meas(0, 1),))
+        mg = measurement_graph(2, [meas(0, 1)])
         out = recompute_pairwise_translations(recs, np.ones(2), np.tile(IDENTITY_QUAT, (2, 1)), mg)
-        assert np.allclose(out.measurements[0].t_ij, 0.0, atol=1e-12)
+        assert np.allclose(out.t[0], 0.0, atol=1e-12)
 
     def test_planted_offsets_recovered(self):
         # planted frames differ only in translation; offsets must match
@@ -206,9 +187,9 @@ class TestRecomputeTranslations:
             Sim3(t=np.array([3.0, 0.0, 0.0])),
         ]
         recs = self.make_recs(rng, transforms)
-        mg = MeasurementGraph(community_count=2, measurements=(meas(0, 1),))
+        mg = measurement_graph(2, [meas(0, 1)])
         out = recompute_pairwise_translations(recs, np.ones(2), np.tile(IDENTITY_QUAT, (2, 1)), mg)
-        assert np.allclose(out.measurements[0].t_ij, [3.0, 0.0, 0.0], atol=1e-10)
+        assert np.allclose(out.t[0], [3.0, 0.0, 0.0], atol=1e-10)
 
     def test_pair_without_shared_tracks_dropped(self, caplog):
         rng = np.random.default_rng(5)
@@ -232,9 +213,7 @@ class TestRecomputeTranslations:
             track_ids=recs[0].track_ids + 1000,
             points=recs[0].points,
         )
-        mg = MeasurementGraph(
-            community_count=3, measurements=(meas(0, 1), meas(1, 2), meas(0, 2))
-        )
+        mg = measurement_graph(3, [meas(0, 1), meas(1, 2), meas(0, 2)])
         with caplog.at_level(logging.WARNING):
             with pytest.raises(DisconnectedGraphError):
                 # both pairs touching community 0 lose their tracks
@@ -246,22 +225,17 @@ class TestRecomputeTranslations:
 
 class TestAverageTranslations:
     def test_single_pair(self):
-        mg = MeasurementGraph(
-            community_count=2, measurements=(meas(0, 1, t=np.array([1.0, 2.0, 3.0])),)
-        )
+        mg = measurement_graph(2, [meas(0, 1, t=np.array([1.0, 2.0, 3.0]))])
         t = average_translations(mg)
         assert np.allclose(t[0], 0.0)
         assert np.allclose(t[1], [1.0, 2.0, 3.0], atol=1e-10)
 
     def test_consistent_triangle(self):
-        mg = MeasurementGraph(
-            community_count=3,
-            measurements=(
-                meas(0, 1, t=np.array([1.0, 0.0, 0.0])),
-                meas(1, 2, t=np.array([1.0, 0.0, 0.0])),
-                meas(0, 2, t=np.array([2.0, 0.0, 0.0])),
-            ),
-        )
+        mg = measurement_graph(3, [
+            meas(0, 1, t=np.array([1.0, 0.0, 0.0])),
+            meas(1, 2, t=np.array([1.0, 0.0, 0.0])),
+            meas(0, 2, t=np.array([2.0, 0.0, 0.0])),
+        ])
         t = average_translations(mg)
         assert np.allclose(t[1], [1.0, 0.0, 0.0], atol=1e-10)
         assert np.allclose(t[2], [2.0, 0.0, 0.0], atol=1e-10)
@@ -279,13 +253,13 @@ class TestAverageTranslations:
             if (i, j) == (1, 2):
                 t = t + np.array([100.0, 0.0, 0.0])
             ms.append(meas(i, j, t=t))
-        mg = MeasurementGraph(community_count=5, measurements=tuple(ms))
+        mg = measurement_graph(5, ms)
         t = average_translations(mg)
         for k in range(5):
             assert np.allclose(t[k], planted[k], atol=1e-6)
 
     def test_missing_translation_rejected(self):
-        mg = MeasurementGraph(community_count=2, measurements=(meas(0, 1),))
+        mg = measurement_graph(2, [meas(0, 1)])
         with pytest.raises(ValidationError, match="no translation"):
             average_translations(mg)
 
@@ -297,9 +271,7 @@ class TestConsistencyRoundTrip:
             k = int(rng.integers(4, 11))
             planted = [random_sim3(rng) for _ in range(k)]
             edges = random_connected_edges(rng, k, extra=int(rng.integers(0, 4)))
-            mg = MeasurementGraph(
-                community_count=k, measurements=consistent_measurements(planted, edges)
-            )
+            mg = measurement_graph(k, consistent_measurements(planted, edges))
             scales = average_scales(mg)
             rotations = average_rotations(mg)
             translations = average_translations(mg)
@@ -320,22 +292,18 @@ class TestConsistencyRoundTrip:
         planted = [random_sim3(rng) for _ in range(k)]
         scaled = [Sim3(s=3.7 * p.s, q=p.q, t=p.t) for p in planted]
         edges = random_connected_edges(rng, k)
-        m1 = MeasurementGraph(community_count=k, measurements=consistent_measurements(planted, edges))
-        m2 = MeasurementGraph(community_count=k, measurements=consistent_measurements(scaled, edges))
+        m1 = measurement_graph(k, consistent_measurements(planted, edges))
+        m2 = measurement_graph(k, consistent_measurements(scaled, edges))
         assert np.allclose(average_scales(m1), average_scales(m2), rtol=1e-12)
 
 
 def test_spanning_tree_covers_all_communities():
     rng = np.random.default_rng(8)
     edges = random_connected_edges(rng, 7, extra=4)
-    mg = MeasurementGraph(
-        community_count=7,
-        measurements=tuple(meas(i, j) for i, j in edges),
-    )
+    mg = measurement_graph(7, [meas(i, j) for i, j in edges])
     tree = spanning_tree_edges(mg)
     assert len(tree) == 6
     seen = {0}
     for idx in tree:
-        m = mg.measurements[idx]
-        seen.update((m.i, m.j))
+        seen.update((int(mg.i[idx]), int(mg.j[idx])))
     assert seen == set(range(7))

@@ -1,6 +1,8 @@
 """The benchmark's own output checks (``perfbench/checks.py``, which does not
 import csfm) accept what csfm writes: a ``run_pipeline`` directory and a
-staged command chain ending in ``export-ply``."""
+staged command chain ending in ``export-ply``.  The benchmark's tracer
+(``perfbench/spans.py``) finds every csfm function it wraps and counts what
+the artifacts record."""
 import json
 import shutil
 import sys
@@ -16,6 +18,7 @@ from csfm.synth import WorldSpec, generate_world
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import checks  # noqa: E402
+import spans  # noqa: E402
 
 SPEC = dict(camera_count=120, point_count=3000, cluster_count=3, noise_sigma=1e-3)
 # the staged-cli command chain of perfbench/run.py (its CHAIN), with a fixed seed
@@ -83,3 +86,24 @@ def test_checks_catch_a_point_count_mismatch(pipeline_dir, tmp_path):
     (d / "merged_refined.json").write_text(json.dumps(doc))
     _, _, problems = checks.check_operation(d, d)
     assert any("PLY has" in p for p in problems), problems
+
+
+def test_tracer_binds_every_target_and_counts_the_run(tmp_path):
+    """``--trace 1`` wraps csfm functions by name and reads their results; a
+    rename or a new return type shows here, not only in a benchmark run."""
+    world = generate_world(WorldSpec(**SPEC, seed=6))
+    tracer = spans.Tracer()
+    tracer.op = 0
+    tracer.install()
+    try:
+        bound = {(module.__name__, attr) for module, attr, _ in tracer._patched}
+        run_pipeline(PipelineConfig(out_dir=str(tmp_path), seed=6, world=world, workers=2))
+    finally:
+        tracer.uninstall()
+    targets = [(m, f) for m, f, _ in spans.SPANS] + spans.WRITERS + spans.READERS
+    assert [t for t in targets if t not in bound] == []
+    records = json.loads((tmp_path / "measurements.json").read_text())
+    assert tracer.counts[(0, "measurements.pairs_measured")] == len(records) > 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    refine = next(stage for stage in report["stages"] if stage["name"] == "refine")
+    assert tracer.counts[(0, "merging.refine_iterations")] == refine["stats"]["iterations"] > 0

@@ -33,6 +33,7 @@ from helpers import (
     random_connected_graph,
     scan_merge_trace,
     split_recursively,
+    union_find_cut,
 )
 
 TWO_TRIANGLES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
@@ -572,3 +573,29 @@ class TestLeafCertificate:
         part, _, _ = detect_communities(generate_world(spec).graph, counts=counts)
         assert counts == {"cnm_runs": 3, "certified_leaves": 6}
         assert part.community_count == 6
+
+
+def random_trace(rng, n):
+    """Merges of randomly chosen live groups, kept id first: some run to a
+    single group, others stop early as on a disconnected graph."""
+    live = list(range(n))
+    merges = []
+    for _ in range(int(rng.integers(0, n))):
+        a, b = rng.choice(live, size=2, replace=False).tolist()
+        live.remove(b)
+        merges.append((a, b, 0.0))
+    return DendrogramTrace(merges=tuple(merges), q_peak=0.0, peak_index=0)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_cut_trace_matches_the_union_find_replay(seed):
+    rng = np.random.default_rng([seed, 41])
+    n = int(rng.integers(2, 40))
+    if seed % 2:
+        trace = greedy_merge_trace(random_connected_graph(rng, n, int(rng.integers(0, 3 * n))))
+    else:
+        trace = random_trace(rng, n)
+    for upto in range(-1, len(trace.merges)):
+        got, expected = _cut_trace(n, trace, upto), union_find_cut(n, trace, upto)
+        assert got.community_count == expected.community_count
+        assert np.array_equal(got.assignment, expected.assignment)

@@ -7,19 +7,8 @@ import pytest
 from csfm.averaging import spanning_tree_edges
 from csfm.community import greedy_merge_trace
 from csfm.errors import DisconnectedGraphError, ValidationError
-from csfm.measurements import MeasurementGraph, PairwiseSimilarityMeasurement
-from csfm.rotations import IDENTITY_QUAT
 
-from helpers import make_graph, random_connected_graph
-
-
-def measurement_graph(n, pairs):
-    return MeasurementGraph(
-        community_count=n,
-        measurements=tuple(
-            PairwiseSimilarityMeasurement(i=i, j=j, s_ij=1.0, r_ij=IDENTITY_QUAT) for i, j in pairs
-        ),
-    )
+from helpers import make_graph, measurement_graph, random_connected_graph
 
 
 def random_split_graph(rng, components, isolated):

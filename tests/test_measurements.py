@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 
 from csfm.errors import ValidationError
-from csfm.measurements import (
-    MeasurementGraph,
-    PairwiseSimilarityMeasurement,
-    median_offset,
-    pairwise_measurement,
-)
+from csfm.measurements import MeasurementGraph, median_offset, pairwise_measurement
 from csfm.reconstruction import Reconstruction, covisible
-from csfm.rotations import IDENTITY_QUAT, geodesic_angle, quat_conjugate, quat_multiply, random_quat
+from csfm.rotations import (
+    IDENTITY_QUAT,
+    geodesic_angle,
+    quat_canonical,
+    quat_conjugate,
+    quat_multiply,
+    random_quat,
+)
 
-from helpers import random_sim3
+from helpers import measurement_graph, random_sim3, record_checks, unique_sort_ids
 
 
 def make_rec(community, tracks, points, cam_count=2, rng=None):
@@ -44,20 +46,21 @@ class TestPairwiseMeasurement:
     def test_identical_reconstructions(self):
         rng = np.random.default_rng(0)
         pts = rng.uniform(-3, 3, size=(20, 3))
-        m = pairwise_measurement(make_rec(0, range(20), pts), make_rec(1, range(20), pts), seed=1)
-        assert m.s_ij == pytest.approx(1.0, abs=1e-9)
-        assert geodesic_angle(m.r_ij, IDENTITY_QUAT) < 1e-9
-        assert m.inlier_count == 20
-        assert m.t_ij is None
+        row = pairwise_measurement(make_rec(0, range(20), pts), make_rec(1, range(20), pts), seed=1)
+        _, _, s_ij, r_ij, inliers = row
+        assert s_ij == pytest.approx(1.0, abs=1e-9)
+        assert geodesic_angle(r_ij, IDENTITY_QUAT) < 1e-9
+        assert inliers == 20
+        assert MeasurementGraph.from_rows(2, [row]).t is None
 
     def test_doubled_points_give_half_scale(self):
         # rec 0 holds all points doubled: the frame-0 -> frame-1 map halves
         rng = np.random.default_rng(1)
         pts = rng.uniform(-3, 3, size=(15, 3))
-        m = pairwise_measurement(
+        _, _, s_ij, _, _ = pairwise_measurement(
             make_rec(0, range(15), 2.0 * pts), make_rec(1, range(15), pts), seed=2
         )
-        assert m.s_ij == pytest.approx(0.5, abs=1e-9)
+        assert s_ij == pytest.approx(0.5, abs=1e-9)
 
     def test_too_few_shared_tracks(self):
         rng = np.random.default_rng(2)
@@ -74,16 +77,16 @@ class TestPairwiseMeasurement:
         rng = np.random.default_rng(3)
         for _ in range(10):
             rec0, rec1, f0, f1 = fractured_pair(rng)
-            m = pairwise_measurement(rec0, rec1, seed=5)
-            assert m.s_ij == pytest.approx(f0.s / f1.s, rel=1e-6)
+            _, _, s_ij, r_ij, _ = pairwise_measurement(rec0, rec1, seed=5)
+            assert s_ij == pytest.approx(f0.s / f1.s, rel=1e-6)
             expected_r = quat_multiply(quat_conjugate(f0.q), f1.q)
-            assert geodesic_angle(m.r_ij, expected_r) < 1e-6
+            assert geodesic_angle(r_ij, expected_r) < 1e-6
 
     def test_swapped_arguments_canonicalized(self):
         rng = np.random.default_rng(4)
         rec0, rec1, _, _ = fractured_pair(rng)
-        m = pairwise_measurement(rec1, rec0, seed=7)
-        assert (m.i, m.j) == (0, 1)
+        i, j, _, _, _ = pairwise_measurement(rec1, rec0, seed=7)
+        assert (i, j) == (0, 1)
 
 
 class TestRecomputeTranslation:
@@ -117,35 +120,84 @@ class TestRecomputeTranslation:
 
 
 class TestMeasurementGraph:
-    def meas(self, i, j, s=1.0):
-        return PairwiseSimilarityMeasurement(i=i, j=j, s_ij=s, r_ij=IDENTITY_QUAT)
-
     def test_duplicate_pair_rejected(self):
         with pytest.raises(ValidationError, match="duplicate"):
-            MeasurementGraph(community_count=2, measurements=(self.meas(0, 1), self.meas(0, 1)))
+            measurement_graph(2, [(0, 1), (0, 1)])
 
     def test_orientation_must_be_canonical(self):
         with pytest.raises(ValidationError):
-            PairwiseSimilarityMeasurement(i=2, j=1, s_ij=1.0, r_ij=IDENTITY_QUAT)
+            measurement_graph(3, [(2, 1)])
 
     def test_self_measurement_rejected(self):
         with pytest.raises(ValidationError):
-            PairwiseSimilarityMeasurement(i=1, j=1, s_ij=1.0, r_ij=IDENTITY_QUAT)
+            measurement_graph(2, [(1, 1)])
 
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ValidationError):
-            PairwiseSimilarityMeasurement(i=0, j=1, s_ij=0.0, r_ij=IDENTITY_QUAT)
+            measurement_graph(2, [(0, 1, 0.0)])
 
     @pytest.mark.parametrize("r_ij", [np.ones((2, 4)), np.ones((1, 4)), np.ones(3)])
     def test_rotation_is_one_quaternion(self, r_ij):
         with pytest.raises(ValidationError, match="quaternion"):
-            PairwiseSimilarityMeasurement(i=0, j=1, s_ij=1.0, r_ij=r_ij)
+            measurement_graph(2, [(0, 1, 1.0, r_ij)])
 
     def test_connectivity(self):
-        mg = MeasurementGraph(community_count=3, measurements=(self.meas(0, 1),))
+        mg = measurement_graph(3, [(0, 1)])
         assert not mg.is_connected()
-        mg2 = MeasurementGraph(community_count=3, measurements=(self.meas(0, 1), self.meas(1, 2)))
+        mg2 = measurement_graph(3, [(0, 1), (1, 2)])
         assert mg2.is_connected()
+
+
+def planted_table(seed):
+    """A random measurement table, valid or with one or two planted faults:
+    ``(community_count, i, j, s, q, t)``, ``t`` possibly ``None``."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 7))
+    pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    n = int(rng.integers(1, min(len(pairs), 8) + 1))
+    i, j = np.array([pairs[p] for p in rng.permutation(len(pairs))[:n]]).T
+    s = np.exp(rng.normal(size=n))
+    q = rng.normal(size=(n, 4))
+    t = rng.normal(size=(n, 3)) if rng.random() < 0.5 else None
+    for _ in range(int(rng.integers(0, 3))):
+        r = int(rng.integers(0, n))
+        fault = rng.integers(0, 9 if t is not None else 8)
+        if fault == 0:
+            j[r] = i[r]
+        elif fault == 1:
+            i[r], j[r] = j[r], i[r]
+        elif fault == 2:
+            s[r] = rng.choice([0.0, -1.5, np.nan, np.inf, -np.inf])
+        elif fault == 3:
+            q[r] = rng.choice([0.0, np.nan, np.inf])
+        elif fault == 4:
+            i[r] = -1
+        elif fault == 5:
+            j[r] = k + int(rng.integers(0, 2))
+        elif fault == 6 and n > 1:
+            i[r], j[r] = i[r - 1], j[r - 1]
+        elif fault == 7:
+            k = int(rng.integers(-1, 1))
+        elif fault == 8:
+            t[r, int(rng.integers(0, 3))] = rng.choice([np.nan, np.inf, -np.inf])
+    return k, i, j, s, q, t
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_table_checks_match_the_record_checks(seed):
+    """Each table raises the error the record-by-record checks raise first,
+    and a table they accept builds with its rows in their given order."""
+    k, i, j, s, q, t = planted_table(seed)
+    inliers = np.arange(i.size) + 4
+    expected = record_checks(k, i, j, s, q, t)
+    if expected is None:
+        mg = MeasurementGraph(k, i, j, s, q, inliers, t)
+        assert np.array_equal(mg.i, i) and np.array_equal(mg.j, j)
+        assert np.array_equal(mg.inliers, inliers)
+    else:
+        with pytest.raises(ValidationError) as err:
+            MeasurementGraph(k, i, j, s, q, inliers, t)
+        assert str(err.value) == expected
 
 
 class TestCovisible:
@@ -170,3 +222,46 @@ class TestCovisible:
             make_rec(1, [9, 2, 7], rng.normal(size=(3, 3))),
         )
         assert list(c.track_ids) == [2, 9]
+
+
+def id_column(rng, high, layout):
+    """Distinct ids in ``[0, high)``, sorted or shuffled, optionally with one
+    id repeated (next to its copy when sorted)."""
+    ids = np.sort(rng.choice(high, size=int(rng.integers(2, 12)), replace=False))
+    if layout in ("sorted-duplicate", "shuffled-duplicate"):
+        k = int(rng.integers(1, ids.size))
+        ids[k] = ids[k - 1]
+    if layout in ("shuffled", "shuffled-duplicate"):
+        ids = rng.permutation(ids)
+    return ids
+
+
+ID_LAYOUTS = ("sorted", "shuffled", "sorted-duplicate", "shuffled-duplicate")
+
+
+@pytest.mark.parametrize("seed", range(64))
+def test_reconstruction_ids_match_unique_then_sort(seed):
+    """Every layout of camera and track ids gives the rows or the error of
+    ``np.unique`` followed by a stable argsort; cameras are checked first."""
+    rng = np.random.default_rng([seed, 31])
+    cams = id_column(rng, 1000, ID_LAYOUTS[seed % 4])
+    tracks = id_column(rng, 10**6, ID_LAYOUTS[seed // 4 % 4])
+    rots, centers = rng.normal(size=(cams.size, 4)), rng.normal(size=(cams.size, 3))
+    points = rng.normal(size=(tracks.size, 3))
+    expected = unique_sort_ids(cams, tracks)
+
+    def build():
+        return Reconstruction(community_id=0, camera_ids=cams, camera_rotations=rots,
+                              camera_centers=centers, track_ids=tracks, points=points)
+
+    if isinstance(expected, str):
+        with pytest.raises(ValidationError) as err:
+            build()
+        assert str(err.value) == expected
+        return
+    order, torder = expected
+    rec = build()
+    for got, want in ((rec.camera_ids, cams[order]), (rec.camera_rotations, quat_canonical(rots[order])),
+                      (rec.camera_centers, centers[order]), (rec.track_ids, tracks[torder]),
+                      (rec.points, points[torder])):
+        assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -305,7 +305,7 @@ def averaged_world(spec):
     )
     recs = list(fracture(world, partition).reconstructions)
     pairs = [(a.community_id, b.community_id) for a, b, _, _ in covisible_pairs(recs, MIN_COVISIBLE)]
-    mg = MeasurementGraph(len(recs), tuple(measure_pairs(recs, pairs, seed=spec.seed, workers=1)))
+    mg = MeasurementGraph.from_rows(len(recs), measure_pairs(recs, pairs, seed=spec.seed, workers=1))
     transforms, _ = average_similarities({r.community_id: r for r in recs}, mg)
     return recs, transforms
 

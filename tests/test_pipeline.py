@@ -12,7 +12,7 @@ from click.testing import CliRunner
 
 from csfm import jsonio
 from csfm.alignment import MIN_SAMPLE
-from csfm.averaging import load_transforms
+from csfm.averaging import averaging_residuals, load_transforms
 from csfm.cli import main
 from csfm.community import build_community_graph, load_partition
 from csfm.errors import ValidationError
@@ -37,7 +37,7 @@ from csfm.synth import (
     world_to_json,
 )
 
-from helpers import PROVENANCE_FIELDS
+from helpers import PROVENANCE_FIELDS, loop_averaging_residuals
 
 THREE = dict(
     camera_count=120,
@@ -963,3 +963,45 @@ def test_removed_option_exits_2(args):
     assert result.exit_code == 2, result.output
     assert "No such option" in result.output
     assert "Traceback" not in result.output
+
+
+# the worlds of the perfbench workloads (perfbench/run.py)
+BENCH_WORLDS = {
+    "large-graph": dict(camera_count=450, point_count=6000, cluster_count=6,
+                        noise_sigma=1e-3, outlier_fraction=0.0),
+    "dense-points": dict(camera_count=180, point_count=27000, cluster_count=4,
+                         cluster_spread=1.5, noise_sigma=1e-3, outlier_fraction=0.0),
+    "staged-cli": dict(camera_count=400, point_count=10000, cluster_count=16,
+                       noise_sigma=1e-3, outlier_fraction=0.2),
+}
+
+
+def average_stats(out_dir, world, seed, workers):
+    """The ``average`` stage's statistics in the report of one pipeline run."""
+    run_pipeline(PipelineConfig(out_dir=str(out_dir), seed=seed, world=world, workers=workers))
+    report = json.loads((out_dir / "report.json").read_text())
+    return next(stage["stats"] for stage in report["stages"] if stage["name"] == "average")
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_WORLDS))
+def test_average_stats_match_the_per_measurement_sums(tmp_path, name):
+    """The report's residual statistics are the per-measurement oracle's bit
+    for bit, whatever the worker count."""
+    world = generate_world(WorldSpec(**BENCH_WORLDS[name], seed=2))
+    stats = [average_stats(tmp_path / f"w{w}", world, 2, w) for w in (1, 2)]
+    assert stats[0] == stats[1]
+    d = tmp_path / "w1"
+    mg, mg_t = load_measurements(d / "measurements.json"), load_measurements(d / "measurements_with_t.json")
+    transforms = load_transforms(d / "transforms.json")
+    assert stats[0] == loop_averaging_residuals(mg, mg_t, transforms)
+    assert averaging_residuals(mg, mg_t, transforms) == stats[0]
+    assert stats[0]["kept_pairs"] == mg_t.i.size > 0
+
+
+def test_average_stats_vanish_on_an_exact_world(tmp_path):
+    world = generate_world(WorldSpec(noise_sigma=0.0, outlier_fraction=0.0, seed=4))
+    stats = average_stats(tmp_path, world, 4, 2)
+    measured = load_measurements(tmp_path / "measurements.json")
+    assert stats["kept_pairs"] == measured.i.size > 0
+    for key in ("scale_l1_residual", "rotation_l1_residual_rad", "translation_l1_residual"):
+        assert 0.0 <= stats[key] < 1e-9, key

@@ -53,9 +53,9 @@ def test_sick_pair_skipped_when_graph_stays_connected(caplog):
                      np.vstack([line, f[2].inverse().apply(shared12)]), rng)
 
     meas = measure_pairs(recs, [(0, 1), (1, 2), (0, 2)], seed=3)
-    pairs = {(m.i, m.j) for m in meas}
+    pairs = {(i, j) for i, j, _, _, _ in meas}
     assert pairs == {(0, 1), (1, 2)}
-    mg = MeasurementGraph(community_count=3, measurements=tuple(meas))
+    mg = MeasurementGraph.from_rows(3, meas)
     assert mg.is_connected()
 
 

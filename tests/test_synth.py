@@ -338,7 +338,7 @@ def test_end_to_end_identity_round_trip():
         if len(covisible(a, b)) >= 3
     ]
     meas = measure_pairs(recs, pairs, seed=0)
-    mg = MeasurementGraph(community_count=len(recs), measurements=tuple(meas))
+    mg = MeasurementGraph.from_rows(len(recs), meas)
     transforms, _ = average_similarities({r.community_id: r for r in recs}, mg)
     model = merge_reconstructions(recs, transforms)
     metrics = evaluate_against_truth(model, world.truth_reconstruction())
