@@ -1,9 +1,11 @@
 """Global similarity averaging: scales, rotations, then translations.
 
-Each stage stacks one constraint per pairwise measurement into a sparse
-+1/-1 system and minimizes its L1 residual, which tolerates a minority of
-corrupted measurements.  Community 0 is the gauge: its transform is pinned to
-``(s=1, R=I, T=0)`` by eliminating its variables from the column space.
+Each stage stacks one constraint per pairwise measurement into a +1/-1
+system and minimizes its L1 residual, which tolerates a minority of
+corrupted measurements; the three axes of a rotation or translation problem
+are one stacked right-hand side.  Community 0 is the gauge: its transform is
+pinned to ``(s=1, R=I, T=0)`` by eliminating its variables from the column
+space.
 
 Stage order is fixed: scales, rotations, per-pair translation recomputation
 on scale/rotation-aligned points, translations.
@@ -58,18 +60,34 @@ def _edge_system(mg: MeasurementGraph, rhs: np.ndarray, plus_on_j: bool) -> Spar
     )
 
 
-def average_scales(mg: MeasurementGraph) -> np.ndarray:
+def _solver(counts: dict | None, problem: str):
+    """``solve_l1``; when ``counts`` is a dict, each weighted solve it makes
+    is tallied in ``counts["irls_solves"][problem]``, which starts at 0."""
+    if counts is None:
+        return solve_l1
+    tally = counts.setdefault("irls_solves", {})
+    tally[problem] = 0
+
+    def count(iteration, x, objective):
+        tally[problem] += 1
+
+    return lambda sys: solve_l1(sys, count)
+
+
+def average_scales(mg: MeasurementGraph, counts: dict | None = None) -> np.ndarray:
     """Per-community scales from ``log s_i - log s_j = log s_ij`` rows.
 
     The gauge community's log-scale is eliminated (s = 1 exactly);
     the remaining system is solved in the L1 sense and exponentiated.
+    ``counts`` receives the IRLS solves (see :func:`average_similarities`).
     """
     mg.require_connected("scale averaging")
+    solve = _solver(counts, "scale")
     k = mg.community_count
     scales = np.ones(k)
     if k == 1 or not mg.i.size:
         return scales
-    scales[1:] = np.exp(solve_l1(_edge_system(mg, np.log(mg.s), plus_on_j=False)))
+    scales[1:] = np.exp(solve(_edge_system(mg, np.log(mg.s), plus_on_j=False)))
     return scales
 
 
@@ -109,45 +127,45 @@ def _chain_initial_rotations(mg: MeasurementGraph, meas_rot: np.ndarray) -> list
     return R
 
 
-def average_rotations(mg: MeasurementGraph) -> np.ndarray:
+def average_rotations(mg: MeasurementGraph, counts: dict | None = None) -> np.ndarray:
     """Per-community rotations consistent with ``R_i^T R_j = r_ij``.
 
     Spanning-tree chaining seeds the estimate; each sweep linearizes the
-    residual rotations into axis-angle space, solves the per-axis L1 systems
-    ``dw_j - dw_i = log(R_i r_ij R_j^T)``, and applies the exponential
-    updates.  Consistent measurements converge in the first sweep.  Returns
-    an (k, 4) array of quaternions with the gauge community exactly identity.
+    residual rotations into axis-angle space, solves the L1 system
+    ``dw_j - dw_i = log(R_i r_ij R_j^T)`` for the three axes at once, and
+    applies the exponential updates.  Consistent measurements converge in
+    the first sweep.  Returns an (k, 4) array of quaternions with the gauge
+    community exactly identity.  ``counts`` receives the IRLS solves,
+    ``rotation_sweeps`` and ``rotation_converged``.
     """
     mg.require_connected("rotation averaging")
+    solve = _solver(counts, "rotation")
     k = mg.community_count
-    if k == 1 or not mg.i.size:
-        return np.tile(IDENTITY_QUAT, (k, 1))
-    i, j = mg.i, mg.j
-    meas_rot = quat_to_matrix(mg.q)
-    R = np.stack(_chain_initial_rotations(mg, meas_rot))
-    sys_pattern = _edge_system(mg, np.zeros(i.size), plus_on_j=True)
-
-    converged = False
-    max_step = np.inf
-    for _ in range(ROTATION_MAX_ITERATIONS):
-        resid = log_matrix(R[i] @ meas_rot @ R[j].transpose(0, 2, 1))
-        delta = np.zeros((k, 3))
-        for axis in range(3):
-            delta[1:, axis] = solve_l1(sys_pattern.with_rhs(resid[:, axis]))
-        max_step = float(np.max(np.linalg.norm(delta, axis=1)))
-        if max_step < ROTATION_UPDATE_TOL:
-            converged = True
-            break
-        R[1:] = quat_to_matrix(exp_rotation(delta[1:])) @ R[1:]
-    if not converged:
-        l1_resid = float(np.abs(resid).sum())
-        log.warning(
-            "rotation averaging stopped after %d sweeps without convergence: "
-            "last update %.3e rad, residual L1 %.3e rad over %d measurements",
-            ROTATION_MAX_ITERATIONS, max_step, l1_resid, i.size,
-        )
+    sweeps, converged = 0, True
     quats = np.tile(IDENTITY_QUAT, (k, 1))
-    quats[1:] = matrix_to_quat(R[1:])
+    if k > 1 and mg.i.size:
+        i, j = mg.i, mg.j
+        meas_rot = quat_to_matrix(mg.q)
+        R = np.stack(_chain_initial_rotations(mg, meas_rot))
+        sys_pattern = _edge_system(mg, np.zeros((i.size, 3)), plus_on_j=True)
+        converged = False
+        while not converged and sweeps < ROTATION_MAX_ITERATIONS:
+            sweeps += 1
+            resid = log_matrix(R[i] @ meas_rot @ R[j].transpose(0, 2, 1))
+            delta = solve(sys_pattern.with_rhs(resid))
+            max_step = float(np.max(np.linalg.norm(delta, axis=1)))
+            converged = max_step < ROTATION_UPDATE_TOL
+            if not converged:
+                R[1:] = quat_to_matrix(exp_rotation(delta)) @ R[1:]
+        if not converged:
+            log.warning(
+                "rotation averaging stopped after %d sweeps without convergence: "
+                "last update %.3e rad, residual L1 %.3e rad over %d measurements",
+                sweeps, max_step, float(np.abs(resid).sum()), i.size,
+            )
+        quats[1:] = matrix_to_quat(R[1:])
+    if counts is not None:
+        counts.update(rotation_sweeps=sweeps, rotation_converged=converged)
     return quats
 
 
@@ -187,13 +205,15 @@ def recompute_pairwise_translations(
     return out
 
 
-def average_translations(mg: MeasurementGraph) -> np.ndarray:
+def average_translations(mg: MeasurementGraph, counts: dict | None = None) -> np.ndarray:
     """Per-community translations from ``T_j - T_i = t_ij`` rows.
 
-    Solved as three independent per-axis L1 problems (the rows decouple);
-    the gauge community is pinned to zero by column elimination.
+    The axes decouple into three L1 problems, solved as one stacked system;
+    the gauge community is pinned to zero by column elimination.  ``counts``
+    receives the IRLS solves.
     """
     mg.require_connected("translation averaging")
+    solve = _solver(counts, "translation")
     k = mg.community_count
     out = np.zeros((k, 3))
     if k == 1 or not mg.i.size:
@@ -202,18 +222,23 @@ def average_translations(mg: MeasurementGraph) -> np.ndarray:
         raise ValidationError(
             f"measurement ({mg.i[0]}, {mg.j[0]}) has no translation; run the recompute stage first"
         )
-    for axis in range(3):
-        out[1:, axis] = solve_l1(_edge_system(mg, mg.t[:, axis], plus_on_j=True))
+    out[1:] = solve(_edge_system(mg, mg.t, plus_on_j=True))
     return out
 
 
-def average_similarities(recs: dict, mg: MeasurementGraph):
+def average_similarities(recs: dict, mg: MeasurementGraph, counts: dict | None = None):
     """Run all four averaging stages; returns ``(transforms, mg_with_t)``,
-    ``transforms`` a ``{community id: Sim3}`` dict in id order."""
-    scales = average_scales(mg)
-    rotations = average_rotations(mg)
+    ``transforms`` a ``{community id: Sim3}`` dict in id order.
+
+    When ``counts`` is a dict it receives ``irls_solves``, the weighted
+    least-squares solves of the ``scale``, ``rotation`` and ``translation``
+    problems; ``rotation_sweeps``, the linearize-and-solve sweeps made; and
+    ``rotation_converged``, whether the last sweep's update fell below
+    ``ROTATION_UPDATE_TOL``."""
+    scales = average_scales(mg, counts)
+    rotations = average_rotations(mg, counts)
     mg_t = recompute_pairwise_translations(recs, scales, rotations, mg)
-    translations = average_translations(mg_t)
+    translations = average_translations(mg_t, counts)
     transforms = {
         c: Sim3(s=scales[c], q=rotations[c], t=translations[c])
         for c in range(mg.community_count)

@@ -170,7 +170,10 @@ def joint_refine(recs, transforms: dict):
     Minimizes a Huber loss over the disagreement of co-visible tracks,
     ``s_i R_i X_ik + T_i - (s_j R_j X_jk + T_j)``, by damped Gauss-Newton in
     ``(log s, rotation update, T)`` per community (7 parameters each, gauge
-    community fixed).  Returns ``(refined transforms, merged model, info)``,
+    community fixed).  The loop ends at the first step that moves the cost
+    by less than ``REFINE_REL_TOL`` relative, up or down; that step is
+    dropped, and ``info["iterations"]`` counts the accepted steps.
+    Returns ``(refined transforms, merged model, info)``,
     the transforms keyed by the id of each reconstruction; when there is
     nothing to refine the inputs pass through unchanged.
     ``info["log_scale_change"]`` is each community's ``log s_refined -
@@ -266,6 +269,8 @@ def joint_refine(recs, transforms: dict):
         R_try[1:] = quat_to_matrix(exp_rotation(step[:, 1:4])) @ R[1:]
         T_try[1:] = T[1:] + step[:, 4:]
         new_rows, new_cost = residuals(s_try, R_try, T_try)
+        if abs(new_cost - cost) < REFINE_REL_TOL * max(cost, 1e-300):
+            break  # converged: a step that moves the cost this little is dropped
         if new_cost > cost:
             lam *= 10.0
             if lam > 1e6:
@@ -273,11 +278,7 @@ def joint_refine(recs, transforms: dict):
             continue
         lam = max(lam * 0.3, 1e-12)
         iterations += 1
-        s, R, T, rows = s_try, R_try, T_try, new_rows
-        improvement = cost - new_cost
-        cost = new_cost
-        if improvement < REFINE_REL_TOL * max(cost, 1e-300):
-            break
+        s, R, T, rows, cost = s_try, R_try, T_try, new_rows, new_cost
         H, g = normal_equations(*rows)
 
     q = matrix_to_quat(R)

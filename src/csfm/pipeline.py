@@ -204,10 +204,11 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
 
     def average_stage():
         recs_by_id = {r.community_id: r for r in recs}
-        transforms, mg_t = average_similarities(recs_by_id, mg)
+        counts = {}
+        transforms, mg_t = average_similarities(recs_by_id, mg, counts)
         save_measurements(mg_t, out / "measurements_with_t.json")
         save_transforms(transforms, out / "transforms.json")
-        return transforms, averaging_residuals(mg, mg_t, transforms)
+        return transforms, {**averaging_residuals(mg, mg_t, transforms), **counts}
 
     transforms = runner.run("average", average_stage, out / "transforms.json")
 

@@ -6,6 +6,8 @@ sums, exhaustive enumeration) so they share no code path with the library.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from csfm.alignment import (
     DEFAULT_CONFIDENCE,
@@ -128,6 +130,18 @@ def record_checks(k, i, j, s, q, t=None):
     except ValidationError as exc:
         return str(exc)
     return None
+
+
+def sparse_weighted_ls(sys, weights) -> np.ndarray:
+    """``argmin sum_k w_k (A x - b)_k^2`` for a 1-D right-hand side, through
+    the scipy.sparse normal equations and a sparse LU factorisation.
+
+    Reference for the dense Cholesky solve of ``csfm.l1.solve_weighted_ls``.
+    """
+    A = sp.csr_matrix((sys.values, (sys.row_idx, sys.col_idx)), shape=(sys.rows, sys.cols))
+    w = np.asarray(weights, dtype=float)
+    N = (A.T @ A.multiply(w[:, None]).tocsr()).tocsc()
+    return spla.splu(N).solve(A.T @ (w * sys.rhs))
 
 
 def loop_averaging_residuals(mg, mg_t, transforms: dict) -> dict:
@@ -591,6 +605,9 @@ def loop_joint_refine(recs, transforms: dict):
         s, R, T = s_try, R_try, T_try
         new_blocks = residuals()
         new_cost = cost_of(new_blocks)
+        if abs(new_cost - cost) < REFINE_REL_TOL * max(cost, 1e-300):
+            s, R, T = s_old, R_old, T_old
+            break
         if new_cost > cost:
             s, R, T = s_old, R_old, T_old
             lam *= 10.0
@@ -600,10 +617,7 @@ def loop_joint_refine(recs, transforms: dict):
         lam = max(lam * 0.3, 1e-12)
         iterations += 1
         blocks = new_blocks
-        improvement = cost - new_cost
         cost = new_cost
-        if improvement < REFINE_REL_TOL * max(cost, 1e-300):
-            break
 
     refined = {c: Sim3(s=s[k], q=matrix_to_quat(R[k]), t=T[k]) for c, k in col.items()}
     model = merge_reconstructions(recs, refined)

@@ -3,9 +3,11 @@ import logging
 import numpy as np
 import pytest
 
+from csfm import averaging
 from csfm.averaging import (
     average_rotations,
     average_scales,
+    average_similarities,
     average_translations,
     recompute_pairwise_translations,
     spanning_tree_edges,
@@ -142,6 +144,46 @@ class TestAverageRotations:
         for i, j, r_ij in zip(mg.i, mg.j, mg.q):
             lhs = quat_multiply(quat_conjugate(q[i]), q[j])
             assert geodesic_angle(lhs, r_ij) < 1e-10
+
+
+class TestAveragingCounters:
+    # a 3-cycle of turns about z that misses closing by 0.3 rad
+    INCONSISTENT = [meas(0, 1, r=rz(0.5)), meas(1, 2, r=rz(0.5)), meas(0, 2, r=rz(1.3))]
+
+    def test_clean_rotations_converge_in_one_sweep(self):
+        counts = {}
+        average_rotations(measurement_graph(3, [meas(0, 1), meas(1, 2), meas(0, 2)]), counts)
+        # the first sweep's update is 0: the unweighted solve and one reweighting
+        assert counts == {"irls_solves": {"rotation": 2}, "rotation_sweeps": 1,
+                          "rotation_converged": True}
+
+    def test_inconsistent_cycle_converges_with_enough_sweeps(self):
+        counts = {}
+        average_rotations(measurement_graph(3, self.INCONSISTENT), counts)
+        assert counts["rotation_converged"] is True
+        assert 2 <= counts["rotation_sweeps"] < averaging.ROTATION_MAX_ITERATIONS
+        assert counts["irls_solves"]["rotation"] >= 2 * counts["rotation_sweeps"]
+
+    def test_non_convergence_is_reported(self, monkeypatch, caplog):
+        monkeypatch.setattr(averaging, "ROTATION_MAX_ITERATIONS", 1)
+        counts = {}
+        with caplog.at_level(logging.WARNING):
+            q = average_rotations(measurement_graph(3, self.INCONSISTENT), counts)
+        assert counts["rotation_sweeps"] == 1
+        assert counts["rotation_converged"] is False
+        assert counts["irls_solves"]["rotation"] >= 2
+        assert "stopped after 1 sweeps without convergence" in caplog.text
+        assert np.all(np.isfinite(q))
+
+    def test_nothing_to_average_counts_nothing(self):
+        rec = Reconstruction(community_id=0, camera_ids=np.arange(2),
+                             camera_rotations=np.tile(IDENTITY_QUAT, (2, 1)),
+                             camera_centers=np.zeros((2, 3)), track_ids=np.arange(1),
+                             points=np.zeros((1, 3)))
+        counts = {}
+        average_similarities({0: rec}, measurement_graph(1, []), counts)
+        assert counts == {"irls_solves": {"scale": 0, "rotation": 0, "translation": 0},
+                          "rotation_sweeps": 0, "rotation_converged": True}
 
 
 class TestRecomputeTranslations:

@@ -10,7 +10,7 @@ import orjson
 import pytest
 from click.testing import CliRunner
 
-from csfm import jsonio
+from csfm import jsonio, l1
 from csfm.alignment import MIN_SAMPLE
 from csfm.averaging import averaging_residuals, load_transforms
 from csfm.cli import main
@@ -986,16 +986,40 @@ def average_stats(out_dir, world, seed, workers):
 @pytest.mark.parametrize("name", sorted(BENCH_WORLDS))
 def test_average_stats_match_the_per_measurement_sums(tmp_path, name):
     """The report's residual statistics are the per-measurement oracle's bit
-    for bit, whatever the worker count."""
+    for bit, and the statistics and counters are the same whatever the
+    worker count."""
     world = generate_world(WorldSpec(**BENCH_WORLDS[name], seed=2))
     stats = [average_stats(tmp_path / f"w{w}", world, 2, w) for w in (1, 2)]
     assert stats[0] == stats[1]
     d = tmp_path / "w1"
     mg, mg_t = load_measurements(d / "measurements.json"), load_measurements(d / "measurements_with_t.json")
     transforms = load_transforms(d / "transforms.json")
-    assert stats[0] == loop_averaging_residuals(mg, mg_t, transforms)
-    assert averaging_residuals(mg, mg_t, transforms) == stats[0]
+    oracle = loop_averaging_residuals(mg, mg_t, transforms)
+    assert {key: stats[0][key] for key in oracle} == oracle
+    assert averaging_residuals(mg, mg_t, transforms) == oracle
     assert stats[0]["kept_pairs"] == mg_t.i.size > 0
+    assert set(stats[0]) == set(oracle) | {"irls_solves", "rotation_sweeps", "rotation_converged"}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_WORLDS))
+def test_average_counters_count_every_weighted_solve(tmp_path, monkeypatch, name):
+    """``irls_solves`` adds up to the ``solve_weighted_ls`` calls of the run,
+    the translation problem is one stacked solve of its three axes, and
+    rotation averaging converges in a few sweeps."""
+    calls = []
+    solve = l1.solve_weighted_ls
+    monkeypatch.setattr(l1, "solve_weighted_ls", lambda *a: calls.append(a[1].shape) or solve(*a))
+    world = generate_world(WorldSpec(**BENCH_WORLDS[name], seed=2))
+    stats = average_stats(tmp_path, world, 2, 2)
+    solves = stats["irls_solves"]
+    assert set(solves) == {"scale", "rotation", "translation"}
+    assert sum(solves.values()) == len(calls)
+    assert min(solves.values()) >= 1
+    assert stats["rotation_converged"] is True
+    assert 1 <= stats["rotation_sweeps"] <= solves["rotation"]
+    # scale solves are single columns; the last problem solves three axes at once
+    assert all(len(shape) == 1 for shape in calls[: solves["scale"]])
+    assert calls[-solves["translation"]][1:] == (3,)
 
 
 def test_average_stats_vanish_on_an_exact_world(tmp_path):
