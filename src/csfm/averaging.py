@@ -198,7 +198,7 @@ def recompute_pairwise_translations(
         mg.community_count, mg.i[keep], mg.j[keep], mg.s[keep], mg.q[keep], mg.inliers[keep],
         np.reshape(t, (-1, 3)),
     )
-    if not out.is_connected():
+    if not out.is_connected:
         raise DisconnectedGraphError(
             "dropped measurements disconnected the measurement graph"
         )

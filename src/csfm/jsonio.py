@@ -142,8 +142,10 @@ def _numbers(values, what: str, dtype, width, expected: str) -> np.ndarray:
         arr.ndim != len(shape)
         or arr.shape[1:] != shape[1:]
         or arr.dtype.kind not in ("if" if dtype is float else "i")
-        # numpy reads a JSON true/false among numbers as 1/0
-        or bool in set(map(type, values if width is None else chain.from_iterable(values)))
+        # numpy reads a JSON true/false among numbers as 1/0, so only an
+        # array holding a 0 or a 1 can hide one
+        or (((arr == 0) | (arr == 1)).any() and bool in set(
+            map(type, values if width is None else chain.from_iterable(values))))
     ):
         raise ValidationError(f"{what} must be {expected}")
     arr = arr.astype(dtype)

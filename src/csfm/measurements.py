@@ -18,6 +18,7 @@ one ``{"i", "j", "s_ij", "q_ij", "t_ij", "inliers"}`` record per pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -93,12 +94,15 @@ class MeasurementGraph:
         i, j, s, q, inliers = zip(*rows) if rows else ((),) * 5
         return cls(community_count, i, j, s, np.reshape(q, (-1, 4)), inliers)
 
+    @cached_property
     def is_connected(self) -> bool:
+        """Whether the pairs connect every community; labelled once per
+        graph, which its frozen columns keep valid."""
         edges = np.column_stack([self.i, self.j])
         return bool(component_labels(self.community_count, edges).max() == 0)
 
     def require_connected(self, context: str = "averaging"):
-        if not self.is_connected():
+        if not self.is_connected:
             raise DisconnectedGraphError(
                 f"measurement graph is disconnected; {context} needs a connected graph"
             )

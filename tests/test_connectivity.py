@@ -46,7 +46,7 @@ def test_connectivity_checks_agree_with_networkx(seed):
     reference.add_nodes_from(range(n))
     reference.add_edges_from(edges)
     connected = nx.is_connected(reference)
-    assert measurement_graph(n, edges).is_connected() == connected
+    assert measurement_graph(n, edges).is_connected == connected
     if connected:
         assert len(greedy_merge_trace(make_graph(n, edges)).merges) == n - 1
     else:
@@ -55,8 +55,8 @@ def test_connectivity_checks_agree_with_networkx(seed):
 
 
 def test_connectivity_of_edgeless_graphs():
-    assert measurement_graph(1, []).is_connected()
-    assert not measurement_graph(3, []).is_connected()
+    assert measurement_graph(1, []).is_connected
+    assert not measurement_graph(3, []).is_connected
     with pytest.raises(ValidationError, match="no edges"):
         greedy_merge_trace(make_graph(3, []))
 

@@ -145,6 +145,24 @@ def test_column_accepts_numbers_of_the_right_shape():
     assert column([2**63], "w").tolist() == [2.0**63]
 
 
+@pytest.mark.parametrize(
+    "text, dtype, width, expected",
+    [("[2.5, true, -3.0]", float, None, "a list of numbers"),
+     ("[0.0, 1.0, false]", float, None, "a list of numbers"),
+     ("[7, false, 9]", np.int64, None, "a list of integers"),
+     ("[0, 1, true]", np.int64, None, "a list of integers"),
+     ("[[2.5, 3.5, 4.5], [5.5, 6.5, true]]", float, 3, "a list of rows of 3 numbers"),
+     ("[[0, 1, 2], [false, 1, 0]]", np.int64, 3, "a list of rows of 3 integers")],
+)
+def test_json_true_and_false_refused_among_numbers(text, dtype, width, expected):
+    # the parsed array holds a 1 or 0 where the JSON holds true or false
+    with pytest.raises(ValidationError) as err:
+        column(orjson.loads(text), "what", dtype, width)
+    assert str(err.value) == f"what must be {expected}"
+    assert column(orjson.loads(text.replace("true", "1").replace("false", "0")), "what",
+                  dtype, width).shape[0] == (3 if width is None else 2)
+
+
 @pytest.mark.parametrize("value", [True, "0.5", [0.5], None, 10**400])
 def test_scalar_refuses_what_is_not_one_number(value):
     with pytest.raises(ValidationError, match="q_max"):

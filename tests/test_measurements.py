@@ -143,9 +143,9 @@ class TestMeasurementGraph:
 
     def test_connectivity(self):
         mg = measurement_graph(3, [(0, 1)])
-        assert not mg.is_connected()
+        assert not mg.is_connected
         mg2 = measurement_graph(3, [(0, 1), (1, 2)])
-        assert mg2.is_connected()
+        assert mg2.is_connected
 
 
 def planted_table(seed):

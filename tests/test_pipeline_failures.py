@@ -56,7 +56,7 @@ def test_sick_pair_skipped_when_graph_stays_connected(caplog):
     pairs = {(i, j) for i, j, _, _, _ in meas}
     assert pairs == {(0, 1), (1, 2)}
     mg = MeasurementGraph.from_rows(3, meas)
-    assert mg.is_connected()
+    assert mg.is_connected
 
 
 def test_pairwise_seed_is_order_independent():

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -6,10 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from csfm import synth
 from csfm.averaging import average_similarities
 from csfm.community import Partition, best_partition, recursive_partition
 from csfm.errors import ValidationError
+from csfm.graph import save_graph
 from csfm.jsonio import write_json
 from csfm.measurements import MeasurementGraph
 from csfm.merging import evaluate_against_truth, merge_reconstructions
@@ -17,6 +23,7 @@ from csfm.pipeline import measure_pairs
 from csfm.reconstruction import covisible
 from csfm.sim3 import Sim3
 from csfm.synth import (
+    _CAMERA_BLOCK,
     _CAMERA_CHUNK,
     _POINT_BLOCK,
     _STREAM_WORLD,
@@ -104,7 +111,7 @@ class TestGenerateWorld:
             return labels, centers, points
 
         labels, centers, points = draw(spec.seed, _STREAM_WORLD)
-        graph = _match_graph(spec, visibility(centers, points, spec.visibility_radius))
+        graph = _match_graph(spec, centers, visibility(centers, points, spec.visibility_radius))
         with pytest.raises(ValidationError, match="community graph is disconnected"):
             _check_planted_structure(graph, labels, spec.cluster_count)
         world = generate_world(spec)
@@ -138,7 +145,7 @@ class TestGenerateWorld:
         with pytest.raises(ValidationError, match="2\\*\\*24"):
             WorldSpec(point_count=2**24)
         assert WorldSpec(point_count=2**24 - 1).point_count == 2**24 - 1
-        # the n_cam x n_cam count matrix bounds the camera count the same way
+        # and the camera count is held to the same bound
         with pytest.raises(ValidationError, match="camera count must be below 2\\*\\*24"):
             WorldSpec(camera_count=2**24)
         with pytest.raises(ValidationError, match="camera count must be below 2\\*\\*24"):
@@ -174,6 +181,80 @@ class TestGenerateWorld:
     def test_integer_valued_spec_lengths_accepted(self):
         spec = WorldSpec(visibility_radius=9, noise_sigma=0, cluster_spread=2)
         assert (spec.visibility_radius, spec.noise_sigma, spec.cluster_spread) == (9, 0, 2)
+
+
+# every (3, 4, 0) or (0, 0, 5) offset, permuted and signed: length 5 exactly
+BOUNDARY_OFFSETS = np.unique(
+    [np.multiply(perm, signs) for base in ((3, 4, 0), (0, 0, 5))
+     for perm in itertools.permutations(base) for signs in itertools.product((-1, 1), repeat=3)],
+    axis=0,
+).astype(float)
+
+
+@settings(max_examples=80)
+@given(
+    n_cam=st.integers(1, 3 * _CAMERA_CHUNK + 5),
+    n_pts=st.integers(0, 300),
+    layout=st.sampled_from(["spread", "two-clusters", "duplicates"]),
+    blind_share=st.sampled_from([0.0, 0.3, 1.0]),
+    scale_exp=st.integers(-3, 2),
+    which_chunk=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+# one camera; a chunk straddling two clusters 2000 units apart, with a partial
+# last chunk; duplicate cameras and blind ones; no camera sees a scene point
+@example(n_cam=1, n_pts=50, layout="spread", blind_share=0.0, scale_exp=0, which_chunk=0, seed=0)
+@example(n_cam=2 * _CAMERA_CHUNK + 3, n_pts=200, layout="two-clusters", blind_share=0.0,
+         scale_exp=1, which_chunk=2, seed=1)
+@example(n_cam=_CAMERA_CHUNK + 1, n_pts=120, layout="duplicates", blind_share=0.3, scale_exp=-1,
+         which_chunk=1, seed=2)
+@example(n_cam=_CAMERA_CHUNK, n_pts=80, layout="spread", blind_share=1.0, scale_exp=0,
+         which_chunk=0, seed=3)
+def test_visibility_matches_the_dense_rule(n_cam, n_pts, layout, blind_share, scale_exp,
+                                           which_chunk, seed):
+    rng = np.random.default_rng(seed)
+    radius = 5.0 * 2.0**scale_exp
+    if layout == "two-clusters":  # alternating, so every chunk straddles both
+        centers = rng.uniform(-2.0, 2.0, size=(n_cam, 3)) * radius
+        centers[1::2, 0] += 2000.0
+    elif layout == "duplicates":  # a few distinct centers, each repeated
+        centers = (rng.uniform(-2.0, 2.0, size=(3, 3)) * radius)[rng.integers(0, 3, size=n_cam)]
+    else:
+        centers = rng.uniform(-3.0, 3.0, size=(n_cam, 3)) * radius
+    # on a grid of 1/8, so that the boundary offsets below add and subtract exactly
+    centers = np.round(centers * 8.0) / 8.0
+    blind = rng.random(n_cam) < blind_share
+    centers[blind, 2] += 1e4  # far above every scene point
+    owners = centers[~blind] if not blind.all() else np.zeros((1, 3))
+    points = owners[rng.integers(0, owners.shape[0], size=n_pts)]
+    points = points + rng.uniform(-1.5, 1.5, size=(n_pts, 3)) * radius
+    # a point at exactly radius from the camera of a chunk farthest from the
+    # chunk's midpoint, as far from that midpoint as the offsets allow, and
+    # that point one ulp further out along the offset's largest axis; the
+    # coordinate moved is no smaller than the offset, so its ulp counts
+    start = which_chunk % -(-n_cam // _CAMERA_CHUNK) * _CAMERA_CHUNK
+    chunk = centers[start : start + _CAMERA_CHUNK]
+    mid = 0.5 * (chunk.min(axis=0) + chunk.max(axis=0))
+    far = start + int(np.argmax(np.sum((chunk - mid) ** 2, axis=1)))
+    offsets = BOUNDARY_OFFSETS * (radius / 5.0)
+    axes = np.argmax(np.abs(offsets), axis=1)
+    outward = offsets[np.arange(axes.size), axes] * centers[far, axes] >= 0
+    reach = np.where(outward, np.sum((centers[far] + offsets - mid) ** 2, axis=1), -1.0)
+    offset, axis = offsets[np.argmax(reach)], axes[np.argmax(reach)]
+    edge = centers[far] + offset
+    beyond = edge.copy()
+    beyond[axis] = np.nextafter(beyond[axis], np.sign(offset[axis]) * np.inf)
+    assert np.sum((edge - centers[far]) ** 2) == radius**2
+    points = np.vstack([points, edge, beyond])
+
+    want = dense_visibility(centers, points, radius)
+    assert want[far, -2] and not want[far, -1]
+    assert not want[blind, :n_pts].any()
+    got = visibility(centers, points, radius)
+    assert got.shape == (n_cam, n_pts + 2)
+    assert got.indices.dtype == np.int32 and got.indptr.dtype == np.int32
+    assert got.data.dtype == bool and got.has_sorted_indices
+    assert np.array_equal(got.toarray(), want)
 
 
 class TestVisibility:
@@ -214,23 +295,60 @@ class TestVisibility:
             assert got.has_canonical_format
             assert np.array_equal(got.toarray(), dense_visibility(centers, points, radius))
 
-    def test_match_counts_match_int64_product_across_point_blocks(self):
+    def test_match_counts_match_int64_product_across_point_blocks(self, monkeypatch):
         # several point blocks of the float32 product, the last one partial,
-        # and several camera chunks of the visibility query
+        # and several camera chunks of the visibility query; then again over
+        # several camera blocks, with two groups of cameras too far apart to
+        # share a point, so that the k-d tree must drop their block pairs
+        counted = []
+        block_counts = synth._block_counts
+
+        def record(blocks, seen, a, b):
+            counted.append((a, b))
+            return block_counts(blocks, seen, a, b)
+
+        monkeypatch.setattr(synth, "_block_counts", record)
         rng = np.random.default_rng(21)
-        for n_cam, n_pts, min_shared in [(1, 2 * _POINT_BLOCK, 1), (37, 3 * _POINT_BLOCK + 5, 1),
-                                         (3 * _CAMERA_CHUNK + 2, 5 * _POINT_BLOCK // 2, 40)]:
-            centers = rng.uniform(-4.0, 4.0, size=(n_cam, 3))
-            points = rng.uniform(-6.0, 6.0, size=(n_pts, 3))
-            visible = visibility(centers, points, 3.0)
-            graph = _match_graph(WorldSpec(min_shared_tracks=min_shared), visible)
-            dense = dense_visibility(centers, points, 3.0).astype(np.int64)
-            co = dense @ dense.T
-            iu, ju = np.triu_indices(n_cam, k=1)
-            strong = co[iu, ju] >= min_shared
-            assert 0 < strong.sum() < iu.size or n_cam == 1
-            assert np.array_equal(graph.edges, np.column_stack([iu[strong], ju[strong]]))
-            assert np.array_equal(graph.weights, co[iu, ju][strong])
+        cases = [(1, 2 * _POINT_BLOCK, 1, False), (37, 3 * _POINT_BLOCK + 5, 1, False),
+                 (3 * _CAMERA_CHUNK + 2, 5 * _POINT_BLOCK // 2, 40, False),
+                 (45, 2 * _POINT_BLOCK + 9, 1, True)]
+        for camera_block in (_CAMERA_BLOCK, 8):
+            monkeypatch.setattr(synth, "_CAMERA_BLOCK", camera_block)
+            for n_cam, n_pts, min_shared, far in cases:
+                centers = rng.uniform(-4.0, 4.0, size=(n_cam, 3))
+                points = rng.uniform(-6.0, 6.0, size=(n_pts, 3))
+                if far:  # the second half of the cameras and points 100 units off
+                    centers[n_cam // 2 :, 0] += 100.0
+                    points[n_pts // 2 :, 0] += 100.0
+                visible = visibility(centers, points, 3.0)
+                counted.clear()
+                spec = WorldSpec(min_shared_tracks=min_shared, visibility_radius=3.0)
+                graph = _match_graph(spec, centers, visible)
+                dense = dense_visibility(centers, points, 3.0).astype(np.int64)
+                co = dense @ dense.T
+                iu, ju = np.triu_indices(n_cam, k=1)
+                strong = co[iu, ju] >= min_shared
+                assert 0 < strong.sum() < iu.size or n_cam == 1
+                assert np.array_equal(graph.edges, np.column_stack([iu[strong], ju[strong]]))
+                assert np.array_equal(graph.weights, co[iu, ju][strong])
+                n_blocks = -(-n_cam // camera_block)
+                if far and n_blocks > 1:
+                    first, last = 0, n_blocks - 1  # blocks wholly in one group each
+                    assert (first, last) not in counted
+                    assert (first, first) in counted and (last, last) in counted
+                elif n_cam > 1:
+                    assert len(counted) == n_blocks * (n_blocks + 1) // 2
+
+    def test_cameras_two_radii_apart_share_their_midpoint(self, monkeypatch):
+        # the boundary of the k-d tree's camera-pair filter: two cameras in
+        # two blocks, exactly 2 * radius apart, both seeing the point between
+        monkeypatch.setattr(synth, "_CAMERA_BLOCK", 1)
+        centers = np.array([[0.5, -1.25, 2.0], [6.5, -1.25, 2.0]])
+        points = np.array([[3.5, -1.25, 2.0]])
+        visible = visibility(centers, points, 3.0)
+        assert visible.toarray().tolist() == [[True], [True]]
+        graph = _match_graph(WorldSpec(min_shared_tracks=1, visibility_radius=3.0), centers, visible)
+        assert graph.edges.tolist() == [[0, 1]] and graph.weights.tolist() == [1]
 
     def test_world_incidence_and_match_counts_match_dense_rule(self):
         # the stored incidence and the float32 co-visibility counts against
@@ -357,6 +475,39 @@ def test_world_json_round_trip(tmp_path):
     assert np.array_equal(back.graph.weights, world.graph.weights)
     assert np.array_equal(back.visible.toarray(), world.visible.toarray())
     assert back.spec == world.spec
+
+
+# the specs of perfbench's three workloads (perfbench/run.py WORKLOADS)
+PERFBENCH_SPECS = {
+    "large-graph": dict(camera_count=450, point_count=6000, cluster_count=6, noise_sigma=1e-3),
+    "dense-points": dict(camera_count=180, point_count=27000, cluster_count=4, cluster_spread=1.5,
+                         noise_sigma=1e-3),
+    "staged-cli": dict(camera_count=400, point_count=10000, cluster_count=16, noise_sigma=1e-3,
+                       outlier_fraction=0.2),
+}
+# sha256 of each spec's eg.json at seeds 0-2, written by an earlier,
+# independent implementation (a pair query per camera chunk and one
+# n_cam x n_cam product); the file holds only integers, so the pin does not
+# hang on float formatting
+PINNED_MATCH_GRAPHS = {
+    ("large-graph", 0): "81c4ecc6a884c4438b9922997259a976c93b69904159e7cab2cb88606a015fa8",
+    ("large-graph", 1): "8368ab3fe0cb2dcac77cd029a298894ad61f0d04806ffe5354d271df35868e3b",
+    ("large-graph", 2): "ef650bfef6ce0e8b184010a23850b50401a3602a0eed05a41bc9c5c90fc1492f",
+    ("dense-points", 0): "1a402be4e26179803764137efc6f804be8af4dd09de851d098fddb74049d6852",
+    ("dense-points", 1): "7d87c1ca736b49c1046718a7141490d666d5797ba2aa8697f8aeff76ddb2ba91",
+    ("dense-points", 2): "73358bac765c736b0f0db6f2f92b286b629c9b6fd4c0157da5553b4d0be03023",
+    ("staged-cli", 0): "bce65f2efb7f1628a6d25931ffdf05523f59cbeb7dd88881f5c1f68798b1d46a",
+    ("staged-cli", 1): "460e73451a5944a597bfbd046e8f8e5b72bb9057e18186ac9d2c42823fcf2d86",
+    ("staged-cli", 2): "30dfa0392f95d943388b542b59e2b6c6c3bbaabc2123dec47a5b7974a3ddd1f7",
+}
+
+
+def test_match_graph_files_are_pinned(tmp_path):
+    for (workload, seed), digest in PINNED_MATCH_GRAPHS.items():
+        world = generate_world(WorldSpec(**PERFBENCH_SPECS[workload], seed=seed))
+        save_graph(world.graph, tmp_path / "eg.json")
+        assert hashlib.sha256((tmp_path / "eg.json").read_bytes()).hexdigest() == digest, (
+            workload, seed)
 
 
 def test_world_file_counts_must_match_its_spec(tmp_path):
