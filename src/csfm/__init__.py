@@ -37,7 +37,7 @@ from .errors import (
     ValidationError,
 )
 from .graph import EpipolarGraph, connected_components, induced_subgraph, load_graph
-from .l1 import SparseLinearSystem, solve_l1, solve_weighted_ls
+from .l1 import solve_l1, solve_weighted_ls
 from .measurements import MeasurementGraph, pairwise_measurement
 from .merging import (
     MergedModel,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DisconnectedGraphError, ValidationError
 from .jsonio import column, parsing, records, write_json
-from .l1 import SparseLinearSystem, solve_l1
+from .l1 import solve_l1
 from .measurements import MeasurementGraph, median_offset
 from .rotations import (
     IDENTITY_QUAT,
@@ -40,24 +40,19 @@ ROTATION_MAX_ITERATIONS = 32
 ROTATION_UPDATE_TOL = 1e-9
 
 
-def _edge_system(mg: MeasurementGraph, rhs: np.ndarray, plus_on_j: bool) -> SparseLinearSystem:
-    """One row per measurement over the non-gauge communities.
+def _incidence(mg: MeasurementGraph, plus_on_j: bool) -> np.ndarray:
+    """The ``(rows, k - 1)`` matrix of the averaging problems: one row per
+    measurement, one column per non-gauge community.
 
     ``plus_on_j`` selects the row sign convention: +1 on j / -1 on i for
     difference constraints (rotations, translations), the opposite for the
     log-scale constraint."""
-    rows = mg.i.size
-    ends = np.column_stack([mg.i, mg.j]).reshape(-1)
-    signs = np.tile([-1.0, 1.0] if plus_on_j else [1.0, -1.0], rows)
-    free = ends != GAUGE_COMMUNITY
-    return SparseLinearSystem(
-        rows=rows,
-        cols=mg.community_count - 1,
-        row_idx=np.repeat(np.arange(rows), 2)[free],
-        col_idx=ends[free] - 1,
-        values=signs[free],
-        rhs=rhs,
-    )
+    rows = np.arange(mg.i.size)
+    sign = 1.0 if plus_on_j else -1.0
+    A = np.zeros((rows.size, mg.community_count))
+    A[rows, mg.j] = sign
+    A[rows, mg.i] = -sign
+    return np.delete(A, GAUGE_COMMUNITY, axis=1)
 
 
 def _solver(counts: dict | None, problem: str):
@@ -71,7 +66,7 @@ def _solver(counts: dict | None, problem: str):
     def count(iteration, x, objective):
         tally[problem] += 1
 
-    return lambda sys: solve_l1(sys, count)
+    return lambda A, rhs: solve_l1(A, rhs, count)
 
 
 def average_scales(mg: MeasurementGraph, counts: dict | None = None) -> np.ndarray:
@@ -87,7 +82,7 @@ def average_scales(mg: MeasurementGraph, counts: dict | None = None) -> np.ndarr
     scales = np.ones(k)
     if k == 1 or not mg.i.size:
         return scales
-    scales[1:] = np.exp(solve(_edge_system(mg, np.log(mg.s), plus_on_j=False)))
+    scales[1:] = np.exp(solve(_incidence(mg, plus_on_j=False), np.log(mg.s)))
     return scales
 
 
@@ -147,12 +142,12 @@ def average_rotations(mg: MeasurementGraph, counts: dict | None = None) -> np.nd
         i, j = mg.i, mg.j
         meas_rot = quat_to_matrix(mg.q)
         R = np.stack(_chain_initial_rotations(mg, meas_rot))
-        sys_pattern = _edge_system(mg, np.zeros((i.size, 3)), plus_on_j=True)
+        A = _incidence(mg, plus_on_j=True)
         converged = False
         while not converged and sweeps < ROTATION_MAX_ITERATIONS:
             sweeps += 1
             resid = log_matrix(R[i] @ meas_rot @ R[j].transpose(0, 2, 1))
-            delta = solve(sys_pattern.with_rhs(resid))
+            delta = solve(A, resid)
             max_step = float(np.max(np.linalg.norm(delta, axis=1)))
             converged = max_step < ROTATION_UPDATE_TOL
             if not converged:
@@ -222,7 +217,7 @@ def average_translations(mg: MeasurementGraph, counts: dict | None = None) -> np
         raise ValidationError(
             f"measurement ({mg.i[0]}, {mg.j[0]}) has no translation; run the recompute stage first"
         )
-    out[1:] = solve(_edge_system(mg, mg.t, plus_on_j=True))
+    out[1:] = solve(_incidence(mg, plus_on_j=True), mg.t)
     return out
 
 

@@ -132,16 +132,16 @@ def record_checks(k, i, j, s, q, t=None):
     return None
 
 
-def sparse_weighted_ls(sys, weights) -> np.ndarray:
+def sparse_weighted_ls(A, rhs, weights) -> np.ndarray:
     """``argmin sum_k w_k (A x - b)_k^2`` for a 1-D right-hand side, through
     the scipy.sparse normal equations and a sparse LU factorisation.
 
     Reference for the dense Cholesky solve of ``csfm.l1.solve_weighted_ls``.
     """
-    A = sp.csr_matrix((sys.values, (sys.row_idx, sys.col_idx)), shape=(sys.rows, sys.cols))
+    A = sp.csr_matrix(A)
     w = np.asarray(weights, dtype=float)
     N = (A.T @ A.multiply(w[:, None]).tocsr()).tocsc()
-    return spla.splu(N).solve(A.T @ (w * sys.rhs))
+    return spla.splu(N).solve(A.T @ (w * rhs))
 
 
 def loop_averaging_residuals(mg, mg_t, transforms: dict) -> dict:

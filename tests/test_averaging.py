@@ -366,6 +366,27 @@ class TestConsistencyRoundTrip:
         assert np.allclose(average_scales(m1), average_scales(m2), rtol=1e-12)
 
 
+def test_incidence_is_the_gauge_free_signed_matrix():
+    """One row per measurement, one column per community but the gauge (0):
+    gauge edges to the first and the last column, and edges between free
+    communities, in both sign conventions."""
+    edges = [(0, 1), (0, 4), (1, 2), (2, 4), (3, 4), (1, 3)]
+    expected = np.array([
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+        [-1.0, 1.0, 0.0, 0.0],
+        [0.0, -1.0, 0.0, 1.0],
+        [0.0, 0.0, -1.0, 1.0],
+        [-1.0, 0.0, 1.0, 0.0],
+    ])
+    mg = measurement_graph(5, [meas(i, j) for i, j in edges])
+    for plus_on_j, sign in ((True, 1.0), (False, -1.0)):
+        A = averaging._incidence(mg, plus_on_j)
+        assert A.dtype == np.float64 and A.flags.c_contiguous
+        assert A.shape == (6, 4)
+        assert np.array_equal(A, sign * expected)
+
+
 def test_spanning_tree_covers_all_communities():
     rng = np.random.default_rng(8)
     edges = random_connected_edges(rng, 7, extra=4)

@@ -1022,6 +1022,26 @@ def test_average_counters_count_every_weighted_solve(tmp_path, monkeypatch, name
     assert calls[-solves["translation"]][1:] == (3,)
 
 
+# The ``average`` counters of three ``large-graph`` worlds: ``irls_solves``
+# (scale, rotation, translation), ``rotation_sweeps`` and
+# ``rotation_converged``.  Counts repeat exactly, so a change that moves a
+# pin records the old count, the new count and the reason in CHANGES.md.
+AVERAGE_COUNTER_PINS = {
+    0: ((2, 4, 2), 2, True),  # a tree: the first solve is exact, one reweighting confirms it
+    100: ((9, 30, 11), 3, True),  # cyclic measurement graphs
+    109: ((6, 30, 7), 3, True),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(AVERAGE_COUNTER_PINS))
+def test_average_counters_are_pinned(tmp_path, seed):
+    world = generate_world(WorldSpec(**BENCH_WORLDS["large-graph"], seed=seed))
+    stats = average_stats(tmp_path, world, seed, 2)
+    solves, sweeps, converged = AVERAGE_COUNTER_PINS[seed]
+    assert stats["irls_solves"] == dict(zip(("scale", "rotation", "translation"), solves))
+    assert (stats["rotation_sweeps"], stats["rotation_converged"]) == (sweeps, converged)
+
+
 def test_average_stats_vanish_on_an_exact_world(tmp_path):
     world = generate_world(WorldSpec(noise_sigma=0.0, outlier_fraction=0.0, seed=4))
     stats = average_stats(tmp_path, world, 4, 2)
