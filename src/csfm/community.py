@@ -6,6 +6,13 @@ and recursively re-partitions every significant community.  Small communities
 are afterwards absorbed into their most strongly connected neighbor so every
 group keeps enough images for a stable reconstruction.
 
+The agglomeration is CNM (Clauset, Newman & Moore 2004).  Nearly every merge
+grows the community made by the merge before it (Wakita & Tsurumi 2007
+describe the same lopsided pattern), so that "hot" community keeps its pair
+counts in one numpy row and finds its best pair with one vectorised gain over
+its neighbours.  Every other pair waits in a lazy heap, or, while both of its
+ends are untouched singletons, in the sorted array of starting pairs.
+
 Before the agglomeration runs on a subgraph, the recursion tries to certify
 that it has no significant structure (Newman, PNAS 2006): with the modularity
 matrix ``B = A - d d^T / 2m``, every partition of ``n`` nodes has
@@ -39,12 +46,9 @@ DEFAULT_MIN_COMMUNITY_SIZE = 20
 _EPS = np.finfo(float).eps
 # Above this many nodes the leaf certificate is not tried.  With one BLAS
 # thread, scipy.linalg.eigvalsh on the dense n x n matrix takes 0.10 s at
-# 1,000 nodes and 0.78 s at 2,000, while CNM takes 0.09 s on a 505-node,
-# 33,000-edge subgraph and 0.47 s on the whole 2,000-node, 133,000-edge graph.
+# 1,000 nodes and 0.78 s at 2,000, while CNM takes 0.02 s on a 505-node,
+# 33,000-edge subgraph and 0.05 s on the whole 2,000-node, 133,000-edge graph.
 _BOUND_MAX_NODES = 1000
-# Packed heap keys stay below n**4 in magnitude, which int64 holds for fewer
-# nodes than this; larger graphs pack them as Python ints.
-_INT64_KEY_NODES = 55_000
 
 
 @dataclass(frozen=True)
@@ -106,11 +110,15 @@ class Partition:
 
 @dataclass(frozen=True)
 class DendrogramTrace:
-    """Merge history of the agglomeration: (kept id, retired id, Q after)."""
+    """Merge history of the agglomeration: (kept id, retired id, Q after).
+
+    ``heap_pops`` counts the entries the kernel took off its heap plus the
+    starting pairs its cursor skipped (see :func:`_merge_trace`)."""
 
     merges: tuple
     q_peak: float
     peak_index: int
+    heap_pops: int = 0
 
     def __post_init__(self):
         q = np.array(self.merges, dtype=float).reshape(-1, 3)[:, 2]
@@ -158,77 +166,189 @@ def greedy_merge_trace(g: EpipolarGraph) -> DendrogramTrace:
     """
     if g.edge_count == 0:
         raise ValidationError("graph has no edges")
-    a, b, q = _merge_trace(g.node_count, g.edges)
+    a, b, q, pops = _merge_trace(g.node_count, g.edges)
     # each merge joins two linked communities, so only a connected graph
     # reaches a single community, after n - 1 merges
     if len(q) != g.node_count - 1:
         raise DisconnectedGraphError("graph is disconnected; split by components first")
     peak = int(np.argmax(q))
     return DendrogramTrace(
-        merges=tuple(zip(a, b, q)), q_peak=float(q[peak]), peak_index=peak
+        merges=tuple(zip(a, b, q)), q_peak=float(q[peak]), peak_index=peak, heap_pops=pops
     )
 
 
+def _starting_pairs(edges, degrees):
+    """Every edge as a starting pair ``(lo, hi)`` with its ``-N``, sorted by
+    ``(-N, lo, hi)``: the order of the packed keys, with no key packed."""
+    lo, hi = edges[:, 0], edges[:, 1]
+    neg = degrees[lo] * degrees[hi] - 2 * len(edges)
+    order = np.lexsort((hi, lo, neg))
+    return neg[order], lo[order], hi[order]
+
+
 def _merge_trace(n, edges):
-    """CNM agglomeration (Clauset, Newman, Moore 2004) on a lazy max-heap.
+    """CNM agglomeration (Clauset, Newman, Moore 2004) with the growing
+    community's pairs in one numpy row.
 
     Merging communities ``p`` and ``r`` changes modularity by ``N / (2 m^2)``
     with the integer ``N = 2m e_pr - d_p d_r`` (``e_pr`` edges between them,
-    ``d`` summed degrees).  The heap orders pairs by ``(-N, p, r)``, packed
-    into one int ``-N n^2 + p n + r`` to keep entries small.  A popped entry
-    is stale, and dropped, unless ``p`` and ``r`` are still adjacent and
-    ``N`` still matches.  Each merge pushes a fresh entry for every
-    neighbour of the kept community, the only pairs whose ``N`` changed.
+    ``d`` summed degrees).  Each merge takes the pair with the smallest key
+    ``(-N, p, r)``, packed as the Python int ``-N n^2 + p n + r``.
 
-    Returns ``(kept, retired, q_after)`` lists, one entry per merge.
+    The community made by the last merge is hot: its counts to every other
+    community sit in the length-``n`` row ``row``, nonzero on the ascending
+    support ``sup``, so its best pair is one vectorised ``N`` over ``sup``,
+    the first index among ties being the smallest pair.  When it absorbs a
+    neighbour, that neighbour's counts are added into the row.  The other
+    pairs are cold.  Those of two untouched singletons are the starting
+    pairs, read in key order by a cursor that skips, in vector chunks, every
+    pair with a touched end.  The rest sit in a lazy heap of packed keys: an
+    entry is stale, and dropped, unless both ends are free (alive and not
+    hot) and ``N`` still matches the counts in ``nbr``.  When a cold pair
+    wins, the hot row goes back into ``nbr`` and onto the heap, and the new
+    community becomes hot.  Most merges grow the hot community, so the heap
+    stays small, and most absorbed neighbours are singletons whose counts
+    are read straight from the edge list.
+
+    Returns ``(kept, retired, q_after, pops)``: one list entry per merge, and
+    the heap entries popped plus the starting pairs the cursor skipped.
     """
-    two_m = 2 * len(edges)
+    m = len(edges)
+    two_m = 2 * m
     inv2m = 1.0 / two_m
-    degrees = np.bincount(edges.ravel(), minlength=n)
-    # edges are unique sorted i < j rows (EpipolarGraph), so every starting
-    # count is 1, and a stable sort by source lists each node's neighbours
-    # in ascending order: those below it (column 0 of the rows ending at it),
-    # then those above it
-    ends = np.concatenate([edges[:, 1], edges[:, 0]])
-    targets = np.concatenate([edges[:, 0], edges[:, 1]])[np.argsort(ends, kind="stable")].tolist()
-    starts = np.concatenate([[0], np.cumsum(degrees)]).tolist()
-    nbr = [dict.fromkeys(targets[starts[v] : starts[v + 1]], 1) for v in range(n)]
     nn = n * n
-    key_deg = degrees if n < _INT64_KEY_NODES else degrees.astype(object)
-    lo, hi = edges[:, 0], edges[:, 1]
-    # a sorted list is a valid heap
-    heap = np.sort((key_deg[lo] * key_deg[hi] - two_m) * nn + lo * n + hi).tolist()
+    degrees = np.bincount(edges.ravel(), minlength=n)
+    # edges are unique i < j rows (EpipolarGraph), so every starting count
+    # is 1; targets[starts[v] : starts[v + 1]] are node v's neighbours
+    ends = np.concatenate([edges[:, 1], edges[:, 0]])
+    targets = np.concatenate([edges[:, 0], edges[:, 1]])[np.argsort(ends, kind="stable")]
+    starts = np.concatenate([[0], np.cumsum(degrees)]).tolist()
+    # each cold community's counts as a dict, or None for a singleton whose
+    # counts are still its edges
+    nbr = [None] * n
+    start_neg, start_lo, start_hi = _starting_pairs(edges, degrees)
 
     # Q starts at -sum (d / 2m)^2, accumulated node by node in order
     a = degrees * inv2m
     q = float(np.cumsum(-(a * a))[-1])
-    deg = degrees.tolist()
+    dl = degrees.tolist()  # community degrees, for scalar reads
+    deg = degrees.copy()
+    free = np.ones(n, dtype=bool)  # alive and not hot
+    touched = np.zeros(n, dtype=bool)  # merged at least once
+    row = np.zeros(n, dtype=np.int64)
+    sup = row[:0]
+    hot = -1
+    heap = []
+    cursor = pops = 0
+
+    def start_key(c):
+        return int(start_neg[c]) * nn + int(start_lo[c]) * n + int(start_hi[c])
+
+    def live_start(c):
+        """The first starting pair from ``c`` on with both ends untouched."""
+        if c < m and (touched[start_lo[c]] or touched[start_hi[c]]):
+            step = 64
+            while c < m:
+                dead = touched[start_lo[c : c + step]] | touched[start_hi[c : c + step]]
+                k = int(dead.argmin())
+                if not dead[k]:
+                    return c + k
+                c += dead.size
+                step *= 2
+        return c
+
+    def counts_of(v):
+        """Community ``v``'s counts as a dict, made from its edges if need be."""
+        if nbr[v] is None:
+            nbr[v] = dict.fromkeys(targets[starts[v] : starts[v + 1]].tolist(), 1)
+        return nbr[v]
+
+    def add_to_row(v):
+        """Add community ``v``'s counts to free communities into ``row``;
+        returns the communities new to its support."""
+        counts = nbr[v]
+        if counts is None:
+            ks = targets[starts[v] : starts[v + 1]]
+            ks = ks[free[ks]]
+            old = row[ks]
+            row[ks] = old + 1
+        else:
+            ks = np.fromiter(counts, np.int64, len(counts))
+            keep = free[ks]
+            ks = ks[keep]
+            old = row[ks]
+            row[ks] = old + np.fromiter(counts.values(), np.int64, len(counts))[keep]
+        return ks[old == 0]
 
     kept, retired, q_after = [], [], []
-    while heap:
-        neg_n, pr = divmod(heapq.heappop(heap), nn)
-        p, r = divmod(pr, n)
-        cnt = nbr[p].get(r)
-        if cnt is None or neg_n != deg[p] * deg[r] - two_m * cnt:
-            continue
+    while True:
+        hot_key = cold_key = None
+        if sup.size:
+            neg = dl[hot] * deg[sup] - two_m * row[sup]
+            i = neg.argmin()
+            s = int(sup[i])
+            hot_key = int(neg[i]) * nn + (s * n + hot if s < hot else hot * n + s)
+        # the cursor's pair and the heap's top, live or not, bound every cold
+        # key from below, so the cold side is cleaned only when it may win
+        if hot_key is None or (cursor < m and hot_key > start_key(cursor)) or (heap and hot_key > heap[0]):
+            c = live_start(cursor)
+            pops += c - cursor
+            cursor = c
+            if cursor < m:
+                cold_key = start_key(cursor)
+            while heap:
+                neg_n, pr = divmod(heap[0], nn)
+                p, r = divmod(pr, n)
+                if free[p] and free[r] and neg_n == dl[p] * dl[r] - two_m * nbr[p][r]:
+                    if cold_key is None or heap[0] < cold_key:
+                        cold_key = heap[0]
+                    break
+                heapq.heappop(heap)
+                pops += 1
+        if hot_key is not None and (cold_key is None or hot_key < cold_key):
+            # the hot community absorbs s; the smaller id is kept
+            p, r = (s, hot) if s < hot else (hot, s)
+            cnt = int(row[s])
+            free[s] = False
+            touched[s] = True
+            row[s] = 0
+            new = add_to_row(s)
+            sup = sup[sup != s]
+            if new.size:
+                sup = np.sort(np.concatenate((sup, new)))
+        elif cold_key is not None:
+            p, r = divmod(cold_key % nn, n)
+            if heap and heap[0] == cold_key:
+                heapq.heappop(heap)
+                pops += 1
+            cnt = 1 if nbr[p] is None else nbr[p][r]
+            if hot >= 0:  # hand the hot row back
+                counts = row[sup]
+                sl, cl = sup.tolist(), counts.tolist()
+                nbr[hot] = dict(zip(sl, cl))
+                for v, c in zip(sl, cl):
+                    counts_of(v)[hot] = c
+                for v, k in zip(sl, (dl[hot] * deg[sup] - two_m * counts).tolist()):
+                    heapq.heappush(heap, k * nn + (v * n + hot if v < hot else hot * n + v))
+                row[sup] = 0
+                free[hot] = True
+            free[p] = free[r] = False
+            touched[p] = touched[r] = True
+            sup = np.sort(np.concatenate((add_to_row(p), add_to_row(r))))
+        else:
+            break
         # Q accumulates this float form of the gain, merge by merge, exactly as
         # the rescanning reference in the tests does, so Q matches it bit for bit
-        dq = 2.0 * (cnt * inv2m - (deg[p] * inv2m) * (deg[r] * inv2m))
-        for s, c in nbr[r].items():
-            if s != p:
-                nbr[p][s] = nbr[s][p] = nbr[p].get(s, 0) + c
-                del nbr[s][r]
-        del nbr[p][r]
+        dq = 2.0 * (cnt * inv2m - (dl[p] * inv2m) * (dl[r] * inv2m))
         nbr[r] = {}
-        deg[p] += deg[r]
-        for s, c in nbr[p].items():
-            pair = p * n + s if p < s else s * n + p
-            heapq.heappush(heap, (deg[p] * deg[s] - two_m * c) * nn + pair)
+        dl[p] += dl[r]
+        deg[p] = dl[p]
+        hot = p
         q = q + dq
         kept.append(p)
         retired.append(r)
         q_after.append(q)
-    return kept, retired, q_after
+    return kept, retired, q_after, pops
 
 
 def _cut_trace(n: int, trace: DendrogramTrace, upto: int) -> Partition:
@@ -237,14 +357,21 @@ def _cut_trace(n: int, trace: DendrogramTrace, upto: int) -> Partition:
     return Partition.from_labels(component_labels(n, merged.reshape(-1, 2)))
 
 
-def best_partition(g: EpipolarGraph, q_threshold: float = DEFAULT_Q_THRESHOLD):
+def best_partition(
+    g: EpipolarGraph, q_threshold: float = DEFAULT_Q_THRESHOLD, counts: dict | None = None
+):
     """Cut the dendrogram at its modularity peak.
 
     Returns ``(partition, q_max, significant)``.  When the peak does not
     clear the threshold the graph has no convincing community structure and
-    the all-in-one partition is returned instead.
+    the all-in-one partition is returned instead.  When ``counts`` is a dict,
+    the trace's merges and heap pops are added to its ``cnm_merges`` and
+    ``heap_pops``.
     """
     trace = greedy_merge_trace(g)
+    if counts is not None:
+        counts["cnm_merges"] = counts.get("cnm_merges", 0) + len(trace.merges)
+        counts["heap_pops"] = counts.get("heap_pops", 0) + trace.heap_pops
     q_max = trace.q_peak
     significant = q_max > q_threshold
     if not significant:
@@ -332,11 +459,12 @@ def recursive_partition(
     smallest node index.  A subgraph whose modularity bound is at most
     ``q_threshold`` is a leaf without running the agglomeration (see the
     module docstring); the result is the same either way.  When ``counts``
-    is a dict it receives ``cnm_runs``, the agglomerations run, and
-    ``certified_leaves``, the subgraphs the bound settled.
+    is a dict it receives ``cnm_runs``, the agglomerations run,
+    ``certified_leaves``, the subgraphs the bound settled, and the
+    agglomerations' summed ``cnm_merges`` and ``heap_pops``.
     """
     leaves = []
-    tally = {"cnm_runs": 0, "certified_leaves": 0}
+    tally = {"cnm_runs": 0, "certified_leaves": 0, "cnm_merges": 0, "heap_pops": 0}
 
     def split(nodes):
         if len(nodes) < 2:
@@ -352,7 +480,7 @@ def recursive_partition(
             leaves.append(nodes)
             return
         tally["cnm_runs"] += 1
-        part, _, significant = best_partition(sub, q_threshold)
+        part, _, significant = best_partition(sub, q_threshold, tally)
         if not significant or part.community_count == 1:
             leaves.append(nodes)
             return

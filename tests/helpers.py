@@ -5,6 +5,8 @@ sums, exhaustive enumeration) so they share no code path with the library.
 """
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -39,6 +41,17 @@ from csfm.rotations import (
     random_quat,
 )
 from csfm.sim3 import Sim3
+
+
+# the worlds of the perfbench workloads (perfbench/run.py)
+BENCH_WORLDS = {
+    "large-graph": dict(camera_count=450, point_count=6000, cluster_count=6,
+                        noise_sigma=1e-3, outlier_fraction=0.0),
+    "dense-points": dict(camera_count=180, point_count=27000, cluster_count=4,
+                         cluster_spread=1.5, noise_sigma=1e-3, outlier_fraction=0.0),
+    "staged-cli": dict(camera_count=400, point_count=10000, cluster_count=16,
+                       noise_sigma=1e-3, outlier_fraction=0.2),
+}
 
 
 def make_graph(n, edges):
@@ -297,7 +310,7 @@ def union_find_cut(n, trace, upto):
 def scan_merge_trace(g: EpipolarGraph):
     """Greedy agglomeration by rescanning every linked pair on each merge.
 
-    O(n m) reference for the heap kernel: scans pairs in ascending ``(p, q)``
+    O(n m) reference for the agglomeration kernel: scans pairs in ascending ``(p, q)``
     order and replaces the incumbent only for a float gain larger by more
     than 1e-12, so ties go to the smallest pair; ``(p, q)`` keeps ``p``.
     Returns ``((kept, retired, q_after), ...)`` like ``DendrogramTrace.merges``.
@@ -339,6 +352,55 @@ def scan_merge_trace(g: EpipolarGraph):
         q = q + dq
         merges.append((p, r, q))
     return tuple(merges)
+
+
+def heap_merge_trace(g: EpipolarGraph):
+    """Greedy agglomeration on one lazy max-heap of every pair.
+
+    Reference for ``csfm.community._merge_trace``, fast enough for graphs
+    the O(n m) ``scan_merge_trace`` cannot take.  It is the kernel csfm ran
+    before the hot row: the heap orders pairs by ``(-N, p, r)`` with the
+    integer ``N = 2m e_pr - d_p d_r``, packed into the Python int
+    ``-N n^2 + p n + r``; a popped entry is stale unless the pair is still
+    linked with the same ``N``, and each merge pushes a fresh entry for
+    every neighbour of the kept community.  Disconnected graphs stop when
+    the heap runs dry.  Returns ``(merges, pops)``, ``merges`` as in
+    ``DendrogramTrace.merges`` and ``pops`` the entries popped.
+    """
+    n, edges = g.node_count, g.edges
+    two_m = 2 * len(edges)
+    inv2m = 1.0 / two_m
+    nn = n * n
+    degrees = np.bincount(edges.ravel(), minlength=n)
+    nbr = [dict() for _ in range(n)]
+    for u, v in edges.tolist():
+        nbr[u][v] = nbr[v][u] = 1
+    deg = degrees.tolist()
+    heap = sorted((deg[u] * deg[v] - two_m) * nn + u * n + v for u, v in edges.tolist())
+    a = degrees * inv2m
+    q = float(np.cumsum(-(a * a))[-1])
+    merges, pops = [], 0
+    while heap:
+        neg_n, pr = divmod(heapq.heappop(heap), nn)
+        pops += 1
+        p, r = divmod(pr, n)
+        cnt = nbr[p].get(r)
+        if cnt is None or neg_n != deg[p] * deg[r] - two_m * cnt:
+            continue
+        dq = 2.0 * (cnt * inv2m - (deg[p] * inv2m) * (deg[r] * inv2m))
+        for s, c in nbr[r].items():
+            if s != p:
+                nbr[p][s] = nbr[s][p] = nbr[p].get(s, 0) + c
+                del nbr[s][r]
+        del nbr[p][r]
+        nbr[r] = {}
+        deg[p] += deg[r]
+        for s, c in nbr[p].items():
+            pair = p * n + s if p < s else s * n + p
+            heapq.heappush(heap, (deg[p] * deg[s] - two_m * c) * nn + pair)
+        q = q + dq
+        merges.append((p, r, q))
+    return tuple(merges), pops
 
 
 def loop_ransac(corr: CorrespondenceSet, inlier_threshold=None, max_iterations=1024, seed=0):

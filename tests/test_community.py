@@ -25,9 +25,11 @@ from csfm.errors import DisconnectedGraphError, ValidationError
 from csfm.synth import WorldSpec, generate_world
 
 from helpers import (
+    BENCH_WORLDS,
     brute_modularity,
     clique_edges,
     exhaustive_max_modularity,
+    heap_merge_trace,
     make_graph,
     planted_graph,
     random_connected_graph,
@@ -428,8 +430,8 @@ class TestCommunityGraph:
 
 
 class TestHeapKernelAgainstScan:
-    """The heap kernel must reproduce the full-rescan oracle exactly: same
-    merge pairs and bit-identical Q after every merge."""
+    """The kernel must reproduce the full-rescan oracle exactly: same merge
+    pairs and bit-identical Q after every merge."""
 
     def test_random_connected_graphs(self):
         rng = np.random.default_rng(7)
@@ -445,14 +447,109 @@ class TestHeapKernelAgainstScan:
         for g in (ring, clique):
             assert greedy_merge_trace(g).merges == scan_merge_trace(g)
 
+    def test_starting_order_matches_python_int_keys(self):
+        # graphs of more than 55,000 nodes, where the packed starting keys
+        # -N n^2 + p n + r overflow int64; CNM does not run on them
+        n = 56_000
+        rng = np.random.default_rng(9)
+        sparse = np.unique(np.sort(rng.integers(0, n, size=(60_000, 2)), axis=1), axis=0)
+        sparse = sparse[sparse[:, 0] != sparse[:, 1]]
+        # two hubs linked to every node: d_0 d_1 n^2 is about 1e19
+        hubs = [(0, v) for v in range(1, n)] + [(1, v) for v in range(2, n)]
+        for edges in (sparse, hubs):
+            g = make_graph(n, edges)
+            degrees = np.bincount(g.edges.ravel(), minlength=n)
+            deg, two_m = degrees.tolist(), 2 * g.edge_count
+            keys = [(deg[u] * deg[v] - two_m) * n * n + u * n + v for u, v in g.edges.tolist()]
+            neg, lo, hi = community._starting_pairs(g.edges, degrees)
+            got = [int(a) * n * n + int(u) * n + int(v) for a, u, v in zip(neg, lo, hi)]
+            assert got == sorted(keys)
+        assert max(keys) >= 2**63  # the hub pair's key is out of int64 range
 
-    def test_python_int_keys_match_int64_keys(self, monkeypatch):
-        # graphs of 55,000 nodes or more pack heap keys as Python ints
-        rng = np.random.default_rng(8)
-        graphs = [random_connected_graph(rng, int(rng.integers(2, 40)), 60) for _ in range(30)]
-        expected = [greedy_merge_trace(g).merges for g in graphs]
-        monkeypatch.setattr(community, "_INT64_KEY_NODES", 0)
-        assert [greedy_merge_trace(g).merges for g in graphs] == expected
+
+def kernel_merges(g):
+    """``greedy_merge_trace(g).merges`` without its connectivity check."""
+    kept, retired, q_after, _ = community._merge_trace(g.node_count, g.edges)
+    return tuple(zip(kept, retired, q_after))
+
+
+def ring_graph(n):
+    return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def complete_bipartite(a, b, interleave):
+    """``K_{a,b}``; with ``interleave`` the two sides alternate in id order."""
+    ids = np.argsort(np.arange(a + b) % 2, kind="stable") if interleave else np.arange(a + b)
+    return make_graph(a + b, [(ids[i], ids[a + j]) for i in range(a) for j in range(b)])
+
+
+class TestKernelAgainstTheHeapOracle:
+    """The hot-row kernel against the single-heap kernel it replaced, on the
+    graph shapes each of its paths depends on: merges and Q bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("name", sorted(BENCH_WORLDS))
+    def test_benchmark_match_graphs_and_every_cnm_subgraph(self, monkeypatch, name, seed):
+        graphs = []
+        trace = community.greedy_merge_trace
+        monkeypatch.setattr(community, "greedy_merge_trace", lambda g: graphs.append(g) or trace(g))
+        world = generate_world(WorldSpec(**BENCH_WORLDS[name], seed=seed))
+        detect_communities(world.graph)
+        assert graphs[0].edge_count == world.graph.edge_count  # the whole match graph first
+        for g in graphs:
+            assert trace(g).merges == heap_merge_trace(g)[0]
+
+    def test_the_2000_camera_graph(self):
+        spec = WorldSpec(camera_count=2000, point_count=40000, cluster_count=16,
+                         noise_sigma=1e-3, outlier_fraction=0.2, seed=11)
+        g = generate_world(spec).graph
+        assert g.edge_count > 100_000
+        assert greedy_merge_trace(g).merges == heap_merge_trace(g)[0]
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 16, 17, 64, 101, 500, 2001])
+    def test_rings_and_paths(self, n):
+        # after the first merge a cold pair wins nearly every merge, so the
+        # hot row changes hands each time
+        for g in (ring_graph(n), make_graph(n, [(i, i + 1) for i in range(n - 1)])):
+            assert greedy_merge_trace(g).merges == heap_merge_trace(g)[0]
+
+    @pytest.mark.parametrize("a", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("b", [1, 2, 4, 7, 12])
+    def test_complete_bipartite_graphs(self, a, b):
+        # every starting gain ties, and later hot and cold gains tie too
+        for interleave in (False, True):
+            g = complete_bipartite(a, b, interleave)
+            assert greedy_merge_trace(g).merges == heap_merge_trace(g)[0]
+
+    @pytest.mark.parametrize("n", [5, 8, 13, 20, 31, 48, 97])
+    def test_circulant_graphs(self, n):
+        # vertex-transitive: every gain ties at the start, and the graphs
+        # with gcd(n, offsets) > 1 fall apart into equal components
+        for offsets in ((1, 2), (1, 3), (2, 4), (2, 6), (1, n // 2), (1, 4, 6)):
+            g = make_graph(n, {tuple(sorted((i, (i + o) % n))) for i in range(n) for o in offsets})
+            assert kernel_merges(g) == heap_merge_trace(g)[0]
+
+    def test_graphs_of_three_or_more_components(self):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            parts = [random_connected_graph(rng, int(s), int(rng.integers(0, 2 * s)))
+                     for s in rng.integers(2, 12, size=int(rng.integers(3, 6)))]
+            offsets = np.cumsum([0] + [p.node_count for p in parts])
+            relabel = rng.permutation(offsets[-1])
+            g = make_graph(offsets[-1], relabel[np.concatenate([p.edges + o for p, o in zip(parts, offsets)])])
+            merges = heap_merge_trace(g)[0]
+            assert len(merges) == g.node_count - len(parts)
+            assert kernel_merges(g) == merges
+            with pytest.raises(DisconnectedGraphError):
+                greedy_merge_trace(g)
+
+    @pytest.mark.parametrize("leaves", [1, 2, 5, 63, 64, 65, 300])
+    def test_heap_pops_count_the_skipped_starting_pairs(self, leaves):
+        # a star: the centre and leaf 1 merge first, which leaves every
+        # starting pair with a touched end, and the hot centre takes the rest
+        # with nothing on the heap
+        g = make_graph(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
+        assert greedy_merge_trace(g).heap_pops == leaves
 
 
 def acceptance_oracle_graphs():
@@ -556,13 +653,16 @@ class TestLeafCertificate:
         # three 8-cliques in a path: the whole graph splits, each clique is certified
         blocks = [range(8 * c, 8 * c + 8) for c in range(3)]
         g = make_graph(24, sum((clique_edges(b) for b in blocks), []) + [(7, 8), (15, 16)])
+        whole, clique = greedy_merge_trace(g), greedy_merge_trace(make_graph(8, clique_edges(range(8))))
         counts = {}
         assert recursive_partition(g, 0.3, counts).community_count == 3
-        assert counts == {"cnm_runs": 1, "certified_leaves": 3}
+        assert counts == {"cnm_runs": 1, "certified_leaves": 3, "cnm_merges": 23,
+                          "heap_pops": whole.heap_pops}
         # subgraphs above the size cap run the agglomeration
         monkeypatch.setattr(community, "_BOUND_MAX_NODES", 7)
         assert recursive_partition(g, 0.3, counts).community_count == 3
-        assert counts == {"cnm_runs": 4, "certified_leaves": 0}
+        assert counts == {"cnm_runs": 4, "certified_leaves": 0, "cnm_merges": 23 + 3 * 7,
+                          "heap_pops": whole.heap_pops + 3 * clique.heap_pops}
 
     def test_detect_runs_on_the_large_graph_workload(self):
         # CNM runs per detect are pinned; change them only with a recorded reason.
@@ -571,7 +671,7 @@ class TestLeafCertificate:
                          noise_sigma=1e-3, outlier_fraction=0.0, seed=15)
         counts = {}
         part, _, _ = detect_communities(generate_world(spec).graph, counts=counts)
-        assert counts == {"cnm_runs": 3, "certified_leaves": 6}
+        assert (counts["cnm_runs"], counts["certified_leaves"]) == (3, 6)
         assert part.community_count == 6
 
 

@@ -37,7 +37,7 @@ from csfm.synth import (
     world_to_json,
 )
 
-from helpers import PROVENANCE_FIELDS, loop_averaging_residuals
+from helpers import BENCH_WORLDS, PROVENANCE_FIELDS, loop_averaging_residuals
 
 THREE = dict(
     camera_count=120,
@@ -965,22 +965,11 @@ def test_removed_option_exits_2(args):
     assert "Traceback" not in result.output
 
 
-# the worlds of the perfbench workloads (perfbench/run.py)
-BENCH_WORLDS = {
-    "large-graph": dict(camera_count=450, point_count=6000, cluster_count=6,
-                        noise_sigma=1e-3, outlier_fraction=0.0),
-    "dense-points": dict(camera_count=180, point_count=27000, cluster_count=4,
-                         cluster_spread=1.5, noise_sigma=1e-3, outlier_fraction=0.0),
-    "staged-cli": dict(camera_count=400, point_count=10000, cluster_count=16,
-                       noise_sigma=1e-3, outlier_fraction=0.2),
-}
-
-
-def average_stats(out_dir, world, seed, workers):
-    """The ``average`` stage's statistics in the report of one pipeline run."""
+def stage_stats(out_dir, world, seed, workers, name="average"):
+    """One stage's statistics in the report of one pipeline run."""
     run_pipeline(PipelineConfig(out_dir=str(out_dir), seed=seed, world=world, workers=workers))
     report = json.loads((out_dir / "report.json").read_text())
-    return next(stage["stats"] for stage in report["stages"] if stage["name"] == "average")
+    return next(stage["stats"] for stage in report["stages"] if stage["name"] == name)
 
 
 @pytest.mark.parametrize("name", sorted(BENCH_WORLDS))
@@ -989,7 +978,7 @@ def test_average_stats_match_the_per_measurement_sums(tmp_path, name):
     for bit, and the statistics and counters are the same whatever the
     worker count."""
     world = generate_world(WorldSpec(**BENCH_WORLDS[name], seed=2))
-    stats = [average_stats(tmp_path / f"w{w}", world, 2, w) for w in (1, 2)]
+    stats = [stage_stats(tmp_path / f"w{w}", world, 2, w) for w in (1, 2)]
     assert stats[0] == stats[1]
     d = tmp_path / "w1"
     mg, mg_t = load_measurements(d / "measurements.json"), load_measurements(d / "measurements_with_t.json")
@@ -1010,7 +999,7 @@ def test_average_counters_count_every_weighted_solve(tmp_path, monkeypatch, name
     solve = l1.solve_weighted_ls
     monkeypatch.setattr(l1, "solve_weighted_ls", lambda *a: calls.append(a[1].shape) or solve(*a))
     world = generate_world(WorldSpec(**BENCH_WORLDS[name], seed=2))
-    stats = average_stats(tmp_path, world, 2, 2)
+    stats = stage_stats(tmp_path, world, 2, 2)
     solves = stats["irls_solves"]
     assert set(solves) == {"scale", "rotation", "translation"}
     assert sum(solves.values()) == len(calls)
@@ -1036,15 +1025,27 @@ AVERAGE_COUNTER_PINS = {
 @pytest.mark.parametrize("seed", sorted(AVERAGE_COUNTER_PINS))
 def test_average_counters_are_pinned(tmp_path, seed):
     world = generate_world(WorldSpec(**BENCH_WORLDS["large-graph"], seed=seed))
-    stats = average_stats(tmp_path, world, seed, 2)
+    stats = stage_stats(tmp_path, world, seed, 2)
     solves, sweeps, converged = AVERAGE_COUNTER_PINS[seed]
     assert stats["irls_solves"] == dict(zip(("scale", "rotation", "translation"), solves))
     assert (stats["rotation_sweeps"], stats["rotation_converged"]) == (sweeps, converged)
 
 
+# The ``detect`` counters of the same worlds: ``cnm_merges`` and
+# ``heap_pops``, summed over their CNM runs.
+DETECT_COUNTER_PINS = {0: (741, 29219), 100: (670, 25536), 109: (747, 29827)}
+
+
+@pytest.mark.parametrize("seed", sorted(DETECT_COUNTER_PINS))
+def test_detect_counters_are_pinned(tmp_path, seed):
+    world = generate_world(WorldSpec(**BENCH_WORLDS["large-graph"], seed=seed))
+    stats = stage_stats(tmp_path, world, seed, 2, "detect")
+    assert (stats["cnm_merges"], stats["heap_pops"]) == DETECT_COUNTER_PINS[seed]
+
+
 def test_average_stats_vanish_on_an_exact_world(tmp_path):
     world = generate_world(WorldSpec(noise_sigma=0.0, outlier_fraction=0.0, seed=4))
-    stats = average_stats(tmp_path, world, 4, 2)
+    stats = stage_stats(tmp_path, world, 4, 2)
     measured = load_measurements(tmp_path / "measurements.json")
     assert stats["kept_pairs"] == measured.i.size > 0
     for key in ("scale_l1_residual", "rotation_l1_residual_rad", "translation_l1_residual"):
