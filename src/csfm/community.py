@@ -34,7 +34,6 @@ import heapq
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import DisconnectedGraphError, ValidationError
 from .graph import EpipolarGraph, component_labels, connected_components, induced_subgraph
@@ -45,9 +44,10 @@ DEFAULT_MIN_COMMUNITY_SIZE = 20
 
 _EPS = np.finfo(float).eps
 # Above this many nodes the leaf certificate is not tried.  With one BLAS
-# thread, scipy.linalg.eigvalsh on the dense n x n matrix takes 0.10 s at
-# 1,000 nodes and 0.78 s at 2,000, while CNM takes 0.02 s on a 505-node,
-# 33,000-edge subgraph and 0.05 s on the whole 2,000-node, 133,000-edge graph.
+# thread, np.linalg.eigvalsh on the dense n x n matrix takes 0.08 s at 1,000
+# nodes and 0.81 s at 2,000 (on leading subgraphs of the 2,000-camera match
+# graph), while CNM takes 0.01 s on a 505-node, 33,000-edge subgraph and
+# 0.05 s on the whole 2,000-node, 133,000-edge graph.
 _BOUND_MAX_NODES = 1000
 
 
@@ -63,8 +63,7 @@ class Partition:
         k = int(self.community_count)
         if a.ndim != 1 or a.size == 0:
             raise ValidationError("assignment must be a non-empty vector")
-        present = np.unique(a)
-        if present[0] != 0 or present[-1] != k - 1 or present.size != k:
+        if a.min() != 0 or a.max() != k - 1 or not np.all(np.bincount(a)):
             raise ValidationError("community ids must be contiguous in [0, K) with no empty community")
         object.__setattr__(self, "assignment", a)
         object.__setattr__(self, "community_count", k)
@@ -406,9 +405,10 @@ def _ritz_value(b: np.ndarray) -> float:
 
 def _top_eigenvalue_bound(b: np.ndarray, d_max: int) -> float:
     """``lambda + delta``: at least ``lambda_max`` of the exact modularity
-    matrix of which ``b`` is the rounded copy (``b`` is overwritten).
+    matrix of which ``b`` is the rounded copy.
 
-    ``lambda`` is LAPACK's top eigenvalue of ``b``.  Its error is at most
+    ``lambda`` is the top eigenvalue of ``b`` from ``np.linalg.eigvalsh``
+    (LAPACK's symmetric eigensolver).  Its error is at most
     ``p(n) eps ||B||_2`` for a modestly growing ``p`` (LAPACK Users' Guide,
     section 4.7), and rounding ``d_i d_j / 2m`` and the subtraction moves
     ``B`` by at most ``3 eps d_max`` in norm.  With ``||B||_2 <= ||A||_2 +
@@ -417,8 +417,7 @@ def _top_eigenvalue_bound(b: np.ndarray, d_max: int) -> float:
     under 1e-9 at 1,000 nodes.
     """
     n = b.shape[0]
-    lam = sla.eigvalsh(b, subset_by_index=[n - 1, n - 1], overwrite_a=True, check_finite=False)
-    return float(lam[0]) + 2.0 * n * n * _EPS * d_max
+    return float(np.linalg.eigvalsh(b)[-1]) + 2.0 * n * n * _EPS * d_max
 
 
 def _certified_modularity(lam_bound: float, n: int, m: int) -> float:

@@ -9,8 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 from .errors import ValidationError
 from .jsonio import column, parsing, records, write_json
@@ -92,11 +90,30 @@ def induced_subgraph(g: EpipolarGraph, nodes) -> EpipolarGraph:
 
 
 def component_labels(node_count: int, edges: np.ndarray) -> np.ndarray:
-    """Connected-component label per node of an undirected ``(m, 2)`` edge list."""
-    adjacency = sp.coo_array(
-        (np.ones(edges.shape[0]), (edges[:, 0], edges[:, 1])), shape=(node_count, node_count)
-    ).tocsr()
-    return csgraph.connected_components(adjacency, directed=False)[1]
+    """Connected-component label per node of an undirected ``(m, 2)`` edge
+    list, numbered ``0..K-1`` in order of each component's smallest node.
+
+    Min-label hooking with pointer jumping: every node points at a node of
+    its own component with an index no larger than its own.  Each round
+    hooks the root of every edge's two ends to the smaller of the two roots,
+    then jumps pointers until every node points at a root; once no edge
+    joins two roots, each root is its component's smallest node.
+    """
+    parent = np.arange(node_count)
+    u, v = edges[:, 0], edges[:, 1]
+    while True:
+        pu, pv = parent[u], parent[v]
+        if np.array_equal(pu, pv):
+            break
+        low = np.minimum(pu, pv)
+        np.minimum.at(parent, pu, low)
+        np.minimum.at(parent, pv, low)
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+    return np.unique(parent, return_inverse=True)[1]
 
 
 def connected_components(g: EpipolarGraph) -> list:
@@ -105,10 +122,7 @@ def connected_components(g: EpipolarGraph) -> list:
     labels = component_labels(g.node_count, g.edges)
     # a stable sort keeps each component's nodes ascending
     nodes = np.argsort(labels, kind="stable")
-    comps = np.split(nodes, np.cumsum(np.bincount(labels))[:-1])
-    # csgraph does not document the order of its labels; fix it here
-    comps.sort(key=lambda comp: comp[0])
-    return [comp.tolist() for comp in comps]
+    return [comp.tolist() for comp in np.split(nodes, np.cumsum(np.bincount(labels))[:-1])]
 
 
 def load_graph(source) -> EpipolarGraph:

@@ -6,8 +6,9 @@ global optimum up to the epsilon smoothing of the weights.  Gauge variables
 are eliminated from the column space by the callers, never penalized.
 
 There is one unknown per non-gauge community, so ``A`` is a plain dense
-``(rows, cols)`` array and each weighted least-squares step factors the
-dense normal equations ``A^T W A`` by Cholesky.  A right-hand side may hold
+``(rows, cols)`` array and each weighted least-squares step forms the dense
+normal equations ``A^T W A``, tests their rank by Cholesky and solves them
+with numpy's LAPACK solver.  A right-hand side may hold
 several columns (the three axes of a rotation or translation problem); their
 IRLS runs advance in lockstep, one stacked solve per iteration, and each
 column stops once its L1 objective stops falling, with the bits of its own
@@ -18,7 +19,6 @@ from __future__ import annotations
 import logging
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
 
 from .errors import RankDeficientSystemError, ValidationError
 
@@ -66,7 +66,9 @@ def solve_weighted_ls(A, rhs, weights) -> np.ndarray:
 
     Each column's ``N = A^T (w A)`` is factored by Cholesky.  A pivot at
     most ``cols * eps * max(diag N)`` (LAPACK ``?pstrf``'s default rank
-    tolerance) means ``N`` is singular to working precision.
+    tolerance) means ``N`` is singular to working precision.  Otherwise the
+    stack of systems ``N x = A^T (w b)`` is solved in one
+    ``np.linalg.solve`` call (LU with partial pivoting, backward stable).
     """
     A, rhs = _checked_system(A, rhs)
     w = np.asarray(weights, dtype=float)
@@ -91,7 +93,7 @@ def solve_weighted_ls(A, rhs, weights) -> np.ndarray:
             f"weighted normal equations are singular ({exc}); "
             "check gauge fixing and measurement-graph connectivity"
         ) from exc
-    x = np.stack([dpotrs(L[c], g[c], lower=True)[0][:, 0] for c in range(len(L))])
+    x = np.linalg.solve(N, g)[:, :, 0]
     if not np.all(np.isfinite(x)):
         raise RankDeficientSystemError("weighted least-squares solve produced non-finite values")
     return _unstacked(x, rhs)

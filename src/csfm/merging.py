@@ -414,12 +414,11 @@ def export_ply(model: MergedModel, path, color_by_community: bool = False) -> No
     if color_by_community:
         lines += ["property uchar red", "property uchar green", "property uchar blue"]
     lines.append("end_header")
-    rows = [f"{x:.8g} {y:.8g} {z:.8g}" for x, y, z in model.points.tolist()]
+    row, values = "%.8g %.8g %.8g", model.points
     if color_by_community:
-        suffix = [f" {r} {g} {b}" for r, g, b in _PALETTE]
         # a loaded file may list a track's communities in any order
         lowest = np.minimum.reduceat(model.communities, model.community_bounds[:-1])
-        rows = [row + suffix[c] for row, c in zip(rows, (lowest % len(suffix)).tolist())]
-    lines += rows
+        row, values = row + " %d %d %d", np.hstack([values, np.array(_PALETTE)[lowest % len(_PALETTE)]])
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+        fh.write((row + "\n") * values.shape[0] % tuple(values.ravel().tolist()))

@@ -13,11 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.blas import sgemm, ssyrk
-from scipy.spatial import cKDTree
 
 from .community import Partition
 from .errors import ValidationError
@@ -39,7 +37,7 @@ _STREAM_TRANSFORM = 101
 _STREAM_NOISE = 202
 
 _WORLD_DRAWS = 4  # geometry draws generate_world tries before giving up
-_CAMERA_CHUNK = 16  # cameras per k-d tree query in visibility()
+_CAMERA_CHUNK = 16  # cameras per candidate search in visibility()
 _CAMERA_BLOCK = 512  # cameras per index block in _match_graph(); every perfbench world is one
 _POINT_BLOCK = 2048  # incidence columns per dense float32 block in _match_graph()
 
@@ -98,6 +96,14 @@ class WorldSpec:
         return asdict(self)
 
 
+class Incidence(NamedTuple):
+    """Camera x point 0/1 incidence in compressed-row form: camera ``i`` sees
+    the points ``indices[indptr[i] : indptr[i + 1]]``, in ascending order."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+
+
 @dataclass(frozen=True)
 class GroundTruthWorld:
     spec: WorldSpec
@@ -108,7 +114,7 @@ class GroundTruthWorld:
     labels: np.ndarray  # planted cluster per camera
     graph: EpipolarGraph
     planted_transforms: tuple  # Sim3 per planted cluster, local -> global
-    visible: sp.csr_array  # (n_cam, n_pts) 0/1 incidence from visibility()
+    visible: Incidence  # (n_cam, n_pts) 0/1 incidence from visibility()
 
     def truth_reconstruction(self) -> Reconstruction:
         """The world itself as a single global-frame reconstruction."""
@@ -225,82 +231,89 @@ def _draw_geometry(spec: WorldSpec, rng: np.random.Generator):
     return labels, cam_centers, cam_rotations, pts
 
 
-def visibility(centers: np.ndarray, points: np.ndarray, radius: float) -> sp.csr_array:
-    """Sparse ``(n_cam, n_pts)`` 0/1 incidence: camera ``i`` sees point ``j``
-    when ``d2 <= radius**2``, with ``d2`` the squared distance summed over
-    x, y, z in that order.  Column indices are sorted; ``indices`` and
-    ``indptr`` are int32 unless the entry or point count reaches 2**31.
+def visibility(centers: np.ndarray, points: np.ndarray, radius: float) -> Incidence:
+    """The ``(n_cam, n_pts)`` incidence: camera ``i`` sees point ``j`` when
+    ``d2 <= radius**2``, with ``d2`` the squared distance summed over x, y, z
+    in that order.  ``indices`` and ``indptr`` are int32 unless the entry or
+    point count reaches 2**31.
 
-    A k-d tree over the points is built once.  Each chunk of
-    ``_CAMERA_CHUNK`` cameras takes from it, in one ball query around the
-    chunk's bounding-box midpoint, every point within ``radius`` plus the
-    chunk's reach (the largest camera distance from that midpoint), widened
-    by a relative 1e-9, far beyond the rounding of any distance involved.  By
-    the triangle inequality these candidates hold every point a camera of the
-    chunk sees.  The exact rule decides each of them on a dense
-    ``(chunk, candidates)`` block, so the tree's own arithmetic never moves
-    the boundary; the candidates come sorted, so the block's row-major mask
-    gives each row's column indices in order.
+    The points are sorted on x once.  Each chunk of ``_CAMERA_CHUNK`` cameras
+    takes as candidates the slab of points whose x lies within ``radius`` of
+    the chunk's x-range, found by two binary searches, and keeps those whose
+    y and z lie within ``radius`` of the chunk's range too.  The margin is
+    widened by a relative 1e-9, far beyond the rounding of any coordinate
+    difference involved, so the candidates hold every point a camera of the
+    chunk sees.  The exact rule decides each of them on a dense ``(chunk,
+    candidates)`` block; the candidates are sorted, so the block's row-major
+    mask gives each row's column indices in order.
     """
-    tree = cKDTree(points)
     n_cam, n_pts = centers.shape[0], points.shape[0]
     column_dtype = np.int32 if n_pts < 2**31 else np.int64
     by_axis = np.ascontiguousarray(points.T)
+    order = np.argsort(by_axis[0], kind="stable")
+    xs = by_axis[0, order]
+    margin = radius * (1.0 + 1e-9)
     chunks, counts = [], np.zeros(n_cam, dtype=np.int64)
     for start in range(0, n_cam, _CAMERA_CHUNK):
         chunk = centers[start : start + _CAMERA_CHUNK]
-        mid = 0.5 * (chunk.min(axis=0) + chunk.max(axis=0))
-        reach = math.sqrt(np.max(np.sum((chunk - mid) ** 2, axis=1)))
-        near = tree.query_ball_point(mid, (radius + reach) * (1.0 + 1e-9), return_sorted=True)
-        near = np.asarray(near, dtype=column_dtype)
+        lo, hi = chunk.min(axis=0) - margin, chunk.max(axis=0) + margin
+        slab = order[np.searchsorted(xs, lo[0], "left") : np.searchsorted(xs, hi[0], "right")]
+        y, z = by_axis[1, slab], by_axis[2, slab]
+        near = np.sort(slab[(y >= lo[1]) & (y <= hi[1]) & (z >= lo[2]) & (z <= hi[2])])
         cand = by_axis[:, near]
         d2 = (chunk[:, 0:1] - cand[0]) ** 2
         d2 += (chunk[:, 1:2] - cand[1]) ** 2
         d2 += (chunk[:, 2:3] - cand[2]) ** 2
         seen = d2 <= radius**2
-        chunks.append(np.broadcast_to(near, seen.shape)[seen])
+        chunks.append(np.broadcast_to(near.astype(column_dtype), seen.shape)[seen])
         counts[start : start + chunk.shape[0]] = np.count_nonzero(seen, axis=1)
     nnz = int(counts.sum())
     index_dtype = np.int32 if max(nnz, n_pts) < 2**31 else np.int64
     indices = np.concatenate(chunks, dtype=index_dtype) if chunks else np.zeros(0, index_dtype)
     indptr = np.zeros(n_cam + 1, dtype=index_dtype)
     np.cumsum(counts, out=indptr[1:])
-    return sp.csr_array((np.ones(nnz, dtype=bool), indices, indptr), shape=(n_cam, n_pts))
+    return Incidence(indptr, indices)
 
 
-def _match_graph(spec: WorldSpec, centers: np.ndarray, visible: sp.csr_array) -> EpipolarGraph:
+def _match_graph(spec: WorldSpec, centers: np.ndarray, visible: Incidence) -> EpipolarGraph:
     """Match edges by co-visible track count, in row-major ``(i < j)`` order.
 
     ``visible`` is the incidence :func:`visibility` gives for ``centers`` at
     ``spec.visibility_radius``.  Cameras are split into index blocks of
     ``_CAMERA_BLOCK``.  Two cameras more than ``2 * radius`` apart share no
     point (the triangle inequality, with the 1e-9 slack of
-    :func:`visibility`), so a pair of blocks is counted only when a k-d tree
-    over the centers finds a camera pair within that distance across them.
-    Each kept pair's counts are one float32 product of the blocks' 0/1
-    incidence (``syrk`` on the diagonal, ``gemm`` off it) over the point
-    columns both blocks see, accumulated ``_POINT_BLOCK`` columns at a time.
+    :func:`visibility`), so a pair of blocks is counted only when the
+    bounding boxes of their centers lie within that distance.  Each block's
+    incidence is made dense once, as bool over the points the block sees.
+    Each kept pair's counts are one float32 product of the two dense blocks
+    over the point columns both see, accumulated ``_POINT_BLOCK`` columns at
+    a time (``x @ x.T`` on the diagonal, which numpy hands to ``syrk``).
     Every partial sum is an integer no larger than the point count, which
-    ``WorldSpec`` keeps below 2**24, so float32 holds each one exactly.
+    ``WorldSpec`` keeps below 2**24, so float32 holds each one exactly, in
+    any order of summation.
     """
-    n_cam = visible.shape[0]
-    block_of = np.arange(n_cam) // _CAMERA_BLOCK
-    n_blocks = int(block_of[-1]) + 1
-    near = block_of[cKDTree(centers).query_pairs(
-        2.0 * spec.visibility_radius * (1.0 + 1e-9), output_type="ndarray"
-    )]
-    kept = np.unique(near[:, 0] * n_blocks + near[:, 1])  # (a, b) with a <= b, sorted
-    blocks = [visible[s : s + _CAMERA_BLOCK].tocsc() for s in range(0, n_cam, _CAMERA_BLOCK)]
-    seen = [np.diff(block.indptr) for block in blocks]  # cameras of the block seeing each point
+    n_cam = centers.shape[0]
+    bounds = list(range(0, n_cam, _CAMERA_BLOCK)) + [n_cam]
+    lo = np.minimum.reduceat(centers, bounds[:-1], axis=0)
+    hi = np.maximum.reduceat(centers, bounds[:-1], axis=0)
+    gap = np.maximum(np.maximum(lo[None] - hi[:, None], lo[:, None] - hi[None]), 0.0)
+    reach = 2.0 * spec.visibility_radius * (1.0 + 1e-9)
+    linked = np.sum(gap**2, axis=2) <= reach**2
+    n_pts = int(visible.indices.max()) + 1 if visible.indices.size else 0
+    dense = {}  # block -> its _dense_block, kept while a later row of blocks needs it
     edges, weights = [np.zeros((0, 2), np.int64)], [np.zeros(0, np.float32)]
-    for a in range(n_blocks):
-        partners = (kept[kept // n_blocks == a] % n_blocks).tolist()
-        if partners:  # one row of count blocks, in column order, so nonzero is row-major
-            co = np.hstack([_block_counts(blocks, seen, a, b) for b in partners])
-            cams = np.flatnonzero(np.isin(block_of, partners))
-            i, j = np.nonzero(co >= spec.min_shared_tracks)
-            edges.append(np.column_stack([i + a * _CAMERA_BLOCK, cams[j]]))
-            weights.append(co[i, j])
+    for a in range(len(bounds) - 1):
+        partners = (np.flatnonzero(linked[a, a:]) + a).tolist()
+        for b in partners:
+            if b not in dense:
+                dense[b] = _dense_block(visible, bounds[b], bounds[b + 1], n_pts)
+        # one row of count blocks, in column order, so nonzero is row-major
+        co = np.hstack([_block_counts(dense, a, b) for b in partners])
+        cams = np.concatenate([np.arange(bounds[b], bounds[b + 1]) for b in partners])
+        i, j = np.nonzero(co >= spec.min_shared_tracks)
+        edges.append(np.column_stack([i + bounds[a], cams[j]]))
+        weights.append(co[i, j])
+        del dense[a]
     return EpipolarGraph(
         node_count=n_cam,
         edges=np.concatenate(edges),
@@ -308,22 +321,33 @@ def _match_graph(spec: WorldSpec, centers: np.ndarray, visible: sp.csr_array) ->
     )
 
 
-def _block_counts(blocks: list, seen: list, a: int, b: int) -> np.ndarray:
+def _dense_block(visible: Incidence, start: int, stop: int, n_pts: int):
+    """The points cameras ``start..stop-1`` see, ascending, and the cameras'
+    incidence on them as a dense bool ``(cameras, points)`` matrix."""
+    indptr, indices = visible
+    columns = np.flatnonzero(np.bincount(indices[indptr[start] : indptr[stop]], minlength=n_pts))
+    position = np.zeros(n_pts, dtype=np.intp)
+    position[columns] = np.arange(columns.size)
+    block = np.zeros((stop - start, columns.size), dtype=bool)
+    ends = indptr[start : stop + 1].tolist()
+    for row, (lo, hi) in enumerate(zip(ends, ends[1:])):  # a camera at a time, in little memory
+        block[row, position[indices[lo:hi]]] = True
+    return columns, block
+
+
+def _block_counts(dense: dict, a: int, b: int) -> np.ndarray:
     """Co-visible point counts between the cameras of blocks ``a <= b``, as
-    a float32 matrix; on the diagonal only the strict upper triangle is set."""
-    shared = np.flatnonzero(seen[a] >= 2) if a == b else np.flatnonzero((seen[a] > 0) & (seen[b] > 0))
-    co = np.zeros((blocks[a].shape[0], blocks[b].shape[0]), dtype=np.float32, order="F")
-    for start in range(0, shared.size, _POINT_BLOCK):
-        columns = shared[start : start + _POINT_BLOCK]
-        left = blocks[a][:, columns].astype(np.float32).toarray(order="F")
-        if a == b:
-            co = ssyrk(1.0, left, beta=1.0, c=co, lower=0, overwrite_c=1)  # in place
-        else:
-            right = blocks[b][:, columns].astype(np.float32).toarray(order="F")
-            co = sgemm(1.0, left, right, beta=1.0, c=co, trans_b=1, overwrite_c=1)
-    if a == b:
-        np.fill_diagonal(co, 0.0)  # the strict upper triangle holds every pair; the rest is 0
-    return co
+    a float32 matrix; on the diagonal only the strict upper triangle is set.
+    ``dense`` maps each block to its :func:`_dense_block`."""
+    (left, x), (right, y) = dense[a], dense[b]
+    if a != b:  # the columns both blocks see
+        _, in_left, in_right = np.intersect1d(left, right, assume_unique=True, return_indices=True)
+        x, y = x[:, in_left], y[:, in_right]
+    co = np.zeros((x.shape[0], y.shape[0]), dtype=np.float32)
+    for start in range(0, x.shape[1], _POINT_BLOCK):
+        part = x[:, start : start + _POINT_BLOCK].astype(np.float32)
+        co += part @ (part if a == b else y[:, start : start + _POINT_BLOCK].astype(np.float32)).T
+    return np.triu(co, 1) if a == b else co
 
 
 def _check_planted_structure(graph: EpipolarGraph, labels: np.ndarray, k: int):
@@ -332,7 +356,7 @@ def _check_planted_structure(graph: EpipolarGraph, labels: np.ndarray, k: int):
     # each planted cluster must be internally connected
     component = component_labels(graph.node_count, graph.edges[li == lj])
     for c in range(k):
-        if np.unique(component[labels == c]).size > 1:
+        if np.ptp(component[labels == c]) > 0:
             raise ValidationError(
                 f"planted cluster {c} is internally disconnected; widen the visibility radius"
             )
@@ -379,11 +403,13 @@ def fracture(
     # a community reconstructs the tracks seen by >= 2 of its cameras, counted
     # over its cameras' incidence rows one community at a time
     n_pts = world.points.shape[0]
+    indptr, indices = world.visible
     community_cams = [np.flatnonzero(partition.assignment == c) for c in range(k)]
     member_tracks = []
     multiplicity = np.zeros(n_pts, dtype=np.int64)  # communities that reconstruct each track
     for cams in community_cams:
-        member = np.bincount(world.visible[cams].indices, minlength=n_pts) >= 2
+        views = [indices[lo:hi] for lo, hi in zip(indptr[cams].tolist(), indptr[cams + 1].tolist())]
+        member = np.bincount(np.concatenate(views), minlength=n_pts) >= 2
         member_tracks.append(np.flatnonzero(member))
         multiplicity += member
 

@@ -7,9 +7,14 @@ from __future__ import annotations
 
 import heapq
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.blas import sgemm, ssyrk
+from scipy.sparse import csgraph
+from scipy.spatial import cKDTree
 
 from csfm.alignment import (
     DEFAULT_CONFIDENCE,
@@ -456,10 +461,120 @@ def dense_visibility(centers, points, radius):
     """Dense ``(n_cam, n_pts)`` bool: camera sees point within ``radius``.
 
     The distance rule as a full camera-by-point array; reference for the
-    sparse incidence that ``csfm.synth.visibility`` builds with a k-d tree.
+    incidence that ``csfm.synth.visibility`` builds chunk by chunk.
     """
     d2 = np.sum((centers[:, None, :] - points[None, :, :]) ** 2, axis=2)
     return d2 <= radius**2
+
+
+def incidence_array(visible, n_pts):
+    """A ``csfm.synth.Incidence`` as a dense ``(n_cam, n_pts)`` bool array,
+    after checking that each row's column indices strictly increase."""
+    rows = np.repeat(np.arange(visible.indptr.size - 1), np.diff(visible.indptr))
+    step = np.diff(visible.indices.astype(np.int64))
+    assert np.all((step > 0) | (rows[1:] != rows[:-1]))
+    dense = np.zeros((visible.indptr.size - 1, n_pts), dtype=bool)
+    dense[rows, visible.indices] = True
+    return dense
+
+
+def kdtree_visibility(centers, points, radius, chunk=16):
+    """The incidence of ``csfm.synth.visibility`` as a ``scipy.sparse``
+    ``csr_array``, from one k-d tree ball query per chunk of cameras.
+
+    Each chunk takes every point within ``radius`` plus the chunk's reach
+    (the largest camera distance from the chunk's bounding-box midpoint),
+    widened by a relative 1e-9, and decides the candidates by the exact
+    rule.  Reference for the x-sorted slab search of the library.
+    """
+    tree = cKDTree(points)
+    n_cam, n_pts = centers.shape[0], points.shape[0]
+    chunks, counts = [], np.zeros(n_cam, dtype=np.int64)
+    for start in range(0, n_cam, chunk):
+        block = centers[start : start + chunk]
+        mid = 0.5 * (block.min(axis=0) + block.max(axis=0))
+        reach = math.sqrt(np.max(np.sum((block - mid) ** 2, axis=1)))
+        near = tree.query_ball_point(mid, (radius + reach) * (1.0 + 1e-9), return_sorted=True)
+        near = np.asarray(near, dtype=np.int32)
+        seen = dense_visibility(block, points[near], radius)
+        chunks.append(np.broadcast_to(near, seen.shape)[seen])
+        counts[start : start + block.shape[0]] = np.count_nonzero(seen, axis=1)
+    indices = np.concatenate(chunks).astype(np.int32) if chunks else np.zeros(0, np.int32)
+    indptr = np.zeros(n_cam + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    return sp.csr_array((np.ones(indices.size, dtype=bool), indices, indptr), shape=(n_cam, n_pts))
+
+
+def kdtree_match_graph(spec, centers, visible, camera_block=512, point_block=2048):
+    """``(edges, weights)`` of ``csfm.synth._match_graph`` from a
+    ``scipy.sparse`` incidence, by float32 BLAS ``syrk``/``gemm`` on the
+    camera-block pairs that a k-d tree over the centers links within
+    ``2 * radius``.  Reference for the library's numpy products."""
+    n_cam = visible.shape[0]
+    block_of = np.arange(n_cam) // camera_block
+    n_blocks = int(block_of[-1]) + 1
+    near = block_of[cKDTree(centers).query_pairs(
+        2.0 * spec.visibility_radius * (1.0 + 1e-9), output_type="ndarray"
+    )]
+    kept = np.unique(near[:, 0] * n_blocks + near[:, 1])
+    blocks = [visible[s : s + camera_block].tocsc() for s in range(0, n_cam, camera_block)]
+    seen = [np.diff(block.indptr) for block in blocks]
+    edges, weights = [np.zeros((0, 2), np.int64)], [np.zeros(0, np.int64)]
+    for a in range(n_blocks):
+        partners = (kept[kept // n_blocks == a] % n_blocks).tolist()
+        counts = []
+        for b in partners:
+            shared = np.flatnonzero(seen[a] >= 2) if a == b else np.flatnonzero((seen[a] > 0) & (seen[b] > 0))
+            co = np.zeros((blocks[a].shape[0], blocks[b].shape[0]), dtype=np.float32, order="F")
+            for start in range(0, shared.size, point_block):
+                columns = shared[start : start + point_block]
+                left = blocks[a][:, columns].astype(np.float32).toarray(order="F")
+                if a == b:
+                    co = ssyrk(1.0, left, beta=1.0, c=co, lower=0, overwrite_c=1)
+                else:
+                    right = blocks[b][:, columns].astype(np.float32).toarray(order="F")
+                    co = sgemm(1.0, left, right, beta=1.0, c=co, trans_b=1, overwrite_c=1)
+            if a == b:
+                co = np.triu(co, 1)
+            counts.append(co)
+        if counts:
+            co = np.hstack(counts)
+            cams = np.flatnonzero(np.isin(block_of, partners))
+            i, j = np.nonzero(co >= spec.min_shared_tracks)
+            edges.append(np.column_stack([i + a * camera_block, cams[j]]))
+            weights.append(co[i, j].astype(np.int64))
+    return np.concatenate(edges), np.concatenate(weights)
+
+
+def csgraph_component_labels(node_count, edges):
+    """Connected-component label per node from ``scipy.sparse.csgraph``.
+
+    Reference for ``csfm.graph.component_labels``; csgraph does not
+    document the order of its labels, so compare partitions, not labels."""
+    adjacency = sp.coo_array(
+        (np.ones(edges.shape[0]), (edges[:, 0], edges[:, 1])), shape=(node_count, node_count)
+    ).tocsr()
+    return csgraph.connected_components(adjacency, directed=False)[1]
+
+
+def loop_export_ply(model, path, color_by_community=False):
+    """``csfm.merging.export_ply`` one f-string per vertex.
+
+    Reference for the library's single ``%``-format over all vertices."""
+    from csfm.merging import _PALETTE
+
+    lines = ["ply", "format ascii 1.0", f"element vertex {model.track_ids.size}"]
+    lines += ["property float x", "property float y", "property float z"]
+    if color_by_community:
+        lines += ["property uchar red", "property uchar green", "property uchar blue"]
+    lines.append("end_header")
+    rows = [f"{x:.8g} {y:.8g} {z:.8g}" for x, y, z in model.points.tolist()]
+    if color_by_community:
+        suffix = [f" {r} {g} {b}" for r, g, b in _PALETTE]
+        lowest = np.minimum.reduceat(model.communities, model.community_bounds[:-1])
+        rows = [row + suffix[c] for row, c in zip(rows, (lowest % len(suffix)).tolist())]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines + rows) + "\n")
 
 
 def loop_merge(recs, transforms):

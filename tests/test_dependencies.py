@@ -1,8 +1,10 @@
 """Every third-party module the package imports comes from a distribution
 that ``pyproject.toml`` declares in ``dependencies``, so an install of csfm
-alone can run it; test-only tools (networkx) stay out of ``src``."""
+alone can run it; test-only tools (networkx, scipy) stay out of ``src``."""
 import ast
+import os
 import re
+import subprocess
 import sys
 from importlib.metadata import packages_distributions
 from pathlib import Path
@@ -53,3 +55,18 @@ def test_every_third_party_import_is_a_declared_dependency():
     }
     assert undeclared == {}
     assert "networkx" not in third_party
+    assert "scipy" not in third_party
+
+
+def test_importing_the_entry_points_loads_no_scipy():
+    # scipy costs about 0.25 s and 39 MiB per process to import; no csfm
+    # module may pull it in, directly or through another package
+    script = (
+        "import sys\n"
+        "import csfm.cli, csfm.pipeline, csfm.synth\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.split("\n")[-2] == "[]"

@@ -10,13 +10,20 @@ from hypothesis import strategies as st
 from csfm.errors import ValidationError
 from csfm.graph import (
     EpipolarGraph,
+    component_labels,
     connected_components,
     degree_histogram,
     induced_subgraph,
     load_graph,
 )
 
-from helpers import clique_edges, make_graph, random_connected_graph, unique_sort_edges
+from helpers import (
+    clique_edges,
+    csgraph_component_labels,
+    make_graph,
+    random_connected_graph,
+    unique_sort_edges,
+)
 
 
 def graph_bytes(nodes, edges):
@@ -172,6 +179,43 @@ class TestConnectedComponents:
         oracle.add_edges_from(pairs)
         expected = sorted(sorted(c) for c in nx.connected_components(oracle))
         assert connected_components(g) == expected
+
+
+def _same_partition(labels, oracle):
+    # one label per oracle label and back: the two partitions are equal
+    pairs = np.unique(np.column_stack([labels, oracle]), axis=0)
+    return pairs.shape[0] == np.unique(labels).size == np.unique(oracle).size
+
+
+def _component_label_cases():
+    rng = np.random.default_rng(31)
+    yield "empty", 1, np.zeros((0, 2), np.int64)
+    yield "isolated", 7, np.zeros((0, 2), np.int64)
+    for n in (2, 9, 200, 1001):
+        perm = rng.permutation(n)  # relabelled, so no order of the nodes helps
+        path = np.column_stack([perm[:-1], perm[1:]])
+        yield f"path-{n}", n, path
+        yield f"reversed-path-{n}", n, np.column_stack([np.arange(n - 1, 0, -1), np.arange(n - 2, -1, -1)])
+        if n > 2:
+            yield f"ring-{n}", n, np.vstack([path, [[perm[-1], perm[0]]]])
+    yield "rings-and-isolated", 60, np.array(
+        [(i, (i + 1) % 20) for i in range(20)] + [(20 + i, 20 + (i + 1) % 25) for i in range(25)])
+    for k in range(40):
+        n = int(rng.integers(1, 300))
+        m = int(rng.integers(0, 2 * n))
+        edges = rng.integers(0, n, size=(m, 2))
+        yield f"random-{k}", n, edges[edges[:, 0] != edges[:, 1]]
+
+
+@pytest.mark.parametrize("name, n, edges", list(_component_label_cases()),
+                         ids=[case[0] for case in _component_label_cases()])
+def test_component_labels_match_csgraph(name, n, edges):
+    labels = component_labels(n, edges)
+    assert labels.shape == (n,)
+    assert _same_partition(labels, csgraph_component_labels(n, edges))
+    # numbered 0..K-1 in order of each component's smallest node
+    first = np.unique(labels, return_index=True)[1]
+    assert np.array_equal(labels[np.sort(first)], np.arange(first.size))
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -32,6 +33,7 @@ from csfm.synth import WorldSpec, fracture, generate_world
 from helpers import (
     PROVENANCE_FIELDS,
     loop_cameras,
+    loop_export_ply,
     loop_joint_refine,
     loop_merge,
     provenance_arrays,
@@ -504,6 +506,23 @@ class TestArtifacts:
         body = lines[lines.index("end_header") + 1 :]
         assert len(body) == model.track_ids.size
         assert all(len(row.split()) == 6 for row in body)
+
+    def test_export_ply_matches_the_per_vertex_format(self, tmp_path):
+        # values over 60 decades of either sign, signed zeros, subnormals and
+        # the largest doubles, with and without colours
+        rng = np.random.default_rng(16)
+        recs = [simple_rec(c, [c], range(700 * c, 700 * c + 1000), rng.normal(size=(1000, 3)), rng)
+                for c in range(9)]
+        model = merge_reconstructions(recs, {c: Sim3() for c in range(9)})
+        n = model.track_ids.size
+        values = rng.choice([-1.0, 1.0], size=3 * n) * 10.0 ** rng.uniform(-30, 30, size=3 * n)
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1.7e308, -1.7e308, 1e-5]
+        values[: len(special)] = special
+        model = dataclasses.replace(model, points=values.reshape(n, 3))
+        for colour in (False, True):
+            export_ply(model, tmp_path / "got.ply", colour)
+            loop_export_ply(model, tmp_path / "want.ply", colour)
+            assert (tmp_path / "got.ply").read_bytes() == (tmp_path / "want.ply").read_bytes()
 
     def test_export_ply_colours_by_the_smallest_community_listed(self, tmp_path):
         # a file may list a track's communities in any order: colour by the least

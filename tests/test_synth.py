@@ -15,7 +15,7 @@ from csfm import synth
 from csfm.averaging import average_similarities
 from csfm.community import Partition, best_partition, recursive_partition
 from csfm.errors import ValidationError
-from csfm.graph import save_graph
+from csfm.graph import EpipolarGraph, save_graph
 from csfm.jsonio import write_json
 from csfm.measurements import MeasurementGraph
 from csfm.merging import evaluate_against_truth, merge_reconstructions
@@ -39,7 +39,7 @@ from csfm.synth import (
     world_to_json,
 )
 
-from helpers import dense_visibility
+from helpers import dense_visibility, incidence_array, kdtree_match_graph, kdtree_visibility
 
 STRONG = dict(
     camera_count=120,
@@ -251,10 +251,11 @@ def test_visibility_matches_the_dense_rule(n_cam, n_pts, layout, blind_share, sc
     assert want[far, -2] and not want[far, -1]
     assert not want[blind, :n_pts].any()
     got = visibility(centers, points, radius)
-    assert got.shape == (n_cam, n_pts + 2)
+    assert got.indptr.shape == (n_cam + 1,)
     assert got.indices.dtype == np.int32 and got.indptr.dtype == np.int32
-    assert got.data.dtype == bool and got.has_sorted_indices
-    assert np.array_equal(got.toarray(), want)
+    assert np.array_equal(incidence_array(got, n_pts + 2), want)
+    oracle = kdtree_visibility(centers, points, radius)
+    assert np.array_equal(got.indptr, oracle.indptr) and np.array_equal(got.indices, oracle.indices)
 
 
 class TestVisibility:
@@ -270,11 +271,38 @@ class TestVisibility:
         points = center + np.vstack([offsets, beyond])
         assert np.all(np.sum((center - points[:4]) ** 2, axis=1) == 25.0)
         assert np.all(np.sum((center - points[4:]) ** 2, axis=1) > 25.0)
-        got = visibility(center, points, 5.0).toarray()
+        got = incidence_array(visibility(center, points, 5.0), 8)
         assert got.tolist() == [[True] * 4 + [False] * 4]
+        assert kdtree_visibility(center, points, 5.0).toarray().tolist() == got.tolist()
+
+    def test_points_at_radius_beyond_each_face_of_the_chunk_box(self):
+        # the slab and box margins: past the chunk's extreme camera on each
+        # axis and side, a point exactly radius out is seen and the same point
+        # one ulp further out is not; centers on a grid of 1/8 keep it exact,
+        # and every coordinate is at least the radius, so its ulp counts
+        rng = np.random.default_rng(24)
+        centers = 20.0 + np.round(rng.uniform(-6.0, 6.0, size=(2 * _CAMERA_CHUNK, 3)) * 8.0) / 8.0
+        points, owners = [rng.uniform(11.0, 29.0, size=(300, 3))], []
+        for start in (0, _CAMERA_CHUNK):
+            chunk = centers[start : start + _CAMERA_CHUNK]
+            for axis in range(3):
+                for side, pick in ((1.0, np.argmax), (-1.0, np.argmin)):
+                    cam = start + int(pick(chunk[:, axis]))
+                    edge = centers[cam].copy()
+                    edge[axis] += side * 5.0
+                    beyond = edge.copy()
+                    beyond[axis] = np.nextafter(beyond[axis], side * np.inf)
+                    points.append(np.vstack([edge, beyond]))
+                    owners.append(cam)
+        points = np.vstack(points)
+        got = incidence_array(visibility(centers, points, 5.0), points.shape[0])
+        assert np.array_equal(got, dense_visibility(centers, points, 5.0))
+        assert np.array_equal(got, kdtree_visibility(centers, points, 5.0).toarray())
+        for k, cam in enumerate(owners):
+            assert got[cam, 300 + 2 * k] and not got[cam, 301 + 2 * k]
 
     def test_matches_dense_rule_on_random_worlds(self):
-        # up to four camera chunks of the k-d tree query
+        # up to four camera chunks of the candidate search
         rng = np.random.default_rng(20)
         for _ in range(40):
             n_cam, n_pts = int(rng.integers(1, 4 * _CAMERA_CHUNK)), int(rng.integers(1, 400))
@@ -290,22 +318,23 @@ class TestVisibility:
             shell = radius * (1.0 + rng.integers(-4, 5, size=(n_pts, 1)) * np.finfo(float).eps)
             points[near] = (centers[owner] + shell * u)[near]
             got = visibility(centers, points, radius)
-            assert got.shape == (n_cam, n_pts)
+            assert got.indptr.shape == (n_cam + 1,)
             assert got.indices.dtype == np.int32 and got.indptr.dtype == np.int32
-            assert got.has_canonical_format
-            assert np.array_equal(got.toarray(), dense_visibility(centers, points, radius))
+            dense = incidence_array(got, n_pts)
+            assert np.array_equal(dense, dense_visibility(centers, points, radius))
+            assert np.array_equal(dense, kdtree_visibility(centers, points, radius).toarray())
 
     def test_match_counts_match_int64_product_across_point_blocks(self, monkeypatch):
         # several point blocks of the float32 product, the last one partial,
         # and several camera chunks of the visibility query; then again over
         # several camera blocks, with two groups of cameras too far apart to
-        # share a point, so that the k-d tree must drop their block pairs
+        # share a point, so that the bounding-box test must drop their block pairs
         counted = []
         block_counts = synth._block_counts
 
-        def record(blocks, seen, a, b):
+        def record(dense, a, b):
             counted.append((a, b))
-            return block_counts(blocks, seen, a, b)
+            return block_counts(dense, a, b)
 
         monkeypatch.setattr(synth, "_block_counts", record)
         rng = np.random.default_rng(21)
@@ -340,13 +369,13 @@ class TestVisibility:
                     assert len(counted) == n_blocks * (n_blocks + 1) // 2
 
     def test_cameras_two_radii_apart_share_their_midpoint(self, monkeypatch):
-        # the boundary of the k-d tree's camera-pair filter: two cameras in
+        # the boundary of the block-pair filter: two cameras in
         # two blocks, exactly 2 * radius apart, both seeing the point between
         monkeypatch.setattr(synth, "_CAMERA_BLOCK", 1)
         centers = np.array([[0.5, -1.25, 2.0], [6.5, -1.25, 2.0]])
         points = np.array([[3.5, -1.25, 2.0]])
         visible = visibility(centers, points, 3.0)
-        assert visible.toarray().tolist() == [[True], [True]]
+        assert incidence_array(visible, 1).tolist() == [[True], [True]]
         graph = _match_graph(WorldSpec(min_shared_tracks=1, visibility_radius=3.0), centers, visible)
         assert graph.edges.tolist() == [[0, 1]] and graph.weights.tolist() == [1]
 
@@ -359,7 +388,7 @@ class TestVisibility:
             world = generate_world(spec)
             assert world.visible.indices.dtype == np.int32
             dense = dense_visibility(world.camera_centers, world.points, spec.visibility_radius)
-            assert np.array_equal(world.visible.toarray(), dense)
+            assert np.array_equal(incidence_array(world.visible, spec.point_count), dense)
             co = dense.astype(np.int64) @ dense.T.astype(np.int64)
             iu, ju = np.triu_indices(spec.camera_count, k=1)
             strong = co[iu, ju] >= spec.min_shared_tracks
@@ -473,7 +502,8 @@ def test_world_json_round_trip(tmp_path):
     assert np.array_equal(back.labels, world.labels)
     assert np.array_equal(back.graph.edges, world.graph.edges)
     assert np.array_equal(back.graph.weights, world.graph.weights)
-    assert np.array_equal(back.visible.toarray(), world.visible.toarray())
+    assert np.array_equal(back.visible.indptr, world.visible.indptr)
+    assert np.array_equal(back.visible.indices, world.visible.indices)
     assert back.spec == world.spec
 
 
@@ -510,6 +540,31 @@ def test_match_graph_files_are_pinned(tmp_path):
             workload, seed)
 
 
+def _assert_matches_the_scipy_oracle(world, tmp_path):
+    # the incidence and the eg.json bytes against the k-d tree and BLAS oracles
+    spec = world.spec
+    oracle = kdtree_visibility(world.camera_centers, world.points, spec.visibility_radius)
+    assert np.array_equal(world.visible.indptr, oracle.indptr)
+    assert np.array_equal(world.visible.indices, oracle.indices)
+    edges, weights = kdtree_match_graph(spec, world.camera_centers, oracle)
+    save_graph(world.graph, tmp_path / "eg.json")
+    save_graph(EpipolarGraph(spec.camera_count, edges, weights), tmp_path / "oracle.json")
+    assert (tmp_path / "eg.json").read_bytes() == (tmp_path / "oracle.json").read_bytes()
+
+
+@pytest.mark.parametrize("workload", sorted(PERFBENCH_SPECS))
+def test_perfbench_worlds_match_the_scipy_oracle(tmp_path, workload):
+    for seed in range(5):
+        _assert_matches_the_scipy_oracle(
+            generate_world(WorldSpec(**PERFBENCH_SPECS[workload], seed=seed)), tmp_path)
+
+
+def test_a_world_of_several_camera_blocks_matches_the_scipy_oracle(tmp_path):
+    spec = WorldSpec(camera_count=1100, point_count=11000, cluster_count=8, noise_sigma=1e-3, seed=4)
+    assert spec.camera_count > 2 * _CAMERA_BLOCK
+    _assert_matches_the_scipy_oracle(generate_world(spec), tmp_path)
+
+
 def test_world_file_counts_must_match_its_spec(tmp_path):
     world = generate_world(WorldSpec(seed=10, **STRONG))
     obj = world_to_json(world)
@@ -522,9 +577,10 @@ def test_world_file_counts_must_match_its_spec(tmp_path):
 def test_dense_points_world_memory_rise_is_bounded():
     # generate_world on the perfbench dense-points spec, in a fresh process:
     # the rise of its peak resident set over the import.  Measured at 21-23
-    # MiB on a 2-core Intel Xeon with numpy 2.4 and scipy 1.17 (86 MiB when
-    # every candidate pair was held at once with int64 incidence indices),
-    # so the bound leaves a margin of about half the measured rise.
+    # MiB on a 2-core Intel Xeon with numpy 2.4 (86 MiB when every candidate
+    # pair was held at once with int64 incidence indices); since csfm stopped
+    # importing scipy, the rise includes numpy.random's first import, about
+    # 5 MiB.  The bound leaves a margin of about half the measured rise.
     script = (
         "import resource\n"
         "from csfm.synth import WorldSpec, generate_world\n"
