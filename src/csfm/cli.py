@@ -140,12 +140,14 @@ def detect(graph_path, q_threshold, min_size, output):
               help="Partition of the match graph; a consistency check only.")
 @click.option("--recs", "recs_dir", required=True, type=click.Path(exists=True))
 @click.option("--seed", required=True, type=SEED)
-@click.option("--workers", default=PipelineConfig.workers, show_default=True, type=int)
+# ignored; kept only because perfbench/run.py passes it
+@click.option("--workers", hidden=True, type=int, expose_value=False)
 @click.option("-o", "--output", required=True, type=click.Path())
 @handle_errors
-def pairwise(graph_path, partition_path, recs_dir, seed, workers, output):
+def pairwise(graph_path, partition_path, recs_dir, seed, output):
     """Estimate a similarity measurement for every community pair sharing at
-    least 4 tracks, one more than RANSAC's minimal sample.
+    least 4 tracks, one more than RANSAC's minimal sample.  Pairs are
+    measured one after another, each from its own seed derived from --seed.
 
     The partition must cover the graph and hold one community per
     reconstruction; neither chooses the pairs.
@@ -158,7 +160,7 @@ def pairwise(graph_path, partition_path, recs_dir, seed, workers, output):
             f"{partition_path} has {part.community_count} communities but {recs_dir} "
             f"holds {len(recs)} reconstructions"
         )
-    _, stats = measure_graph(recs, seed, workers, output)
+    _, stats = measure_graph(recs, seed, output)
     click.echo(f"{stats['measured_pairs']} measurements over {part.community_count} communities")
 
 
@@ -250,9 +252,8 @@ def export_ply_cmd(merged_path, color_by_community, output):
 @click.option("--seed", required=True, type=SEED)
 @click.option("--q-threshold", default=DEFAULT_Q_THRESHOLD, show_default=True, type=float)
 @click.option("--min-size", default=DEFAULT_MIN_COMMUNITY_SIZE, show_default=True, type=int)
-@click.option("--workers", default=PipelineConfig.workers, show_default=True, type=int)
 @handle_errors
-def pipeline(spec_path, world_path, recs_dir, out_dir, seed, q_threshold, min_size, workers):
+def pipeline(spec_path, world_path, recs_dir, out_dir, seed, q_threshold, min_size):
     """Run every stage: detect, fracture, pairwise, average, merge, refine, eval."""
     if sum(bool(p) for p in (spec_path, world_path, recs_dir)) != 1:
         raise click.UsageError("provide exactly one of --spec, --world, or --recs")
@@ -267,7 +268,6 @@ def pipeline(spec_path, world_path, recs_dir, out_dir, seed, q_threshold, min_si
         reconstructions=recs,
         q_threshold=q_threshold,
         min_community_size=min_size,
-        workers=workers,
     )
     result = run_pipeline(config)
     for stage in result.report["stages"]:

@@ -465,11 +465,13 @@ def recursive_partition(
     leaves = []
     tally = {"cnm_runs": 0, "certified_leaves": 0, "cnm_merges": 0, "heap_pops": 0}
 
-    def split(nodes):
+    def split(nodes, parent, local):
+        """Split ``nodes`` of ``g``, which are the nodes ``local`` of the
+        subgraph ``parent``; each subgraph is cut from its parent's edges."""
         if len(nodes) < 2:
             leaves.append(nodes)
             return
-        sub = induced_subgraph(g, nodes)
+        sub = induced_subgraph(parent, local)
         if sub.edge_count == 0:
             # only possible for a single node; components are internally connected
             leaves.append(nodes)
@@ -484,10 +486,10 @@ def recursive_partition(
             leaves.append(nodes)
             return
         for group in part.communities():
-            split([nodes[v] for v in group])
+            split([nodes[v] for v in group], sub, group)
 
     for comp in connected_components(g):
-        split(comp)
+        split(comp, g, comp)
     if counts is not None:
         counts.update(tally)
 

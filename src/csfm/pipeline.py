@@ -2,17 +2,13 @@
 
 Every stage writes its artifact to the output directory so any stage can be
 re-run from disk, and a run report records per stage its wall time, the
-process's peak resident memory so far, and residual statistics.  Stages
-that fan out over independent items (pairwise measurements) use a thread
-pool with per-item seeds and a fixed reduction order, so the worker count
-never changes a numeric result.
+process's peak resident memory so far, and residual statistics.
 """
 from __future__ import annotations
 
 import logging
 import resource
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,7 +59,7 @@ class PipelineConfig:
     reconstructions: tuple | None = None
     q_threshold: float = DEFAULT_Q_THRESHOLD
     min_community_size: int = DEFAULT_MIN_COMMUNITY_SIZE
-    workers: int = 4
+    workers: int = 4  # read by nothing; kept only because perfbench/run.py passes it
 
 
 @dataclass
@@ -80,34 +76,27 @@ def pairwise_seed(base_seed: int, i: int, j: int) -> int:
     )
 
 
-def measure_pairs(recs, pairs, seed: int, workers: int = 4) -> list:
-    """RANSAC-measure each community pair; parallel, deterministic order.
+def measure_pairs(recs, pairs, seed: int) -> list:
+    """RANSAC-measure each community pair, in ascending order of the pair.
     Returns the :func:`pairwise_measurement` row of each measured pair.
 
     Pairs without enough co-visible tracks are skipped with a warning.
     """
     by_id = {r.community_id: r for r in recs}
-    pairs = sorted((min(p, q), max(p, q)) for p, q in pairs)
-
-    def one(pq):
-        p, q = pq
+    rows = []
+    for p, q in sorted((min(p, q), max(p, q)) for p, q in pairs):
         try:
-            return pairwise_measurement(by_id[p], by_id[q], seed=pairwise_seed(seed, p, q))
+            rows.append(
+                pairwise_measurement(by_id[p], by_id[q], seed=pairwise_seed(seed, p, q))
+            )
         except (ValidationError, NumericError) as exc:
             # a single failed pair is survivable as long as the measurement
             # graph stays connected; the connectivity check decides that
             log.warning("skipping pair (%d, %d): %s", p, q, exc)
-            return None
-
-    if workers > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, pairs))
-    else:
-        results = [one(pq) for pq in pairs]
-    return [m for m in results if m is not None]
+    return rows
 
 
-def measure_graph(recs, seed: int, workers: int, path):
+def measure_graph(recs, seed: int, path):
     """The pairwise stage: measure every community pair sharing at least
     ``MIN_COVISIBLE`` tracks, require the measurement graph to be connected
     and write it to ``path``; returns ``(mg, stats)``."""
@@ -115,7 +104,7 @@ def measure_graph(recs, seed: int, workers: int, path):
         (rec_a.community_id, rec_b.community_id)
         for rec_a, rec_b, _, _ in covisible_pairs(recs, MIN_COVISIBLE)
     ]
-    rows = measure_pairs(recs, pairs, seed=seed, workers=workers)
+    rows = measure_pairs(recs, pairs, seed=seed)
     mg = MeasurementGraph.from_rows(len(recs), rows)
     mg.require_connected("pairwise measurement")
     save_measurements(mg, path)
@@ -198,7 +187,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
 
     mg = runner.run(
         "pairwise",
-        lambda: measure_graph(recs, config.seed, config.workers, out / "measurements.json"),
+        lambda: measure_graph(recs, config.seed, out / "measurements.json"),
         out / "measurements.json",
     )
 

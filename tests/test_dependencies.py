@@ -58,13 +58,21 @@ def test_every_third_party_import_is_a_declared_dependency():
     assert "scipy" not in third_party
 
 
+def test_no_module_imports_a_worker_pool():
+    # csfm runs on one thread: each pair's RANSAC is small numpy calls that
+    # hold the interpreter lock, and a thread pool over the pairs gained nothing
+    assert "concurrent" not in _imported_modules()
+
+
 def test_importing_the_entry_points_loads_no_scipy():
-    # scipy costs about 0.25 s and 39 MiB per process to import; no csfm
-    # module may pull it in, directly or through another package
+    # scipy costs about 0.25 s and 39 MiB per process to import, and
+    # concurrent.futures about 5 ms; no csfm module may pull either in,
+    # directly or through another package
     script = (
         "import sys\n"
         "import csfm.cli, csfm.pipeline, csfm.synth\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')\n"
+        "             or m == 'concurrent.futures'))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,

@@ -49,7 +49,7 @@ COMMANDS = {
     "detect": ("eg.json", ["detect", "--graph", "{d}/eg.json", "-o", "{d}/p.json"]),
     "pairwise": ("partition.json", [
         "pairwise", "--graph", "{d}/eg.json", "--partition", "{d}/partition.json",
-        "--recs", "{d}", "--seed", "1", "--workers", "1", "-o", "{d}/m.json"]),
+        "--recs", "{d}", "--seed", "1", "-o", "{d}/m.json"]),
     "average": ("measurements.json", [
         "average", "--measurements", "{d}/measurements.json", "--recs", "{d}", "-o", "{d}/t.json"]),
     "merge": ("transforms.json", [
@@ -63,9 +63,9 @@ COMMANDS = {
     "export-ply": ("merged.json", ["export-ply", "--merged", "{d}/merged.json", "-o", "{d}/c.ply"]),
     "synth": ("spec.json", ["synth", "--spec", "{d}/spec.json", "--out", "{d}/w", "--seed", "1"]),
     "pipeline-recs": ("rec_1.json", [
-        "pipeline", "--recs", "{d}", "--out", "{d}/r", "--seed", "1", "--workers", "1"]),
+        "pipeline", "--recs", "{d}", "--out", "{d}/r", "--seed", "1"]),
     "pipeline-world": ("world.json", [
-        "pipeline", "--world", "{d}/world.json", "--out", "{d}/r", "--seed", "1", "--workers", "1"]),
+        "pipeline", "--world", "{d}/world.json", "--out", "{d}/r", "--seed", "1"]),
 }
 
 FUZZ = settings(
@@ -77,7 +77,7 @@ FUZZ = settings(
 def small_run(tmp_path_factory):
     run = tmp_path_factory.mktemp("small_run")
     world = generate_world(WorldSpec(seed=5, **SPEC))
-    run_pipeline(PipelineConfig(out_dir=str(run), seed=5, world=world, workers=1))
+    run_pipeline(PipelineConfig(out_dir=str(run), seed=5, world=world))
     (run / "spec.json").write_text(json.dumps(SPEC))
     return run
 
@@ -127,3 +127,6 @@ def test_command_exits_with_a_documented_code_on_a_mutated_file(small_run, comma
         result = CliRunner().invoke(main, [a.format(d=d) for a in template])
         assert result.exit_code in (0, 2, 3, 4), result.output
         assert "Traceback" not in result.output
+        # exit 2 is also click's answer to a bad command line, which would
+        # pass every draw without running the command
+        assert "No such option" not in result.output and "Usage:" not in result.output, result.output

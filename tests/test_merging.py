@@ -300,14 +300,14 @@ REFINE_WORLDS = {
 
 def averaged_world(spec):
     """The reconstructions and averaged transforms ``run_pipeline`` refines
-    on the world of ``spec`` (pairwise seed = world seed, one worker)."""
+    on the world of ``spec`` (pairwise seed = world seed)."""
     world = generate_world(spec)
     partition, _, _ = detect_communities(
         world.graph, DEFAULT_Q_THRESHOLD, DEFAULT_MIN_COMMUNITY_SIZE
     )
     recs = list(fracture(world, partition).reconstructions)
     pairs = [(a.community_id, b.community_id) for a, b, _, _ in covisible_pairs(recs, MIN_COVISIBLE)]
-    mg = MeasurementGraph.from_rows(len(recs), measure_pairs(recs, pairs, seed=spec.seed, workers=1))
+    mg = MeasurementGraph.from_rows(len(recs), measure_pairs(recs, pairs, seed=spec.seed))
     transforms, _ = average_similarities({r.community_id: r for r in recs}, mg)
     return recs, transforms
 

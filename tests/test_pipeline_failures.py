@@ -93,7 +93,7 @@ def test_pairwise_refuses_overflowing_coordinates_instead_of_hanging(tmp_path):
     # handed the result, may never return, so the command runs in a child
     # process with a timeout
     spec = WorldSpec(seed=5, camera_count=60, point_count=600, cluster_count=3, noise_sigma=1e-3)
-    run_pipeline(PipelineConfig(out_dir=str(tmp_path), seed=5, world=generate_world(spec), workers=1))
+    run_pipeline(PipelineConfig(out_dir=str(tmp_path), seed=5, world=generate_world(spec)))
     for path in tmp_path.glob("rec_*.json"):
         rec = json.loads(path.read_text())
         rec["points"] = (np.array(rec["points"]) * 1e154).tolist()
@@ -103,7 +103,7 @@ def test_pairwise_refuses_overflowing_coordinates_instead_of_hanging(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "csfm.cli", "pairwise", "--graph", str(tmp_path / "eg.json"),
          "--partition", str(tmp_path / "partition.json"), "--recs", str(tmp_path),
-         "--seed", "1", "--workers", "1", "-o", str(tmp_path / "m.json")],
+         "--seed", "1", "-o", str(tmp_path / "m.json")],
         capture_output=True, text=True, timeout=120, env=env,
     )
     assert result.returncode in (2, 4), result.stderr
