@@ -47,7 +47,7 @@ from .merging import (
     merge_reconstructions,
 )
 from .pipeline import PipelineConfig, run_pipeline
-from .reconstruction import Reconstruction, covisible
+from .reconstruction import Reconstruction, covisible_pairs, shared_tracks
 from .rotations import exp_rotation, geodesic_angle, log_rotation
 from .sim3 import Sim3
 from .synth import FractureResult, GroundTruthWorld, WorldSpec, fracture, generate_world

@@ -19,7 +19,8 @@ import numpy as np
 from .errors import DisconnectedGraphError, ValidationError
 from .jsonio import column, parsing, records, write_json
 from .l1 import solve_l1
-from .measurements import MeasurementGraph, median_offset
+from .measurements import MeasurementGraph
+from .reconstruction import shared_tracks
 from .rotations import (
     IDENTITY_QUAT,
     exp_rotation,
@@ -179,16 +180,17 @@ def recompute_pairwise_translations(
     if the drops disconnect the measurement graph that is an error.
     """
     mapped = {
-        c: (rec.track_ids, float(scales[c]) * (rec.points @ quat_to_matrix(rotations[c]).T))
+        c: float(scales[c]) * (rec.points @ quat_to_matrix(rotations[c]).T)
         for c, rec in recs.items()
     }
     keep, t = np.zeros(mg.i.size, dtype=bool), []
     for idx, (i, j) in enumerate(zip(mg.i.tolist(), mg.j.tolist())):
-        try:
-            t.append(median_offset(*mapped[i], *mapped[j]))
-            keep[idx] = True
-        except ValidationError:
+        ia, ib = shared_tracks(recs[i], recs[j])
+        if ia.size == 0:
             log.warning("dropping measurement (%d, %d): no surviving co-visible tracks", i, j)
+            continue
+        t.append(np.median(mapped[i][ia] - mapped[j][ib], axis=0))
+        keep[idx] = True
     out = MeasurementGraph(
         mg.community_count, mg.i[keep], mg.j[keep], mg.s[keep], mg.q[keep], mg.inliers[keep],
         np.reshape(t, (-1, 3)),

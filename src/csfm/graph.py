@@ -2,7 +2,11 @@
 
 Adjacency is binary for all community math; stored edge weights (inlier
 match counts) are kept for diagnostics only.  Graphs are immutable after
-construction and safe to share across threads.
+construction.
+
+A graph file is ``{"nodes": [...], "edges": [{"i", "j", "w"}, ...]}``.
+``"nodes"`` is a list of strings that is counted, not kept: its length is
+the node count, and a saved graph names its nodes ``node_<i>``.
 """
 from __future__ import annotations
 
@@ -19,7 +23,6 @@ class EpipolarGraph:
     node_count: int
     edges: np.ndarray  # (m, 2) int, each row an unordered pair i < j
     weights: np.ndarray  # (m,) positive int match counts, 1 when unknown
-    node_labels: tuple = ()
 
     def __post_init__(self):
         n = int(self.node_count)
@@ -48,13 +51,9 @@ class EpipolarGraph:
             edges = np.column_stack([lo, hi])
             if np.any(weights <= 0):
                 raise ValidationError("edge weights must be strictly positive")
-        labels = tuple(self.node_labels) if self.node_labels else tuple(f"node_{i}" for i in range(n))
-        if len(labels) != n:
-            raise ValidationError("node label count differs from node count")
         object.__setattr__(self, "node_count", n)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "node_labels", labels)
 
     @property
     def edge_count(self) -> int:
@@ -85,7 +84,6 @@ def induced_subgraph(g: EpipolarGraph, nodes) -> EpipolarGraph:
         node_count=nodes.size,
         edges=remap[g.edges[keep]],
         weights=g.weights[keep],
-        node_labels=tuple(g.node_labels[v] for v in nodes.tolist()),
     )
 
 
@@ -126,7 +124,7 @@ def connected_components(g: EpipolarGraph) -> list:
 
 
 def load_graph(source) -> EpipolarGraph:
-    """Parse and validate a graph file (see :func:`save_graph` for the schema).
+    """Parse and validate a graph file (the module docstring gives the schema).
 
     ``source`` is a file-like object or a path.  All structural violations
     (self-loop, duplicate unordered pair, endpoint out of range, bad weight)
@@ -143,13 +141,12 @@ def load_graph(source) -> EpipolarGraph:
         node_count=len(nodes),
         edges=np.column_stack(ends),
         weights=weights,
-        node_labels=tuple(nodes),
     )
 
 
 def graph_to_json(g: EpipolarGraph) -> dict:
     return {
-        "nodes": list(g.node_labels),
+        "nodes": [f"node_{i}" for i in range(g.node_count)],
         "edges": [
             {"i": i, "j": j, "w": w} for (i, j), w in zip(g.edges.tolist(), g.weights.tolist())
         ],

@@ -22,11 +22,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .alignment import MIN_SAMPLE, ransac_similarity
+from .alignment import MIN_SAMPLE, CorrespondenceSet, ransac_similarity
 from .errors import DisconnectedGraphError, ValidationError
 from .graph import component_labels
 from .jsonio import column, parsing, records, write_json
-from .reconstruction import Reconstruction, covisible
 from .rotations import quat_canonical, quat_conjugate
 
 # One track beyond RANSAC's minimal sample, so some track can vote against
@@ -118,41 +117,24 @@ def _first_fault(*checks):
         raise ValidationError(checks[int(np.argmax(faults[:, r]))][1](r))
 
 
-def pairwise_measurement(rec_i: Reconstruction, rec_j: Reconstruction, seed: int = 0) -> tuple:
-    """Estimate the similarity between two communities from co-visible points.
+def pairwise_measurement(pair, seed: int = 0) -> tuple:
+    """Estimate the similarity between two communities from their shared tracks.
 
+    ``pair`` is a :func:`~csfm.reconstruction.covisible_pairs` entry
+    ``(rec_i, rec_j, ia, ib)``, ends in ascending order of community id.
     Runs RANSAC on the frame-i -> frame-j correspondences and returns the
-    pair's row ``(i, j, s_ij, r_ij, inliers)``, ends in ascending order.  The
-    scale is the fit's as-is (it already equals ``s_i / s_j``) and the
-    rotation its transpose, so it composes as ``R_i^T R_j`` of the
-    per-community alignment rotations.  The row holds no translation; that is
-    recomputed after scales and rotations are averaged.
+    pair's row ``(i, j, s_ij, r_ij, inliers)``.  The scale is the fit's as-is
+    (it already equals ``s_i / s_j``) and the rotation its transpose, so it
+    composes as ``R_i^T R_j`` of the per-community alignment rotations.  The
+    row holds no translation; that is recomputed after scales and rotations
+    are averaged.
     """
-    if rec_i.community_id == rec_j.community_id:
-        raise ValidationError("pairwise measurement needs two distinct communities")
-    if rec_i.community_id > rec_j.community_id:
-        rec_i, rec_j = rec_j, rec_i
-    corr = covisible(rec_i, rec_j)
-    if len(corr) < MIN_COVISIBLE:
-        raise ValidationError(
-            f"communities {rec_i.community_id} and {rec_j.community_id} share only "
-            f"{len(corr)} tracks; need at least {MIN_COVISIBLE}"
-        )
+    rec_i, rec_j, ia, ib = pair
+    corr = CorrespondenceSet(
+        track_ids=rec_i.track_ids[ia], points_a=rec_i.points[ia], points_b=rec_j.points[ib]
+    )
     sim, inlier_ids = ransac_similarity(corr, seed=seed)
     return rec_i.community_id, rec_j.community_id, sim.s, quat_conjugate(sim.q), len(inlier_ids)
-
-
-def median_offset(tracks_i, points_i, tracks_j, points_j) -> np.ndarray:
-    """Translation offset between two scale/rotation-aligned point sets,
-    given as track ids (unique, sorted) and their aligned points.
-
-    Component-wise median of ``X'_i - X'_j`` over co-visible tracks, which
-    estimates ``T_j - T_i`` and shrugs off a minority of corrupted tracks.
-    """
-    _, ia, ib = np.intersect1d(tracks_i, tracks_j, assume_unique=True, return_indices=True)
-    if ia.size == 0:
-        raise ValidationError("no co-visible tracks; translation unobservable")
-    return np.median(points_i[ia] - points_j[ib], axis=0)
 
 
 def measurements_to_json(mg: MeasurementGraph) -> list:

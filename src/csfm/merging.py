@@ -27,6 +27,7 @@ from .reconstruction import (
     covisible_pairs,
     points_from_json,
     points_to_json,
+    shared_tracks,
 )
 from .rotations import (
     exp_rotation,
@@ -325,10 +326,8 @@ def evaluate_against_truth(model: MergedModel, truth: Reconstruction) -> dict:
         truth.camera_rotations[it],
     )
 
-    shared, ipm, ipt = np.intersect1d(
-        model.track_ids, truth.track_ids, assume_unique=True, return_indices=True
-    )
-    if shared.size:
+    ipm, ipt = shared_tracks(model, truth)
+    if ipm.size:
         pts_aligned = align.apply(model.points[ipm])
         point_rmse = float(
             np.sqrt(np.mean(np.sum((pts_aligned - truth.points[ipt]) ** 2, axis=1)))
@@ -338,7 +337,7 @@ def evaluate_against_truth(model: MergedModel, truth: Reconstruction) -> dict:
 
     return {
         "n_cameras": int(common.size),
-        "n_shared_tracks": int(shared.size),
+        "n_shared_tracks": int(ipm.size),
         "median_center_error": float(np.median(center_err)),
         "rmse_center_error": float(np.sqrt(np.mean(center_err**2))),
         "median_rotation_error_rad": float(np.median(rot_err)),

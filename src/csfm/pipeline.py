@@ -76,19 +76,17 @@ def pairwise_seed(base_seed: int, i: int, j: int) -> int:
     )
 
 
-def measure_pairs(recs, pairs, seed: int) -> list:
-    """RANSAC-measure each community pair, in ascending order of the pair.
+def measure_pairs(pairs, seed: int) -> list:
+    """RANSAC-measure each :func:`covisible_pairs` entry, in the given order.
     Returns the :func:`pairwise_measurement` row of each measured pair.
 
-    Pairs without enough co-visible tracks are skipped with a warning.
+    Pairs whose fit fails are skipped with a warning.
     """
-    by_id = {r.community_id: r for r in recs}
     rows = []
-    for p, q in sorted((min(p, q), max(p, q)) for p, q in pairs):
+    for pair in pairs:
+        p, q = pair[0].community_id, pair[1].community_id
         try:
-            rows.append(
-                pairwise_measurement(by_id[p], by_id[q], seed=pairwise_seed(seed, p, q))
-            )
+            rows.append(pairwise_measurement(pair, seed=pairwise_seed(seed, p, q)))
         except (ValidationError, NumericError) as exc:
             # a single failed pair is survivable as long as the measurement
             # graph stays connected; the connectivity check decides that
@@ -99,16 +97,19 @@ def measure_pairs(recs, pairs, seed: int) -> list:
 def measure_graph(recs, seed: int, path):
     """The pairwise stage: measure every community pair sharing at least
     ``MIN_COVISIBLE`` tracks, require the measurement graph to be connected
-    and write it to ``path``; returns ``(mg, stats)``."""
-    pairs = [
-        (rec_a.community_id, rec_b.community_id)
-        for rec_a, rec_b, _, _ in covisible_pairs(recs, MIN_COVISIBLE)
-    ]
-    rows = measure_pairs(recs, pairs, seed=seed)
+    and write it to ``path``; returns ``(mg, stats)``, the stats counting
+    the shared tracks of each measured pair in row order."""
+    pairs = covisible_pairs(recs, MIN_COVISIBLE)
+    rows = measure_pairs(pairs, seed=seed)
     mg = MeasurementGraph.from_rows(len(recs), rows)
     mg.require_connected("pairwise measurement")
     save_measurements(mg, path)
-    return mg, {"measured_pairs": len(rows), "candidate_pairs": len(pairs)}
+    shared = {(a.community_id, b.community_id): ia.size for a, b, ia, _ in pairs}
+    return mg, {
+        "measured_pairs": len(rows),
+        "candidate_pairs": len(pairs),
+        "shared_tracks": [shared[i, j] for i, j, *_ in rows],
+    }
 
 
 class _StageRunner:

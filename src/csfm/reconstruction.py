@@ -2,7 +2,7 @@
 
 Camera rotations are world-to-camera; centers live in the community's local
 frame.  Track ids are global, which is what makes cross-community joins
-(:func:`covisible`) possible.
+(:func:`shared_tracks`) possible.
 
 The point-cloud layout every artifact shares is defined here: cameras as
 ``{"id", "q", "c"}`` records and points as aligned ``"tracks"`` and
@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .alignment import CorrespondenceSet
 from .errors import ValidationError
 from .jsonio import as_column, column, parsing, records, scalar, write_json
 from .rotations import quat_canonical
@@ -78,28 +77,26 @@ def _sorting_order(ids: np.ndarray, what: str):
     return order
 
 
-def covisible(rec_a: Reconstruction, rec_b: Reconstruction) -> CorrespondenceSet:
-    """Join the two point sets on global track id, ordered by track id."""
-    common, ia, ib = np.intersect1d(
+def shared_tracks(rec_a, rec_b) -> tuple:
+    """Indices ``(ia, ib)`` of the tracks two reconstructions (or a merged
+    model and a reconstruction) share, in ascending track id:
+    ``rec_a.track_ids[ia] == rec_b.track_ids[ib]``."""
+    _, ia, ib = np.intersect1d(
         rec_a.track_ids, rec_b.track_ids, assume_unique=True, return_indices=True
     )
-    return CorrespondenceSet(
-        track_ids=common, points_a=rec_a.points[ia], points_b=rec_b.points[ib]
-    )
+    return ia, ib
 
 
 def covisible_pairs(recs, min_shared: int = 1) -> list:
     """Every community pair sharing at least ``min_shared`` tracks, ordered by
-    community id, as ``(rec_a, rec_b, ia, ib)`` with ``ia``/``ib`` indexing
-    the shared tracks."""
+    community id, as ``(rec_a, rec_b, ia, ib)`` with ``ia``/``ib`` the
+    :func:`shared_tracks` of the pair."""
     recs = sorted(recs, key=lambda r: r.community_id)
     pairs = []
     for a in range(len(recs)):
         for b in range(a + 1, len(recs)):
-            common, ia, ib = np.intersect1d(
-                recs[a].track_ids, recs[b].track_ids, assume_unique=True, return_indices=True
-            )
-            if common.size >= min_shared:
+            ia, ib = shared_tracks(recs[a], recs[b])
+            if ia.size >= min_shared:
                 pairs.append((recs[a], recs[b], ia, ib))
     return pairs
 

@@ -15,6 +15,7 @@ from csfm.graph import (
     degree_histogram,
     induced_subgraph,
     load_graph,
+    save_graph,
 )
 
 from helpers import (
@@ -35,8 +36,18 @@ class TestLoadGraph:
         g = load_graph(graph_bytes(["a", "b", "c"], [{"i": 0, "j": 1}, {"i": 1, "j": 2, "w": 7}]))
         assert g.node_count == 3
         assert g.edge_count == 2
-        assert g.node_labels == ("a", "b", "c")
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
         assert list(g.weights) == [1, 7]
+
+    @pytest.mark.parametrize("nodes", ["abc", ["a", 1], None])
+    def test_nodes_must_be_a_list_of_strings(self, nodes):
+        with pytest.raises(ValidationError, match="list of strings"):
+            load_graph(graph_bytes(nodes, []))
+
+    def test_node_names_are_counted_not_kept(self, tmp_path):
+        g = load_graph(graph_bytes(["a", "b", "c"], [{"i": 0, "j": 2}]))
+        save_graph(g, tmp_path / "g.json")
+        assert json.loads((tmp_path / "g.json").read_text())["nodes"] == ["node_0", "node_1", "node_2"]
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValidationError, match="self-loop"):
@@ -116,14 +127,14 @@ class TestInducedSubgraph:
         sub = induced_subgraph(g, {0, 1, 2})
         assert sub.node_count == 3
         assert sub.edge_count == 3
-        assert sub.node_labels == ("node_0", "node_1", "node_2")
+        assert sub.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
 
     def test_path_ends_only(self):
         g = make_graph(3, [(0, 1), (1, 2)])
         sub = induced_subgraph(g, {0, 2})
         assert sub.node_count == 2
         assert sub.edge_count == 0
-        assert sub.node_labels == ("node_0", "node_2")
+        assert sub.edges.shape == (0, 2)
 
     def test_identity(self):
         g = make_graph(5, [(0, 1), (1, 2), (3, 4)])

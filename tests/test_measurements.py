@@ -1,9 +1,14 @@
+import json
+import logging
+
 import numpy as np
 import pytest
 
-from csfm.errors import ValidationError
-from csfm.measurements import MeasurementGraph, median_offset, pairwise_measurement
-from csfm.reconstruction import Reconstruction, covisible
+from csfm.averaging import recompute_pairwise_translations
+from csfm.errors import DisconnectedGraphError, ValidationError
+from csfm.measurements import MIN_COVISIBLE, MeasurementGraph, pairwise_measurement
+from csfm.pipeline import measure_graph
+from csfm.reconstruction import Reconstruction, covisible_pairs, shared_tracks
 from csfm.rotations import (
     IDENTITY_QUAT,
     geodesic_angle,
@@ -42,11 +47,17 @@ def fractured_pair(rng, n_shared=40):
     return rec0, rec1, f0, f1
 
 
+def measure(rec_a, rec_b, seed):
+    """The :func:`pairwise_measurement` row of two communities' one candidate pair."""
+    (pair,) = covisible_pairs([rec_a, rec_b], MIN_COVISIBLE)
+    return pairwise_measurement(pair, seed=seed)
+
+
 class TestPairwiseMeasurement:
     def test_identical_reconstructions(self):
         rng = np.random.default_rng(0)
         pts = rng.uniform(-3, 3, size=(20, 3))
-        row = pairwise_measurement(make_rec(0, range(20), pts), make_rec(1, range(20), pts), seed=1)
+        row = measure(make_rec(0, range(20), pts), make_rec(1, range(20), pts), seed=1)
         _, _, s_ij, r_ij, inliers = row
         assert s_ij == pytest.approx(1.0, abs=1e-9)
         assert geodesic_angle(r_ij, IDENTITY_QUAT) < 1e-9
@@ -57,19 +68,24 @@ class TestPairwiseMeasurement:
         # rec 0 holds all points doubled: the frame-0 -> frame-1 map halves
         rng = np.random.default_rng(1)
         pts = rng.uniform(-3, 3, size=(15, 3))
-        _, _, s_ij, _, _ = pairwise_measurement(
+        _, _, s_ij, _, _ = measure(
             make_rec(0, range(15), 2.0 * pts), make_rec(1, range(15), pts), seed=2
         )
         assert s_ij == pytest.approx(0.5, abs=1e-9)
 
-    def test_too_few_shared_tracks(self):
+    def test_too_few_shared_tracks(self, tmp_path):
+        # a pair sharing one track fewer than MIN_COVISIBLE is no candidate,
+        # so the pairwise stage measures nothing and reports the graph split
         rng = np.random.default_rng(2)
-        with pytest.raises(ValidationError, match="share only"):
-            pairwise_measurement(
-                make_rec(0, [0, 1], rng.normal(size=(2, 3))),
-                make_rec(1, [1, 2], rng.normal(size=(2, 3))),
-                seed=0,
-            )
+        n = MIN_COVISIBLE - 1
+        recs = [
+            make_rec(0, range(n), rng.normal(size=(n, 3))),
+            make_rec(1, range(n + 1), rng.normal(size=(n + 1, 3))),
+        ]
+        assert [ia.size for _, _, ia, _ in covisible_pairs(recs)] == [n]
+        assert covisible_pairs(recs, MIN_COVISIBLE) == []
+        with pytest.raises(DisconnectedGraphError, match="pairwise"):
+            measure_graph(recs, 0, tmp_path / "measurements.json")
 
     def test_matches_planted_relative_transform(self):
         # zero noise: the measured scale must equal the planted scale ratio
@@ -77,30 +93,43 @@ class TestPairwiseMeasurement:
         rng = np.random.default_rng(3)
         for _ in range(10):
             rec0, rec1, f0, f1 = fractured_pair(rng)
-            _, _, s_ij, r_ij, _ = pairwise_measurement(rec0, rec1, seed=5)
+            _, _, s_ij, r_ij, _ = measure(rec0, rec1, seed=5)
             assert s_ij == pytest.approx(f0.s / f1.s, rel=1e-6)
             expected_r = quat_multiply(quat_conjugate(f0.q), f1.q)
             assert geodesic_angle(r_ij, expected_r) < 1e-6
 
-    def test_swapped_arguments_canonicalized(self):
+    def test_swapped_arguments_canonicalized(self, tmp_path):
         rng = np.random.default_rng(4)
         rec0, rec1, _, _ = fractured_pair(rng)
-        i, j, _, _, _ = pairwise_measurement(rec1, rec0, seed=7)
+        i, j, _, _, _ = measure(rec1, rec0, seed=7)
         assert (i, j) == (0, 1)
+        measure_graph([rec1, rec0], 7, tmp_path / "measurements.json")
+        rows = json.loads((tmp_path / "measurements.json").read_text())
+        assert [(r["i"], r["j"]) for r in rows] == [(0, 1)]
+
+
+def recomputed_offset(tracks_0, points_0, tracks_1, points_1):
+    """The translation ``recompute_pairwise_translations`` gives the one pair
+    (0, 1) of two communities at unit scales and identity rotations."""
+    recs = {0: make_rec(0, tracks_0, points_0), 1: make_rec(1, tracks_1, points_1)}
+    mg = MeasurementGraph.from_rows(2, [(0, 1, 1.0, IDENTITY_QUAT, 0)])
+    return recompute_pairwise_translations(
+        recs, np.ones(2), np.tile(IDENTITY_QUAT, (2, 1)), mg
+    ).t[0]
 
 
 class TestRecomputeTranslation:
     def test_identical_points_zero(self):
         rng = np.random.default_rng(5)
         pts = rng.normal(size=(8, 3))
-        t = median_offset(np.arange(8), pts, np.arange(8), pts)
+        t = recomputed_offset(np.arange(8), pts, np.arange(8), pts)
         assert np.allclose(t, 0.0, atol=1e-15)
 
     def test_constant_offset(self):
         # the second set is the first shifted by -(1,2,3): offset estimate is +(1,2,3)
         rng = np.random.default_rng(6)
         pts = rng.normal(size=(9, 3))
-        t = median_offset(np.arange(9), pts, np.arange(9), pts - np.array([1.0, 2.0, 3.0]))
+        t = recomputed_offset(np.arange(9), pts, np.arange(9), pts - np.array([1.0, 2.0, 3.0]))
         assert np.allclose(t, [1.0, 2.0, 3.0], atol=1e-12)
 
     def test_median_ignores_single_corruption(self):
@@ -108,15 +137,15 @@ class TestRecomputeTranslation:
         pts = rng.normal(size=(11, 3))
         shifted = pts - np.array([1.0, 2.0, 3.0])
         shifted[4] += 500.0
-        t = median_offset(np.arange(11), pts, np.arange(11), shifted)
+        t = recomputed_offset(np.arange(11), pts, np.arange(11), shifted)
         assert np.allclose(t, [1.0, 2.0, 3.0], atol=1e-12)
 
-    def test_no_shared_tracks(self):
+    def test_no_shared_tracks(self, caplog):
+        # the row is dropped, which leaves the two communities unlinked
         rng = np.random.default_rng(8)
-        with pytest.raises(ValidationError):
-            median_offset(
-                np.array([0]), rng.normal(size=(1, 3)), np.array([1]), rng.normal(size=(1, 3))
-            )
+        with caplog.at_level(logging.WARNING), pytest.raises(DisconnectedGraphError):
+            recomputed_offset([0], rng.normal(size=(1, 3)), [1], rng.normal(size=(1, 3)))
+        assert "dropping measurement (0, 1)" in caplog.text
 
 
 class TestMeasurementGraph:
@@ -203,25 +232,25 @@ def test_table_checks_match_the_record_checks(seed):
 class TestCovisible:
     def test_disjoint_tracks_empty(self):
         rng = np.random.default_rng(9)
-        c = covisible(
+        ia, ib = shared_tracks(
             make_rec(0, [0, 1], rng.normal(size=(2, 3))), make_rec(1, [2, 3], rng.normal(size=(2, 3)))
         )
-        assert len(c) == 0
+        assert ia.size == ib.size == 0
 
     def test_identical_all_paired(self):
         rng = np.random.default_rng(10)
         pts = rng.normal(size=(6, 3))
-        c = covisible(make_rec(0, range(6), pts), make_rec(1, range(6), pts))
-        assert len(c) == 6
-        assert np.allclose(c.points_a, c.points_b)
+        rec0, rec1 = make_rec(0, range(6), pts), make_rec(1, range(6), pts)
+        ia, ib = shared_tracks(rec0, rec1)
+        assert ia.size == 6
+        assert np.allclose(rec0.points[ia], rec1.points[ib])
 
     def test_order_stable_by_track_id(self):
         rng = np.random.default_rng(11)
-        c = covisible(
-            make_rec(0, [5, 9, 2], rng.normal(size=(3, 3))),
-            make_rec(1, [9, 2, 7], rng.normal(size=(3, 3))),
-        )
-        assert list(c.track_ids) == [2, 9]
+        rec0 = make_rec(0, [5, 9, 2], rng.normal(size=(3, 3)))
+        rec1 = make_rec(1, [9, 2, 7], rng.normal(size=(3, 3)))
+        ia, ib = shared_tracks(rec0, rec1)
+        assert list(rec0.track_ids[ia]) == list(rec1.track_ids[ib]) == [2, 9]
 
 
 def id_column(rng, high, layout):

@@ -306,8 +306,8 @@ def averaged_world(spec):
         world.graph, DEFAULT_Q_THRESHOLD, DEFAULT_MIN_COMMUNITY_SIZE
     )
     recs = list(fracture(world, partition).reconstructions)
-    pairs = [(a.community_id, b.community_id) for a, b, _, _ in covisible_pairs(recs, MIN_COVISIBLE)]
-    mg = MeasurementGraph.from_rows(len(recs), measure_pairs(recs, pairs, seed=spec.seed))
+    rows = measure_pairs(covisible_pairs(recs, MIN_COVISIBLE), seed=spec.seed)
+    mg = MeasurementGraph.from_rows(len(recs), rows)
     transforms, _ = average_similarities({r.community_id: r for r in recs}, mg)
     return recs, transforms
 

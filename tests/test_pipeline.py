@@ -12,13 +12,19 @@ from click.testing import CliRunner
 
 from csfm import jsonio, l1
 from csfm.alignment import MIN_SAMPLE
-from csfm.averaging import averaging_residuals, load_transforms
+from csfm.averaging import averaging_residuals, load_transforms, recompute_pairwise_translations
 from csfm.cli import main
-from csfm.community import build_community_graph, load_partition
+from csfm.community import (
+    DEFAULT_MIN_COMMUNITY_SIZE,
+    DEFAULT_Q_THRESHOLD,
+    build_community_graph,
+    detect_communities,
+    load_partition,
+)
 from csfm.errors import ValidationError
 from csfm.measurements import load_measurements
 from csfm.merging import load_merged, merged_to_json, save_merged
-from csfm.pipeline import DATA_ARTIFACTS, PipelineConfig, run_pipeline
+from csfm.pipeline import DATA_ARTIFACTS, PipelineConfig, measure_graph, run_pipeline
 from csfm.reconstruction import (
     Reconstruction,
     covisible_pairs,
@@ -331,9 +337,11 @@ def test_every_entry_point_measures_the_pairs_that_share_tracks(tmp_path):
     pairs = measured_pairs(run / "measurements.json")
     assert pairs == [(0, 1), (0, 3), (1, 2), (2, 3)]
     stats = {s["name"]: s["stats"] for s in res.report["stages"]}
-    assert stats["pairwise"] == {"measured_pairs": 4, "candidate_pairs": 4}
-
     recs = tuple(fracture(world, res.partition).reconstructions)
+    shared = {(a.community_id, b.community_id): ia.size for a, b, ia, _ in covisible_pairs(recs)}
+    assert stats["pairwise"] == {"measured_pairs": 4, "candidate_pairs": 4,
+                                 "shared_tracks": [shared[p] for p in pairs]}
+
     from_recs = tmp_path / "from_recs"
     run_pipeline(PipelineConfig(out_dir=str(from_recs), seed=25, reconstructions=recs))
     assert (from_recs / "measurements.json").read_bytes() == (run / "measurements.json").read_bytes()
@@ -358,6 +366,45 @@ def test_a_pair_sharing_only_a_minimal_sample_is_not_measured(tmp_path):
     assert shared[(0, 3)] == MIN_SAMPLE
     assert measured_pairs(tmp_path / "measurements.json") == [(0, 1), (1, 2), (2, 3)]
     assert res.evaluation["merged"]["median_center_error"] < 0.0025
+
+
+def test_each_community_pair_is_joined_once(tmp_path, monkeypatch):
+    # the pairwise stage joins each of the K(K-1)/2 community pairs once and
+    # hands a candidate's shared tracks on to its measurement; the
+    # translation recompute joins each measured row once
+    world = generate_world(WorldSpec(**BENCH_WORLDS["staged-cli"], seed=0))
+    partition, _, _ = detect_communities(
+        world.graph, DEFAULT_Q_THRESHOLD, DEFAULT_MIN_COMMUNITY_SIZE
+    )
+    recs = list(fracture(world, partition).reconstructions)
+    joins = []
+    intersect1d = np.intersect1d
+
+    def counted(*args, **kwargs):
+        joins.append(args)
+        return intersect1d(*args, **kwargs)
+
+    monkeypatch.setattr(np, "intersect1d", counted)
+    k = len(recs)
+    mg, stats = measure_graph(recs, 0, tmp_path / "measurements.json")
+    assert len(joins) == k * (k - 1) // 2
+    assert 0 < stats["candidate_pairs"] < len(joins)
+    joins.clear()
+    recompute_pairwise_translations(
+        {r.community_id: r for r in recs}, np.ones(k), np.tile(IDENTITY_QUAT, (k, 1)), mg
+    )
+    assert len(joins) == mg.i.size > 0
+
+
+def test_pairwise_stats_count_the_tracks_each_measured_pair_shares(pipeline_run):
+    # with the counts, each pair's inlier ratio reads from the artifacts alone
+    report = json.loads((pipeline_run / "report.json").read_text())
+    counts = {s["name"]: s["stats"] for s in report["stages"]}["pairwise"]["shared_tracks"]
+    rows = json.loads((pipeline_run / "measurements.json").read_text())
+    recs = [load_reconstruction(p) for p in sorted(pipeline_run.glob("rec_*.json"))]
+    shared = {(a.community_id, b.community_id): ia.size for a, b, ia, _ in covisible_pairs(recs)}
+    assert counts == [shared[r["i"], r["j"]] for r in rows]
+    assert all(n >= r["inliers"] for n, r in zip(counts, rows))
 
 
 def test_eval_stage_reports_merged_and_refined_errors(pipeline_run):

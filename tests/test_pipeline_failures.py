@@ -10,9 +10,9 @@ import pytest
 
 import csfm
 from csfm.errors import DisconnectedGraphError, ValidationError
-from csfm.measurements import MeasurementGraph
+from csfm.measurements import MIN_COVISIBLE, MeasurementGraph
 from csfm.pipeline import PipelineConfig, measure_pairs, pairwise_seed, run_pipeline
-from csfm.reconstruction import Reconstruction
+from csfm.reconstruction import Reconstruction, covisible_pairs
 from csfm.rotations import IDENTITY_QUAT, random_quat
 from csfm.synth import WorldSpec, generate_world
 
@@ -31,9 +31,9 @@ def rec_of(cid, tracks, points, rng):
     )
 
 
-def test_sick_pair_skipped_when_graph_stays_connected(caplog):
-    # communities 0-1 and 1-2 share plenty of clean tracks; 0-2 share only
-    # collinear points, so its estimate fails and the pair is dropped
+def sick_pair_recs():
+    """Communities 0-1 and 1-2 share plenty of clean tracks (40 and 30); 0-2
+    share only 4 collinear points, so its estimate fails."""
     rng = np.random.default_rng(0)
     world = rng.uniform(-5, 5, size=(40, 3))
     f = [random_sim3(rng) for _ in range(3)]
@@ -51,12 +51,24 @@ def test_sick_pair_skipped_when_graph_stays_connected(caplog):
                      np.vstack([f[1].inverse().apply(world), f[1].inverse().apply(shared12)]), rng)
     recs[2] = rec_of(2, np.concatenate([np.arange(100, 104), np.arange(200, 230)]),
                      np.vstack([line, f[2].inverse().apply(shared12)]), rng)
+    return recs
 
-    meas = measure_pairs(recs, [(0, 1), (1, 2), (0, 2)], seed=3)
-    pairs = {(i, j) for i, j, _, _, _ in meas}
-    assert pairs == {(0, 1), (1, 2)}
+
+def test_sick_pair_skipped_when_graph_stays_connected():
+    candidates = covisible_pairs(sick_pair_recs(), MIN_COVISIBLE)
+    assert [(a.community_id, b.community_id) for a, b, _, _ in candidates] == [(0, 1), (0, 2), (1, 2)]
+    meas = measure_pairs(candidates, seed=3)
+    assert [(i, j) for i, j, _, _, _ in meas] == [(0, 1), (1, 2)]
     mg = MeasurementGraph.from_rows(3, meas)
     assert mg.is_connected
+
+
+def test_shared_track_counts_follow_the_measured_rows(tmp_path, caplog):
+    # the skipped pair has no row, so it has no count either
+    res = run_pipeline(PipelineConfig(out_dir=str(tmp_path), seed=3, reconstructions=sick_pair_recs()))
+    assert "skipping pair (0, 2)" in caplog.text
+    stats = {s["name"]: s["stats"] for s in res.report["stages"]}["pairwise"]
+    assert stats == {"measured_pairs": 2, "candidate_pairs": 3, "shared_tracks": [40, 30]}
 
 
 def test_pairwise_seed_is_order_independent():

@@ -17,10 +17,10 @@ from csfm.community import Partition, best_partition, recursive_partition
 from csfm.errors import ValidationError
 from csfm.graph import EpipolarGraph, save_graph
 from csfm.jsonio import write_json
-from csfm.measurements import MeasurementGraph
+from csfm.measurements import MIN_COVISIBLE, MeasurementGraph
 from csfm.merging import evaluate_against_truth, merge_reconstructions
-from csfm.pipeline import measure_pairs
-from csfm.reconstruction import covisible
+from csfm.pipeline import PipelineConfig, measure_pairs, run_pipeline
+from csfm.reconstruction import covisible_pairs, shared_tracks
 from csfm.sim3 import Sim3
 from csfm.synth import (
     _CAMERA_BLOCK,
@@ -467,7 +467,7 @@ class TestCovisibleCounts:
                 seen_a = visible[np.flatnonzero(part.assignment == a)].sum(axis=0) >= 2
                 seen_b = visible[np.flatnonzero(part.assignment == b)].sum(axis=0) >= 2
                 expected = int(np.sum(seen_a & seen_b))
-                got = len(covisible(fr.reconstructions[a], fr.reconstructions[b]))
+                got = shared_tracks(fr.reconstructions[a], fr.reconstructions[b])[0].size
                 assert got == expected
 
 
@@ -478,13 +478,7 @@ def test_end_to_end_identity_round_trip():
     part = recursive_partition(world.graph)
     fr = fracture(world, part, transforms=[Sim3()] * part.community_count)
     recs = list(fr.reconstructions)
-    pairs = [
-        (a.community_id, b.community_id)
-        for i, a in enumerate(recs)
-        for b in recs[i + 1 :]
-        if len(covisible(a, b)) >= 3
-    ]
-    meas = measure_pairs(recs, pairs, seed=0)
+    meas = measure_pairs(covisible_pairs(recs, MIN_COVISIBLE), seed=0)
     mg = MeasurementGraph.from_rows(len(recs), meas)
     transforms, _ = average_similarities({r.community_id: r for r in recs}, mg)
     model = merge_reconstructions(recs, transforms)
@@ -538,6 +532,37 @@ def test_match_graph_files_are_pinned(tmp_path):
         save_graph(world.graph, tmp_path / "eg.json")
         assert hashlib.sha256((tmp_path / "eg.json").read_bytes()).hexdigest() == digest, (
             workload, seed)
+
+
+# sha256 of the pairwise and averaging artifacts of run_pipeline on each
+# spec at seed 0, recorded before the pairwise stage and the translation
+# recompute shared one track join.  They match at one BLAS thread and at the
+# default count; the refine outputs do not, so they are not pinned.
+PINNED_PIPELINE_ARTIFACTS = {
+    "large-graph": {
+        "measurements.json": "a5938b8b69d208cde69fe51956d1c21f1e49302869b5a5c21c7f1ca103a72580",
+        "measurements_with_t.json": "331d05cab844cdf9cdc9cf8f0520135a929eb861c619ecfc433e353a97a874c0",
+        "transforms.json": "9ce9f4ea3526f25c6d833c8ee2e9e0b0fe1939de47d2c1ce801fe37ce496fa88",
+    },
+    "dense-points": {
+        "measurements.json": "8b0a1846c21b1a8fcca2365e3e570de68f2826f76b135e00e3e3e7dc72d71f9f",
+        "measurements_with_t.json": "9056b55ddf8df0c4f25d5c779dbdca86608eaf5a52669f002f1f8755e9abf06d",
+        "transforms.json": "6b2963af43cd6b5e844cd27a9751f7d9a8042f7ab2c175f70cc94282a1f9f2e3",
+    },
+    "staged-cli": {
+        "measurements.json": "7d5af9e5ac7494e145c9f7a7d225392fd4eeddc3830e03695884254f9284b1ff",
+        "measurements_with_t.json": "9b04bdf02b2b54ed60931ebd958e6b23910ffee0c94ab71f0d1b75c0ab9e9295",
+        "transforms.json": "812d50f8c9ca399b97b2b3127d742e5d9575eb3b21ccad8864ea225d99c33ae4",
+    },
+}
+
+
+@pytest.mark.parametrize("workload", sorted(PINNED_PIPELINE_ARTIFACTS))
+def test_pairwise_and_averaging_files_are_pinned(tmp_path, workload):
+    world = generate_world(WorldSpec(**PERFBENCH_SPECS[workload], seed=0))
+    run_pipeline(PipelineConfig(out_dir=str(tmp_path), seed=0, world=world))
+    for name, digest in PINNED_PIPELINE_ARTIFACTS[workload].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def _assert_matches_the_scipy_oracle(world, tmp_path):
