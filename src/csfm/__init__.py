@@ -9,7 +9,7 @@ truth for testing and benchmarks.
 """
 __version__ = "0.1.0"
 
-from .alignment import CorrespondenceSet, horn_similarity, ransac_similarity
+from .alignment import horn_similarity, ransac_similarity
 from .averaging import (
     average_rotations,
     average_scales,

@@ -1,6 +1,9 @@
 """Closed-form similarity alignment of 3D point sets, plus RANSAC.
 
-The closed form (Horn 1987; Umeyama 1991) recovers the ``(s, R, t)``
+Every function takes the correspondences as two ``(n, 3)`` arrays
+``points_a`` and ``points_b``, paired by row; :func:`ransac_similarity`
+returns its consensus set as ascending row positions into them.  The
+closed form (Horn 1987; Umeyama 1991) recovers the ``(s, R, t)``
 minimizing ``sum_k |B_k - (s R A_k + t)|^2``: rotation from the SVD of the
 centered cross-covariance, scale from the RMS-deviation ratio, translation
 from the centroids.  It has one implementation, :func:`_fit_samples`, on
@@ -9,8 +12,6 @@ RANSAC fits whole batches of 3-point minimal samples with it before
 refitting the best consensus set with :func:`horn_similarity`.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,80 +37,73 @@ _REFUSALS = {
 }
 
 
-@dataclass(frozen=True)
-class CorrespondenceSet:
-    """Paired 3D points sharing track ids across two frames."""
-
-    track_ids: np.ndarray
-    points_a: np.ndarray
-    points_b: np.ndarray
-
-    def __post_init__(self):
-        ids = np.asarray(self.track_ids, dtype=np.int64).reshape(-1)
-        pa = np.asarray(self.points_a, dtype=float).reshape(-1, 3)
-        pb = np.asarray(self.points_b, dtype=float).reshape(-1, 3)
-        if not (ids.shape[0] == pa.shape[0] == pb.shape[0]):
-            raise ValidationError("correspondence arrays must have matching lengths")
-        if np.unique(ids).size != ids.size:
-            raise ValidationError("duplicate track id in correspondence set")
-        object.__setattr__(self, "track_ids", ids)
-        object.__setattr__(self, "points_a", pa)
-        object.__setattr__(self, "points_b", pb)
-
-    def __len__(self) -> int:
-        return int(self.track_ids.shape[0])
+def _require_pairs(points_a: np.ndarray, points_b: np.ndarray) -> int:
+    """The number of point pairs; refuses unequal lengths or too few pairs."""
+    n = points_a.shape[0]
+    if points_b.shape[0] != n:
+        raise ValidationError("correspondence arrays must have matching lengths")
+    if n < MIN_SAMPLE:
+        raise ValidationError(f"need at least {MIN_SAMPLE} correspondences, got {n}")
+    return n
 
 
-def horn_similarity(corr: CorrespondenceSet) -> Sim3:
-    """Least-squares similarity mapping frame-A points onto frame-B points.
+def horn_similarity(points_a: np.ndarray, points_b: np.ndarray) -> Sim3:
+    """Least-squares similarity mapping the ``(n, 3)`` ``points_a`` onto the
+    ``points_b`` of the same rows.
 
     Raises :class:`DegenerateGeometryError` when the source points are
     coincident or collinear (the rotation about the line is unobservable) or
     the target points are coincident, and :class:`ValidationError` when the
     fit's arithmetic overflows.
     """
-    if len(corr) < MIN_SAMPLE:
-        raise ValidationError(f"need at least {MIN_SAMPLE} correspondences, got {len(corr)}")
-    s, q, t, status = _fit_samples(corr.points_a[None], corr.points_b[None])
+    _require_pairs(points_a, points_b)
+    s, q, t, status = _fit_samples(points_a[None], points_b[None])
     if status[0] != _FITTED:
         error, message = _REFUSALS[status[0]]
         raise error(message)
     return Sim3(s=s[0], q=q[0], t=t[0])
 
 
-def default_inlier_threshold(corr: CorrespondenceSet) -> float:
+def default_inlier_threshold(points_a: np.ndarray) -> float:
     """Scale-free default: 1% of the median axis extent of the source cloud.
 
     Each axis extent is 4 x the median absolute deviation about the median,
     which equals the full extent of a uniform cloud but, unlike the range,
     is not inflated by the gross outliers RANSAC is there to reject.
     """
-    a = corr.points_a
-    ext = 4.0 * np.median(np.abs(a - np.median(a, axis=0)), axis=0)
+    ext = 4.0 * np.median(np.abs(points_a - np.median(points_a, axis=0)), axis=0)
     scale = float(np.median(ext))
     return max(RELATIVE_THRESHOLD * scale, 1e-12)
 
 
 def ransac_similarity(
-    corr: CorrespondenceSet,
+    points_a: np.ndarray,
+    points_b: np.ndarray,
     inlier_threshold: float | None = None,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     seed: int = 0,
 ):
-    """Robust similarity estimate; returns ``(sim3, inlier_track_ids)``.
+    """Robust similarity of ``points_a`` onto ``points_b``; returns
+    ``(sim3, inliers)``, ``inliers`` the ascending row positions of the
+    consensus set.
 
     Hypotheses come from 3-point minimal samples (degenerate samples are
     skipped but count as iterations); the best consensus set is refit with
     the closed form.  Fully deterministic for a fixed seed, with the standard
-    adaptive iteration cutoff at :data:`DEFAULT_CONFIDENCE`.  Hypotheses are
-    fitted and scored in batches (see :func:`_hypothesis_masks`) but scanned
-    one at a time, so the result, or the error an overflowing sample raises,
-    is that of fitting each sample with :func:`horn_similarity` in turn.
+    adaptive iteration cutoff at :data:`DEFAULT_CONFIDENCE`.
+
+    Samples are drawn one ``rng.choice`` call each, in batches of
+    :data:`FIRST_BATCH`, then twice as many up to :data:`MAX_BATCH`, never
+    more than the hypotheses still to scan.  Each batch is fitted by
+    :func:`_fit_samples` and scored at once, but scanned one hypothesis at a
+    time, so the result, or the :class:`ValidationError` an overflowing
+    sample raises when the scan reaches it, is that of fitting each sample
+    with :func:`horn_similarity` in turn.
     """
-    n = len(corr)
-    if n < MIN_SAMPLE:
-        raise ValidationError(f"need at least {MIN_SAMPLE} correspondences, got {n}")
-    threshold = inlier_threshold if inlier_threshold is not None else default_inlier_threshold(corr)
+    n = _require_pairs(points_a, points_b)
+    threshold = (
+        inlier_threshold if inlier_threshold is not None else default_inlier_threshold(points_a)
+    )
     if threshold <= 0:
         raise ValidationError("inlier threshold must be positive")
     rng = np.random.default_rng(seed)
@@ -117,68 +111,44 @@ def ransac_similarity(
     best_count = 0
     needed = max_iterations
     it = 0
-    masks = _hypothesis_masks(corr, threshold, rng, lambda: needed - it)
+    size = FIRST_BATCH
     while it < needed:
-        mask = next(masks)
-        it += 1
-        if mask is None:
-            continue
-        count = int(mask.sum())
-        if count > best_count:
-            best_count = count
-            best_mask = mask
-            ratio = count / n
-            if ratio >= 1.0:
+        samples = np.array(
+            [rng.choice(n, size=MIN_SAMPLE, replace=False) for _ in range(min(size, needed - it))]
+        )
+        size = min(2 * size, MAX_BATCH)
+        s, q, t, status = _fit_samples(points_a[samples], points_b[samples])
+        R = quat_to_matrix(quat_canonical(q))  # Sim3 canonicalizes q once more
+        with np.errstate(all="ignore"):  # rows of refused samples
+            fitted = s[:, None, None] * (points_a @ R.transpose(0, 2, 1)) + t[:, None]
+            masks = np.linalg.norm(points_b - fitted, axis=-1) < threshold
+        for state, mask in zip(status.tolist(), masks):
+            if it >= needed:  # the adaptive cutoff fell inside this batch
                 break
-            denom = np.log1p(-(ratio**MIN_SAMPLE))
-            if denom < 0:
-                needed = min(
-                    max_iterations, int(np.ceil(np.log1p(-DEFAULT_CONFIDENCE) / denom))
-                )
-    if best_mask is None or best_count < MIN_SAMPLE:
+            it += 1
+            if state != _FITTED:
+                error, message = _REFUSALS[state]
+                if error is not DegenerateGeometryError:
+                    raise error(message)
+                continue
+            count = int(mask.sum())
+            if count > best_count:
+                best_count = count
+                best_mask = mask
+                if count == n:
+                    needed = it  # nothing beats a full consensus
+                    break
+                denom = np.log1p(-((count / n) ** MIN_SAMPLE))
+                if denom < 0:
+                    needed = min(
+                        max_iterations, int(np.ceil(np.log1p(-DEFAULT_CONFIDENCE) / denom))
+                    )
+    if best_count < MIN_SAMPLE:
         raise RansacFailureError(
             f"no hypothesis reached {MIN_SAMPLE} inliers in {it} iterations"
         )
-    inlier_ids = corr.track_ids[best_mask]
-    refit = horn_similarity(
-        CorrespondenceSet(inlier_ids, corr.points_a[best_mask], corr.points_b[best_mask])
-    )
-    return refit, inlier_ids
-
-
-def _hypothesis_masks(corr: CorrespondenceSet, threshold: float, rng, remaining):
-    """Inlier masks of successive minimal-sample hypotheses, ``None`` for a
-    degenerate sample.
-
-    Samples are drawn one ``rng.choice`` call each, in batches of
-    :data:`FIRST_BATCH`, then twice as many up to :data:`MAX_BATCH`, never
-    more than ``remaining()`` hypotheses the caller may still scan.  Each
-    batch is fitted by :func:`_fit_samples`, and each mask is the one
-    ``Sim3.apply`` of the sample's :func:`horn_similarity` gives.  A sample
-    :func:`horn_similarity` refuses with a :class:`ValidationError` raises
-    it when the scan reaches it, and not before.
-    """
-    a, b = corr.points_a, corr.points_b
-    size = FIRST_BATCH
-    while True:
-        samples = np.array(
-            [rng.choice(len(corr), size=MIN_SAMPLE, replace=False)
-             for _ in range(min(size, remaining()))]
-        )
-        size = min(2 * size, MAX_BATCH)
-        s, q, t, status = _fit_samples(a[samples], b[samples])
-        R = quat_to_matrix(quat_canonical(q))  # Sim3 canonicalizes q once more
-        with np.errstate(all="ignore"):  # rows of refused samples
-            fitted = s[:, None, None] * (a @ R.transpose(0, 2, 1)) + t[:, None]
-            masks = np.linalg.norm(b - fitted, axis=-1) < threshold
-        for state, mask in zip(status.tolist(), masks):
-            if state == _FITTED:
-                yield mask
-                continue
-            error, message = _REFUSALS[state]
-            if error is not DegenerateGeometryError:
-                raise error(message)
-            yield None
+    inliers = np.flatnonzero(best_mask)
+    return horn_similarity(points_a[inliers], points_b[inliers]), inliers
 
 
 def _fit_samples(A: np.ndarray, B: np.ndarray):

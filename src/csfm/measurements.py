@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .alignment import MIN_SAMPLE, CorrespondenceSet, ransac_similarity
+from .alignment import MIN_SAMPLE, ransac_similarity
 from .errors import DisconnectedGraphError, ValidationError
 from .graph import component_labels
 from .jsonio import column, parsing, records, write_json
@@ -130,11 +130,8 @@ def pairwise_measurement(pair, seed: int = 0) -> tuple:
     are averaged.
     """
     rec_i, rec_j, ia, ib = pair
-    corr = CorrespondenceSet(
-        track_ids=rec_i.track_ids[ia], points_a=rec_i.points[ia], points_b=rec_j.points[ib]
-    )
-    sim, inlier_ids = ransac_similarity(corr, seed=seed)
-    return rec_i.community_id, rec_j.community_id, sim.s, quat_conjugate(sim.q), len(inlier_ids)
+    sim, inliers = ransac_similarity(rec_i.points[ia], rec_j.points[ib], seed=seed)
+    return rec_i.community_id, rec_j.community_id, sim.s, quat_conjugate(sim.q), inliers.size
 
 
 def measurements_to_json(mg: MeasurementGraph) -> list:

@@ -17,7 +17,7 @@ from itertools import chain
 
 import numpy as np
 
-from .alignment import CorrespondenceSet, ransac_similarity
+from .alignment import ransac_similarity
 from .errors import NumericError, ValidationError
 from .jsonio import as_column, column, parsing, write_json
 from .reconstruction import (
@@ -309,17 +309,12 @@ def evaluate_against_truth(model: MergedModel, truth: Reconstruction) -> dict:
         raise ValidationError(
             f"need at least 3 common cameras for gauge alignment, got {common.size}"
         )
-    corr = CorrespondenceSet(
-        track_ids=common,
-        points_a=model.camera_centers[im],
-        points_b=truth.camera_centers[it],
-    )
+    model_centers, truth_centers = model.camera_centers[im], truth.camera_centers[it]
     # residuals live in truth units, so the consensus threshold must too;
     # this keeps the metrics invariant to the model's arbitrary gauge
-    threshold = max(0.01 * float(np.median(np.ptp(corr.points_b, axis=0))), 1e-12)
-    align, _ = ransac_similarity(corr, inlier_threshold=threshold)
-    centers_aligned = align.apply(model.camera_centers[im])
-    center_err = np.linalg.norm(centers_aligned - truth.camera_centers[it], axis=1)
+    threshold = max(0.01 * float(np.median(np.ptp(truth_centers, axis=0))), 1e-12)
+    align, _ = ransac_similarity(model_centers, truth_centers, inlier_threshold=threshold)
+    center_err = np.linalg.norm(align.apply(model_centers) - truth_centers, axis=1)
 
     rot_err = geodesic_angle(
         quat_multiply(model.camera_rotations[im], quat_conjugate(align.q)),
@@ -368,11 +363,16 @@ def save_merged(model: MergedModel, path) -> None:
 
 
 def load_merged(path) -> MergedModel:
-    """Read a merged model; each track's communities and the fusion entries
-    keep the file's order, so the model writes back to the same bytes."""
+    """Read a merged model; camera ids and track ids are unique.  Each
+    track's communities and the fusion entries keep the file's order, so the
+    model writes back to the same bytes."""
     with parsing(path, "merged-model file") as obj:
         ids, rotations, centers = cameras_from_json(obj["cameras"], "merged model")
         tracks, points = points_from_json(obj, "merged model")
+        for what, values in (("camera", ids), ("track", tracks)):
+            unique, counts = np.unique(values, return_counts=True)
+            if np.any(counts > 1):
+                raise ValidationError(f"duplicate merged-model {what} id {unique[counts > 1][0]}")
         communities = obj["communities"]
         if not isinstance(communities, list) or len(communities) != tracks.size:
             raise ValidationError("merged-model communities do not align with its tracks")

@@ -376,16 +376,12 @@ class FractureResult:
     outlier_tracks: dict  # community id -> sorted corrupted shared-track ids
 
 
-def fracture(
-    world: GroundTruthWorld,
-    partition: Partition,
-    transforms=None,
-) -> FractureResult:
+def fracture(world: GroundTruthWorld, partition: Partition) -> FractureResult:
     """Split the world into per-community reconstructions in local frames.
 
     Each community's cameras and its tracks seen by at least two of them are
-    mapped through the inverse of that community's local->global transform
-    (``transforms`` overrides the seeded default).  Gaussian noise
+    mapped through the inverse of that community's local->global transform,
+    :func:`community_frame` of the spec's seed.  Gaussian noise
     (``spec.noise_sigma``, in world units) lands on local point positions and
     camera centers; a ``spec.outlier_fraction`` share of each community's
     shared tracks is displaced uniformly.  Track ids stay global.
@@ -395,10 +391,6 @@ def fracture(
     if partition.assignment.shape[0] != n_cam:
         raise ValidationError("partition does not cover the world's cameras")
     k = partition.community_count
-    if transforms is None:
-        transforms = tuple(community_frame(spec.seed, c) for c in range(k))
-    elif len(transforms) != k:
-        raise ValidationError("need one transform per community")
 
     # a community reconstructs the tracks seen by >= 2 of its cameras, counted
     # over its cameras' incidence rows one community at a time
@@ -418,7 +410,7 @@ def fracture(
     outlier_tracks = {}
     for c in range(k):
         rng = np.random.default_rng(np.random.SeedSequence([spec.seed, _STREAM_NOISE, c]))
-        tr = transforms[c]
+        tr = community_frame(spec.seed, c)
         inv = tr.inverse()
         cams = community_cams[c]
         tracks = member_tracks[c]

@@ -19,7 +19,6 @@ from scipy.spatial import cKDTree
 from csfm.alignment import (
     DEFAULT_CONFIDENCE,
     MIN_SAMPLE,
-    CorrespondenceSet,
     default_inlier_threshold,
     horn_similarity,
 )
@@ -408,21 +407,19 @@ def heap_merge_trace(g: EpipolarGraph):
     return tuple(merges), pops
 
 
-def loop_ransac(corr: CorrespondenceSet, inlier_threshold=None, max_iterations=1024, seed=0):
+def loop_ransac(a, b, inlier_threshold=None, max_iterations=1024, seed=0):
     """RANSAC fitting and scoring one hypothesis at a time with
     ``horn_similarity`` and ``Sim3.apply``.
 
     Reference for the batched scoring in ``csfm.alignment.ransac_similarity``:
     the same samples, stopping rule and refit, so it returns the same
-    ``(sim3, inlier_track_ids)`` or raises the same error.  Both run the one
+    ``(sim3, inliers)`` or raises the same error.  Both run the one
     closed-form fit, so this checks batching and scan order; the fit's own
     bits are pinned in ``test_alignment.GOLDEN``.
     """
-    n = len(corr)
-    threshold = inlier_threshold if inlier_threshold is not None else default_inlier_threshold(corr)
+    n = len(a)
+    threshold = inlier_threshold if inlier_threshold is not None else default_inlier_threshold(a)
     rng = np.random.default_rng(seed)
-    a = corr.points_a
-    b = corr.points_b
     best_mask = None
     best_count = 0
     needed = max_iterations
@@ -431,9 +428,7 @@ def loop_ransac(corr: CorrespondenceSet, inlier_threshold=None, max_iterations=1
         it += 1
         sample = rng.choice(n, size=MIN_SAMPLE, replace=False)
         try:
-            model = horn_similarity(
-                CorrespondenceSet(corr.track_ids[sample], a[sample], b[sample])
-            )
+            model = horn_similarity(a[sample], b[sample])
         except DegenerateGeometryError:
             continue
         mask = np.linalg.norm(b - model.apply(a), axis=1) < threshold
@@ -453,8 +448,7 @@ def loop_ransac(corr: CorrespondenceSet, inlier_threshold=None, max_iterations=1
         raise RansacFailureError(
             f"no hypothesis reached {MIN_SAMPLE} inliers in {it} iterations"
         )
-    inlier_ids = corr.track_ids[best_mask]
-    return horn_similarity(CorrespondenceSet(inlier_ids, a[best_mask], b[best_mask])), inlier_ids
+    return horn_similarity(a[best_mask], b[best_mask]), np.flatnonzero(best_mask)
 
 
 def dense_visibility(centers, points, radius):

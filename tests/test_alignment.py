@@ -3,15 +3,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from csfm.alignment import CorrespondenceSet, horn_similarity, ransac_similarity
+from csfm import alignment
+from csfm.alignment import MIN_SAMPLE, horn_similarity, ransac_similarity
 from csfm.errors import DegenerateGeometryError, RansacFailureError, ValidationError
 from csfm.rotations import IDENTITY_QUAT, geodesic_angle
 
 from helpers import loop_ransac, random_sim3
-
-
-def corr_from(ids, a, b):
-    return CorrespondenceSet(np.asarray(ids), np.asarray(a, float), np.asarray(b, float))
 
 
 NONCOPLANAR = np.array(
@@ -21,8 +18,7 @@ NONCOPLANAR = np.array(
 
 class TestHorn:
     def test_identity(self):
-        c = corr_from(range(4), NONCOPLANAR, NONCOPLANAR)
-        sim = horn_similarity(c)
+        sim = horn_similarity(NONCOPLANAR, NONCOPLANAR)
         assert sim.s == pytest.approx(1.0, abs=1e-12)
         assert geodesic_angle(sim.q, IDENTITY_QUAT) < 1e-12
         assert np.allclose(sim.t, 0.0, atol=1e-12)
@@ -32,7 +28,7 @@ class TestHorn:
         rng = np.random.default_rng(0)
         planted = random_sim3(rng)
         b = planted.apply(NONCOPLANAR)
-        sim = horn_similarity(corr_from(range(4), NONCOPLANAR, b))
+        sim = horn_similarity(NONCOPLANAR, b)
         assert sim.s == pytest.approx(planted.s, rel=1e-12)
         assert geodesic_angle(sim.q, planted.q) < 1e-10
         assert np.allclose(sim.t, planted.t, atol=1e-10)
@@ -47,26 +43,26 @@ class TestHorn:
             if sv[1] <= 1e-6 * sv[0]:
                 continue
             b = planted.apply(a)
-            sim = horn_similarity(corr_from(range(len(a)), a, b))
+            sim = horn_similarity(a, b)
             assert np.linalg.norm(b - sim.apply(a)) <= 1e-9 * max(1.0, np.abs(b).max())
 
     def test_collinear_rejected(self):
         a = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
         with pytest.raises(DegenerateGeometryError):
-            horn_similarity(corr_from(range(3), a, a))
+            horn_similarity(a, a)
 
     def test_coincident_rejected(self):
         a = np.zeros((3, 3))
         with pytest.raises(DegenerateGeometryError):
-            horn_similarity(corr_from(range(3), a, a))
+            horn_similarity(a, a)
 
     def test_too_few_pairs(self):
-        with pytest.raises(ValidationError):
-            horn_similarity(corr_from([0, 1], np.zeros((2, 3)), np.zeros((2, 3))))
+        with pytest.raises(ValidationError, match=f"at least {MIN_SAMPLE} correspondences"):
+            horn_similarity(np.zeros((2, 3)), np.zeros((2, 3)))
 
-    def test_duplicate_track_ids_rejected(self):
-        with pytest.raises(ValidationError):
-            corr_from([0, 0, 1], np.zeros((3, 3)), np.zeros((3, 3)))
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ValidationError, match="matching lengths"):
+            horn_similarity(NONCOPLANAR, NONCOPLANAR[:3])
 
 
 class TestRansac:
@@ -75,7 +71,7 @@ class TestRansac:
         planted = random_sim3(rng)
         a = rng.uniform(-5, 5, size=(40, 3))
         b = planted.apply(a)
-        sim, inliers = ransac_similarity(corr_from(range(40), a, b), seed=9)
+        sim, inliers = ransac_similarity(a, b, seed=9)
         assert set(inliers) == set(range(40))
         assert sim.s == pytest.approx(planted.s, rel=1e-9)
         assert geodesic_angle(sim.q, planted.q) < 1e-9
@@ -89,7 +85,7 @@ class TestRansac:
         b = planted.apply(a)
         out_idx = rng.choice(100, size=30, replace=False)
         b[out_idx] += rng.uniform(3.0, 8.0, size=(30, 3)) * rng.choice([-1, 1], size=(30, 3))
-        sim, inliers = ransac_similarity(corr_from(range(100), a, b), seed=4)
+        sim, inliers = ransac_similarity(a, b, seed=4)
         expected = sorted(set(range(100)) - set(int(i) for i in out_idx))
         assert sorted(int(i) for i in inliers) == expected
         assert sim.s == pytest.approx(planted.s, rel=1e-6)
@@ -105,13 +101,17 @@ class TestRansac:
         b = planted.apply(a)
         out_idx = rng.choice(200, size=40, replace=False)
         a[out_idx] += rng.uniform(-0.5, 0.5, size=(40, 3)) * 100.0
-        sim, inliers = ransac_similarity(corr_from(range(200), a, b), seed=0)
+        sim, inliers = ransac_similarity(a, b, seed=0)
         assert sim.s == pytest.approx(planted.s, rel=1e-9)
         assert sorted(map(int, inliers)) == sorted(set(range(200)) - set(map(int, out_idx)))
 
     def test_below_minimal_sample(self):
-        with pytest.raises(ValidationError):
-            ransac_similarity(corr_from([0, 1], np.zeros((2, 3)), np.zeros((2, 3))), seed=0)
+        with pytest.raises(ValidationError, match=f"at least {MIN_SAMPLE} correspondences"):
+            ransac_similarity(np.zeros((2, 3)), np.zeros((2, 3)), seed=0)
+
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ValidationError, match="matching lengths"):
+            ransac_similarity(np.zeros((5, 3)), np.zeros((4, 3)), seed=0)
 
     def test_no_consensus_raises(self):
         # pure-noise targets under a tiny threshold: no sample generalizes
@@ -119,9 +119,7 @@ class TestRansac:
         a = rng.uniform(-5, 5, size=(12, 3))
         b = rng.uniform(-5, 5, size=(12, 3))
         with pytest.raises(RansacFailureError):
-            ransac_similarity(
-                corr_from(range(12), a, b), inlier_threshold=1e-12, seed=0, max_iterations=64
-            )
+            ransac_similarity(a, b, inlier_threshold=1e-12, seed=0, max_iterations=64)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(6)
@@ -129,8 +127,8 @@ class TestRansac:
         a = rng.uniform(-5, 5, size=(50, 3))
         b = planted.apply(a)
         b[:10] += 4.0
-        r1 = ransac_similarity(corr_from(range(50), a, b), seed=11)
-        r2 = ransac_similarity(corr_from(range(50), a, b), seed=11)
+        r1 = ransac_similarity(a, b, seed=11)
+        r2 = ransac_similarity(a, b, seed=11)
         assert r1[0].s == r2[0].s
         assert np.array_equal(r1[0].q, r2[0].q)
         assert np.array_equal(r1[0].t, r2[0].t)
@@ -145,21 +143,34 @@ class TestRansac:
         b[out] += 5.0
         ids = np.arange(60)
         perm = rng.permutation(60)
-        r1, in1 = ransac_similarity(corr_from(ids, a, b), seed=3)
-        r2, in2 = ransac_similarity(corr_from(ids[perm], a[perm], b[perm]), seed=3)
-        assert sorted(map(int, in1)) == sorted(map(int, in2))
+        r1, in1 = ransac_similarity(a, b, seed=3)
+        r2, in2 = ransac_similarity(a[perm], b[perm], seed=3)
+        assert sorted(ids[in1]) == sorted(ids[perm][in2])
         assert r1.s == pytest.approx(r2.s, rel=1e-9)
         assert geodesic_angle(r1.q, r2.q) < 1e-9
         assert np.allclose(r1.t, r2.t, atol=1e-8)
 
 
-def ransac_outcome(fn, corr, **kwargs):
+def test_full_consensus_stops_after_the_first_batch(monkeypatch):
+    # an outlier-free pair: the first hypothesis fits every point, so RANSAC
+    # fits one batch of samples and then the refit, and draws nothing more
+    sizes = []
+    fit = alignment._fit_samples
+    monkeypatch.setattr(alignment, "_fit_samples", lambda A, B: sizes.append(len(A)) or fit(A, B))
+    rng = np.random.default_rng(2)
+    a = rng.uniform(-5, 5, size=(40, 3))
+    _, inliers = ransac_similarity(a, random_sim3(rng).apply(a), seed=9)
+    assert inliers.tolist() == list(range(40))
+    assert sizes == [alignment.FIRST_BATCH, 1]
+
+
+def ransac_outcome(fn, a, b, **kwargs):
     """The bits of what a RANSAC routine returns, or the error it raises."""
     try:
-        sim, ids = fn(corr, **kwargs)
+        sim, inliers = fn(a, b, **kwargs)
     except (RansacFailureError, DegenerateGeometryError) as exc:
         return type(exc).__name__, str(exc)
-    return sim.s, sim.q.tobytes(), sim.t.tobytes(), ids.tobytes()
+    return sim.s, sim.q.tobytes(), sim.t.tobytes(), inliers.tobytes()
 
 
 @settings(max_examples=150)
@@ -195,10 +206,9 @@ def test_batched_ransac_matches_one_hypothesis_at_a_time(
     b = random_sim3(rng).apply(a) + rng.normal(scale=noise, size=(n, 3))
     out = rng.random(n) < outliers
     b[out] += rng.uniform(3.0, 8.0, size=(out.sum(), 3)) * rng.choice([-1, 1], size=(out.sum(), 3))
-    corr = corr_from(rng.permutation(10 * n)[:n], a, b)
     kwargs = dict(inlier_threshold=threshold, max_iterations=max_iterations, seed=seed)
-    assert ransac_outcome(ransac_similarity, corr, **kwargs) == ransac_outcome(
-        loop_ransac, corr, **kwargs
+    assert ransac_outcome(ransac_similarity, a, b, **kwargs) == ransac_outcome(
+        loop_ransac, a, b, **kwargs
     )
 
 
@@ -211,13 +221,12 @@ def test_overflowing_sample_drawn_past_the_stop_changes_nothing():
     a = rng.uniform(-5, 5, size=(30, 3))
     b = random_sim3(rng).apply(a)
     a[7], b[7] = 1e200, -1e200
-    corr = corr_from(range(30), a, b)
-    outcome = ransac_outcome(ransac_similarity, corr, seed=1)
-    assert outcome == ransac_outcome(loop_ransac, corr, seed=1)
+    outcome = ransac_outcome(ransac_similarity, a, b, seed=1)
+    assert outcome == ransac_outcome(loop_ransac, a, b, seed=1)
     assert np.frombuffer(outcome[3], dtype=np.int64).tolist() == [i for i in range(30) if i != 7]
 
 
-def golden_corr(kind):
+def golden_points(kind):
     """A fixed input: ``generic``, a rotation ``half-turn`` away from pi by
     1e-7 (Shepperd's trace <= 0 branch), or ``outliers`` (every third point)."""
     rng = np.random.default_rng(7)
@@ -230,7 +239,7 @@ def golden_corr(kind):
     b = 1.7 * (a @ R.T) + np.array([0.3, -2.0, 5.0]) + rng.normal(scale=1e-3, size=(n, 3))
     if kind == "outliers":
         b[::3] += rng.uniform(3.0, 8.0, size=b[::3].shape)
-    return corr_from(np.arange(n), a, b)
+    return a, b
 
 
 # (s, q, t) of each fit as float.hex and the bytes of q and t, recorded
@@ -259,13 +268,12 @@ GOLDEN = {
 
 @pytest.mark.parametrize("kind", sorted(GOLDEN))
 def test_horn_and_ransac_keep_their_recorded_bits(kind):
-    corr = golden_corr(kind)
-    ransac, ids = ransac_similarity(corr, seed=5)
+    a, b = golden_points(kind)
+    ransac, inliers = ransac_similarity(a, b, seed=5)
     got = [(sim.s.hex(), sim.q.tobytes().hex(), sim.t.tobytes().hex())
-           for sim in (horn_similarity(corr), ransac)]
+           for sim in (horn_similarity(a, b), ransac)]
     assert got == GOLDEN[kind]
-    inliers = [i for i in range(len(corr)) if kind != "outliers" or i % 3]
-    assert ids.tolist() == inliers
+    assert inliers.tolist() == [i for i in range(len(a)) if kind != "outliers" or i % 3]
 
 
 OVERFLOW = "similarity fit overflows"
@@ -276,7 +284,7 @@ def test_horn_refuses_an_overflowing_fit():
     rng = np.random.default_rng(0)
     a = rng.uniform(-1.0, 1.0, size=(10, 3)) * 1e154
     with pytest.raises(ValidationError, match=OVERFLOW):
-        horn_similarity(corr_from(range(10), a, random_sim3(rng).apply(a)))
+        horn_similarity(a, random_sim3(rng).apply(a))
 
 
 def first_sample_holding_two(points, n, seed):
@@ -300,11 +308,10 @@ def test_ransac_raises_the_overflow_at_the_sample_the_oracle_does(seed):
     b = random_sim3(rng).apply(a) + rng.normal(scale=1e-3, size=(30, 3))
     a[7:10] = rng.normal(size=(3, 3)) * 1e200
     b[7:10] = -a[7:10]
-    corr = corr_from(range(30), a, b)
     stop = first_sample_holding_two([7, 8, 9], 30, seed)
     assert stop > 1
     for fn in (ransac_similarity, loop_ransac):
         with pytest.raises(RansacFailureError, match=f"in {stop - 1} iterations"):
-            fn(corr, inlier_threshold=1e-12, max_iterations=stop - 1, seed=seed)
+            fn(a, b, inlier_threshold=1e-12, max_iterations=stop - 1, seed=seed)
         with pytest.raises(ValidationError, match=OVERFLOW):
-            fn(corr, inlier_threshold=1e-12, max_iterations=stop, seed=seed)
+            fn(a, b, inlier_threshold=1e-12, max_iterations=stop, seed=seed)

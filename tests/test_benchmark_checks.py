@@ -104,6 +104,10 @@ def test_tracer_binds_every_target_and_counts_the_run(tmp_path):
     assert [t for t in targets if t not in bound] == []
     records = json.loads((tmp_path / "measurements.json").read_text())
     assert tracer.counts[(0, "measurements.pairs_measured")] == len(records) > 0
+    assert tracer.counts[(0, "measurements.inliers")] == sum(r["inliers"] for r in records)
     report = json.loads((tmp_path / "report.json").read_text())
+    pairwise = next(stage for stage in report["stages"] if stage["name"] == "pairwise")
+    covisible = sum(pairwise["stats"]["shared_tracks"])
+    assert tracer.counts[(0, "measurements.covisible")] == covisible > 0
     refine = next(stage for stage in report["stages"] if stage["name"] == "refine")
     assert tracer.counts[(0, "merging.refine_iterations")] == refine["stats"]["iterations"] > 0

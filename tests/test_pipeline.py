@@ -844,12 +844,22 @@ def community_1_twice(transforms):
     transforms.append({**transforms[1], "s": 2.0 * transforms[1]["s"]})
 
 
+def camera_0_twice(merged):
+    merged["cameras"].append(merged["cameras"][0])
+
+
+def track_0_twice(merged):
+    for key in ("tracks", "points", "communities"):
+        merged[key].append(merged[key][0])
+
+
 # file, loader, the command that reads the file (a BROKEN_INPUT_CASES key)
 CONTRACT_READERS = {
     "measurements.json": (load_measurements, "average"),
     "transforms.json": (load_transforms, "merge"),
     "partition.json": (load_partition, "pairwise"),
     "rec_1.json": (load_reconstruction, "pipeline"),
+    "merged.json": (load_merged, "eval-merged"),
 }
 # file and an edit that breaks the input contract but that an unchecked
 # int(), float() or np.asarray would read as a plausible value
@@ -868,6 +878,8 @@ CONTRACT_CASES = {
     "partition-string-q-max": ("partition.json", assign((("q_max",), "0.5"))),
     "partition-fractional-flagged": ("partition.json", assign((("flagged_isolated",), [0.7]))),
     "rec-bool-track": ("rec_1.json", assign((("tracks", 0), False))),
+    "merged-duplicate-camera": ("merged.json", camera_0_twice),
+    "merged-duplicate-track": ("merged.json", track_0_twice),
 }
 
 

@@ -397,23 +397,26 @@ class TestVisibility:
 
 
 class TestFracture:
-    def test_identity_transforms_give_world_slices(self):
+    def test_identity_transforms_give_world_slices(self, monkeypatch):
         world = generate_world(WorldSpec(seed=3, **STRONG))
         part = planted_partition(world)
-        fr = fracture(world, part, transforms=[Sim3()] * 3)
+        monkeypatch.setattr(synth, "community_frame", lambda seed, c: Sim3())
+        fr = fracture(world, part)
         for rec in fr.reconstructions:
             cams = np.flatnonzero(part.assignment == rec.community_id)
             assert np.array_equal(rec.camera_ids, cams)
             assert np.allclose(rec.camera_centers, world.camera_centers[cams], atol=0)
             assert np.allclose(rec.points, world.points[rec.track_ids], atol=0)
 
-    def test_planted_scale_halves_distances(self):
+    def test_planted_scale_halves_distances(self, monkeypatch):
         # a community planted at scale 2 stores its local geometry at half
         # the global size (local = inverse transform of world)
         world = generate_world(WorldSpec(seed=4, **STRONG))
         part = planted_partition(world)
-        tr = [Sim3(s=2.0), Sim3(), Sim3()]
-        fr = fracture(world, part, transforms=tr)
+        monkeypatch.setattr(
+            synth, "community_frame", lambda seed, c: Sim3(s=2.0) if c == 0 else Sim3()
+        )
+        fr = fracture(world, part)
         rec = fr.reconstructions[0]
         a, b = rec.points[0], rec.points[1]
         wa, wb = world.points[rec.track_ids[0]], world.points[rec.track_ids[1]]
@@ -471,12 +474,13 @@ class TestCovisibleCounts:
                 assert got == expected
 
 
-def test_end_to_end_identity_round_trip():
+def test_end_to_end_identity_round_trip(monkeypatch):
     # fracture with identity frames and zero noise, then run the full
     # in-memory chain; the world must come back exactly (post-alignment)
     world = generate_world(WorldSpec(seed=9, **STRONG))
     part = recursive_partition(world.graph)
-    fr = fracture(world, part, transforms=[Sim3()] * part.community_count)
+    monkeypatch.setattr(synth, "community_frame", lambda seed, c: Sim3())
+    fr = fracture(world, part)
     recs = list(fr.reconstructions)
     meas = measure_pairs(covisible_pairs(recs, MIN_COVISIBLE), seed=0)
     mg = MeasurementGraph.from_rows(len(recs), meas)
