@@ -15,7 +15,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .averaging import average_similarities, load_transforms, save_transforms
+from .averaging import average_similarities, load_transforms, save_transforms, transforms_to_json
 from .community import (
     DEFAULT_MIN_COMMUNITY_SIZE,
     DEFAULT_Q_THRESHOLD,
@@ -203,9 +203,11 @@ def refine(recs_dir, transforms_path, output, merged_out):
     recs = load_recs_dir(recs_dir)
     transforms = load_transforms(transforms_path)
     refined, model, info = joint_refine(recs, transforms)
-    save_transforms(refined, output)
     if merged_out:
-        save_merged(model, merged_out)
+        # both files are encoded before either is opened
+        save_merged(model, merged_out, (output, transforms_to_json(refined)))
+    else:
+        save_transforms(refined, output)
     if info["skipped"]:
         click.echo("refinement skipped: no co-visible tracks")
     else:

@@ -11,11 +11,12 @@ the node count, and a saved graph names its nodes ``node_<i>``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import ValidationError
-from .jsonio import column, parsing, records, write_json
+from .jsonio import column, int_records, parsing, records, write_json
 
 
 @dataclass(frozen=True)
@@ -134,9 +135,16 @@ def load_graph(source) -> EpipolarGraph:
         nodes = obj["nodes"]
         if not isinstance(nodes, list) or not all(isinstance(s, str) for s in nodes):
             raise ValidationError('"nodes" must be a list of strings')
-        edges = records(obj["edges"], '"edges"', "edge")
-        ends = [column([r[e] for r in edges], f"edge {e}", np.int64) for e in "ij"]
-        weights = column([r.get("w", 1) for r in edges], "edge w", np.int64)
+        edges = obj["edges"]
+        try:
+            # each record is checked as its keys are read, in one pass per column
+            if not isinstance(edges, list):
+                raise TypeError
+            ends = [column(list(map(itemgetter(e), edges)), f"edge {e}", np.int64) for e in "ij"]
+            weights = column([r.get("w", 1) for r in edges], "edge w", np.int64)
+        except (KeyError, TypeError, AttributeError):
+            records(edges, '"edges"', "edge")  # a record that is not an object is named first
+            raise
     return EpipolarGraph(
         node_count=len(nodes),
         edges=np.column_stack(ends),
@@ -147,9 +155,7 @@ def load_graph(source) -> EpipolarGraph:
 def graph_to_json(g: EpipolarGraph) -> dict:
     return {
         "nodes": [f"node_{i}" for i in range(g.node_count)],
-        "edges": [
-            {"i": i, "j": j, "w": w} for (i, j), w in zip(g.edges.tolist(), g.weights.tolist())
-        ],
+        "edges": int_records(i=g.edges[:, 0], j=g.edges[:, 1], w=g.weights),
     }
 
 

@@ -10,6 +10,20 @@ numbers are refused both ways, so a ``NaN`` can neither be written into an
 artifact nor read back out of one.  Numeric columns are written from numpy
 arrays, cast by :func:`as_column`, without a ``.tolist()``.
 
+Two integer shapes are formatted here rather than by orjson, each in one
+``%`` pass over its int64 values: a list of records
+(:func:`int_records`, the ``{"i","j","w"}`` edges of a match graph) and a
+ragged list of integer lists (:func:`int_lists`, the per-track communities
+of a merged model).  ``%d`` writes an integer with the digits orjson gives
+it, so the bytes are those of the dicts and lists they replace; no float
+is ever formatted with ``%``.  :func:`write_json` places such a value under
+its key, between the orjson-encoded values of its neighbours in sorted-key
+order.  orjson writes ``NaN`` and ``+-inf`` as ``null``, so the values it
+encodes are searched for a non-finite float only when their text holds a
+``null``; the text is scanned for the ``u`` each ``null`` holds, a single
+byte that ``bytes.find`` locates with ``memchr``.  Every payload is encoded
+before its file is opened, so a refused value leaves no file behind.
+
 Parsing is ``orjson`` too.  A text it refuses is parsed again by the
 standard library's ``json``, which decides: it reads ``1e999`` as ``inf``
 (refused by :func:`column`), UTF-16 and lone surrogate escapes, and refuses
@@ -31,7 +45,6 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from itertools import chain
 
 import numpy as np
 import orjson
@@ -39,7 +52,8 @@ import orjson
 from .errors import NumericError, ValidationError
 
 
-_OPTIONS = orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE | orjson.OPT_SERIALIZE_NUMPY
+_VALUE_OPTIONS = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
+_OPTIONS = _VALUE_OPTIONS | orjson.OPT_APPEND_NEWLINE
 
 
 def _non_finite(obj) -> bool:
@@ -55,6 +69,18 @@ def _non_finite(obj) -> bool:
     return False
 
 
+def _holds_null(data: bytes) -> bool:
+    """Whether ``data`` holds the text ``null``.  Each one holds a ``u``, a
+    byte that ``bytes.find`` locates with ``memchr``, and artifact text holds
+    few others (keys such as ``"outlier_fraction"``)."""
+    at = data.find(b"u", 1)
+    while at != -1:
+        if data.startswith(b"null", at - 1):
+            return True
+        at = data.find(b"u", at + 1)
+    return False
+
+
 def as_column(values, dtype=np.float64) -> np.ndarray:
     """``values`` as a C-contiguous ``float64`` (or ``int64``) array, which
     :func:`write_json` hands to orjson whole, with the bytes of its
@@ -64,15 +90,77 @@ def as_column(values, dtype=np.float64) -> np.ndarray:
     return np.ascontiguousarray(values, dtype=dtype)
 
 
+class JsonText:
+    """JSON text formatted outside orjson; :func:`write_json` writes it
+    verbatim where it is a value of the top-level object."""
+
+    __slots__ = ("data",)
+
+    def __init__(self, data: bytes):
+        self.data = data
+
+
+def _formatted(template: str, values: np.ndarray) -> JsonText:
+    # %d writes each int64 with the digits orjson gives it
+    return JsonText((template % tuple(values.tolist())).encode())
+
+
+def int_records(**columns) -> JsonText:
+    """The list of ``{key: value}`` records, one per row of the equal-length
+    integer ``columns`` (each keyword a key that needs no escaping), with
+    the bytes orjson gives that list of dicts: keys sorted in each record."""
+    keys = sorted(columns)
+    rows = np.column_stack([as_column(columns[k], np.int64) for k in keys])
+    record = "{" + ",".join(f'"{k}":%d' for k in keys) + "}"
+    return _formatted("[" + ",".join([record] * rows.shape[0]) + "]", rows.ravel())
+
+
+def int_lists(values, bounds) -> JsonText:
+    """The list of integer lists ``values[bounds[k]:bounds[k + 1]]``, with
+    the bytes orjson gives that list of lists."""
+    sizes = np.diff(as_column(bounds, np.int64)).tolist()
+    lists = {n: "[" + ",".join(["%d"] * n) + "]" for n in set(sizes)}
+    return _formatted("[" + ",".join(map(lists.__getitem__, sizes)) + "]",
+                      as_column(values, np.int64))
+
+
+def _dumps(path, obj, option) -> bytes:
+    data = orjson.dumps(obj, option=option)
+    # orjson writes NaN and +-inf as null, so only text holding a null can hide one
+    if _holds_null(data) and _non_finite(obj):
+        raise NumericError(f"{os.fspath(path)} not written: non-finite number")
+    return data
+
+
+def _encode(path, obj) -> list:
+    """The bytes of ``obj`` as a list of parts, :class:`JsonText` values of
+    a top-level object spliced in under their keys."""
+    if not (isinstance(obj, dict) and any(isinstance(v, JsonText) for v in obj.values())):
+        return [_dumps(path, obj, _OPTIONS)]
+    parts = []
+    for key in sorted(obj):
+        value = obj[key]
+        text = value.data if isinstance(value, JsonText) else _dumps(path, value, _VALUE_OPTIONS)
+        parts += [b",", orjson.dumps(key), b":", text]
+    parts[0] = b"{"
+    return parts + [b"}\n"]
+
+
+def write_json_files(*files) -> None:
+    """Write each ``(path, obj)`` of ``files``.  Every payload is encoded
+    before any file is opened, so a value that cannot be written (a
+    non-finite number) raises :class:`NumericError` and leaves none of the
+    files created or changed."""
+    encoded = [(path, _encode(path, obj)) for path, obj in files]
+    for path, parts in encoded:
+        with open(path, "wb") as fh:
+            fh.writelines(parts)
+
+
 def write_json(path, obj) -> None:
     """Write ``obj`` to ``path``; a value that cannot be written (a non-finite
     number) raises :class:`NumericError` before the file is created."""
-    data = orjson.dumps(obj, option=_OPTIONS)
-    # orjson writes NaN and +-inf as null, so only a file holding a null can hide one
-    if b"null" in data and _non_finite(obj):
-        raise NumericError(f"{os.fspath(path)} not written: non-finite number")
-    with open(path, "wb") as fh:
-        fh.write(data)
+    write_json_files((path, obj))
 
 
 def _refuse_constant(token):
@@ -115,6 +203,16 @@ def parsing(source, what: str):
         raise ValidationError(f"{name}: malformed {what}: {detail}") from exc
 
 
+def _holds_bool(values, arr: np.ndarray, width) -> bool:
+    """Whether a JSON ``true``/``false`` sits among the numbers ``values``
+    that ``arr`` holds.  numpy reads them as 1/0, so only the entries equal
+    to 0 or 1 are looked at."""
+    at = np.flatnonzero((arr == 0) | (arr == 1)).tolist()
+    if width is None:
+        return any(type(values[k]) is bool for k in at)
+    return any(type(values[k // width][k % width]) is bool for k in at)
+
+
 def _numbers(values, what: str, dtype, width, expected: str) -> np.ndarray:
     """``values`` as a ``dtype`` array of shape ``(n,)`` or ``(n, width)``."""
     try:
@@ -142,10 +240,7 @@ def _numbers(values, what: str, dtype, width, expected: str) -> np.ndarray:
         arr.ndim != len(shape)
         or arr.shape[1:] != shape[1:]
         or arr.dtype.kind not in ("if" if dtype is float else "i")
-        # numpy reads a JSON true/false among numbers as 1/0, so only an
-        # array holding a 0 or a 1 can hide one
-        or (((arr == 0) | (arr == 1)).any() and bool in set(
-            map(type, values if width is None else chain.from_iterable(values))))
+        or _holds_bool(values, arr, width)
     ):
         raise ValidationError(f"{what} must be {expected}")
     arr = arr.astype(dtype)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .alignment import ransac_similarity
 from .errors import NumericError, ValidationError
-from .jsonio import as_column, column, parsing, write_json
+from .jsonio import as_column, column, int_lists, parsing, write_json_files
 from .reconstruction import (
     Reconstruction,
     cameras_from_json,
@@ -342,15 +342,10 @@ def evaluate_against_truth(model: MergedModel, truth: Reconstruction) -> dict:
 
 
 def merged_to_json(model: MergedModel) -> dict:
-    bounds = model.community_bounds
-    # one community per track but for the few fused ones, patched in after
-    communities = model.communities[bounds[:-1]][:, None].tolist()
-    for i in np.flatnonzero(np.diff(bounds) != 1).tolist():
-        communities[i] = model.communities[bounds[i]:bounds[i + 1]].tolist()
     return {
         "cameras": cameras_to_json(model.camera_ids, model.camera_rotations, model.camera_centers),
         **points_to_json(model.track_ids, model.points),
-        "communities": communities,
+        "communities": int_lists(model.communities, model.community_bounds),
         "fusion": {
             "tracks": as_column(model.fusion_tracks, np.int64),
             "spread": as_column(model.fusion_spread),
@@ -358,8 +353,11 @@ def merged_to_json(model: MergedModel) -> dict:
     }
 
 
-def save_merged(model: MergedModel, path) -> None:
-    write_json(path, merged_to_json(model))
+def save_merged(model: MergedModel, path, *also) -> None:
+    """Write ``model`` to ``path`` and each ``(path, obj)`` of ``also`` with
+    it, every file encoded before any is opened, so a value that cannot be
+    written leaves none of them behind."""
+    write_json_files((path, merged_to_json(model)), *also)
 
 
 def load_merged(path) -> MergedModel:

@@ -2,11 +2,13 @@
 
 Every stage writes its artifact to the output directory so any stage can be
 re-run from disk, and a run report records per stage its wall time, the
-process's peak resident memory so far, and residual statistics.
+process's peak resident memory so far, the bytes of the files it wrote, and
+residual statistics.
 """
 from __future__ import annotations
 
 import logging
+import os
 import resource
 import time
 from dataclasses import dataclass
@@ -14,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .averaging import average_similarities, averaging_residuals, save_transforms
+from .averaging import average_similarities, averaging_residuals, save_transforms, transforms_to_json
 from .community import (
     DEFAULT_MIN_COMMUNITY_SIZE,
     DEFAULT_Q_THRESHOLD,
@@ -112,13 +114,22 @@ def measure_graph(recs, seed: int, path):
     }
 
 
+def _files(out: Path) -> dict:
+    """``{name: (size, mtime_ns)}`` of the files in ``out``."""
+    with os.scandir(out) as entries:
+        return {e.name: (st.st_size, st.st_mtime_ns)
+                for e in entries if e.is_file() for st in [e.stat()]}
+
+
 class _StageRunner:
-    def __init__(self):
+    def __init__(self, out: Path):
+        self.out = out
         self.stages = []
         self.last_artifact = None
 
     def run(self, name, fn, artifact=None):
         """Time ``fn``, which returns ``(result, stats)``; returns ``result``."""
+        before = _files(self.out)
         start = time.perf_counter()
         try:
             result, stats = fn()
@@ -131,9 +142,15 @@ class _StageRunner:
         elapsed = time.perf_counter() - start
         # the process's peak resident set so far (ru_maxrss is in KiB on Linux)
         peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        self.stages.append(
-            {"name": name, "seconds": elapsed, "peak_rss_mb": peak_rss_mb, "stats": stats}
-        )
+        # a file the stage wrote is new or has a new size or modification time
+        written = sum(st[0] for f, st in _files(self.out).items() if before.get(f) != st)
+        self.stages.append({
+            "name": name,
+            "seconds": elapsed,
+            "peak_rss_mb": peak_rss_mb,
+            "bytes_written": written,
+            "stats": stats,
+        })
         if artifact is not None:
             self.last_artifact = str(artifact)
         return result
@@ -149,7 +166,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     check_seed(config.seed)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    runner = _StageRunner()
+    runner = _StageRunner(out)
 
     world = config.world
     if world is None and config.spec is not None:
@@ -211,8 +228,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
 
     def refine_stage():
         refined, rmodel, info = joint_refine(recs, transforms)
-        save_transforms(refined, out / "transforms_refined.json")
-        save_merged(rmodel, out / "merged_refined.json")
+        save_merged(rmodel, out / "merged_refined.json",
+                    (out / "transforms_refined.json", transforms_to_json(refined)))
         return rmodel, info
 
     refined_model = runner.run("refine", refine_stage, out / "merged_refined.json")

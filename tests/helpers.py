@@ -29,10 +29,11 @@ from csfm.measurements import MeasurementGraph
 from csfm.merging import (
     REFINE_MAX_ITERATIONS,
     REFINE_REL_TOL,
+    MergedModel,
     _require_transforms,
     merge_reconstructions,
 )
-from csfm.reconstruction import covisible_pairs
+from csfm.reconstruction import Reconstruction, covisible_pairs
 from csfm.rotations import (
     IDENTITY_QUAT,
     exp_rotation,
@@ -599,6 +600,37 @@ def loop_merge(recs, transforms):
                 np.max(np.linalg.norm(stack - fused[row], axis=1))
             )
     return tracks, fused, provenance, fusion_spread
+
+
+def per_record_form(obj):
+    """The value of the artifact that ``obj`` (a graph, world, reconstruction
+    or merged model) is saved as, built with ``.tolist()`` alone: a dict per
+    camera and per edge and a list per merged track.  orjson writes it with
+    the artifact's bytes."""
+    if isinstance(obj, EpipolarGraph):
+        return {
+            "nodes": [f"node_{i}" for i in range(obj.node_count)],
+            "edges": [{"i": i, "j": j, "w": w}
+                      for (i, j), w in zip(obj.edges.tolist(), obj.weights.tolist())],
+        }
+    ids = obj.camera_ids if hasattr(obj, "camera_ids") else np.arange(len(obj.camera_centers))
+    value = {
+        "cameras": [{"id": i, "q": q, "c": c} for i, q, c in zip(
+            ids.tolist(), obj.camera_rotations.tolist(), obj.camera_centers.tolist())],
+        "tracks": obj.track_ids.tolist(),
+        "points": obj.points.tolist(),
+    }
+    if isinstance(obj, Reconstruction):
+        value["community"] = obj.community_id
+    elif isinstance(obj, MergedModel):
+        bounds = obj.community_bounds.tolist()
+        value["communities"] = [obj.communities[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
+        value["fusion"] = {"tracks": obj.fusion_tracks.tolist(), "spread": obj.fusion_spread.tolist()}
+    else:  # a ground-truth world
+        value["spec"] = obj.spec.to_json()
+        value["labels"] = obj.labels.tolist()
+        value["planted"] = [tr.to_json() for tr in obj.planted_transforms]
+    return value
 
 
 PROVENANCE_FIELDS = ("communities", "community_bounds", "fusion_tracks", "fusion_spread")

@@ -93,6 +93,30 @@ class TestLoadGraph:
         with pytest.raises(ValidationError, match="edge record"):
             load_graph(graph_bytes(["a", "b"], [[0, 1]]))
 
+    @pytest.mark.parametrize("edges", [{}, "", {"i": 0, "j": 1}, "ij"])
+    def test_empty_or_iterable_edges_that_are_not_a_list_rejected(self, edges):
+        with pytest.raises(ValidationError, match='"edges" must be a list of edge records'):
+            load_graph(graph_bytes(["a", "b"], edges))
+
+    @pytest.mark.parametrize("first", [{"j": 1}, {"i": True, "j": 1}, {"i": 0}, {"i": 0, "j": 1, "w": 0.5}])
+    @pytest.mark.parametrize("bad", [[0, 1], "e", 3, None])
+    def test_a_record_that_is_not_an_object_is_named_before_a_bad_field(self, first, bad):
+        with pytest.raises(ValidationError, match="edge record"):
+            load_graph(graph_bytes(["a", "b"], [first, bad]))
+
+    def test_the_first_bad_column_is_named(self):
+        # column i is read and checked whole before column j is read
+        with pytest.raises(ValidationError, match="edge i must be"):
+            load_graph(graph_bytes(["a", "b"], [{"i": True, "j": 1}, {"i": 0}]))
+        with pytest.raises(ValidationError, match="missing key 'j'"):
+            load_graph(graph_bytes(["a", "b"], [{"i": 0, "j": True}, {"i": 0}]))
+        with pytest.raises(ValidationError, match="edge w must be"):
+            load_graph(graph_bytes(["a", "b"], [{"i": 0, "j": 1, "w": 1.5}, {"i": 0, "j": 1}]))
+
+    def test_a_missing_weight_counts_as_one(self):
+        g = load_graph(graph_bytes(["a", "b", "c"], [{"i": 0, "j": 1}, {"i": 1, "j": 2, "w": 4}]))
+        assert g.weights.tolist() == [1, 4]
+
     @pytest.mark.parametrize("edge", [{"i": 0, "j": 2**70}, {"i": 0, "j": 1, "w": 2**63}])
     def test_integer_beyond_int64_rejected(self, edge):
         with pytest.raises(ValidationError, match="out of range"):

@@ -10,7 +10,17 @@ from hypothesis import strategies as st
 
 from csfm.errors import NumericError, ValidationError
 from csfm import jsonio
-from csfm.jsonio import as_column, column, parsing, records, scalar, write_json
+from csfm.jsonio import (
+    as_column,
+    column,
+    int_lists,
+    int_records,
+    parsing,
+    records,
+    scalar,
+    write_json,
+    write_json_files,
+)
 
 
 def test_format_is_compact_sorted_with_trailing_newline(tmp_path):
@@ -365,3 +375,78 @@ def test_non_finite_in_a_column_refused_and_an_existing_file_kept(tmp_path, valu
     with pytest.raises(NumericError, match="x.json"):
         write_json(path, obj)
     assert path.read_bytes() == b"[1]\n"
+
+
+INT64 = st.integers(-2**63, 2**63 - 1)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(INT64, INT64, INT64), max_size=20))
+@example([])
+@example([(-2**63, 2**63 - 1, 0), (0, -1, 1)])
+def test_int_records_are_the_bytes_of_a_dict_per_record(rows):
+    i, j, w = (np.array([r[k] for r in rows], dtype=np.int64) for k in range(3))
+    dicts = [{"i": a, "j": b, "w": c} for a, b, c in rows]
+    assert int_records(w=w, i=i, j=j).data == orjson.dumps(dicts, option=orjson.OPT_SORT_KEYS)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.lists(INT64, min_size=1, max_size=5), max_size=20))
+@example([])
+@example([[-2**63], [2**63 - 1, 0, -1, 1, 7]])
+def test_int_lists_are_the_bytes_of_the_nested_lists(lists):
+    values = np.array([v for values in lists for v in values], dtype=np.int64)
+    bounds = np.cumsum([0] + [len(values) for values in lists])
+    assert int_lists(values, bounds).data == orjson.dumps(lists)
+
+
+def test_encoded_columns_are_spliced_in_sorted_key_order(tmp_path):
+    obj = {
+        "z": int_lists([3, 4, 5], [0, 1, 3]),
+        "a": {"y": 0.5, "b": None},
+        "edges": int_records(i=[0], j=[1], w=[2]),
+        "m": as_column([1.5, -0.0]),
+    }
+    plain = {**obj, "z": [[3], [4, 5]], "edges": [{"i": 0, "j": 1, "w": 2}], "m": [1.5, -0.0]}
+    assert written(tmp_path, obj) == written(tmp_path, plain)
+    assert written(tmp_path, obj) == (
+        b'{"a":{"b":null,"y":0.5},"edges":[{"i":0,"j":1,"w":2}],"m":[1.5,-0.0],"z":[[3],[4,5]]}\n')
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_beside_an_encoded_column_refused_and_an_existing_file_kept(tmp_path, value):
+    path = tmp_path / "x.json"
+    write_json(path, [1])
+    obj = {"edges": int_records(i=[0, 1], j=[1, 2], w=[1, 1]), "spread": as_column([0.5, value])}
+    with pytest.raises(NumericError, match="x.json"):
+        write_json(path, obj)
+    assert path.read_bytes() == b"[1]\n"
+
+
+def test_a_refused_file_of_a_set_leaves_every_file_as_it_was(tmp_path):
+    kept, new = tmp_path / "kept.json", tmp_path / "new.json"
+    write_json(kept, [1])
+    with pytest.raises(NumericError, match="new.json"):
+        write_json_files((kept, [2]), (new, {"a": float("nan")}))
+    assert kept.read_bytes() == b"[1]\n"
+    assert not new.exists()
+
+
+@pytest.mark.parametrize(
+    "text, holds",
+    [(b"null\n", True),
+     (b"null", True),
+     (b"[1,null]", True),
+     (b'{"outlier_fraction":0.2,"x":null}', True),
+     (b'["u",null]', True),
+     (b'{"outlier_fraction":null}', True),
+     (b'{"outlier_fraction":0.2,"u":[1,"null"]}', True),
+     (b'{"outlier_fraction":0.2,"fusion":true}', False),
+     (b"true", False),
+     (b"u", False),
+     (b"nul", False),
+     (b"", False)],
+)
+def test_the_null_guard_finds_every_null(text, holds):
+    assert jsonio._holds_null(text) is holds
+

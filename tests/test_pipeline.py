@@ -10,7 +10,7 @@ import orjson
 import pytest
 from click.testing import CliRunner
 
-from csfm import jsonio, l1
+from csfm import l1
 from csfm.alignment import MIN_SAMPLE
 from csfm.averaging import averaging_residuals, load_transforms, recompute_pairwise_translations
 from csfm.cli import main
@@ -22,14 +22,14 @@ from csfm.community import (
     load_partition,
 )
 from csfm.errors import ValidationError
+from csfm.graph import load_graph, save_graph
 from csfm.measurements import load_measurements
-from csfm.merging import load_merged, merged_to_json, save_merged
+from csfm.merging import load_merged, save_merged
 from csfm.pipeline import DATA_ARTIFACTS, PipelineConfig, measure_graph, run_pipeline
 from csfm.reconstruction import (
     Reconstruction,
     covisible_pairs,
     load_reconstruction,
-    reconstruction_to_json,
     save_reconstruction,
 )
 from csfm.rotations import IDENTITY_QUAT
@@ -40,10 +40,9 @@ from csfm.synth import (
     load_world,
     read_world,
     save_world,
-    world_to_json,
 )
 
-from helpers import BENCH_WORLDS, PROVENANCE_FIELDS, loop_averaging_residuals
+from helpers import BENCH_WORLDS, PROVENANCE_FIELDS, loop_averaging_residuals, per_record_form
 
 THREE = dict(
     camera_count=120,
@@ -138,6 +137,30 @@ class TestRunPipeline:
         ]
         assert detect[0] == detect[1]
         assert (detect[0]["cnm_runs"], detect[0]["certified_leaves"]) == (1, 3)
+
+    def test_stages_report_the_bytes_of_the_files_they_wrote(self, tmp_path):
+        files = {
+            "synth": [],
+            "world": ["world.json", "eg.json", "truth-labels.json"],
+            "detect": ["partition.json"],
+            "fracture": ["rec_0.json", "rec_1.json", "rec_2.json"],
+            "pairwise": ["measurements.json"],
+            "average": ["measurements_with_t.json", "transforms.json"],
+            "merge": ["merged.json"],
+            "refine": ["transforms_refined.json", "merged_refined.json"],
+            "eval": ["eval.json"],
+        }
+        written = []
+        # the third run rewrites the first run's files in place
+        for run in ("r1", "r2", "r1"):
+            out = tmp_path / run
+            run_pipeline(PipelineConfig(out_dir=str(out), seed=28, spec=WorldSpec(seed=28, **THREE)))
+            stages = json.loads((out / "report.json").read_text())["stages"]
+            written.append({s["name"]: s["bytes_written"] for s in stages})
+            assert written[-1] == {
+                name: sum((out / f).stat().st_size for f in names) for name, names in files.items()
+            }
+        assert written[0] == written[1] == written[2]
 
     def test_benchmark_spellings_change_no_byte(self, tmp_path):
         # PipelineConfig.workers and ``pairwise --workers`` are read by
@@ -750,15 +773,6 @@ def test_merged_round_trip_is_bit_exact(pipeline_run, tmp_path, name):
     assert_same_arrays(first, back, ARRAY_FIELDS + list(PROVENANCE_FIELDS))
 
 
-def listed(obj):
-    """``obj`` with every numpy array replaced by its ``.tolist()``."""
-    if isinstance(obj, dict):
-        return {k: listed(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [listed(v) for v in obj]
-    return obj.tolist() if isinstance(obj, np.ndarray) else obj
-
-
 RELAID = {
     "as-loaded": lambda a: a,
     "float32": lambda a: a.astype(np.float32) if a.dtype == np.float64 else a,
@@ -769,8 +783,9 @@ RELAID = {
 
 @pytest.mark.parametrize("layout", RELAID)
 def test_artifacts_are_the_bytes_of_their_listed_form(pipeline_run, tmp_path, layout):
-    # arrays go to orjson as they are; a writer that emitted a float32
-    # column's own digits, or refused a non-contiguous one, fails here
+    # arrays go to orjson and to the integer encoders as they are; a writer
+    # that emitted a float32 column's own digits, or refused or misread a
+    # non-contiguous one, fails here
     relaid = RELAID[layout]
     world = load_world(pipeline_run / "world.json")
     world_fields = ["camera_centers", "camera_rotations", "track_ids", "points", "labels"]
@@ -778,15 +793,19 @@ def test_artifacts_are_the_bytes_of_their_listed_form(pipeline_run, tmp_path, la
     merged = load_merged(pipeline_run / "merged.json")
     merged_fields = [f.name for f in dataclasses.fields(merged)]
     merged = dataclasses.replace(merged, **{f: relaid(getattr(merged, f)) for f in merged_fields})
-    # Reconstruction casts its arrays itself, so only its loaded form is tried
+    # Reconstruction and EpipolarGraph cast their arrays themselves, so only
+    # their loaded forms are tried
     rec = load_reconstruction(pipeline_run / "rec_0.json")
-    for save, to_json, obj in [
-        (save_world, world_to_json, world),
-        (save_reconstruction, reconstruction_to_json, rec),
-        (save_merged, merged_to_json, merged),
+    graph = load_graph(pipeline_run / "eg.json")
+    for save, obj in [
+        (save_world, world),
+        (save_reconstruction, rec),
+        (save_merged, merged),
+        (save_graph, graph),
     ]:
         save(obj, tmp_path / "x.json")
-        expected = orjson.dumps(listed(to_json(obj)), option=jsonio._OPTIONS)
+        expected = orjson.dumps(
+            per_record_form(obj), option=orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE)
         assert (tmp_path / "x.json").read_bytes() == expected, save.__name__
 
 
@@ -820,6 +839,23 @@ def test_non_finite_translation_in_transforms_exits_2(pipeline_run, tmp_path):
     assert "non-finite translation" in result.output
     assert "Traceback" not in result.output
     assert not out.exists()
+
+
+def test_refused_refine_leaves_neither_output_behind(pipeline_run, tmp_path):
+    # scales of 1e308 give finite refined transforms but an overflowing
+    # re-merged model; the transforms must not be written before it is refused
+    transforms = json.loads((pipeline_run / "transforms.json").read_text())
+    for record in transforms:
+        record["s"] = 1e308
+    (tmp_path / "t.json").write_text(json.dumps(transforms))
+    refined, merged = tmp_path / "refined.json", tmp_path / "merged.json"
+    result = CliRunner().invoke(main, [
+        "refine", "--recs", str(pipeline_run), "--transforms", str(tmp_path / "t.json"),
+        "-o", str(refined), "--merged-out", str(merged)])
+    assert result.exit_code == 3, result.output
+    assert "merged.json not written: non-finite number" in result.output
+    assert "Traceback" not in result.output
+    assert not refined.exists() and not merged.exists()
 
 
 def assign(*changes):

@@ -540,23 +540,34 @@ def test_match_graph_files_are_pinned(tmp_path):
 
 # sha256 of the pairwise and averaging artifacts of run_pipeline on each
 # spec at seed 0, recorded before the pairwise stage and the translation
-# recompute shared one track join.  They match at one BLAS thread and at the
-# default count; the refine outputs do not, so they are not pinned.
+# recompute shared one track join, and of its point-cloud artifacts, recorded
+# before merged.json's community lists were formatted in one pass.  They
+# match at one BLAS thread and at the default count; the refine outputs do
+# not, so they are not pinned.
 PINNED_PIPELINE_ARTIFACTS = {
     "large-graph": {
         "measurements.json": "a5938b8b69d208cde69fe51956d1c21f1e49302869b5a5c21c7f1ca103a72580",
         "measurements_with_t.json": "331d05cab844cdf9cdc9cf8f0520135a929eb861c619ecfc433e353a97a874c0",
         "transforms.json": "9ce9f4ea3526f25c6d833c8ee2e9e0b0fe1939de47d2c1ce801fe37ce496fa88",
+        "world.json": "ef12f86dc7c1b58babd50e3b6a0732fbbaa466721acd7221d3e70903b235133a",
+        "rec_0.json": "889c482c0ca3c8ec5f081c21bf275ab29bc031ac74b7321b120ee57b73d01f75",
+        "merged.json": "e5a354d8ffaca3c82d6ea03190682aa66eebb44812cdf09f04f14fc31687bb29",
     },
     "dense-points": {
         "measurements.json": "8b0a1846c21b1a8fcca2365e3e570de68f2826f76b135e00e3e3e7dc72d71f9f",
         "measurements_with_t.json": "9056b55ddf8df0c4f25d5c779dbdca86608eaf5a52669f002f1f8755e9abf06d",
         "transforms.json": "6b2963af43cd6b5e844cd27a9751f7d9a8042f7ab2c175f70cc94282a1f9f2e3",
+        "world.json": "dd10b9b0ad6ee4c5f775efcda7cf24806b11e1b70398da8395c34f2835c35579",
+        "rec_0.json": "27d2f3976bc2876e47be34ebc74e6f22fd985e55fc9771c74da41a549181d45d",
+        "merged.json": "48fb70add614b6d402e545c5ab6726b54061c94147673b15f82b977b03efe2b4",
     },
     "staged-cli": {
         "measurements.json": "7d5af9e5ac7494e145c9f7a7d225392fd4eeddc3830e03695884254f9284b1ff",
         "measurements_with_t.json": "9b04bdf02b2b54ed60931ebd958e6b23910ffee0c94ab71f0d1b75c0ab9e9295",
         "transforms.json": "812d50f8c9ca399b97b2b3127d742e5d9575eb3b21ccad8864ea225d99c33ae4",
+        "world.json": "50dd2d55202e902c37ebf32c33e061fb1be2459b971e10c82d89602e5374ed35",
+        "rec_0.json": "f59a766f0a1194a1837164eb4250708d38227b0f8e9bc8f17cefb6b46e5085ca",
+        "merged.json": "41af5224008bb4566fb1e7fa1051d09ec0ed7d2cbf804bf38e94c01ea940cc23",
     },
 }
 
