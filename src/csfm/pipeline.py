@@ -114,6 +114,12 @@ def measure_graph(recs, seed: int, path):
     }
 
 
+def _world_stats(world: GroundTruthWorld) -> dict:
+    """The resident size of a world's visibility incidence and its match
+    graph's edge count, which set the memory of the synth and world stages."""
+    return {"incidence_bytes": world.visible.nbytes, "match_edges": world.graph.edge_count}
+
+
 def _files(out: Path) -> dict:
     """``{name: (size, mtime_ns)}`` of the files in ``out``."""
     with os.scandir(out) as entries:
@@ -173,9 +179,14 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         spec = config.spec
         if spec.seed != config.seed:
             spec = WorldSpec(**{**spec.to_json(), "seed": config.seed})
-        world = runner.run("synth", lambda: (generate_world(spec), {}), out / "world.json")
+        def synth_stage():
+            made = generate_world(spec)
+            return made, _world_stats(made)
+
+        world = runner.run("synth", synth_stage, out / "world.json")
     if world is not None:
-        runner.run("world", lambda: (write_world_files(world, out), {}), out / "world.json")
+        runner.run("world", lambda: (write_world_files(world, out), _world_stats(world)),
+                   out / "world.json")
 
     if config.reconstructions is not None:
         recs = list(config.reconstructions)

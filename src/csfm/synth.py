@@ -38,8 +38,8 @@ _STREAM_NOISE = 202
 
 _WORLD_DRAWS = 4  # geometry draws generate_world tries before giving up
 _CAMERA_CHUNK = 16  # cameras per candidate search in visibility()
-_CAMERA_BLOCK = 512  # cameras per index block in _match_graph(); every perfbench world is one
-_POINT_BLOCK = 2048  # incidence columns per dense float32 block in _match_graph()
+_CAMERA_BLOCK = 512  # cameras per packed incidence block; every perfbench world is one
+_POINT_BLOCK = 2048  # incidence columns per float32 product in _match_graph(); a multiple of 8
 
 
 def check_seed(seed) -> None:
@@ -97,11 +97,23 @@ class WorldSpec:
 
 
 class Incidence(NamedTuple):
-    """Camera x point 0/1 incidence in compressed-row form: camera ``i`` sees
-    the points ``indices[indptr[i] : indptr[i + 1]]``, in ascending order."""
+    """Camera x point 0/1 incidence, one entry per block of ``_CAMERA_BLOCK``
+    cameras (the last block may be shorter).  ``columns[b]`` holds the points
+    some camera of block ``b`` sees, ascending; row ``r`` of the uint8
+    ``bits[b]`` is the incidence of the block's ``r``-th camera on those
+    columns, packed by ``np.packbits`` (zero bits pad the last byte)."""
 
-    indptr: np.ndarray
-    indices: np.ndarray
+    columns: tuple
+    bits: tuple
+
+    @property
+    def bounds(self) -> list:
+        """Block ``b`` holds cameras ``bounds[b]`` up to ``bounds[b + 1] - 1``."""
+        return np.cumsum([0] + [bits.shape[0] for bits in self.bits]).tolist()
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in self.columns + self.bits)
 
 
 @dataclass(frozen=True)
@@ -114,7 +126,7 @@ class GroundTruthWorld:
     labels: np.ndarray  # planted cluster per camera
     graph: EpipolarGraph
     planted_transforms: tuple  # Sim3 per planted cluster, local -> global
-    visible: Incidence  # (n_cam, n_pts) 0/1 incidence from visibility()
+    visible: Incidence  # (n_cam, n_pts) 0/1 incidence from visibility(), packed per camera block
 
     def truth_reconstruction(self) -> Reconstruction:
         """The world itself as a single global-frame reconstruction."""
@@ -234,18 +246,18 @@ def _draw_geometry(spec: WorldSpec, rng: np.random.Generator):
 def visibility(centers: np.ndarray, points: np.ndarray, radius: float) -> Incidence:
     """The ``(n_cam, n_pts)`` incidence: camera ``i`` sees point ``j`` when
     ``d2 <= radius**2``, with ``d2`` the squared distance summed over x, y, z
-    in that order.  ``indices`` and ``indptr`` are int32 unless the entry or
-    point count reaches 2**31.
+    in that order.  Columns are int32 unless the point count reaches 2**31.
 
     The points are sorted on x once.  Each chunk of ``_CAMERA_CHUNK`` cameras
-    takes as candidates the slab of points whose x lies within ``radius`` of
-    the chunk's x-range, found by two binary searches, and keeps those whose
-    y and z lie within ``radius`` of the chunk's range too.  The margin is
-    widened by a relative 1e-9, far beyond the rounding of any coordinate
-    difference involved, so the candidates hold every point a camera of the
-    chunk sees.  The exact rule decides each of them on a dense ``(chunk,
-    candidates)`` block; the candidates are sorted, so the block's row-major
-    mask gives each row's column indices in order.
+    of a block takes as candidates the slab of points whose x lies within
+    ``radius`` of the chunk's x-range, found by two binary searches, and keeps
+    those whose y and z lie within ``radius`` of the chunk's range too.  The
+    margin is widened by a relative 1e-9, far beyond the rounding of any
+    coordinate difference involved, so the candidates hold every point a
+    camera of the chunk sees.  The exact rule decides each of them on a dense
+    ``(chunk, candidates)`` mask.  A block's columns are the union of the
+    points its chunks see; each chunk's mask is spread over those columns
+    and packed into the block's rows.
     """
     n_cam, n_pts = centers.shape[0], points.shape[0]
     column_dtype = np.int32 if n_pts < 2**31 else np.int64
@@ -253,67 +265,65 @@ def visibility(centers: np.ndarray, points: np.ndarray, radius: float) -> Incide
     order = np.argsort(by_axis[0], kind="stable")
     xs = by_axis[0, order]
     margin = radius * (1.0 + 1e-9)
-    chunks, counts = [], np.zeros(n_cam, dtype=np.int64)
-    for start in range(0, n_cam, _CAMERA_CHUNK):
-        chunk = centers[start : start + _CAMERA_CHUNK]
-        lo, hi = chunk.min(axis=0) - margin, chunk.max(axis=0) + margin
-        slab = order[np.searchsorted(xs, lo[0], "left") : np.searchsorted(xs, hi[0], "right")]
-        y, z = by_axis[1, slab], by_axis[2, slab]
-        near = np.sort(slab[(y >= lo[1]) & (y <= hi[1]) & (z >= lo[2]) & (z <= hi[2])])
-        cand = by_axis[:, near]
-        d2 = (chunk[:, 0:1] - cand[0]) ** 2
-        d2 += (chunk[:, 1:2] - cand[1]) ** 2
-        d2 += (chunk[:, 2:3] - cand[2]) ** 2
-        seen = d2 <= radius**2
-        chunks.append(np.broadcast_to(near.astype(column_dtype), seen.shape)[seen])
-        counts[start : start + chunk.shape[0]] = np.count_nonzero(seen, axis=1)
-    nnz = int(counts.sum())
-    index_dtype = np.int32 if max(nnz, n_pts) < 2**31 else np.int64
-    indices = np.concatenate(chunks, dtype=index_dtype) if chunks else np.zeros(0, index_dtype)
-    indptr = np.zeros(n_cam + 1, dtype=index_dtype)
-    np.cumsum(counts, out=indptr[1:])
-    return Incidence(indptr, indices)
+    columns, bits = [], []
+    for block in range(0, n_cam, _CAMERA_BLOCK):
+        stop = min(block + _CAMERA_BLOCK, n_cam)
+        parts = []  # (first row, points the chunk sees, the chunk's mask on them)
+        for start in range(block, stop, _CAMERA_CHUNK):
+            chunk = centers[start : min(start + _CAMERA_CHUNK, stop)]
+            lo, hi = chunk.min(axis=0) - margin, chunk.max(axis=0) + margin
+            slab = order[np.searchsorted(xs, lo[0], "left") : np.searchsorted(xs, hi[0], "right")]
+            y, z = by_axis[1, slab], by_axis[2, slab]
+            near = np.sort(slab[(y >= lo[1]) & (y <= hi[1]) & (z >= lo[2]) & (z <= hi[2])])
+            cand = by_axis[:, near]
+            d2 = (chunk[:, 0:1] - cand[0]) ** 2
+            d2 += (chunk[:, 1:2] - cand[1]) ** 2
+            d2 += (chunk[:, 2:3] - cand[2]) ** 2
+            seen = d2 <= radius**2
+            hit = seen.any(axis=0)
+            parts.append((start - block, near[hit], seen[:, hit]))
+        cols = np.unique(np.concatenate([near for _, near, _ in parts]))
+        packed = np.empty((stop - block, -(-cols.size // 8)), dtype=np.uint8)
+        for row, near, seen in parts:
+            dense = np.zeros((seen.shape[0], cols.size), dtype=bool)
+            dense[:, np.searchsorted(cols, near)] = seen
+            packed[row : row + seen.shape[0]] = np.packbits(dense, axis=1)
+        columns.append(cols.astype(column_dtype))
+        bits.append(packed)
+    return Incidence(tuple(columns), tuple(bits))
 
 
 def _match_graph(spec: WorldSpec, centers: np.ndarray, visible: Incidence) -> EpipolarGraph:
     """Match edges by co-visible track count, in row-major ``(i < j)`` order.
 
     ``visible`` is the incidence :func:`visibility` gives for ``centers`` at
-    ``spec.visibility_radius``.  Cameras are split into index blocks of
-    ``_CAMERA_BLOCK``.  Two cameras more than ``2 * radius`` apart share no
-    point (the triangle inequality, with the 1e-9 slack of
-    :func:`visibility`), so a pair of blocks is counted only when the
-    bounding boxes of their centers lie within that distance.  Each block's
-    incidence is made dense once, as bool over the points the block sees.
-    Each kept pair's counts are one float32 product of the two dense blocks
-    over the point columns both see, accumulated ``_POINT_BLOCK`` columns at
-    a time (``x @ x.T`` on the diagonal, which numpy hands to ``syrk``).
-    Every partial sum is an integer no larger than the point count, which
+    ``spec.visibility_radius``.  Two cameras more than ``2 * radius`` apart
+    share no point (the triangle inequality, with the 1e-9 slack of
+    :func:`visibility`), so a pair of camera blocks is counted only when the
+    bounding boxes of their centers lie within that distance.  Each kept
+    pair's counts are one float32 product of the two blocks' incidence over
+    the point columns both see, unpacked ``_POINT_BLOCK`` columns at a time
+    (``x @ x.T`` on the diagonal, which numpy hands to ``syrk``).  Every
+    partial sum is an integer no larger than the point count, which
     ``WorldSpec`` keeps below 2**24, so float32 holds each one exactly, in
     any order of summation.
     """
     n_cam = centers.shape[0]
-    bounds = list(range(0, n_cam, _CAMERA_BLOCK)) + [n_cam]
+    bounds = visible.bounds
     lo = np.minimum.reduceat(centers, bounds[:-1], axis=0)
     hi = np.maximum.reduceat(centers, bounds[:-1], axis=0)
     gap = np.maximum(np.maximum(lo[None] - hi[:, None], lo[:, None] - hi[None]), 0.0)
     reach = 2.0 * spec.visibility_radius * (1.0 + 1e-9)
     linked = np.sum(gap**2, axis=2) <= reach**2
-    n_pts = int(visible.indices.max()) + 1 if visible.indices.size else 0
-    dense = {}  # block -> its _dense_block, kept while a later row of blocks needs it
     edges, weights = [np.zeros((0, 2), np.int64)], [np.zeros(0, np.float32)]
     for a in range(len(bounds) - 1):
         partners = (np.flatnonzero(linked[a, a:]) + a).tolist()
-        for b in partners:
-            if b not in dense:
-                dense[b] = _dense_block(visible, bounds[b], bounds[b + 1], n_pts)
         # one row of count blocks, in column order, so nonzero is row-major
-        co = np.hstack([_block_counts(dense, a, b) for b in partners])
+        co = np.hstack([_block_counts(visible, a, b) for b in partners])
         cams = np.concatenate([np.arange(bounds[b], bounds[b + 1]) for b in partners])
         i, j = np.nonzero(co >= spec.min_shared_tracks)
         edges.append(np.column_stack([i + bounds[a], cams[j]]))
         weights.append(co[i, j])
-        del dense[a]
     return EpipolarGraph(
         node_count=n_cam,
         edges=np.concatenate(edges),
@@ -321,33 +331,36 @@ def _match_graph(spec: WorldSpec, centers: np.ndarray, visible: Incidence) -> Ep
     )
 
 
-def _dense_block(visible: Incidence, start: int, stop: int, n_pts: int):
-    """The points cameras ``start..stop-1`` see, ascending, and the cameras'
-    incidence on them as a dense bool ``(cameras, points)`` matrix."""
-    indptr, indices = visible
-    columns = np.flatnonzero(np.bincount(indices[indptr[start] : indptr[stop]], minlength=n_pts))
-    position = np.zeros(n_pts, dtype=np.intp)
-    position[columns] = np.arange(columns.size)
-    block = np.zeros((stop - start, columns.size), dtype=bool)
-    ends = indptr[start : stop + 1].tolist()
-    for row, (lo, hi) in enumerate(zip(ends, ends[1:])):  # a camera at a time, in little memory
-        block[row, position[indices[lo:hi]]] = True
-    return columns, block
-
-
-def _block_counts(dense: dict, a: int, b: int) -> np.ndarray:
+def _block_counts(visible: Incidence, a: int, b: int) -> np.ndarray:
     """Co-visible point counts between the cameras of blocks ``a <= b``, as
     a float32 matrix; on the diagonal only the strict upper triangle is set.
-    ``dense`` maps each block to its :func:`_dense_block`."""
-    (left, x), (right, y) = dense[a], dense[b]
-    if a != b:  # the columns both blocks see
-        _, in_left, in_right = np.intersect1d(left, right, assume_unique=True, return_indices=True)
-        x, y = x[:, in_left], y[:, in_right]
+
+    On the diagonal each step unpacks a slice of ``_POINT_BLOCK / 8`` bytes
+    (the last one's zero padding bits add nothing).  Off it, each step
+    unpacks the bytes that span its next ``_POINT_BLOCK`` shared columns on
+    either side and takes those columns."""
+    x, y = visible.bits[a], visible.bits[b]
     co = np.zeros((x.shape[0], y.shape[0]), dtype=np.float32)
-    for start in range(0, x.shape[1], _POINT_BLOCK):
-        part = x[:, start : start + _POINT_BLOCK].astype(np.float32)
-        co += part @ (part if a == b else y[:, start : start + _POINT_BLOCK].astype(np.float32)).T
-    return np.triu(co, 1) if a == b else co
+    if a == b:
+        for start in range(0, x.shape[1], _POINT_BLOCK // 8):
+            part = np.unpackbits(x[:, start : start + _POINT_BLOCK // 8], axis=1).astype(np.float32)
+            co += part @ part.T
+        return np.triu(co, 1)
+    _, in_left, in_right = np.intersect1d(
+        visible.columns[a], visible.columns[b], assume_unique=True, return_indices=True
+    )
+    for start in range(0, in_left.size, _POINT_BLOCK):
+        stop = start + _POINT_BLOCK
+        co += _unpacked(x, in_left[start:stop]) @ _unpacked(y, in_right[start:stop]).T
+    return co
+
+
+def _unpacked(bits: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """The float32 columns ``positions`` (ascending) of packed rows ``bits``,
+    unpacking only the bytes from the first position's to the last's."""
+    first = int(positions[0]) // 8
+    window = np.unpackbits(bits[:, first : int(positions[-1]) // 8 + 1], axis=1)
+    return window[:, positions - 8 * first].astype(np.float32)
 
 
 def _check_planted_structure(graph: EpipolarGraph, labels: np.ndarray, k: int):
@@ -393,15 +406,22 @@ def fracture(world: GroundTruthWorld, partition: Partition) -> FractureResult:
     k = partition.community_count
 
     # a community reconstructs the tracks seen by >= 2 of its cameras, counted
-    # over its cameras' incidence rows one community at a time
+    # block by block over its own cameras' unpacked incidence rows
     n_pts = world.points.shape[0]
-    indptr, indices = world.visible
+    visible = world.visible
+    bounds = visible.bounds
     community_cams = [np.flatnonzero(partition.assignment == c) for c in range(k)]
     member_tracks = []
     multiplicity = np.zeros(n_pts, dtype=np.int64)  # communities that reconstruct each track
     for cams in community_cams:
-        views = [indices[lo:hi] for lo, hi in zip(indptr[cams].tolist(), indptr[cams + 1].tolist())]
-        member = np.bincount(np.concatenate(views), minlength=n_pts) >= 2
+        views = np.zeros(n_pts, dtype=np.int64)  # member cameras that see each track
+        cuts = np.searchsorted(cams, bounds).tolist()
+        for b, (columns, bits) in enumerate(zip(visible.columns, visible.bits)):
+            if cuts[b] < cuts[b + 1]:
+                rows = np.unpackbits(bits[cams[cuts[b] : cuts[b + 1]] - bounds[b]], axis=1,
+                                     count=columns.size)
+                views[columns] += rows.sum(axis=0, dtype=np.int16)  # at most _CAMERA_BLOCK
+        member = views >= 2
         member_tracks.append(np.flatnonzero(member))
         multiplicity += member
 

@@ -16,6 +16,7 @@ from scipy.linalg.blas import sgemm, ssyrk
 from scipy.sparse import csgraph
 from scipy.spatial import cKDTree
 
+from csfm import synth
 from csfm.alignment import (
     DEFAULT_CONFIDENCE,
     MIN_SAMPLE,
@@ -464,12 +465,23 @@ def dense_visibility(centers, points, radius):
 
 def incidence_array(visible, n_pts):
     """A ``csfm.synth.Incidence`` as a dense ``(n_cam, n_pts)`` bool array,
-    after checking that each row's column indices strictly increase."""
-    rows = np.repeat(np.arange(visible.indptr.size - 1), np.diff(visible.indptr))
-    step = np.diff(visible.indices.astype(np.int64))
-    assert np.all((step > 0) | (rows[1:] != rows[:-1]))
-    dense = np.zeros((visible.indptr.size - 1, n_pts), dtype=bool)
-    dense[rows, visible.indices] = True
+    after checking its layout: one block per ``csfm.synth._CAMERA_BLOCK``
+    cameras (the last may be shorter), each with strictly increasing int32
+    columns that some camera of the block sees, and uint8 rows of
+    ``ceil(columns / 8)`` bytes whose padding bits are zero."""
+    block_size = synth._CAMERA_BLOCK
+    assert len(visible.columns) == len(visible.bits)
+    rows = [bits.shape[0] for bits in visible.bits]
+    assert all(r == block_size for r in rows[:-1]) and 0 < rows[-1] <= block_size
+    dense = np.zeros((sum(rows), n_pts), dtype=bool)
+    for b, (columns, bits) in enumerate(zip(visible.columns, visible.bits)):
+        assert columns.dtype == np.int32 and columns.ndim == 1
+        assert np.all(np.diff(columns.astype(np.int64)) > 0)
+        assert bits.dtype == np.uint8 and bits.shape == (rows[b], -(-columns.size // 8))
+        block = np.unpackbits(bits, axis=1).astype(bool)
+        assert not block[:, columns.size :].any()  # padding
+        assert block[:, : columns.size].any(axis=0).all()
+        dense[b * block_size : b * block_size + rows[b], columns] = block[:, : columns.size]
     return dense
 
 

@@ -162,6 +162,16 @@ class TestRunPipeline:
             }
         assert written[0] == written[1] == written[2]
 
+    def test_synth_and_world_stages_report_the_incidence_and_edge_count(self, tmp_path):
+        run_pipeline(PipelineConfig(out_dir=str(tmp_path), seed=28, spec=WorldSpec(seed=28, **THREE)))
+        stages = json.loads((tmp_path / "report.json").read_text())["stages"]
+        stats = {s["name"]: s["stats"] for s in stages}
+        world = generate_world(WorldSpec(seed=28, **THREE))
+        packed = sum(a.nbytes for block in zip(*world.visible) for a in block)
+        edges = len(json.loads((tmp_path / "eg.json").read_text())["edges"])
+        assert stats["synth"] == stats["world"] == {"incidence_bytes": packed, "match_edges": edges}
+        assert 0 < packed and 0 < edges
+
     def test_benchmark_spellings_change_no_byte(self, tmp_path):
         # PipelineConfig.workers and ``pairwise --workers`` are read by
         # nothing; they stay only because perfbench/run.py still passes them
@@ -841,6 +851,7 @@ def test_non_finite_translation_in_transforms_exits_2(pipeline_run, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 def test_refused_refine_leaves_neither_output_behind(pipeline_run, tmp_path):
     # scales of 1e308 give finite refined transforms but an overflowing
     # re-merged model; the transforms must not be written before it is refused

@@ -250,12 +250,9 @@ def test_visibility_matches_the_dense_rule(n_cam, n_pts, layout, blind_share, sc
     want = dense_visibility(centers, points, radius)
     assert want[far, -2] and not want[far, -1]
     assert not want[blind, :n_pts].any()
-    got = visibility(centers, points, radius)
-    assert got.indptr.shape == (n_cam + 1,)
-    assert got.indices.dtype == np.int32 and got.indptr.dtype == np.int32
-    assert np.array_equal(incidence_array(got, n_pts + 2), want)
-    oracle = kdtree_visibility(centers, points, radius)
-    assert np.array_equal(got.indptr, oracle.indptr) and np.array_equal(got.indices, oracle.indices)
+    got = incidence_array(visibility(centers, points, radius), n_pts + 2)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got, kdtree_visibility(centers, points, radius).toarray())
 
 
 class TestVisibility:
@@ -317,10 +314,7 @@ class TestVisibility:
             owner = rng.integers(0, n_cam, size=n_pts)
             shell = radius * (1.0 + rng.integers(-4, 5, size=(n_pts, 1)) * np.finfo(float).eps)
             points[near] = (centers[owner] + shell * u)[near]
-            got = visibility(centers, points, radius)
-            assert got.indptr.shape == (n_cam + 1,)
-            assert got.indices.dtype == np.int32 and got.indptr.dtype == np.int32
-            dense = incidence_array(got, n_pts)
+            dense = incidence_array(visibility(centers, points, radius), n_pts)
             assert np.array_equal(dense, dense_visibility(centers, points, radius))
             assert np.array_equal(dense, kdtree_visibility(centers, points, radius).toarray())
 
@@ -332,9 +326,9 @@ class TestVisibility:
         counted = []
         block_counts = synth._block_counts
 
-        def record(dense, a, b):
+        def record(visible, a, b):
             counted.append((a, b))
-            return block_counts(dense, a, b)
+            return block_counts(visible, a, b)
 
         monkeypatch.setattr(synth, "_block_counts", record)
         rng = np.random.default_rng(21)
@@ -350,6 +344,8 @@ class TestVisibility:
                     centers[n_cam // 2 :, 0] += 100.0
                     points[n_pts // 2 :, 0] += 100.0
                 visible = visibility(centers, points, 3.0)
+                assert np.array_equal(incidence_array(visible, n_pts),
+                                      dense_visibility(centers, points, 3.0))
                 counted.clear()
                 spec = WorldSpec(min_shared_tracks=min_shared, visibility_radius=3.0)
                 graph = _match_graph(spec, centers, visible)
@@ -386,7 +382,10 @@ class TestVisibility:
         for seed in range(3):
             spec = WorldSpec(seed=seed, **STRONG)
             world = generate_world(spec)
-            assert world.visible.indices.dtype == np.int32
+            # one packed block: int32 columns, a row of ceil(columns / 8) bytes per camera
+            (columns,), (bits,) = world.visible
+            assert columns.dtype == np.int32 and bits.dtype == np.uint8
+            assert bits.shape == (spec.camera_count, -(-columns.size // 8))
             dense = dense_visibility(world.camera_centers, world.points, spec.visibility_radius)
             assert np.array_equal(incidence_array(world.visible, spec.point_count), dense)
             co = dense.astype(np.int64) @ dense.T.astype(np.int64)
@@ -500,8 +499,8 @@ def test_world_json_round_trip(tmp_path):
     assert np.array_equal(back.labels, world.labels)
     assert np.array_equal(back.graph.edges, world.graph.edges)
     assert np.array_equal(back.graph.weights, world.graph.weights)
-    assert np.array_equal(back.visible.indptr, world.visible.indptr)
-    assert np.array_equal(back.visible.indices, world.visible.indices)
+    for got, want in zip(back.visible, world.visible, strict=True):
+        assert len(got) == len(want) and all(map(np.array_equal, got, want))
     assert back.spec == world.spec
 
 
@@ -584,8 +583,7 @@ def _assert_matches_the_scipy_oracle(world, tmp_path):
     # the incidence and the eg.json bytes against the k-d tree and BLAS oracles
     spec = world.spec
     oracle = kdtree_visibility(world.camera_centers, world.points, spec.visibility_radius)
-    assert np.array_equal(world.visible.indptr, oracle.indptr)
-    assert np.array_equal(world.visible.indices, oracle.indices)
+    assert np.array_equal(incidence_array(world.visible, spec.point_count), oracle.toarray())
     edges, weights = kdtree_match_graph(spec, world.camera_centers, oracle)
     save_graph(world.graph, tmp_path / "eg.json")
     save_graph(EpipolarGraph(spec.camera_count, edges, weights), tmp_path / "oracle.json")
@@ -599,10 +597,42 @@ def test_perfbench_worlds_match_the_scipy_oracle(tmp_path, workload):
             generate_world(WorldSpec(**PERFBENCH_SPECS[workload], seed=seed)), tmp_path)
 
 
-def test_a_world_of_several_camera_blocks_matches_the_scipy_oracle(tmp_path):
+@pytest.fixture(scope="module")
+def several_blocks_world():
     spec = WorldSpec(camera_count=1100, point_count=11000, cluster_count=8, noise_sigma=1e-3, seed=4)
     assert spec.camera_count > 2 * _CAMERA_BLOCK
-    _assert_matches_the_scipy_oracle(generate_world(spec), tmp_path)
+    return generate_world(spec)
+
+
+def test_a_world_of_several_camera_blocks_matches_the_scipy_oracle(tmp_path, several_blocks_world):
+    assert len(several_blocks_world.visible.bits) == 3
+    _assert_matches_the_scipy_oracle(several_blocks_world, tmp_path)
+
+
+def test_fracture_counts_views_across_uneven_camera_blocks(several_blocks_world):
+    # blocks of 512, 512 and 76 cameras; runs of 300 cameras straddle both
+    # block boundaries, every seventh camera forms a community that takes
+    # scattered rows of all three blocks, and three pairs of neighbours are
+    # communities of their own: one astride each boundary and the last two
+    # cameras.  A community's tracks are those that two or more of its
+    # cameras see by the dense rule.
+    world = several_blocks_world
+    n_cam = world.spec.camera_count
+    assert world.visible.bounds == [0, _CAMERA_BLOCK, 2 * _CAMERA_BLOCK, n_cam]
+    assignment = np.arange(n_cam) // 300
+    assignment[3::7] = 4
+    for c, first in enumerate([_CAMERA_BLOCK - 1, 2 * _CAMERA_BLOCK - 1, n_cam - 2], start=5):
+        assignment[first : first + 2] = c
+    fr = fracture(world, Partition(assignment=assignment, community_count=8))
+    for c, rec in enumerate(fr.reconstructions):
+        cams = np.flatnonzero(assignment == c)
+        views = sum(
+            dense_visibility(world.camera_centers[cams[s : s + 64]], world.points,
+                             world.spec.visibility_radius).sum(axis=0)
+            for s in range(0, cams.size, 64)
+        )
+        assert np.array_equal(rec.camera_ids, cams)
+        assert rec.track_ids.size > 0 and np.array_equal(rec.track_ids, np.flatnonzero(views >= 2))
 
 
 def test_world_file_counts_must_match_its_spec(tmp_path):
@@ -614,13 +644,29 @@ def test_world_file_counts_must_match_its_spec(tmp_path):
         load_world(tmp_path / "world.json")
 
 
+@pytest.mark.parametrize("workload", ["dense-points", "large-graph"])
+def test_perfbench_world_incidence_is_packed(workload):
+    # the five worlds of one perfbench run hold their incidence in at most
+    # one int32 column index per point and one bit per camera and point; at
+    # seeds 0-4 each world's camera block sees every point, so the bound is
+    # met exactly: 3,577,500 bytes on dense-points and 1,807,500 on
+    # large-graph, where int32 compressed rows took 24,101,008 and 8,539,852
+    spec = WorldSpec(**PERFBENCH_SPECS[workload])
+    assert spec.camera_count <= _CAMERA_BLOCK
+    packed = sum(generate_world(WorldSpec(**PERFBENCH_SPECS[workload], seed=seed)).visible.nbytes
+                 for seed in range(5))
+    assert packed <= 5 * (4 * spec.point_count + spec.camera_count * -(-spec.point_count // 8))
+
+
 def test_dense_points_world_memory_rise_is_bounded():
     # generate_world on the perfbench dense-points spec, in a fresh process:
-    # the rise of its peak resident set over the import.  Measured at 21-23
-    # MiB on a 2-core Intel Xeon with numpy 2.4 (86 MiB when every candidate
-    # pair was held at once with int64 incidence indices); since csfm stopped
-    # importing scipy, the rise includes numpy.random's first import, about
-    # 5 MiB.  The bound leaves a margin of about half the measured rise.
+    # the rise of its peak resident set over the import.  Measured at 17.0-17.1
+    # MiB on a 2-core Intel Xeon with numpy 2.4 since the incidence is packed
+    # per camera block (21-23 MiB with int32 compressed rows, 86 MiB when
+    # every candidate pair was held at once with int64 incidence indices);
+    # since csfm stopped importing scipy, the rise includes numpy.random's
+    # first import, about 5 MiB.  The bound leaves a margin of about half the
+    # measured rise.
     script = (
         "import resource\n"
         "from csfm.synth import WorldSpec, generate_world\n"
@@ -635,4 +681,4 @@ def test_dense_points_world_memory_rise_is_bounded():
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     rise_mb = float(done.stdout.split()[-1])
-    assert rise_mb < 35.0, rise_mb
+    assert rise_mb < 26.0, rise_mb
