@@ -1,11 +1,12 @@
 """Global similarity averaging: scales, rotations, then translations.
 
-Each stage stacks one constraint per pairwise measurement into a +1/-1
-system and minimizes its L1 residual, which tolerates a minority of
-corrupted measurements; the three axes of a rotation or translation problem
-are one stacked right-hand side.  Community 0 is the gauge: its transform is
-pinned to ``(s=1, R=I, T=0)`` by eliminating its variables from the column
-space.
+The stages read one measurement table and drop no row: a pair is kept or
+refused once, when it is measured.  Each stage stacks one constraint per row
+into the +1 on j / -1 on i system of :func:`_incidence` and minimizes its L1
+residual, which tolerates a minority of corrupted measurements; the three
+axes of a rotation or translation problem are one stacked right-hand side.
+Community 0 is the gauge: its column is eliminated, pinning its transform to
+``(s=1, R=I, T=0)``, so every solve fills the unknowns ``[1:]``.
 
 Stage order is fixed: scales, rotations, per-pair translation recomputation
 on scale/rotation-aligned points, translations.
@@ -13,10 +14,11 @@ on scale/rotation-aligned points, translations.
 from __future__ import annotations
 
 import logging
+from dataclasses import replace
 
 import numpy as np
 
-from .errors import DisconnectedGraphError, ValidationError
+from .errors import ValidationError
 from .jsonio import column, parsing, records, write_json
 from .l1 import solve_l1
 from .measurements import MeasurementGraph
@@ -35,25 +37,19 @@ from .sim3 import Sim3
 
 log = logging.getLogger(__name__)
 
-GAUGE_COMMUNITY = 0
-
 ROTATION_MAX_ITERATIONS = 32
 ROTATION_UPDATE_TOL = 1e-9
 
 
-def _incidence(mg: MeasurementGraph, plus_on_j: bool) -> np.ndarray:
+def _incidence(mg: MeasurementGraph) -> np.ndarray:
     """The ``(rows, k - 1)`` matrix of the averaging problems: one row per
-    measurement, one column per non-gauge community.
-
-    ``plus_on_j`` selects the row sign convention: +1 on j / -1 on i for
-    difference constraints (rotations, translations), the opposite for the
-    log-scale constraint."""
+    measurement, +1 in the column of j and -1 in that of i, one column per
+    community but the gauge."""
     rows = np.arange(mg.i.size)
-    sign = 1.0 if plus_on_j else -1.0
     A = np.zeros((rows.size, mg.community_count))
-    A[rows, mg.j] = sign
-    A[rows, mg.i] = -sign
-    return np.delete(A, GAUGE_COMMUNITY, axis=1)
+    A[rows, mg.j] = 1.0
+    A[rows, mg.i] = -1.0
+    return np.delete(A, 0, axis=1)
 
 
 def _solver(counts: dict | None, problem: str):
@@ -71,7 +67,7 @@ def _solver(counts: dict | None, problem: str):
 
 
 def average_scales(mg: MeasurementGraph, counts: dict | None = None) -> np.ndarray:
-    """Per-community scales from ``log s_i - log s_j = log s_ij`` rows.
+    """Per-community scales from ``log s_j - log s_i = -log s_ij`` rows.
 
     The gauge community's log-scale is eliminated (s = 1 exactly);
     the remaining system is solved in the L1 sense and exponentiated.
@@ -83,7 +79,7 @@ def average_scales(mg: MeasurementGraph, counts: dict | None = None) -> np.ndarr
     scales = np.ones(k)
     if k == 1 or not mg.i.size:
         return scales
-    scales[1:] = np.exp(solve(_incidence(mg, plus_on_j=False), np.log(mg.s)))
+    scales[1:] = np.exp(solve(_incidence(mg), -np.log(mg.s)))
     return scales
 
 
@@ -95,8 +91,8 @@ def spanning_tree_edges(mg: MeasurementGraph) -> list:
         adj[i].append((j, idx))
         adj[j].append((i, idx))
     seen = [False] * mg.community_count
-    seen[GAUGE_COMMUNITY] = True
-    queue = [GAUGE_COMMUNITY]
+    seen[0] = True
+    queue = [0]
     tree = []
     while queue:
         v = queue.pop(0)
@@ -112,7 +108,7 @@ def _chain_initial_rotations(mg: MeasurementGraph, meas_rot: np.ndarray) -> list
     """Initialize by composing the measured rotations (``meas_rot``, one
     matrix per row of ``mg``) along the BFS spanning tree."""
     R = [None] * mg.community_count
-    R[GAUGE_COMMUNITY] = np.eye(3)
+    R[0] = np.eye(3)
     for idx in spanning_tree_edges(mg):
         i, j, rot = mg.i[idx], mg.j[idx], meas_rot[idx]
         if R[i] is not None and R[j] is None:
@@ -143,7 +139,7 @@ def average_rotations(mg: MeasurementGraph, counts: dict | None = None) -> np.nd
         i, j = mg.i, mg.j
         meas_rot = quat_to_matrix(mg.q)
         R = np.stack(_chain_initial_rotations(mg, meas_rot))
-        A = _incidence(mg, plus_on_j=True)
+        A = _incidence(mg)
         converged = False
         while not converged and sweeps < ROTATION_MAX_ITERATIONS:
             sweeps += 1
@@ -175,31 +171,21 @@ def recompute_pairwise_translations(
 
     Every community's points are first mapped by its averaged ``s_k R_k``
     (no translation yet); the per-pair offset is then a robust (median)
-    estimate of ``T_j - T_i``.  Returns the kept rows of ``mg`` with ``t``
-    filled.  Pairs whose co-visible set vanished are dropped with a warning;
-    if the drops disconnect the measurement graph that is an error.
+    estimate of ``T_j - T_i``.  Returns ``mg`` with ``t`` filled on every
+    row.  A measured pair sharing no track in ``recs`` was measured on other
+    reconstructions (another run's files): a :class:`ValidationError`.
     """
     mapped = {
         c: float(scales[c]) * (rec.points @ quat_to_matrix(rotations[c]).T)
         for c, rec in recs.items()
     }
-    keep, t = np.zeros(mg.i.size, dtype=bool), []
-    for idx, (i, j) in enumerate(zip(mg.i.tolist(), mg.j.tolist())):
+    t = []
+    for i, j in zip(mg.i.tolist(), mg.j.tolist()):
         ia, ib = shared_tracks(recs[i], recs[j])
         if ia.size == 0:
-            log.warning("dropping measurement (%d, %d): no surviving co-visible tracks", i, j)
-            continue
+            raise ValidationError(f"measured pair ({i}, {j}) shares no track in these reconstructions")
         t.append(np.median(mapped[i][ia] - mapped[j][ib], axis=0))
-        keep[idx] = True
-    out = MeasurementGraph(
-        mg.community_count, mg.i[keep], mg.j[keep], mg.s[keep], mg.q[keep], mg.inliers[keep],
-        np.reshape(t, (-1, 3)),
-    )
-    if not out.is_connected:
-        raise DisconnectedGraphError(
-            "dropped measurements disconnected the measurement graph"
-        )
-    return out
+    return replace(mg, t=np.reshape(t, (-1, 3)))
 
 
 def average_translations(mg: MeasurementGraph, counts: dict | None = None) -> np.ndarray:
@@ -219,7 +205,7 @@ def average_translations(mg: MeasurementGraph, counts: dict | None = None) -> np
         raise ValidationError(
             f"measurement ({mg.i[0]}, {mg.j[0]}) has no translation; run the recompute stage first"
         )
-    out[1:] = solve(_incidence(mg, plus_on_j=True), mg.t)
+    out[1:] = solve(_incidence(mg), mg.t)
     return out
 
 
@@ -243,19 +229,20 @@ def average_similarities(recs: dict, mg: MeasurementGraph, counts: dict | None =
     return transforms, mg_t
 
 
-def averaging_residuals(mg: MeasurementGraph, mg_t: MeasurementGraph, transforms: dict) -> dict:
+def averaging_residuals(mg_t: MeasurementGraph, transforms: dict) -> dict:
     """L1 residuals of the scale, rotation and translation problems at the
-    averaged transforms (``mg_t`` carries the recomputed translations)."""
+    averaged transforms, over the table ``mg_t`` with its recomputed
+    translations."""
     log_s = np.log([tr.s for tr in transforms.values()])
     q = np.stack([tr.q for tr in transforms.values()])
     T = np.stack([tr.t for tr in transforms.values()])
-    scale = np.abs(np.log(mg.s) - (log_s[mg.i] - log_s[mg.j]))
-    rotation = geodesic_angle(quat_multiply(quat_conjugate(q[mg.i]), q[mg.j]), mg.q)
-    translation = np.abs(mg_t.t - (T[mg_t.j] - T[mg_t.i])).sum(axis=1)
+    i, j = mg_t.i, mg_t.j
+    scale = np.abs(np.log(mg_t.s) - (log_s[i] - log_s[j]))
+    rotation = geodesic_angle(quat_multiply(quat_conjugate(q[i]), q[j]), mg_t.q)
+    translation = np.abs(mg_t.t - (T[j] - T[i])).sum(axis=1)
     return {
         "scale_l1_residual": float(np.sum(scale)),
         "rotation_l1_residual_rad": float(np.sum(rotation)),
-        "kept_pairs": int(mg_t.i.size),
         "translation_l1_residual": float(np.sum(translation)),
     }
 

@@ -28,8 +28,10 @@ from .graph import component_labels
 from .jsonio import column, parsing, records, write_json
 from .rotations import quat_canonical, quat_conjugate
 
-# One track beyond RANSAC's minimal sample, so some track can vote against
-# the fit: a pair sharing exactly a minimal sample always fits all of it.
+# One track beyond RANSAC's minimal sample, so that some track outside the
+# sample can vote for or against the fit.  A pair sharing only a minimal
+# sample leaves none, so its estimate is weak evidence; it is not an exact
+# fit (a similarity has 7 unknowns, three tracks give 9 equations).
 MIN_COVISIBLE = MIN_SAMPLE + 1
 
 

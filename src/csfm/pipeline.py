@@ -100,13 +100,15 @@ def measure_graph(recs, seed: int, path):
     """The pairwise stage: measure every community pair sharing at least
     ``MIN_COVISIBLE`` tracks, require the measurement graph to be connected
     and write it to ``path``; returns ``(mg, stats)``, the stats counting
-    the shared tracks of each measured pair in row order."""
+    the shared tracks of each measured pair in row order.  A disconnected
+    graph's error names the refused pairs."""
     pairs = covisible_pairs(recs, MIN_COVISIBLE)
     rows = measure_pairs(pairs, seed=seed)
     mg = MeasurementGraph.from_rows(len(recs), rows)
-    mg.require_connected("pairwise measurement")
-    save_measurements(mg, path)
     shared = {(a.community_id, b.community_id): ia.size for a, b, ia, _ in pairs}
+    refused = sorted(shared.keys() - {(i, j) for i, j, *_ in rows})
+    mg.require_connected("pairwise measurement" + (f" (refused pairs: {refused})" if refused else ""))
+    save_measurements(mg, path)
     return mg, {
         "measured_pairs": len(rows),
         "candidate_pairs": len(pairs),
@@ -226,7 +228,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         transforms, mg_t = average_similarities(recs_by_id, mg, counts)
         save_measurements(mg_t, out / "measurements_with_t.json")
         save_transforms(transforms, out / "transforms.json")
-        return transforms, {**averaging_residuals(mg, mg_t, transforms), **counts}
+        return transforms, {**averaging_residuals(mg_t, transforms), **counts}
 
     transforms = runner.run("average", average_stage, out / "transforms.json")
 

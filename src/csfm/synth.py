@@ -246,7 +246,8 @@ def _draw_geometry(spec: WorldSpec, rng: np.random.Generator):
 def visibility(centers: np.ndarray, points: np.ndarray, radius: float) -> Incidence:
     """The ``(n_cam, n_pts)`` incidence: camera ``i`` sees point ``j`` when
     ``d2 <= radius**2``, with ``d2`` the squared distance summed over x, y, z
-    in that order.  Columns are int32 unless the point count reaches 2**31.
+    in that order.  Columns are int32: ``WorldSpec`` keeps the point count
+    below 2**24.
 
     The points are sorted on x once.  Each chunk of ``_CAMERA_CHUNK`` cameras
     of a block takes as candidates the slab of points whose x lies within
@@ -259,8 +260,7 @@ def visibility(centers: np.ndarray, points: np.ndarray, radius: float) -> Incide
     points its chunks see; each chunk's mask is spread over those columns
     and packed into the block's rows.
     """
-    n_cam, n_pts = centers.shape[0], points.shape[0]
-    column_dtype = np.int32 if n_pts < 2**31 else np.int64
+    n_cam = centers.shape[0]
     by_axis = np.ascontiguousarray(points.T)
     order = np.argsort(by_axis[0], kind="stable")
     xs = by_axis[0, order]
@@ -288,7 +288,7 @@ def visibility(centers: np.ndarray, points: np.ndarray, radius: float) -> Incide
             dense = np.zeros((seen.shape[0], cols.size), dtype=bool)
             dense[:, np.searchsorted(cols, near)] = seen
             packed[row : row + seen.shape[0]] = np.packbits(dense, axis=1)
-        columns.append(cols.astype(column_dtype))
+        columns.append(cols.astype(np.int32))
         bits.append(packed)
     return Incidence(tuple(columns), tuple(bits))
 

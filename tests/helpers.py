@@ -163,30 +163,26 @@ def sparse_weighted_ls(A, rhs, weights) -> np.ndarray:
     return spla.splu(N).solve(A.T @ (w * rhs))
 
 
-def loop_averaging_residuals(mg, mg_t, transforms: dict) -> dict:
+def loop_averaging_residuals(mg_t, transforms: dict) -> dict:
     """The ``average`` stage's report statistics, one measurement at a time.
 
     Reference for ``csfm.averaging.averaging_residuals``: L1 residuals of the
-    scale and rotation problems over ``mg`` and of the translation problem
-    over ``mg_t`` (the recomputed translations) at the averaged transforms.
+    scale, rotation and translation problems over the table ``mg_t``, with
+    its recomputed translations, at the averaged transforms.
     """
     log_s = np.log([tr.s for tr in transforms.values()])
-    scale = [
-        abs(np.log(s) - (log_s[i] - log_s[j]))
-        for i, j, s in zip(mg.i.tolist(), mg.j.tolist(), mg.s.tolist())
-    ]
+    rows = list(zip(mg_t.i.tolist(), mg_t.j.tolist(), mg_t.s.tolist(), mg_t.q, mg_t.t))
+    scale = [abs(np.log(s) - (log_s[i] - log_s[j])) for i, j, s, _, _ in rows]
     rotation = [
         geodesic_angle(quat_multiply(quat_conjugate(transforms[i].q), transforms[j].q), r)
-        for i, j, r in zip(mg.i.tolist(), mg.j.tolist(), mg.q)
+        for i, j, _, r, _ in rows
     ]
     translation = [
-        float(np.abs(t - (transforms[j].t - transforms[i].t)).sum())
-        for i, j, t in zip(mg_t.i.tolist(), mg_t.j.tolist(), mg_t.t)
+        float(np.abs(t - (transforms[j].t - transforms[i].t)).sum()) for i, j, _, _, t in rows
     ]
     return {
         "scale_l1_residual": float(np.sum(scale)),
         "rotation_l1_residual_rad": float(np.sum(rotation)),
-        "kept_pairs": len(translation),
         "translation_l1_residual": float(np.sum(translation)),
     }
 

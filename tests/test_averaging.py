@@ -13,6 +13,7 @@ from csfm.averaging import (
     spanning_tree_edges,
 )
 from csfm.errors import DisconnectedGraphError, ValidationError
+from csfm.l1 import solve_l1
 from csfm.reconstruction import Reconstruction
 from csfm.rotations import (
     IDENTITY_QUAT,
@@ -94,6 +95,22 @@ class TestAverageScales:
         mg = measurement_graph(3, [meas(0, 1)])
         with pytest.raises(DisconnectedGraphError):
             average_scales(mg)
+
+    def test_negated_right_hand_side_gives_the_bits_of_negated_rows(self):
+        # the scale rows are the incidence's (+1 on j) against -log s_ij;
+        # negating a system's rows and right-hand side together is exact,
+        # so every IRLS iterate is that of rows +1 on i against log s_ij
+        rng = np.random.default_rng(12)
+        for k in (6, 9, 12):
+            edges = random_connected_edges(rng, k, extra=k)
+            s = np.exp(rng.normal(scale=0.3, size=len(edges)))
+            s[rng.random(len(edges)) < 0.2] *= 10.0
+            mg = measurement_graph(k, [meas(i, j, s=v) for (i, j), v in zip(edges, s)])
+            counts = {}
+            got = average_scales(mg, counts)
+            assert counts["irls_solves"]["scale"] > 2
+            flipped = solve_l1(-averaging._incidence(mg), np.log(mg.s))
+            assert np.array_equal(got[1:], np.exp(flipped))
 
 
 class TestAverageRotations:
@@ -233,20 +250,12 @@ class TestRecomputeTranslations:
         out = recompute_pairwise_translations(recs, np.ones(2), np.tile(IDENTITY_QUAT, (2, 1)), mg)
         assert np.allclose(out.t[0], [3.0, 0.0, 0.0], atol=1e-10)
 
-    def test_pair_without_shared_tracks_dropped(self, caplog):
+    def test_pair_without_shared_tracks_is_refused(self):
+        # measurements taken on other reconstructions than the ones given
         rng = np.random.default_rng(5)
         from csfm.sim3 import Sim3
 
         recs = self.make_recs(rng, [Sim3(), Sim3(), Sim3()])
-        # community 2 shares nothing with 0 but everything with 1
-        recs[2] = Reconstruction(
-            community_id=2,
-            camera_ids=np.array([90]),
-            camera_rotations=np.array([IDENTITY_QUAT]),
-            camera_centers=np.zeros((1, 3)),
-            track_ids=recs[1].track_ids,
-            points=recs[1].points,
-        )
         recs[0] = Reconstruction(
             community_id=0,
             camera_ids=recs[0].camera_ids,
@@ -256,13 +265,8 @@ class TestRecomputeTranslations:
             points=recs[0].points,
         )
         mg = measurement_graph(3, [meas(0, 1), meas(1, 2), meas(0, 2)])
-        with caplog.at_level(logging.WARNING):
-            with pytest.raises(DisconnectedGraphError):
-                # both pairs touching community 0 lose their tracks
-                recompute_pairwise_translations(
-                    recs, np.ones(3), np.tile(IDENTITY_QUAT, (3, 1)), mg
-                )
-        assert "dropping measurement" in caplog.text
+        with pytest.raises(ValidationError, match=r"measured pair \(0, 1\) shares no track"):
+            recompute_pairwise_translations(recs, np.ones(3), np.tile(IDENTITY_QUAT, (3, 1)), mg)
 
 
 def test_average_labels_components_once_per_measurement_graph(monkeypatch):
@@ -367,9 +371,9 @@ class TestConsistencyRoundTrip:
 
 
 def test_incidence_is_the_gauge_free_signed_matrix():
-    """One row per measurement, one column per community but the gauge (0):
-    gauge edges to the first and the last column, and edges between free
-    communities, in both sign conventions."""
+    """One row per measurement, +1 on j and -1 on i, one column per
+    community but the gauge (0): gauge edges to the first and the last
+    column, and edges between free communities."""
     edges = [(0, 1), (0, 4), (1, 2), (2, 4), (3, 4), (1, 3)]
     expected = np.array([
         [1.0, 0.0, 0.0, 0.0],
@@ -379,12 +383,9 @@ def test_incidence_is_the_gauge_free_signed_matrix():
         [0.0, 0.0, -1.0, 1.0],
         [-1.0, 0.0, 1.0, 0.0],
     ])
-    mg = measurement_graph(5, [meas(i, j) for i, j in edges])
-    for plus_on_j, sign in ((True, 1.0), (False, -1.0)):
-        A = averaging._incidence(mg, plus_on_j)
-        assert A.dtype == np.float64 and A.flags.c_contiguous
-        assert A.shape == (6, 4)
-        assert np.array_equal(A, sign * expected)
+    A = averaging._incidence(measurement_graph(5, [meas(i, j) for i, j in edges]))
+    assert A.dtype == np.float64 and A.flags.c_contiguous
+    assert np.array_equal(A, expected)
 
 
 def test_spanning_tree_covers_all_communities():

@@ -124,9 +124,9 @@ class TestValidation:
             self.raises_validation(A, bad)
 
 
-def edge_system(k, edges, rhs, plus_on_j=True):
+def edge_system(k, edges, rhs):
     """The averaging stages' ``(A, b)`` over the measurement graph ``edges``."""
-    return _incidence(measurement_graph(k, edges), plus_on_j), np.asarray(rhs, float)
+    return _incidence(measurement_graph(k, edges)), np.asarray(rhs, float)
 
 
 def random_edges(rng, kind, k):
@@ -304,8 +304,7 @@ def lp_l1_optimum(A, b):
 def test_irls_reaches_the_lp_optimum(kind):
     """The IRLS objective is the L1 optimum of an exact LP solve to
     ``1e-9 * max(1, optimum)``, on 60 random measurement graphs per kind
-    with 3 to 32 communities and 0-40% gross outliers, in both row sign
-    conventions of the averaging stages, in fewer than ``MAX_ITERATIONS``
+    with 3 to 32 communities and 0-40% gross outliers, in fewer than ``MAX_ITERATIONS``
     reweightings (on cyclic graphs the iterate creeps on inside an interval
     optimum, so a rule that watched it would run them all).  On trees the
     optimum is unique and the minimizers agree too.  On a bare cycle every
@@ -321,7 +320,7 @@ def test_irls_reaches_the_lp_optimum(kind):
             k += k % 2
         edges = random_edges(rng, "cycle" if kind.endswith("cycle") else kind, k)
         outliers = rng.uniform(0.0, 0.4)
-        A, b = edge_system(k, edges, corrupted_rhs(rng, k, edges, outliers), plus_on_j=trial % 2 == 0)
+        A, b = edge_system(k, edges, corrupted_rhs(rng, k, edges, outliers))
         iterations = []
         x = solve_l1(A, b, lambda it, *_: iterations.append(it))
         assert iterations[-1] < l1.MAX_ITERATIONS

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from csfm.averaging import recompute_pairwise_translations
-from csfm.errors import DisconnectedGraphError, ValidationError
+from csfm.errors import DisconnectedGraphError, RansacFailureError, ValidationError
 from csfm.measurements import MIN_COVISIBLE, MeasurementGraph, pairwise_measurement
 from csfm.pipeline import measure_graph
 from csfm.reconstruction import Reconstruction, covisible_pairs, shared_tracks
@@ -87,6 +87,29 @@ class TestPairwiseMeasurement:
         with pytest.raises(DisconnectedGraphError, match="pairwise"):
             measure_graph(recs, 0, tmp_path / "measurements.json")
 
+    def test_refused_pair_is_named_when_it_splits_the_graph(self, tmp_path, caplog):
+        # four shared tracks random on both sides: no three of them agree on
+        # one similarity, so the fit fails, the pair is skipped, and the
+        # disconnected-graph error names it
+        rng = np.random.default_rng(9)
+        recs = [make_rec(0, range(4), rng.normal(size=(4, 3))),
+                make_rec(1, range(4), rng.normal(size=(4, 3)))]
+        with pytest.raises(RansacFailureError, match="no hypothesis reached 3 inliers"):
+            measure(*recs, seed=3)
+        with caplog.at_level(logging.WARNING), pytest.raises(
+            DisconnectedGraphError, match=r"\(refused pairs: \[\(0, 1\)\]\)"
+        ):
+            measure_graph(recs, 3, tmp_path / "measurements.json")
+        assert "skipping pair (0, 1)" in caplog.text
+        assert not (tmp_path / "measurements.json").exists()
+
+    def test_one_track_beyond_the_minimal_sample_is_kept(self):
+        # four exact tracks: a consensus of four is evidence
+        rec0, rec1, f0, f1 = fractured_pair(np.random.default_rng(10), n_shared=MIN_COVISIBLE)
+        _, _, s_ij, _, inliers = measure(rec0, rec1, seed=3)
+        assert inliers == MIN_COVISIBLE
+        assert s_ij == pytest.approx(f0.s / f1.s, rel=1e-9)
+
     def test_matches_planted_relative_transform(self):
         # zero noise: the measured scale must equal the planted scale ratio
         # and the rotation the planted relative alignment rotation
@@ -140,12 +163,11 @@ class TestRecomputeTranslation:
         t = recomputed_offset(np.arange(11), pts, np.arange(11), shifted)
         assert np.allclose(t, [1.0, 2.0, 3.0], atol=1e-12)
 
-    def test_no_shared_tracks(self, caplog):
-        # the row is dropped, which leaves the two communities unlinked
+    def test_no_shared_tracks(self):
+        # a measurement of other reconstructions is refused, naming the pair
         rng = np.random.default_rng(8)
-        with caplog.at_level(logging.WARNING), pytest.raises(DisconnectedGraphError):
+        with pytest.raises(ValidationError, match=r"measured pair \(0, 1\) shares no track"):
             recomputed_offset([0], rng.normal(size=(1, 3)), [1], rng.normal(size=(1, 3)))
-        assert "dropping measurement (0, 1)" in caplog.text
 
 
 class TestMeasurementGraph:

@@ -189,6 +189,22 @@ class TestRunPipeline:
         assert meas.read_bytes() == (run / "measurements.json").read_bytes()
 
 
+def save_recs(recs_dir, members, rng):
+    """Write one ``rec_<c>.json`` per ``(tracks, points)`` of ``members``,
+    each with three cameras."""
+    recs_dir.mkdir()
+    for cid, (tracks, points) in enumerate(members):
+        rec = Reconstruction(
+            community_id=cid,
+            camera_ids=np.arange(3) + 10 * cid,
+            camera_rotations=np.tile(IDENTITY_QUAT, (3, 1)),
+            camera_centers=rng.normal(size=(3, 3)),
+            track_ids=tracks,
+            points=points,
+        )
+        save_reconstruction(rec, recs_dir / f"rec_{cid}.json")
+
+
 class TestCli:
     def run_ok(self, args):
         result = CliRunner().invoke(main, args, catch_exceptions=False)
@@ -284,24 +300,48 @@ class TestCli:
         # the pairwise stage must halt with the disconnected-graph code
         rng = np.random.default_rng(0)
         recs_dir = tmp_path / "recs"
-        recs_dir.mkdir()
         pts = rng.uniform(-5, 5, size=(30, 3))
-        for cid, tracks in ((0, np.arange(30)), (1, np.arange(30)), (2, np.arange(100, 130))):
-            rec = Reconstruction(
-                community_id=cid,
-                camera_ids=np.arange(3) + 10 * cid,
-                camera_rotations=np.tile(IDENTITY_QUAT, (3, 1)),
-                camera_centers=rng.normal(size=(3, 3)),
-                track_ids=tracks,
-                points=pts,
-            )
-            save_reconstruction(rec, recs_dir / f"rec_{cid}.json")
+        save_recs(recs_dir, [(np.arange(30), pts), (np.arange(30), pts), (np.arange(100, 130), pts)], rng)
         result = CliRunner().invoke(
             main,
             ["pipeline", "--recs", str(recs_dir), "--out", str(tmp_path / "run"), "--seed", "1"],
         )
         assert result.exit_code == 4
         assert "pairwise" in result.output
+
+    def test_refused_pair_that_disconnects_exits_4_naming_it(self, tmp_path):
+        # communities 0 and 1 share four tracks, random on both sides, so
+        # their fit fails; 1 and 2 share thirty exact ones
+        rng = np.random.default_rng(1)
+        pts = rng.normal(size=(34, 3))
+        moved = rng.normal(size=(4, 3))
+        recs_dir = tmp_path / "recs"
+        save_recs(recs_dir, [(np.arange(4), pts[:4]),
+                             (np.arange(34), np.vstack([moved, pts[4:]])),
+                             (np.arange(4, 34), pts[4:])], rng)
+        result = CliRunner().invoke(
+            main,
+            ["pipeline", "--recs", str(recs_dir), "--out", str(tmp_path / "run"), "--seed", "1"],
+        )
+        assert result.exit_code == 4, result.output
+        assert "pairwise measurement (refused pairs: [(0, 1)]) needs a connected graph" in result.output
+        assert not (tmp_path / "run" / "measurements.json").exists()
+
+    def test_average_refuses_measurements_of_other_reconstructions(self, tmp_path):
+        # measurements of one run given with another run's reconstructions,
+        # in which community 2 holds other tracks
+        rng = np.random.default_rng(2)
+        pts = rng.uniform(-5, 5, size=(30, 3))
+        save_recs(tmp_path / "a", [(np.arange(30), pts)] * 3, rng)
+        save_recs(tmp_path / "b", [(np.arange(30), pts)] * 2 + [(np.arange(100, 130), pts)], rng)
+        self.run_ok(["pipeline", "--recs", str(tmp_path / "a"), "--out", str(tmp_path / "run"),
+                     "--seed", "1"])
+        result = CliRunner().invoke(main, [
+            "average", "--measurements", str(tmp_path / "run" / "measurements.json"),
+            "--recs", str(tmp_path / "b"), "-o", str(tmp_path / "transforms.json")])
+        assert result.exit_code == 2, result.output
+        assert "measured pair (0, 2) shares no track" in result.output
+        assert not (tmp_path / "transforms.json").exists()
 
     def test_stage_rerun_from_disk_matches_pipeline(self, tmp_path):
         # re-running the detect, pairwise and averaging stages from their
@@ -399,6 +439,25 @@ def test_a_pair_sharing_only_a_minimal_sample_is_not_measured(tmp_path):
     assert shared[(0, 3)] == MIN_SAMPLE
     assert measured_pairs(tmp_path / "measurements.json") == [(0, 1), (1, 2), (2, 3)]
     assert res.evaluation["merged"]["median_center_error"] < 0.0025
+
+
+def test_a_ring_with_two_three_inlier_pairs_reconstructs(tmp_path):
+    # the ``staged-cli`` world at seed 4 measures one ring of 16 pairs, two
+    # of them on a consensus of 3 inliers of 5 shared tracks.  Those sets are
+    # right, and the ring has no other path between their ends: refusing
+    # them would split the graph
+    world = generate_world(WorldSpec(**BENCH_WORLDS["staged-cli"], seed=4))
+    res = run_pipeline(PipelineConfig(out_dir=str(tmp_path), seed=4, world=world))
+    stats = {s["name"]: s["stats"] for s in res.report["stages"]}["pairwise"]
+    assert (stats["candidate_pairs"], stats["measured_pairs"]) == (16, 16)
+    mg = load_measurements(tmp_path / "measurements.json")
+    rows = dict(zip(zip(mg.i.tolist(), mg.j.tolist()), zip(mg.inliers.tolist(), stats["shared_tracks"])))
+    assert rows[2, 3] == rows[14, 15] == (3, 5)
+    assert sum(n == 3 for n, _ in rows.values()) == 2
+    # perfbench's accuracy bound: 1e-3 of the camera extent
+    bound = 1e-3 * np.ptp(world.camera_centers, axis=0).max()
+    for stage in ("merged", "refined"):
+        assert res.evaluation[stage]["median_center_error"] <= bound, stage
 
 
 def test_each_community_pair_is_joined_once(tmp_path, monkeypatch):
@@ -1093,10 +1152,13 @@ def test_average_stats_match_the_per_measurement_sums(tmp_path, name):
     d = tmp_path / "r1"
     mg, mg_t = load_measurements(d / "measurements.json"), load_measurements(d / "measurements_with_t.json")
     transforms = load_transforms(d / "transforms.json")
-    oracle = loop_averaging_residuals(mg, mg_t, transforms)
+    oracle = loop_averaging_residuals(mg_t, transforms)
     assert {key: stats[0][key] for key in oracle} == oracle
-    assert averaging_residuals(mg, mg_t, transforms) == oracle
-    assert stats[0]["kept_pairs"] == mg_t.i.size > 0
+    assert averaging_residuals(mg_t, transforms) == oracle
+    # averaging fills the translation of every measured row and drops none
+    assert mg.t is None and mg_t.i.size > 0
+    for name in ("i", "j", "s", "q", "inliers"):
+        assert np.array_equal(getattr(mg_t, name), getattr(mg, name)), name
     assert set(stats[0]) == set(oracle) | {"irls_solves", "rotation_sweeps", "rotation_converged"}
 
 
@@ -1169,7 +1231,7 @@ def test_refine_iterations_are_pinned(tmp_path, seed):
 def test_average_stats_vanish_on_an_exact_world(tmp_path):
     world = generate_world(WorldSpec(noise_sigma=0.0, outlier_fraction=0.0, seed=4))
     stats = stage_stats(tmp_path, world, 4)
-    measured = load_measurements(tmp_path / "measurements.json")
-    assert stats["kept_pairs"] == measured.i.size > 0
+    measured = load_measurements(tmp_path / "measurements_with_t.json")
+    assert measured.i.size > 0
     for key in ("scale_l1_residual", "rotation_l1_residual_rad", "translation_l1_residual"):
         assert 0.0 <= stats[key] < 1e-9, key
