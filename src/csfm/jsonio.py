@@ -21,8 +21,12 @@ its key, between the orjson-encoded values of its neighbours in sorted-key
 order.  orjson writes ``NaN`` and ``+-inf`` as ``null``, so the values it
 encodes are searched for a non-finite float only when their text holds a
 ``null``; the text is scanned for the ``u`` each ``null`` holds, a single
-byte that ``bytes.find`` locates with ``memchr``.  Every payload is encoded
-before its file is opened, so a refused value leaves no file behind.
+byte that ``bytes.find`` locates with ``memchr``.  A large array (a point
+or track column) is checked with ``np.isfinite`` instead and written
+``ROW_BLOCK`` rows per orjson call, each block's text without its outer
+brackets, so its whole text is never held.  Every payload is encoded or
+checked before any file of the call is opened, so a refused value leaves
+no file behind.
 
 Parsing is ``orjson`` too.  A text it refuses is parsed again by the
 standard library's ``json``, which decides: it reads ``1e999`` as ``inf``
@@ -54,6 +58,8 @@ from .errors import NumericError, ValidationError
 
 _VALUE_OPTIONS = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
 _OPTIONS = _VALUE_OPTIONS | orjson.OPT_APPEND_NEWLINE
+ROW_BLOCK = 2048  # rows of a large array encoded per orjson call
+_STREAMED_DTYPES = (np.dtype(np.float64), np.dtype(np.int64))
 
 
 def _non_finite(obj) -> bool:
@@ -132,29 +138,63 @@ def _dumps(path, obj, option) -> bytes:
     return data
 
 
+def _streamed(value) -> bool:
+    """Whether ``value`` is an array :func:`_write_rows` writes in blocks:
+    one that orjson takes whole (a C-contiguous ``float64`` or ``int64``
+    :func:`as_column`) with more than ``ROW_BLOCK`` rows."""
+    return (isinstance(value, np.ndarray) and value.dtype in _STREAMED_DTYPES
+            and value.ndim in (1, 2) and value.flags.c_contiguous
+            and value.shape[0] > ROW_BLOCK)
+
+
 def _encode(path, obj) -> list:
-    """The bytes of ``obj`` as a list of parts, :class:`JsonText` values of
-    a top-level object spliced in under their keys."""
-    if not (isinstance(obj, dict) and any(isinstance(v, JsonText) for v in obj.values())):
+    """The bytes of ``obj`` as a list of parts: :class:`JsonText` values of a
+    top-level object spliced in under their keys, and its large arrays
+    checked and left for :func:`_write_rows`."""
+    if not (isinstance(obj, dict)
+            and any(isinstance(v, JsonText) or _streamed(v) for v in obj.values())):
         return [_dumps(path, obj, _OPTIONS)]
     parts = []
     for key in sorted(obj):
         value = obj[key]
-        text = value.data if isinstance(value, JsonText) else _dumps(path, value, _VALUE_OPTIONS)
+        if isinstance(value, JsonText):
+            text = value.data
+        elif _streamed(value):
+            if not np.all(np.isfinite(value)):
+                raise NumericError(f"{os.fspath(path)} not written: non-finite number")
+            text = value
+        else:
+            text = _dumps(path, value, _VALUE_OPTIONS)
         parts += [b",", orjson.dumps(key), b":", text]
     parts[0] = b"{"
     return parts + [b"}\n"]
 
 
+def _write_rows(fh, array: np.ndarray) -> None:
+    """Write ``array`` as orjson writes it whole, ``ROW_BLOCK`` rows per
+    call: each block's text without its enclosing brackets."""
+    fh.write(b"[")
+    for start in range(0, array.shape[0], ROW_BLOCK):
+        if start:
+            fh.write(b",")
+        text = orjson.dumps(array[start : start + ROW_BLOCK], option=_VALUE_OPTIONS)
+        fh.write(memoryview(text)[1:-1])
+    fh.write(b"]")
+
+
 def write_json_files(*files) -> None:
-    """Write each ``(path, obj)`` of ``files``.  Every payload is encoded
+    """Write each ``(path, obj)`` of ``files``.  Every payload is checked
     before any file is opened, so a value that cannot be written (a
     non-finite number) raises :class:`NumericError` and leaves none of the
     files created or changed."""
     encoded = [(path, _encode(path, obj)) for path, obj in files]
     for path, parts in encoded:
         with open(path, "wb") as fh:
-            fh.writelines(parts)
+            for part in parts:
+                if isinstance(part, np.ndarray):
+                    _write_rows(fh, part)
+                else:
+                    fh.write(part)
 
 
 def write_json(path, obj) -> None:

@@ -44,6 +44,7 @@ log = logging.getLogger(__name__)
 
 REFINE_MAX_ITERATIONS = 50
 REFINE_REL_TOL = 1e-10
+_EVAL_BLOCK = 4096  # truth points gathered per subtraction in evaluate_against_truth()
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ class MergedModel:
     camera_ids: np.ndarray
     camera_rotations: np.ndarray  # world-to-camera quaternions, global frame
     camera_centers: np.ndarray
-    track_ids: np.ndarray
+    track_ids: np.ndarray  # (n,) sorted, unique
     points: np.ndarray
     # track_ids[i] was reconstructed by communities[community_bounds[i]:community_bounds[i + 1]]
     communities: np.ndarray  # (copies,) contributing community ids, track by track
@@ -70,84 +71,131 @@ def _require_transforms(recs, transforms: dict) -> None:
             raise ValidationError(f"no transform for community {rec.community_id}")
 
 
-def merge_reconstructions(recs, transforms: dict) -> MergedModel:
+def merge_reconstructions(recs, transforms: dict, like: MergedModel | None = None) -> MergedModel:
     """Map every community into the global frame through its ``Sim3`` in
-    ``transforms`` (keyed by community id) and fuse duplicate tracks."""
-    _require_transforms(recs, transforms)
-    cam_ids = [np.empty(0, dtype=np.int64)]
-    cam_q = [np.empty((0, 4))]
-    cam_c = [np.empty((0, 3))]
-    track_blocks = [np.empty(0, dtype=np.int64)]
-    community_blocks = [np.empty(0, dtype=np.int64)]
-    point_blocks = [np.empty((0, 3))]
-    for rec in sorted(recs, key=lambda r: r.community_id):
-        tr = transforms[rec.community_id]
-        cam_ids.append(rec.camera_ids)
-        cam_q.append(quat_canonical(quat_multiply(rec.camera_rotations, quat_conjugate(tr.q))))
-        cam_c.append(tr.apply(rec.camera_centers))
-        track_blocks.append(rec.track_ids)
-        community_blocks.append(np.full(rec.track_ids.size, rec.community_id, dtype=np.int64))
-        point_blocks.append(tr.apply(rec.points))
+    ``transforms`` (keyed by community id) and fuse duplicate tracks.
 
-    cam_ids = np.concatenate(cam_ids)
-    if np.unique(cam_ids).size != cam_ids.size:
-        raise ValidationError("a camera id appears in more than one community")
-    order = np.argsort(cam_ids, kind="stable")
-
-    tracks, fused, communities, bounds, fusion_tracks, spread = _fuse_tracks(
-        np.concatenate(track_blocks), np.concatenate(community_blocks), np.concatenate(point_blocks)
-    )
-    return MergedModel(
-        camera_ids=cam_ids[order],
-        camera_rotations=np.concatenate(cam_q)[order],
-        camera_centers=np.concatenate(cam_c)[order],
-        track_ids=tracks,
-        points=fused,
-        communities=communities,
-        community_bounds=bounds,
-        fusion_tracks=fusion_tracks,
-        fusion_spread=spread,
-    )
-
-
-def _fuse_tracks(track_ids, communities, points):
-    """Fuse the copies of each track to their component-wise median.
-
-    The copies are sorted on ``(track, community)``, so each track is one
-    segment of that order.  Segments of equal size ``k`` are fused together
-    as one ``(n_k, k, 3)`` stack.  The median is taken the way ``np.median``
-    takes it, a partition at the same positions and then the mean of the
-    middle one or two, so it is bit-identical to ``np.median`` per track.
-    Returns the sorted unique tracks, their fused points, and the
-    ``communities``, ``community_bounds``, ``fusion_tracks`` and
-    ``fusion_spread`` arrays of :class:`MergedModel`, each track's
-    communities in ascending order.
+    ``like``, a model merged from the same ``recs`` under any transforms,
+    lends its camera ids, track ids, ``communities``, ``community_bounds``
+    and ``fusion_tracks``: the result holds those very arrays, and only the
+    cameras, points and spreads are new.  A ``like`` merged from other
+    reconstructions raises :class:`ValidationError`.
     """
-    order = np.lexsort((communities, track_ids))
-    track_ids, communities, points = track_ids[order], communities[order], points[order]
-    first = np.ones(track_ids.size, dtype=bool)
-    first[1:] = track_ids[1:] != track_ids[:-1]
-    starts = np.flatnonzero(first)
-    bounds = np.append(starts, track_ids.size)
-    sizes = np.diff(bounds)
-    tracks = track_ids[starts]
-    fused = points[starts]
-    multi = np.flatnonzero(sizes > 1)
-    multi_sizes = sizes[multi]
-    spread = np.empty(multi.size)
-    for k in np.unique(multi_sizes).tolist():
-        sel = np.flatnonzero(multi_sizes == k)
-        rows = multi[sel]
-        stack = points[starts[rows, None] + np.arange(k)]
+    recs = sorted(recs, key=lambda r: r.community_id)
+    _require_transforms(recs, transforms)
+    if like is None:
+        structure = _structure(recs)
+    else:
+        structure = (like.camera_ids, like.track_ids, like.communities,
+                     like.community_bounds, like.fusion_tracks)
+    return _fill(recs, transforms, *structure)
+
+
+def _structure(recs) -> tuple:
+    """The merge of ``recs`` (in community order) without its numbers: the
+    ``camera_ids``, ``track_ids``, ``communities``, ``community_bounds`` and
+    ``fusion_tracks`` of :class:`MergedModel`, each track's communities in
+    ascending order.  Each reconstruction's tracks are sorted, so one stable
+    sort of all copies on track id orders them by track, then community."""
+    cam_ids = np.sort(np.concatenate([np.empty(0, np.int64)] + [r.camera_ids for r in recs]))
+    if np.any(cam_ids[1:] == cam_ids[:-1]):
+        raise ValidationError("a camera id appears in more than one community")
+    copies = np.concatenate([np.empty(0, np.int64)] + [r.track_ids for r in recs])
+    order = np.argsort(copies, kind="stable")
+    communities = np.repeat(np.array([r.community_id for r in recs], dtype=np.int64),
+                            [r.point_count for r in recs])[order]
+    copies = copies[order]
+    del order
+    first = np.ones(copies.size, dtype=bool)
+    first[1:] = copies[1:] != copies[:-1]
+    bounds = np.append(np.flatnonzero(first), copies.size)
+    tracks = copies[bounds[:-1]]
+    return cam_ids, tracks, communities, bounds, tracks[np.diff(bounds) > 1]
+
+
+def _positions(ids: np.ndarray, wanted: np.ndarray):
+    """Where each of the sorted ``wanted`` ids sits in the sorted ``ids``, or
+    ``None`` when one of them is missing."""
+    at = np.searchsorted(ids, wanted)
+    if wanted.size and not (ids.size and np.array_equal(np.take(ids, at, mode="clip"), wanted)):
+        return None
+    return at
+
+
+def _as_rows(a: np.ndarray) -> np.ndarray:
+    """A C-contiguous ``(n, 3)`` float array as ``n`` opaque 24-byte items,
+    which numpy copies by fancy index several times faster than rows."""
+    return a.view(np.dtype((np.void, 3 * a.itemsize))).reshape(-1)
+
+
+def _fill(recs, transforms: dict, cam_ids, tracks, communities, bounds, fusion_tracks):
+    """The :class:`MergedModel` of ``recs`` on the structure :func:`_structure` gives.
+
+    Each community writes its cameras and its single-copy points straight
+    into their rows; the copies of a track reconstructed more than once go,
+    in community order, to that track's run of a buffer that holds only
+    such tracks.  Runs of equal size ``k`` are fused together as one
+    ``(n_k, k, 3)`` stack.  The median is taken the way ``np.median`` takes
+    it, a partition at the same positions and then the mean of the middle
+    one or two, so it is bit-identical to ``np.median`` per track.
+    """
+    multi = np.diff(bounds) > 1
+    fused_rows = np.flatnonzero(multi)
+    fused_sizes = bounds[fused_rows + 1] - bounds[fused_rows]
+    next_copy = bounds[:-1].copy()  # each track's next copy, in community order
+    run_start = np.cumsum(fused_sizes) - fused_sizes  # each fused track's run in the buffer
+    to_buffer = np.zeros(tracks.size, dtype=np.int64)  # a fused track's copy -> its buffer row
+    to_buffer[fused_rows] = run_start - bounds[fused_rows]
+    cam_filled = np.zeros(cam_ids.size, dtype=np.int64)
+    rotations, centers = np.empty((cam_ids.size, 4)), np.empty((cam_ids.size, 3))
+    points, buffer = np.empty((tracks.size, 3)), np.empty((int(fused_sizes.sum()), 3))
+    point_rows, buffer_rows = _as_rows(points), _as_rows(buffer)
+    for rec in recs:
+        cams = _positions(cam_ids, rec.camera_ids)
+        rows = _positions(tracks, rec.track_ids)
+        # one comparison per community: the next copy of each of its tracks is its own
+        if cams is None or rows is None or not np.all(
+            np.take(communities, next_copy[rows], mode="clip") == rec.community_id
+        ):
+            raise ValidationError("model structure not merged from these reconstructions "
+                                  f"(community {rec.community_id})")
+        tr = transforms[rec.community_id]
+        rotations[cams] = quat_canonical(quat_multiply(rec.camera_rotations, quat_conjugate(tr.q)))
+        centers[cams] = tr.apply(rec.camera_centers)
+        cam_filled[cams] += 1
+        pts = _as_rows(tr.apply(rec.points))
+        copied = multi[rows]
+        point_rows[rows[~copied]] = pts[~copied]
+        dup = rows[copied]
+        buffer_rows[next_copy[dup] + to_buffer[dup]] = pts[copied]
+        next_copy[rows] += 1
+    if not (np.all(cam_filled == 1) and np.array_equal(next_copy, bounds[1:])
+            and np.array_equal(fusion_tracks, tracks[fused_rows])):
+        raise ValidationError("model structure not merged from these reconstructions")
+
+    spread = np.empty(fused_rows.size)
+    for k in np.unique(fused_sizes).tolist():
+        sel = np.flatnonzero(fused_sizes == k)
+        stack = buffer[run_start[sel, None] + np.arange(k)]
         half = k // 2
         if k % 2:
             median = np.partition(stack, [half, -1], axis=1)[:, half]
         else:
             part = np.partition(stack, [half - 1, half, -1], axis=1)
             median = (part[:, half - 1] + part[:, half]) / 2
-        fused[rows] = median
+        points[fused_rows[sel]] = median
         spread[sel] = np.max(np.linalg.norm(stack - median[:, None, :], axis=2), axis=1)
-    return tracks, fused, communities, bounds, tracks[multi], spread
+    return MergedModel(
+        camera_ids=cam_ids,
+        camera_rotations=rotations,
+        camera_centers=centers,
+        track_ids=tracks,
+        points=points,
+        communities=communities,
+        community_bounds=bounds,
+        fusion_tracks=fusion_tracks,
+        fusion_spread=spread,
+    )
 
 
 def _jacobian(rx, sign):
@@ -165,7 +213,7 @@ def _jacobian(rx, sign):
     return J
 
 
-def joint_refine(recs, transforms: dict):
+def joint_refine(recs, transforms: dict, like: MergedModel | None = None):
     """Jointly polish all non-gauge community transforms.
 
     Minimizes a Huber loss over the disagreement of co-visible tracks,
@@ -176,7 +224,10 @@ def joint_refine(recs, transforms: dict):
     dropped, and ``info["iterations"]`` counts the accepted steps.
     Returns ``(refined transforms, merged model, info)``,
     the transforms keyed by the id of each reconstruction; when there is
-    nothing to refine the inputs pass through unchanged.
+    nothing to refine the inputs pass through unchanged.  The model is
+    :func:`merge_reconstructions` of the refined transforms, on the
+    structure of ``like`` when given (a model merged from the same
+    ``recs``, such as the unrefined one).
     ``info["log_scale_change"]`` is each community's ``log s_refined -
     log s_in`` in id order, exactly 0 for the gauge.
     """
@@ -204,7 +255,7 @@ def joint_refine(recs, transforms: dict):
             deltas.append(delta)
     if not pairs:
         log.info("joint refinement skipped: no co-visible tracks between communities")
-        return transforms, merge_reconstructions(recs, transforms), {
+        return transforms, merge_reconstructions(recs, transforms, like), {
             "skipped": True, "iterations": 0, "initial_cost": 0.0, "final_cost": 0.0,
             "log_scale_change": [0.0] * len(transforms),
         }
@@ -284,7 +335,7 @@ def joint_refine(recs, transforms: dict):
 
     q = matrix_to_quat(R)
     refined = {c: Sim3(s=s[k], q=q[k], t=T[k]) for c, k in col.items()}
-    model = merge_reconstructions(recs, refined)
+    model = merge_reconstructions(recs, refined, like)
     return refined, model, {
         "skipped": False,
         "iterations": iterations,
@@ -323,10 +374,12 @@ def evaluate_against_truth(model: MergedModel, truth: Reconstruction) -> dict:
 
     ipm, ipt = shared_tracks(model, truth)
     if ipm.size:
-        pts_aligned = align.apply(model.points[ipm])
-        point_rmse = float(
-            np.sqrt(np.mean(np.sum((pts_aligned - truth.points[ipt]) ** 2, axis=1)))
-        )
+        # ids are sorted and unique, so a model whose every track is shared
+        # needs no gather; the truth's points are gathered a block at a time
+        diff = align.apply(model.points if ipm.size == model.track_ids.size else model.points[ipm])
+        for start in range(0, ipt.size, _EVAL_BLOCK):
+            diff[start : start + _EVAL_BLOCK] -= truth.points[ipt[start : start + _EVAL_BLOCK]]
+        point_rmse = float(np.sqrt(np.mean(np.sum(np.square(diff, out=diff), axis=1))))
     else:
         point_rmse = None  # no shared track: written as null, never NaN
 
@@ -355,15 +408,17 @@ def merged_to_json(model: MergedModel) -> dict:
 
 def save_merged(model: MergedModel, path, *also) -> None:
     """Write ``model`` to ``path`` and each ``(path, obj)`` of ``also`` with
-    it, every file encoded before any is opened, so a value that cannot be
+    it, every file checked before any is opened, so a value that cannot be
     written leaves none of them behind."""
     write_json_files((path, merged_to_json(model)), *also)
 
 
 def load_merged(path) -> MergedModel:
-    """Read a merged model; camera ids and track ids are unique.  Each
-    track's communities and the fusion entries keep the file's order, so the
-    model writes back to the same bytes."""
+    """Read a merged model; camera ids and track ids are unique.  Tracks
+    listed out of order are sorted, with their points and communities, as
+    a :class:`MergedModel`'s are; otherwise each track's communities and the
+    fusion entries keep the file's order, so the model writes back to the
+    same bytes."""
     with parsing(path, "merged-model file") as obj:
         ids, rotations, centers = cameras_from_json(obj["cameras"], "merged model")
         tracks, points = points_from_json(obj, "merged model")
@@ -384,6 +439,13 @@ def load_merged(path) -> MergedModel:
         spread = column(fusion["spread"], "merged-model fusion spreads")
         if fusion_tracks.size != spread.size:
             raise ValidationError("merged-model fusion tracks and spreads differ in length")
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    if np.any(tracks[1:] < tracks[:-1]):
+        order = np.argsort(tracks)
+        tracks, points, sizes = tracks[order], points[order], sizes[order]
+        moved = np.concatenate([[0], np.cumsum(sizes)])
+        flat = flat[np.repeat(bounds[:-1][order] - moved[:-1], sizes) + np.arange(flat.size)]
+        bounds = moved
     return MergedModel(
         camera_ids=ids,
         camera_rotations=rotations,
@@ -391,7 +453,7 @@ def load_merged(path) -> MergedModel:
         track_ids=tracks,
         points=points,
         communities=flat,
-        community_bounds=np.concatenate([[0], np.cumsum(sizes)]),
+        community_bounds=bounds,
         fusion_tracks=fusion_tracks,
         fusion_spread=spread,
     )

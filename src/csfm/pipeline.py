@@ -211,8 +211,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             save_reconstructions(fr.reconstructions, out)
             return fr, {}
 
-        fr = runner.run("fracture", do_fracture, out / "rec_*.json")
-        recs = list(fr.reconstructions)
+        recs = list(runner.run("fracture", do_fracture, out / "rec_*.json").reconstructions)
     else:
         raise ValidationError("pipeline needs a world spec, a world, or reconstructions")
 
@@ -240,12 +239,13 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     model = runner.run("merge", merge_stage, out / "merged.json")
 
     def refine_stage():
-        refined, rmodel, info = joint_refine(recs, transforms)
+        refined, rmodel, info = joint_refine(recs, transforms, like=model)
         save_merged(rmodel, out / "merged_refined.json",
                     (out / "transforms_refined.json", transforms_to_json(refined)))
         return rmodel, info
 
     refined_model = runner.run("refine", refine_stage, out / "merged_refined.json")
+    del recs  # eval reads the two models and the world only
 
     evaluation = None
     if world is not None:

@@ -80,11 +80,19 @@ def _sorting_order(ids: np.ndarray, what: str):
 def shared_tracks(rec_a, rec_b) -> tuple:
     """Indices ``(ia, ib)`` of the tracks two reconstructions (or a merged
     model and a reconstruction) share, in ascending track id:
-    ``rec_a.track_ids[ia] == rec_b.track_ids[ib]``."""
-    _, ia, ib = np.intersect1d(
-        rec_a.track_ids, rec_b.track_ids, assume_unique=True, return_indices=True
-    )
-    return ia, ib
+    ``rec_a.track_ids[ia] == rec_b.track_ids[ib]``.  Both hold sorted,
+    unique ids, so the shorter list is looked up in the longer one by
+    binary search."""
+    a, b = rec_a.track_ids, rec_b.track_ids
+    swap = a.size > b.size
+    if swap:
+        a, b = b, a
+    if b.size == 0:
+        return np.empty(0, np.intp), np.empty(0, np.intp)
+    at = np.searchsorted(b, a)
+    ia = np.flatnonzero(np.take(b, at, mode="clip") == a)
+    ib = at[ia]
+    return (ib, ia) if swap else (ia, ib)
 
 
 def covisible_pairs(recs, min_shared: int = 1) -> list:

@@ -41,8 +41,12 @@ class Sim3:
         object.__setattr__(self, "t", t)
 
     def apply(self, pts) -> np.ndarray:
-        """Transform a 3-vector or an (n, 3) array."""
-        return self.s * rotate_points(self.q, pts) + self.t
+        """Transform a 3-vector or an (n, 3) array, scaling and shifting
+        the rotated copy in place."""
+        out = rotate_points(self.q, pts)
+        out *= self.s
+        out += self.t
+        return out
 
     def inverse(self) -> "Sim3":
         q_inv = quat_conjugate(self.q)

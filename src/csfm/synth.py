@@ -39,7 +39,7 @@ _STREAM_NOISE = 202
 _WORLD_DRAWS = 4  # geometry draws generate_world tries before giving up
 _CAMERA_CHUNK = 16  # cameras per candidate search in visibility()
 _CAMERA_BLOCK = 512  # cameras per packed incidence block; every perfbench world is one
-_POINT_BLOCK = 2048  # incidence columns per float32 product in _match_graph(); a multiple of 8
+_POINT_BLOCK = 512  # incidence columns per float32 product in _match_graph(); a multiple of 8
 
 
 def check_seed(seed) -> None:
@@ -405,8 +405,12 @@ def fracture(world: GroundTruthWorld, partition: Partition) -> FractureResult:
         raise ValidationError("partition does not cover the world's cameras")
     k = partition.community_count
 
-    # a community reconstructs the tracks seen by >= 2 of its cameras, counted
-    # block by block over its own cameras' unpacked incidence rows
+    # a community reconstructs the tracks seen by >= 2 of its cameras.  In each
+    # camera block, on its own cameras' packed rows, a bit is seen once when
+    # some row holds it and twice when a row holds it that an earlier row
+    # (their running OR) holds too.  A track is seen twice overall when it is
+    # so in one block or seen once in two; a community within one block (every
+    # camera of a world of one block) needs no per-point count
     n_pts = world.points.shape[0]
     visible = world.visible
     bounds = visible.bounds
@@ -414,16 +418,25 @@ def fracture(world: GroundTruthWorld, partition: Partition) -> FractureResult:
     member_tracks = []
     multiplicity = np.zeros(n_pts, dtype=np.int64)  # communities that reconstruct each track
     for cams in community_cams:
-        views = np.zeros(n_pts, dtype=np.int64)  # member cameras that see each track
         cuts = np.searchsorted(cams, bounds).tolist()
+        seen = []  # (columns, seen once, seen twice) of each block with member cameras
         for b, (columns, bits) in enumerate(zip(visible.columns, visible.bits)):
             if cuts[b] < cuts[b + 1]:
-                rows = np.unpackbits(bits[cams[cuts[b] : cuts[b + 1]] - bounds[b]], axis=1,
-                                     count=columns.size)
-                views[columns] += rows.sum(axis=0, dtype=np.int16)  # at most _CAMERA_BLOCK
-        member = views >= 2
-        member_tracks.append(np.flatnonzero(member))
-        multiplicity += member
+                rows = bits[cams[cuts[b] : cuts[b + 1]] - bounds[b]]
+                before = np.bitwise_or.accumulate(rows, axis=0)
+                seen.append((columns, before[-1],
+                             np.bitwise_or.reduce(rows[1:] & before[:-1], axis=0)))
+        if len(seen) == 1:
+            columns, _, twice = seen[0]
+            tracks = columns[np.unpackbits(twice, count=columns.size).view(bool)].astype(np.int64)
+        else:
+            views = np.zeros(n_pts, dtype=np.int32)  # per block: 1 if seen once, 2 if twice
+            for columns, once, twice in seen:
+                views[columns] += (np.unpackbits(once, count=columns.size)
+                                   + np.unpackbits(twice, count=columns.size))
+            tracks = np.flatnonzero(views >= 2)
+        member_tracks.append(tracks)
+        multiplicity[tracks] += 1
 
     world_extent = float(np.max(np.ptp(world.points, axis=0)))
     recs = []

@@ -450,3 +450,42 @@ def test_a_refused_file_of_a_set_leaves_every_file_as_it_was(tmp_path):
 def test_the_null_guard_finds_every_null(text, holds):
     assert jsonio._holds_null(text) is holds
 
+
+B = jsonio.ROW_BLOCK
+
+
+@pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, 3 * B])
+def test_streamed_arrays_write_the_bytes_of_one_dumps(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    points = rng.choice([-1.0, 1.0], size=(rows, 3)) * 10.0 ** rng.uniform(-30, 30, size=(rows, 3))
+    points[:1] = [-0.0, 5e-324, 1e16]
+    obj = {
+        "points": as_column(points),
+        "tracks": as_column(rng.integers(-2**63, 2**63 - 1, size=rows), np.int64),
+        "spread": as_column(rng.normal(size=rows)),
+        "edges": int_records(i=[0], j=[1], w=[2]),
+        "a": {"n": rows},
+    }
+    plain = {**obj, "edges": [{"i": 0, "j": 1, "w": 2}]}
+    option = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
+    assert written(tmp_path, obj) == orjson.dumps(plain, option=option)
+    assert written(tmp_path, {"points": obj["points"]}) == orjson.dumps(
+        {"points": obj["points"]}, option=option)
+
+
+@pytest.mark.parametrize("at", [0, B - 1, B, 3 * B - 1, "small"])
+@pytest.mark.parametrize("value", [float("nan"), -float("inf")])
+def test_a_non_finite_value_anywhere_leaves_no_file_of_the_set(tmp_path, at, value):
+    points = np.linspace(-1.0, 1.0, num=9 * B).reshape(3 * B, 3)
+    spread = np.ones(5)
+    if at == "small":
+        spread[4] = value
+    else:
+        points[at, 2] = value
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    with pytest.raises(NumericError, match="second.json"):
+        write_json_files(
+            (first, {"points": as_column(np.zeros((2 * B, 3))), "a": 1}),
+            (second, {"points": as_column(points), "spread": as_column(spread)}),
+        )
+    assert list(tmp_path.iterdir()) == []

@@ -274,6 +274,19 @@ class TestCovisible:
         ia, ib = shared_tracks(rec0, rec1)
         assert list(rec0.track_ids[ia]) == list(rec1.track_ids[ib]) == [2, 9]
 
+    @pytest.mark.parametrize("seed", range(30))
+    def test_the_join_is_intersect1d(self, seed):
+        rng = np.random.default_rng(seed)
+        a, b = (np.flatnonzero(rng.random(60) < rng.random()) for _ in range(2))
+        empty = np.empty(0, dtype=np.int64)
+        # random, identical, nested, disjoint and empty id lists, either side first
+        for x, y in [(a, b), (a, a), (a, a[::2]), (a, b + 60), (a, empty), (empty, empty)]:
+            for ids in [(x, y), (y, x)]:
+                rec_a, rec_b = (make_rec(c, t, np.zeros((t.size, 3))) for c, t in enumerate(ids))
+                want = np.intersect1d(*ids, assume_unique=True, return_indices=True)[1:]
+                for got, expected in zip(shared_tracks(rec_a, rec_b), want):
+                    assert (got.dtype, got.tolist()) == (expected.dtype, expected.tolist())
+
 
 def id_column(rng, high, layout):
     """Distinct ids in ``[0, high)``, sorted or shuffled, optionally with one

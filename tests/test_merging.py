@@ -6,11 +6,13 @@ import pytest
 
 from csfm.averaging import average_similarities
 from csfm.community import DEFAULT_MIN_COMMUNITY_SIZE, DEFAULT_Q_THRESHOLD, detect_communities
-from csfm.errors import ValidationError
+from csfm import jsonio
+from csfm.errors import NumericError, ValidationError
 from csfm.jsonio import write_json
 from csfm.measurements import MIN_COVISIBLE, MeasurementGraph
 from csfm.merging import (
     _PALETTE,
+    MergedModel,
     evaluate_against_truth,
     export_ply,
     joint_refine,
@@ -31,6 +33,7 @@ from csfm.sim3 import Sim3
 from csfm.synth import WorldSpec, fracture, generate_world
 
 from helpers import (
+    BENCH_WORLDS,
     PROVENANCE_FIELDS,
     loop_cameras,
     loop_export_ply,
@@ -542,6 +545,22 @@ class TestArtifacts:
         # tracks 0-3 are community 0's alone, 4-7 shared by 0 and 1, 8-11 by 1 and 2
         assert colours == [_PALETTE[c] for c in [0] * 8 + [1] * 4 + [2] * 4]
 
+    def test_tracks_listed_out_of_order_load_sorted(self, tmp_path):
+        # a merged model's track ids are sorted, so the joins of eval find them
+        rng = np.random.default_rng(20)
+        recs = [simple_rec(c, [c], range(4 * c, 4 * c + 8), rng.normal(size=(8, 3)), rng)
+                for c in range(3)]
+        model = merge_reconstructions(recs, {c: Sim3() for c in range(3)})
+        save_merged(model, tmp_path / "m.json")
+        obj = json.loads((tmp_path / "m.json").read_text())
+        order = rng.permutation(model.track_ids.size)
+        for key in ("tracks", "points", "communities"):
+            obj[key] = [obj[key][k] for k in order]
+        (tmp_path / "shuffled.json").write_text(json.dumps(obj))
+        back = load_merged(tmp_path / "shuffled.json")
+        for field in MODEL_FIELDS:
+            assert getattr(back, field).tolist() == getattr(model, field).tolist(), field
+
     @pytest.mark.parametrize(
         "communities, match",
         [
@@ -567,3 +586,107 @@ class TestArtifacts:
         (tmp_path / "m.json").write_text(json.dumps(obj))
         with pytest.raises(ValidationError, match=match):
             load_merged(tmp_path / "m.json")
+
+
+def detected_recs(name, seed, **extra):
+    """The reconstructions of a perfbench-spec world under detected communities."""
+    world = generate_world(WorldSpec(**{**BENCH_WORLDS[name], **extra}, seed=seed))
+    partition, _, _ = detect_communities(
+        world.graph, DEFAULT_Q_THRESHOLD, DEFAULT_MIN_COMMUNITY_SIZE
+    )
+    return list(fracture(world, partition).reconstructions)
+
+
+MODEL_FIELDS = [f.name for f in dataclasses.fields(MergedModel)]
+STRUCTURE_FIELDS = ["camera_ids", "track_ids", "communities", "community_bounds", "fusion_tracks"]
+
+
+class TestMergeLike:
+    @pytest.mark.parametrize(
+        "name, seed, extra",
+        [("large-graph", 0, {}), ("dense-points", 0, {}), ("staged-cli", 0, {}),
+         ("staged-cli", 4, {}), ("dense-points", 101, {"outlier_fraction": 0.2})],
+        ids=["large-graph", "dense-points", "staged-cli", "staged-cli-4", "dense-points-101"],
+    )
+    def test_a_fill_on_a_model_is_a_fresh_merge(self, tmp_path, name, seed, extra):
+        recs = detected_recs(name, seed, **extra)
+        rng = np.random.default_rng(seed)
+        first, second = ({r.community_id: random_sim3(rng) for r in recs} for _ in range(2))
+        like = merge_reconstructions(recs, first)
+        got = merge_reconstructions(recs[::-1], second, like=like)
+        want = merge_reconstructions(recs, second)
+        for field in MODEL_FIELDS:
+            g, w = getattr(got, field), getattr(want, field)
+            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()), field
+        for field in STRUCTURE_FIELDS:
+            assert getattr(got, field) is getattr(like, field), field
+        save_merged(got, tmp_path / "got.json")
+        save_merged(want, tmp_path / "want.json")
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+        # the refined model too, on either structure
+        _, refined_like, _ = joint_refine(recs, second, like=like)
+        _, refined, _ = joint_refine(recs, second)
+        for field in MODEL_FIELDS:
+            assert getattr(refined_like, field).tobytes() == getattr(refined, field).tobytes()
+
+    @pytest.mark.parametrize(
+        "edit",
+        ["drop-community", "extra-community", "drop-track", "add-track", "swap-track",
+         "drop-camera", "move-camera", "relabel"],
+    )
+    def test_a_model_of_other_reconstructions_is_refused(self, edit):
+        rng = np.random.default_rng(21)
+        recs = [simple_rec(c, [2 * c, 2 * c + 1], range(4 * c, 4 * c + 8),
+                           rng.normal(size=(8, 3)), rng) for c in range(3)]
+        transforms = {c: random_sim3(rng) for c in range(4)}
+        like = merge_reconstructions(recs, transforms)
+        cams, tracks, points = recs[1].camera_ids, recs[1].track_ids, recs[1].points
+        middle = {
+            "drop-track": (cams, tracks[1:], points[1:]),
+            "add-track": (cams, [*tracks, 99], np.vstack([points, np.zeros((1, 3))])),
+            "swap-track": (cams, [*tracks[:-1], 0], points),
+            "drop-camera": (cams[:1], tracks, points),
+            "move-camera": ([2, 4], tracks, points),
+        }
+        changed = {
+            "drop-community": recs[:2],
+            "extra-community": recs + [simple_rec(3, [6], [0], np.zeros((1, 3)), rng)],
+            "relabel": [dataclasses.replace(rec, community_id=2 - rec.community_id) for rec in recs],
+        }.get(edit) or [recs[0], simple_rec(1, *middle[edit], rng), recs[2]]
+        with pytest.raises(ValidationError, match="not merged from these reconstructions"):
+            merge_reconstructions(changed, transforms, like=like)
+        with pytest.raises(ValidationError, match="not merged from these reconstructions"):
+            joint_refine(changed, transforms, like=like)
+
+    @pytest.mark.parametrize("row", [0, jsonio.ROW_BLOCK, 3 * jsonio.ROW_BLOCK - 1, "also"])
+    def test_a_non_finite_value_leaves_neither_file_of_save_merged(self, tmp_path, row):
+        rng = np.random.default_rng(22)
+        n = 3 * jsonio.ROW_BLOCK
+        recs = [simple_rec(c, [c], range(c * n // 4, c * n // 4 + n // 2),
+                           rng.normal(size=(n // 2, 3)), rng) for c in range(3)]
+        model = merge_reconstructions(recs, {c: Sim3() for c in range(3)})
+        assert model.track_ids.size == n
+        also = {"t": 1.0}
+        if row == "also":
+            also["t"] = float("nan")
+        else:
+            model.points[row, 1] = float("inf")
+        with pytest.raises(NumericError):
+            save_merged(model, tmp_path / "merged.json", (tmp_path / "transforms.json", also))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_no_orjson_call_encodes_more_than_a_block_of_rows(self, tmp_path, monkeypatch):
+        recs = detected_recs("dense-points", 0)
+        model = merge_reconstructions(recs, {r.community_id: Sim3() for r in recs})
+        assert model.track_ids.size > 10 * jsonio.ROW_BLOCK
+        dumps, rows = jsonio.orjson.dumps, []
+
+        def counted(obj, *args, **kwargs):
+            rows.append(len(obj) if isinstance(obj, (np.ndarray, list)) else 0)
+            return dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(jsonio.orjson, "dumps", counted)
+        save_merged(model, tmp_path / "merged.json")
+        monkeypatch.undo()
+        assert 0 < max(rows) <= jsonio.ROW_BLOCK
+        assert load_merged(tmp_path / "merged.json").points.tobytes() == model.points.tobytes()

@@ -10,7 +10,7 @@ import orjson
 import pytest
 from click.testing import CliRunner
 
-from csfm import l1
+from csfm import averaging, l1, reconstruction
 from csfm.alignment import MIN_SAMPLE
 from csfm.averaging import averaging_residuals, load_transforms, recompute_pairwise_translations
 from csfm.cli import main
@@ -470,13 +470,15 @@ def test_each_community_pair_is_joined_once(tmp_path, monkeypatch):
     )
     recs = list(fracture(world, partition).reconstructions)
     joins = []
-    intersect1d = np.intersect1d
+    shared_tracks = reconstruction.shared_tracks
 
     def counted(*args, **kwargs):
         joins.append(args)
-        return intersect1d(*args, **kwargs)
+        return shared_tracks(*args, **kwargs)
 
-    monkeypatch.setattr(np, "intersect1d", counted)
+    # the pairwise stage calls it from its module, averaging by its own name
+    monkeypatch.setattr(reconstruction, "shared_tracks", counted)
+    monkeypatch.setattr(averaging, "shared_tracks", counted)
     k = len(recs)
     mg, stats = measure_graph(recs, 0, tmp_path / "measurements.json")
     assert len(joins) == k * (k - 1) // 2

@@ -635,6 +635,28 @@ def test_fracture_counts_views_across_uneven_camera_blocks(several_blocks_world)
         assert rec.track_ids.size > 0 and np.array_equal(rec.track_ids, np.flatnonzero(views >= 2))
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_fracture_members_are_the_unpack_and_sum_count(several_blocks_world, seed):
+    # eight communities scattered over all three blocks, one of a single
+    # camera, and two of one camera on either side of a block boundary,
+    # whose tracks are each seen once in two blocks: a community's tracks
+    # are those its unpacked incidence rows sum to 2 or more on
+    world = several_blocks_world
+    n_cam = world.spec.camera_count
+    rng = np.random.default_rng(seed)
+    assignment = rng.integers(0, 8, size=n_cam)
+    assignment[rng.integers(n_cam)] = 8
+    assignment[[_CAMERA_BLOCK - 1, _CAMERA_BLOCK]] = 9
+    assignment[[2 * _CAMERA_BLOCK - 2, 2 * _CAMERA_BLOCK + 1]] = 10
+    fr = fracture(world, Partition(assignment=assignment, community_count=11))
+    dense = incidence_array(world.visible, world.points.shape[0])
+    for c, rec in enumerate(fr.reconstructions):
+        views = dense[assignment == c].sum(axis=0)
+        assert np.array_equal(rec.track_ids, np.flatnonzero(views >= 2))
+    assert fr.reconstructions[8].track_ids.size == 0
+    assert fr.reconstructions[9].track_ids.size > 0 and fr.reconstructions[10].track_ids.size > 0
+
+
 def test_world_file_counts_must_match_its_spec(tmp_path):
     world = generate_world(WorldSpec(seed=10, **STRONG))
     obj = world_to_json(world)
