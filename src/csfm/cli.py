@@ -204,7 +204,7 @@ def refine(recs_dir, transforms_path, output, merged_out):
     transforms = load_transforms(transforms_path)
     refined, model, info = joint_refine(recs, transforms)
     if merged_out:
-        # both files are encoded before either is opened
+        # both files are checked before either is opened
         save_merged(model, merged_out, (output, transforms_to_json(refined)))
     else:
         save_transforms(refined, output)

@@ -89,8 +89,8 @@ def _holds_null(data: bytes) -> bool:
 
 def as_column(values, dtype=np.float64) -> np.ndarray:
     """``values`` as a C-contiguous ``float64`` (or ``int64``) array, which
-    :func:`write_json` hands to orjson whole, with the bytes of its
-    ``.tolist()``: orjson refuses a non-contiguous array and writes a
+    :func:`write_json` hands to orjson whole or in ``ROW_BLOCK``-row blocks,
+    with the same bytes, those of its ``.tolist()``: orjson refuses a non-contiguous array and writes a
     ``float32`` one at ``float32`` precision (``0.1``, not the
     ``0.10000000149011612`` of ``.tolist()``)."""
     return np.ascontiguousarray(values, dtype=dtype)

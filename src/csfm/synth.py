@@ -408,9 +408,8 @@ def fracture(world: GroundTruthWorld, partition: Partition) -> FractureResult:
     # a community reconstructs the tracks seen by >= 2 of its cameras.  In each
     # camera block, on its own cameras' packed rows, a bit is seen once when
     # some row holds it and twice when a row holds it that an earlier row
-    # (their running OR) holds too.  A track is seen twice overall when it is
-    # so in one block or seen once in two; a community within one block (every
-    # camera of a world of one block) needs no per-point count
+    # (their running OR) holds too; a track counts 1 per block that sees it
+    # once, 2 per block that sees it twice, and is a member at 2
     n_pts = world.points.shape[0]
     visible = world.visible
     bounds = visible.bounds
@@ -419,22 +418,15 @@ def fracture(world: GroundTruthWorld, partition: Partition) -> FractureResult:
     multiplicity = np.zeros(n_pts, dtype=np.int64)  # communities that reconstruct each track
     for cams in community_cams:
         cuts = np.searchsorted(cams, bounds).tolist()
-        seen = []  # (columns, seen once, seen twice) of each block with member cameras
+        views = np.zeros(n_pts, dtype=np.int32)
         for b, (columns, bits) in enumerate(zip(visible.columns, visible.bits)):
             if cuts[b] < cuts[b + 1]:
                 rows = bits[cams[cuts[b] : cuts[b + 1]] - bounds[b]]
                 before = np.bitwise_or.accumulate(rows, axis=0)
-                seen.append((columns, before[-1],
-                             np.bitwise_or.reduce(rows[1:] & before[:-1], axis=0)))
-        if len(seen) == 1:
-            columns, _, twice = seen[0]
-            tracks = columns[np.unpackbits(twice, count=columns.size).view(bool)].astype(np.int64)
-        else:
-            views = np.zeros(n_pts, dtype=np.int32)  # per block: 1 if seen once, 2 if twice
-            for columns, once, twice in seen:
+                once, twice = before[-1], np.bitwise_or.reduce(rows[1:] & before[:-1], axis=0)
                 views[columns] += (np.unpackbits(once, count=columns.size)
                                    + np.unpackbits(twice, count=columns.size))
-            tracks = np.flatnonzero(views >= 2)
+        tracks = np.flatnonzero(views >= 2)
         member_tracks.append(tracks)
         multiplicity[tracks] += 1
 
