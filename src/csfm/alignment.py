@@ -82,10 +82,12 @@ def ransac_similarity(
     inlier_threshold: float | None = None,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     seed: int = 0,
+    counts: dict | None = None,
 ):
     """Robust similarity of ``points_a`` onto ``points_b``; returns
     ``(sim3, inliers)``, ``inliers`` the ascending row positions of the
-    consensus set.
+    consensus set.  ``counts``, when given, receives ``iterations``: the
+    hypotheses scanned, degenerate ones included.
 
     Hypotheses come from 3-point minimal samples (degenerate samples are
     skipped but count as iterations); the best consensus set is refit with
@@ -143,6 +145,8 @@ def ransac_similarity(
                     needed = min(
                         max_iterations, int(np.ceil(np.log1p(-DEFAULT_CONFIDENCE) / denom))
                     )
+    if counts is not None:
+        counts["iterations"] = it
     if best_count < MIN_SAMPLE:
         raise RansacFailureError(
             f"no hypothesis reached {MIN_SAMPLE} inliers in {it} iterations"

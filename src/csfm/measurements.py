@@ -119,7 +119,7 @@ def _first_fault(*checks):
         raise ValidationError(checks[int(np.argmax(faults[:, r]))][1](r))
 
 
-def pairwise_measurement(pair, seed: int = 0) -> tuple:
+def pairwise_measurement(pair, seed: int = 0, counts: dict | None = None) -> tuple:
     """Estimate the similarity between two communities from their shared tracks.
 
     ``pair`` is a :func:`~csfm.reconstruction.covisible_pairs` entry
@@ -129,10 +129,10 @@ def pairwise_measurement(pair, seed: int = 0) -> tuple:
     (it already equals ``s_i / s_j``) and the rotation its transpose, so it
     composes as ``R_i^T R_j`` of the per-community alignment rotations.  The
     row holds no translation; that is recomputed after scales and rotations
-    are averaged.
+    are averaged.  ``counts`` is passed to :func:`ransac_similarity`.
     """
     rec_i, rec_j, ia, ib = pair
-    sim, inliers = ransac_similarity(rec_i.points[ia], rec_j.points[ib], seed=seed)
+    sim, inliers = ransac_similarity(rec_i.points[ia], rec_j.points[ib], seed=seed, counts=counts)
     return rec_i.community_id, rec_j.community_id, sim.s, quat_conjugate(sim.q), inliers.size
 
 

@@ -78,21 +78,27 @@ def pairwise_seed(base_seed: int, i: int, j: int) -> int:
     )
 
 
-def measure_pairs(pairs, seed: int) -> list:
+def measure_pairs(pairs, seed: int, counts: dict | None = None) -> list:
     """RANSAC-measure each :func:`covisible_pairs` entry, in the given order.
     Returns the :func:`pairwise_measurement` row of each measured pair.
+    ``counts``, when given, receives ``ransac_iterations``: the RANSAC
+    hypotheses of each measured pair, in row order.
 
     Pairs whose fit fails are skipped with a warning.
     """
-    rows = []
+    rows, iterations = [], []
     for pair in pairs:
         p, q = pair[0].community_id, pair[1].community_id
+        tally = {}
         try:
-            rows.append(pairwise_measurement(pair, seed=pairwise_seed(seed, p, q)))
+            rows.append(pairwise_measurement(pair, seed=pairwise_seed(seed, p, q), counts=tally))
+            iterations.append(tally["iterations"])
         except (ValidationError, NumericError) as exc:
             # a single failed pair is survivable as long as the measurement
             # graph stays connected; the connectivity check decides that
             log.warning("skipping pair (%d, %d): %s", p, q, exc)
+    if counts is not None:
+        counts["ransac_iterations"] = iterations
     return rows
 
 
@@ -100,10 +106,11 @@ def measure_graph(recs, seed: int, path):
     """The pairwise stage: measure every community pair sharing at least
     ``MIN_COVISIBLE`` tracks, require the measurement graph to be connected
     and write it to ``path``; returns ``(mg, stats)``, the stats counting
-    the shared tracks of each measured pair in row order.  A disconnected
-    graph's error names the refused pairs."""
+    the shared tracks and the RANSAC iterations of each measured pair in row
+    order.  A disconnected graph's error names the refused pairs."""
     pairs = covisible_pairs(recs, MIN_COVISIBLE)
-    rows = measure_pairs(pairs, seed=seed)
+    counts = {}
+    rows = measure_pairs(pairs, seed, counts)
     mg = MeasurementGraph.from_rows(len(recs), rows)
     shared = {(a.community_id, b.community_id): ia.size for a, b, ia, _ in pairs}
     refused = sorted(shared.keys() - {(i, j) for i, j, *_ in rows})
@@ -113,13 +120,16 @@ def measure_graph(recs, seed: int, path):
         "measured_pairs": len(rows),
         "candidate_pairs": len(pairs),
         "shared_tracks": [shared[i, j] for i, j, *_ in rows],
+        **counts,
     }
 
 
 def _world_stats(world: GroundTruthWorld) -> dict:
-    """The resident size of a world's visibility incidence and its match
-    graph's edge count, which set the memory of the synth and world stages."""
-    return {"incidence_bytes": world.visible.nbytes, "match_edges": world.graph.edge_count}
+    """The resident size of a world's visibility incidence, its camera
+    block count and its match graph's edge count, which set the memory of
+    the synth and world stages."""
+    return {"incidence_bytes": world.visible.nbytes, "camera_blocks": len(world.visible.bits),
+            "match_edges": world.graph.edge_count}
 
 
 def _files(out: Path) -> dict:

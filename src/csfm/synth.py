@@ -38,7 +38,10 @@ _STREAM_NOISE = 202
 
 _WORLD_DRAWS = 4  # geometry draws generate_world tries before giving up
 _CAMERA_CHUNK = 16  # cameras per candidate search in visibility()
-_CAMERA_BLOCK = 512  # cameras per packed incidence block; every perfbench world is one
+# cameras per packed incidence block: about as many as see the same points in
+# a planted cluster, so a block keeps few columns and most block pairs of the
+# match graph are pruned; chosen from a sweep of 16-512 (README, BENCH_38.json)
+_CAMERA_BLOCK = 64
 _POINT_BLOCK = 512  # incidence columns per float32 product in _match_graph(); a multiple of 8
 
 
@@ -101,7 +104,10 @@ class Incidence(NamedTuple):
     cameras (the last block may be shorter).  ``columns[b]`` holds the points
     some camera of block ``b`` sees, ascending; row ``r`` of the uint8
     ``bits[b]`` is the incidence of the block's ``r``-th camera on those
-    columns, packed by ``np.packbits`` (zero bits pad the last byte)."""
+    columns, packed by ``np.packbits`` (zero bits pad the last byte).  A
+    block of consecutive cameras of one planted cluster sees about that
+    cluster's points, so its columns stay few; the layout holds the exact
+    rule for cameras in any order."""
 
     columns: tuple
     bits: tuple
@@ -300,13 +306,16 @@ def _match_graph(spec: WorldSpec, centers: np.ndarray, visible: Incidence) -> Ep
     ``spec.visibility_radius``.  Two cameras more than ``2 * radius`` apart
     share no point (the triangle inequality, with the 1e-9 slack of
     :func:`visibility`), so a pair of camera blocks is counted only when the
-    bounding boxes of their centers lie within that distance.  Each kept
-    pair's counts are one float32 product of the two blocks' incidence over
-    the point columns both see, unpacked ``_POINT_BLOCK`` columns at a time
-    (``x @ x.T`` on the diagonal, which numpy hands to ``syrk``).  Every
-    partial sum is an integer no larger than the point count, which
-    ``WorldSpec`` keeps below 2**24, so float32 holds each one exactly, in
-    any order of summation.
+    bounding boxes of their centers lie within that distance.  Cameras are
+    drawn cluster by cluster, so a block of ``_CAMERA_BLOCK`` of them is
+    spatially compact and the test drops the pairs of distant clusters; in
+    any other order the counts are as exact and fewer pairs are dropped.
+    Each kept pair's counts are one float32 product of the two blocks'
+    incidence over the point columns both see, unpacked ``_POINT_BLOCK``
+    columns at a time (``x @ x.T`` on the diagonal, which numpy hands to
+    ``syrk``).  Every partial sum is an integer no larger than the point
+    count, which ``WorldSpec`` keeps below 2**24, so float32 holds each one
+    exactly, in any order of summation.
     """
     n_cam = centers.shape[0]
     bounds = visible.bounds
@@ -419,13 +428,13 @@ def fracture(world: GroundTruthWorld, partition: Partition) -> FractureResult:
     for cams in community_cams:
         cuts = np.searchsorted(cams, bounds).tolist()
         views = np.zeros(n_pts, dtype=np.int32)
-        for b, (columns, bits) in enumerate(zip(visible.columns, visible.bits)):
-            if cuts[b] < cuts[b + 1]:
-                rows = bits[cams[cuts[b] : cuts[b + 1]] - bounds[b]]
-                before = np.bitwise_or.accumulate(rows, axis=0)
-                once, twice = before[-1], np.bitwise_or.reduce(rows[1:] & before[:-1], axis=0)
-                views[columns] += (np.unpackbits(once, count=columns.size)
-                                   + np.unpackbits(twice, count=columns.size))
+        for b in np.flatnonzero(np.diff(cuts)).tolist():  # the blocks holding its cameras
+            columns = visible.columns[b]
+            rows = visible.bits[b][cams[cuts[b] : cuts[b + 1]] - bounds[b]]
+            before = np.bitwise_or.accumulate(rows, axis=0)
+            once, twice = before[-1], np.bitwise_or.reduce(rows[1:] & before[:-1], axis=0)
+            views[columns] += (np.unpackbits(once, count=columns.size)
+                               + np.unpackbits(twice, count=columns.size))
         tracks = np.flatnonzero(views >= 2)
         member_tracks.append(tracks)
         multiplicity[tracks] += 1

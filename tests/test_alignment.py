@@ -77,6 +77,25 @@ class TestRansac:
         assert geodesic_angle(sim.q, planted.q) < 1e-9
         assert np.allclose(sim.t, planted.t, atol=1e-9)
 
+    def test_iterations_are_counted(self):
+        # an outlier-free pair stops at its first hypothesis, which every
+        # pair agrees with; with 30% outliers the adaptive cutoff decides,
+        # the same on every run with the seed
+        rng = np.random.default_rng(2)
+        planted = random_sim3(rng)
+        a = rng.uniform(-5, 5, size=(40, 3))
+        counts = {}
+        ransac_similarity(a, planted.apply(a), seed=9, counts=counts)
+        assert counts == {"iterations": 1}
+        b = planted.apply(a)
+        b[:12] += rng.uniform(3.0, 8.0, size=(12, 3))
+        runs = []
+        for _ in range(2):
+            counts = {}
+            ransac_similarity(a, b, seed=9, counts=counts)
+            runs.append(counts)
+        assert runs[0] == runs[1] and runs[0]["iterations"] > 1
+
     def test_planted_outliers_recovered_exactly(self):
         # oracle: the generator knows which 30 of 100 pairs it corrupted
         rng = np.random.default_rng(3)

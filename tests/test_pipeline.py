@@ -10,7 +10,7 @@ import orjson
 import pytest
 from click.testing import CliRunner
 
-from csfm import averaging, l1, reconstruction
+from csfm import averaging, l1, reconstruction, synth
 from csfm.alignment import MIN_SAMPLE
 from csfm.averaging import averaging_residuals, load_transforms, recompute_pairwise_translations
 from csfm.cli import main
@@ -23,9 +23,9 @@ from csfm.community import (
 )
 from csfm.errors import ValidationError
 from csfm.graph import load_graph, save_graph
-from csfm.measurements import load_measurements
+from csfm.measurements import load_measurements, pairwise_measurement
 from csfm.merging import load_merged, save_merged
-from csfm.pipeline import DATA_ARTIFACTS, PipelineConfig, measure_graph, run_pipeline
+from csfm.pipeline import DATA_ARTIFACTS, PipelineConfig, measure_graph, pairwise_seed, run_pipeline
 from csfm.reconstruction import (
     Reconstruction,
     covisible_pairs,
@@ -168,8 +168,10 @@ class TestRunPipeline:
         stats = {s["name"]: s["stats"] for s in stages}
         world = generate_world(WorldSpec(seed=28, **THREE))
         packed = sum(a.nbytes for block in zip(*world.visible) for a in block)
+        blocks = -(-THREE["camera_count"] // synth._CAMERA_BLOCK)
         edges = len(json.loads((tmp_path / "eg.json").read_text())["edges"])
-        assert stats["synth"] == stats["world"] == {"incidence_bytes": packed, "match_edges": edges}
+        assert stats["synth"] == stats["world"] == {
+            "incidence_bytes": packed, "camera_blocks": blocks, "match_edges": edges}
         assert 0 < packed and 0 < edges
 
     def test_benchmark_spellings_change_no_byte(self, tmp_path):
@@ -412,8 +414,15 @@ def test_every_entry_point_measures_the_pairs_that_share_tracks(tmp_path):
     stats = {s["name"]: s["stats"] for s in res.report["stages"]}
     recs = tuple(fracture(world, res.partition).reconstructions)
     shared = {(a.community_id, b.community_id): ia.size for a, b, ia, _ in covisible_pairs(recs)}
+    iterations = []
+    for pair in covisible_pairs(recs):  # every candidate is measured
+        counts = {}
+        pairwise_measurement(
+            pair, pairwise_seed(25, pair[0].community_id, pair[1].community_id), counts)
+        iterations.append(counts["iterations"])
     assert stats["pairwise"] == {"measured_pairs": 4, "candidate_pairs": 4,
-                                 "shared_tracks": [shared[p] for p in pairs]}
+                                 "shared_tracks": [shared[p] for p in pairs],
+                                 "ransac_iterations": iterations}
 
     from_recs = tmp_path / "from_recs"
     run_pipeline(PipelineConfig(out_dir=str(from_recs), seed=25, reconstructions=recs))
@@ -488,6 +497,22 @@ def test_each_community_pair_is_joined_once(tmp_path, monkeypatch):
         {r.community_id: r for r in recs}, np.ones(k), np.tile(IDENTITY_QUAT, (k, 1)), mg
     )
     assert len(joins) == mg.i.size > 0
+
+
+def test_pairwise_stats_count_the_ransac_iterations_of_each_measured_pair(tmp_path):
+    # one count per measured pair, equal on a repeat run; on a world without
+    # noise or outliers every pair's first hypothesis takes all its tracks,
+    # so each pair stops after one iteration
+    runs = []
+    for name, noise, outliers in (("a", 1e-3, 0.2), ("b", 1e-3, 0.2), ("clean", 0.0, 0.0)):
+        spec = WorldSpec(**{**THREE, "noise_sigma": noise, "outlier_fraction": outliers}, seed=29)
+        res = run_pipeline(PipelineConfig(out_dir=str(tmp_path / name), seed=29, spec=spec))
+        runs.append({s["name"]: s["stats"] for s in res.report["stages"]}["pairwise"])
+    for stats in runs:
+        assert len(stats["ransac_iterations"]) == stats["measured_pairs"] > 0
+    assert runs[0]["ransac_iterations"] == runs[1]["ransac_iterations"]
+    assert max(runs[0]["ransac_iterations"]) > 1
+    assert runs[2]["ransac_iterations"] == [1] * runs[2]["measured_pairs"]
 
 
 def test_pairwise_stats_count_the_tracks_each_measured_pair_shares(pipeline_run):

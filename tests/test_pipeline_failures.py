@@ -10,7 +10,7 @@ import pytest
 
 import csfm
 from csfm.errors import DisconnectedGraphError, ValidationError
-from csfm.measurements import MIN_COVISIBLE, MeasurementGraph
+from csfm.measurements import MIN_COVISIBLE, MeasurementGraph, pairwise_measurement
 from csfm.pipeline import PipelineConfig, measure_pairs, pairwise_seed, run_pipeline
 from csfm.reconstruction import Reconstruction, covisible_pairs
 from csfm.rotations import IDENTITY_QUAT, random_quat
@@ -68,7 +68,15 @@ def test_shared_track_counts_follow_the_measured_rows(tmp_path, caplog):
     res = run_pipeline(PipelineConfig(out_dir=str(tmp_path), seed=3, reconstructions=sick_pair_recs()))
     assert "skipping pair (0, 2)" in caplog.text
     stats = {s["name"]: s["stats"] for s in res.report["stages"]}["pairwise"]
-    assert stats == {"measured_pairs": 2, "candidate_pairs": 3, "shared_tracks": [40, 30]}
+    iterations = []
+    for pair in covisible_pairs(sick_pair_recs(), MIN_COVISIBLE):
+        i, j = pair[0].community_id, pair[1].community_id
+        if (i, j) != (0, 2):
+            counts = {}
+            pairwise_measurement(pair, pairwise_seed(3, i, j), counts)
+            iterations.append(counts["iterations"])
+    assert stats == {"measured_pairs": 2, "candidate_pairs": 3, "shared_tracks": [40, 30],
+                     "ransac_iterations": iterations}
 
 
 def test_pairwise_seed_is_order_independent():

@@ -52,6 +52,20 @@ STRONG = dict(
 )
 
 
+@pytest.fixture
+def counted(monkeypatch):
+    """The ``(a, b)`` camera-block pairs whose counts ``_match_graph`` takes."""
+    pairs = []
+    block_counts = synth._block_counts
+
+    def record(visible, a, b):
+        pairs.append((a, b))
+        return block_counts(visible, a, b)
+
+    monkeypatch.setattr(synth, "_block_counts", record)
+    return pairs
+
+
 def planted_partition(world):
     return Partition(assignment=world.labels, community_count=int(world.labels.max()) + 1)
 
@@ -193,17 +207,20 @@ BOUNDARY_OFFSETS = np.unique(
 
 @settings(max_examples=80)
 @given(
-    n_cam=st.integers(1, 3 * _CAMERA_CHUNK + 5),
+    n_cam=st.integers(1, 2 * _CAMERA_BLOCK + 5),
     n_pts=st.integers(0, 300),
     layout=st.sampled_from(["spread", "two-clusters", "duplicates"]),
     blind_share=st.sampled_from([0.0, 0.3, 1.0]),
     scale_exp=st.integers(-3, 2),
-    which_chunk=st.integers(0, 3),
+    which_chunk=st.integers(0, (2 * _CAMERA_BLOCK + 5) // _CAMERA_CHUNK),
     seed=st.integers(0, 2**32 - 1),
 )
 # one camera; a chunk straddling two clusters 2000 units apart, with a partial
-# last chunk; duplicate cameras and blind ones; no camera sees a scene point
+# last chunk; duplicate cameras and blind ones; no camera sees a scene point;
+# three camera blocks, the last one partial, and a chunk of the second
 @example(n_cam=1, n_pts=50, layout="spread", blind_share=0.0, scale_exp=0, which_chunk=0, seed=0)
+@example(n_cam=2 * _CAMERA_BLOCK + 5, n_pts=300, layout="two-clusters", blind_share=0.3,
+         scale_exp=0, which_chunk=_CAMERA_BLOCK // _CAMERA_CHUNK + 1, seed=4)
 @example(n_cam=2 * _CAMERA_CHUNK + 3, n_pts=200, layout="two-clusters", blind_share=0.0,
          scale_exp=1, which_chunk=2, seed=1)
 @example(n_cam=_CAMERA_CHUNK + 1, n_pts=120, layout="duplicates", blind_share=0.3, scale_exp=-1,
@@ -318,19 +335,11 @@ class TestVisibility:
             assert np.array_equal(dense, dense_visibility(centers, points, radius))
             assert np.array_equal(dense, kdtree_visibility(centers, points, radius).toarray())
 
-    def test_match_counts_match_int64_product_across_point_blocks(self, monkeypatch):
+    def test_match_counts_match_int64_product_across_point_blocks(self, monkeypatch, counted):
         # several point blocks of the float32 product, the last one partial,
         # and several camera chunks of the visibility query; then again over
         # several camera blocks, with two groups of cameras too far apart to
         # share a point, so that the bounding-box test must drop their block pairs
-        counted = []
-        block_counts = synth._block_counts
-
-        def record(visible, a, b):
-            counted.append((a, b))
-            return block_counts(visible, a, b)
-
-        monkeypatch.setattr(synth, "_block_counts", record)
         rng = np.random.default_rng(21)
         cases = [(1, 2 * _POINT_BLOCK, 1, False), (37, 3 * _POINT_BLOCK + 5, 1, False),
                  (3 * _CAMERA_CHUNK + 2, 5 * _POINT_BLOCK // 2, 40, False),
@@ -375,6 +384,53 @@ class TestVisibility:
         graph = _match_graph(WorldSpec(min_shared_tracks=1, visibility_radius=3.0), centers, visible)
         assert graph.edges.tolist() == [[0, 1]] and graph.weights.tolist() == [1]
 
+    def test_match_graph_is_exact_on_cameras_out_of_cluster_order(self, counted):
+        # a world's cameras in a random order, so that no camera block is
+        # spatially compact and the bounding-box test drops no block pair:
+        # the incidence and the match graph are still the dense rule's, and
+        # the world's own graph relabelled
+        spec = WorldSpec(**PERFBENCH_SPECS["staged-cli"], seed=3)
+        world = generate_world(spec)
+        perm = np.random.default_rng(3).permutation(spec.camera_count)
+        centers = world.camera_centers[perm]
+        visible = visibility(centers, world.points, spec.visibility_radius)
+        counted.clear()
+        graph = _match_graph(spec, centers, visible)
+        n_blocks = len(visible.bits)
+        assert n_blocks > 1 and len(counted) == n_blocks * (n_blocks + 1) // 2
+        dense = dense_visibility(centers, world.points, spec.visibility_radius)
+        assert np.array_equal(incidence_array(visible, spec.point_count), dense)
+        co = dense.astype(np.int64) @ dense.T.astype(np.int64)
+        iu, ju = np.triu_indices(spec.camera_count, k=1)
+        strong = co[iu, ju] >= spec.min_shared_tracks
+        assert np.array_equal(graph.edges, np.column_stack([iu[strong], ju[strong]]))
+        assert np.array_equal(graph.weights, co[iu, ju][strong])
+        # the same edges as the world's, camera i of the world being camera
+        # rank[i] here
+        rank = np.argsort(perm)
+        ends = np.sort(rank[world.graph.edges], axis=1)
+        order = np.lexsort((ends[:, 1], ends[:, 0]))
+        assert np.array_equal(ends[order], graph.edges)
+        assert np.array_equal(world.graph.weights[order], graph.weights)
+
+    def test_match_graph_multiplies_only_block_pairs_that_share_points(self, counted):
+        # the float32 multiply-adds of the block products on the staged-cli
+        # world at seed 0, a half per diagonal pair (syrk), over unpacked
+        # padded columns on the diagonal and shared columns off it:
+        # 41,338,880, 5.2% of the 800,000,000 that one block of every camera
+        # over every point takes
+        spec = WorldSpec(**PERFBENCH_SPECS["staged-cli"], seed=0)
+        visible = generate_world(spec).visible
+        madds = 0
+        for a, b in counted:
+            x, y = visible.bits[a], visible.bits[b]
+            if a == b:
+                madds += x.shape[0] ** 2 * 8 * x.shape[1] // 2
+            else:
+                shared = np.intersect1d(visible.columns[a], visible.columns[b]).size
+                madds += x.shape[0] * y.shape[0] * shared
+        assert 0 < madds <= spec.camera_count**2 * spec.point_count // 2 // 10
+
     def test_world_incidence_and_match_counts_match_dense_rule(self):
         # the stored incidence and the float32 co-visibility counts against
         # the dense rule and an exact int64 product, over more than one block
@@ -382,10 +438,12 @@ class TestVisibility:
         for seed in range(3):
             spec = WorldSpec(seed=seed, **STRONG)
             world = generate_world(spec)
-            # one packed block: int32 columns, a row of ceil(columns / 8) bytes per camera
-            (columns,), (bits,) = world.visible
-            assert columns.dtype == np.int32 and bits.dtype == np.uint8
-            assert bits.shape == (spec.camera_count, -(-columns.size // 8))
+            # every packed block: int32 columns, a row of ceil(columns / 8) bytes per camera
+            bounds = world.visible.bounds
+            assert len(bounds) - 1 == -(-spec.camera_count // _CAMERA_BLOCK)
+            for columns, bits, start, stop in zip(*world.visible, bounds[:-1], bounds[1:]):
+                assert columns.dtype == np.int32 and bits.dtype == np.uint8
+                assert bits.shape == (stop - start, -(-columns.size // 8))
             dense = dense_visibility(world.camera_centers, world.points, spec.visibility_radius)
             assert np.array_equal(incidence_array(world.visible, spec.point_count), dense)
             co = dense.astype(np.int64) @ dense.T.astype(np.int64)
@@ -599,8 +657,10 @@ def test_perfbench_worlds_match_the_scipy_oracle(tmp_path, workload):
 
 @pytest.fixture(scope="module")
 def several_blocks_world():
-    spec = WorldSpec(camera_count=1100, point_count=11000, cluster_count=8, noise_sigma=1e-3, seed=4)
-    assert spec.camera_count > 2 * _CAMERA_BLOCK
+    # two full camera blocks and a shorter third
+    spec = WorldSpec(camera_count=5 * _CAMERA_BLOCK // 2 + 5, point_count=11000, cluster_count=8,
+                     noise_sigma=1e-3, seed=4)
+    assert 2 * _CAMERA_BLOCK < spec.camera_count < 3 * _CAMERA_BLOCK
     return generate_world(spec)
 
 
@@ -610,16 +670,19 @@ def test_a_world_of_several_camera_blocks_matches_the_scipy_oracle(tmp_path, sev
 
 
 def test_fracture_counts_views_across_uneven_camera_blocks(several_blocks_world):
-    # blocks of 512, 512 and 76 cameras; runs of 300 cameras straddle both
-    # block boundaries, every seventh camera forms a community that takes
-    # scattered rows of all three blocks, and three pairs of neighbours are
-    # communities of their own: one astride each boundary and the last two
-    # cameras.  A community's tracks are those that two or more of its
-    # cameras see by the dense rule.
+    # two full camera blocks and a shorter third; four runs of a quarter of
+    # the cameras each, two of which straddle the two block boundaries,
+    # every seventh camera forms a community that takes scattered rows of
+    # all three blocks, and three pairs of neighbours are communities of
+    # their own: one astride each boundary and the last two cameras.  A
+    # community's tracks are those that two or more of its cameras see by
+    # the dense rule.
     world = several_blocks_world
     n_cam = world.spec.camera_count
     assert world.visible.bounds == [0, _CAMERA_BLOCK, 2 * _CAMERA_BLOCK, n_cam]
-    assignment = np.arange(n_cam) // 300
+    assignment = np.arange(n_cam) * 4 // n_cam
+    for boundary in (_CAMERA_BLOCK, 2 * _CAMERA_BLOCK):
+        assert assignment[boundary - 1] == assignment[boundary]
     assignment[3::7] = 4
     for c, first in enumerate([_CAMERA_BLOCK - 1, 2 * _CAMERA_BLOCK - 1, n_cam - 2], start=5):
         assignment[first : first + 2] = c
@@ -645,9 +708,9 @@ def test_fracture_members_are_the_unpack_and_sum_count(several_blocks_world, see
     n_cam = world.spec.camera_count
     rng = np.random.default_rng(seed)
     assignment = rng.integers(0, 8, size=n_cam)
-    assignment[rng.integers(n_cam)] = 8
     assignment[[_CAMERA_BLOCK - 1, _CAMERA_BLOCK]] = 9
     assignment[[2 * _CAMERA_BLOCK - 2, 2 * _CAMERA_BLOCK + 1]] = 10
+    assignment[rng.choice(np.flatnonzero(assignment < 8))] = 8
     fr = fracture(world, Partition(assignment=assignment, community_count=11))
     dense = incidence_array(world.visible, world.points.shape[0])
     for c, rec in enumerate(fr.reconstructions):
@@ -669,12 +732,12 @@ def test_world_file_counts_must_match_its_spec(tmp_path):
 @pytest.mark.parametrize("workload", ["dense-points", "large-graph"])
 def test_perfbench_world_incidence_is_packed(workload):
     # the five worlds of one perfbench run hold their incidence in at most
-    # one int32 column index per point and one bit per camera and point; at
-    # seeds 0-4 each world's camera block sees every point, so the bound is
-    # met exactly: 3,577,500 bytes on dense-points and 1,807,500 on
-    # large-graph, where int32 compressed rows took 24,101,008 and 8,539,852
+    # one int32 column index per point and one bit per camera and point,
+    # 3,577,500 bytes on dense-points and 1,807,500 on large-graph; a block
+    # keeps only the columns its cameras see, so at seeds 0-4 they hold
+    # 2,333,468 and 763,528 bytes, where int32 compressed rows took
+    # 24,101,008 and 8,539,852
     spec = WorldSpec(**PERFBENCH_SPECS[workload])
-    assert spec.camera_count <= _CAMERA_BLOCK
     packed = sum(generate_world(WorldSpec(**PERFBENCH_SPECS[workload], seed=seed)).visible.nbytes
                  for seed in range(5))
     assert packed <= 5 * (4 * spec.point_count + spec.camera_count * -(-spec.point_count // 8))
